@@ -74,6 +74,17 @@ class _Fail(Exception):
         self.code = code
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for angle flags: a finite number, never nan or inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _num(x: float) -> str:
     return f"{x:.9g}"
 
@@ -434,19 +445,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="inspect one press direction")
     add_params(sp)
-    sp.add_argument("--zeta-deg", type=float, required=True,
+    sp.add_argument("--zeta-deg", type=_finite_float, required=True,
                     help="press direction in degrees")
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("sweep", help="sweep press directions, write CSV")
     add_params(sp)
-    sp.add_argument("--lo-deg", type=float, default=None,
+    sp.add_argument("--lo-deg", type=_finite_float, default=None,
                     help=f"sweep start (default {_DEFAULT_LO_DEG:g})")
-    sp.add_argument("--hi-deg", type=float, default=None,
+    sp.add_argument("--hi-deg", type=_finite_float, default=None,
                     help=f"sweep end (default {_DEFAULT_HI_DEG:g})")
-    sp.add_argument("--step-deg", type=float, default=None,
+    sp.add_argument("--step-deg", type=_finite_float, default=None,
                     help=f"sweep step (default {_DEFAULT_STEP_DEG:g})")
-    sp.add_argument("--press-angle-deg", type=float, default=_DEFAULT_PRESS_DEG,
+    sp.add_argument("--press-angle-deg", type=_finite_float, default=_DEFAULT_PRESS_DEG,
                     help="press direction for the threshold summary line")
     sp.add_argument("--out", metavar="FILE", default=None,
                     help="CSV output path; a .summary sidecar is written too")

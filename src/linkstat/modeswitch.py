@@ -3,7 +3,11 @@
 A sweep walks the press direction across a range and records the opening
 verdict at each sample.  Contiguous runs of opening samples form the
 opening envelope; its boundaries are sharpened by bisection on the
-underlying verdict function, not by interpolating the samples.  On top of
+underlying verdict function, not by interpolating the samples.
+:func:`envelope` returns the same envelope without sampling the whole
+grid: the verdict can only change where one of a few
+``a*cos(zeta) + b*sin(zeta)`` sign functions crosses zero, so only the
+grid points around those roots need a verdict of their own.  On top of
 that sit the operational questions: how hard must the finger be pressed
 to flip into turn-over mode, and how much grip force is safe to apply
 without flipping accidentally.
@@ -13,13 +17,13 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import LinkageParameters
-from .statics import OpeningDecision, predict_opening
+from .statics import OpeningDecision, assemble_system, predict_opening
 
 __all__ = [
     "GraspMode",
@@ -27,6 +31,7 @@ __all__ = [
     "OpeningInterval",
     "SweepCurve",
     "SweepSample",
+    "envelope",
     "opening_interval",
     "parallel_grip_budget",
     "select_mode",
@@ -95,28 +100,23 @@ def sweep_points(
 ) -> SweepCurve:
     """Evaluate the opening verdict at explicitly given press directions.
 
-    Sample order follows the input order.  ``workers`` caps concurrent
-    evaluation; when None the LINKSTAT_THREADS environment variable is
-    consulted and absence means serial evaluation.  The result does not
-    depend on the worker count.
+    Sample order follows the input order.  Evaluation is serial:
+    ``workers`` and the LINKSTAT_THREADS environment variable are still
+    checked (each must be an integer >= 1) but no longer start threads,
+    which the interpreter lock made two to three times slower.
     """
     if not zetas:
         raise ValueError("at least one press direction is required")
-    count = _worker_count(workers)
-    if count == 1 or len(zetas) == 1:
-        decisions = [predict_opening(p, z) for z in zetas]
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            decisions = list(pool.map(lambda z: predict_opening(p, z), zetas))
+    _worker_count(workers)
     return SweepCurve(
         params=p,
-        samples=tuple(
-            SweepSample(zeta=z, decision=d) for z, d in zip(zetas, decisions)
-        ),
+        samples=tuple(SweepSample(zeta=z, decision=predict_opening(p, z)) for z in zetas),
     )
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+        raise ValueError(f"sweep range must be finite: [{lo}, {hi}] by {step}")
     if hi < lo:
         raise ValueError(f"range is reversed: [{lo}, {hi}]")
     if step <= 0.0:
@@ -187,6 +187,45 @@ def _bisect_transition(
     return open_side
 
 
+def _refine_runs(
+    p: LinkageParameters,
+    zetas: Sequence[float],
+    opens: Sequence[bool],
+    tolerance: float,
+) -> tuple[OpeningInterval, ...]:
+    """Turn runs of opening grid points into refined intervals, widest first."""
+    runs: list[tuple[int, int]] = []
+    start: int | None = None
+    for i, flag in enumerate(opens):
+        if flag:
+            if start is None:
+                start = i
+        elif start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(opens) - 1))
+
+    intervals: list[OpeningInterval] = []
+    for first, last in runs:
+        if first == 0:
+            lo, lo_refined = zetas[0], False
+        else:
+            lo = _bisect_transition(p, zetas[first - 1], zetas[first], tolerance)
+            lo_refined = True
+        if last == len(zetas) - 1:
+            hi, hi_refined = zetas[-1], False
+        else:
+            hi = _bisect_transition(p, zetas[last + 1], zetas[last], tolerance)
+            hi_refined = True
+        intervals.append(
+            OpeningInterval(lo=lo, hi=hi, lo_refined=lo_refined, hi_refined=hi_refined)
+        )
+
+    intervals.sort(key=lambda iv: (-iv.width, iv.lo))
+    return tuple(intervals)
+
+
 def opening_interval(
     curve: SweepCurve, tolerance: float = DEFAULT_REFINE_TOL
 ) -> tuple[OpeningInterval, ...]:
@@ -195,42 +234,149 @@ def opening_interval(
     Ties on width break toward the lower interval.  Returns an empty
     tuple when no sample opens.
     """
-    samples = curve.samples
-    p = curve.params
-    runs: list[tuple[int, int]] = []
-    start: int | None = None
-    for i, sample in enumerate(samples):
-        if sample.decision.opens:
-            if start is None:
-                start = i
-        elif start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(samples) - 1))
+    return _refine_runs(
+        curve.params,
+        curve.zetas,
+        [s.decision.opens for s in curve.samples],
+        tolerance,
+    )
 
-    intervals: list[OpeningInterval] = []
-    for first, last in runs:
-        if first == 0:
-            lo, lo_refined = samples[0].zeta, False
-        else:
-            lo = _bisect_transition(
-                p, samples[first - 1].zeta, samples[first].zeta, tolerance
-            )
-            lo_refined = True
-        if last == len(samples) - 1:
-            hi, hi_refined = samples[-1].zeta, False
-        else:
-            hi = _bisect_transition(
-                p, samples[last + 1].zeta, samples[last].zeta, tolerance
-            )
-            hi_refined = True
-        intervals.append(
-            OpeningInterval(lo=lo, hi=hi, lo_refined=lo_refined, hi_refined=hi_refined)
-        )
 
-    intervals.sort(key=lambda iv: (-iv.width, iv.lo))
-    return tuple(intervals)
+# Grid points this close (radians) to a computed root are always given a
+# verdict of their own, so rounding in the root cannot hide a transition.
+_ROOT_WINDOW = 1e-7
+# A sign function whose amplitude is below this fraction of the size of
+# the terms summed into it is too cancelled to trust its roots; the
+# envelope then falls back to a verdict at every grid point.
+_CANCELLATION_FLOOR = 1e-6
+
+
+class _Harmonic(NamedTuple):
+    """``a*cos(zeta) + b*sin(zeta)``; ``size`` bounds the terms summed into it."""
+
+    a: float
+    b: float
+    size: float
+
+
+def _mix(*terms: tuple[float, _Harmonic]) -> _Harmonic:
+    return _Harmonic(
+        sum(c * h.a for c, h in terms),
+        sum(c * h.b for c, h in terms),
+        sum(abs(c) * h.size for c, h in terms),
+    )
+
+
+def _sign_functions(p: LinkageParameters) -> list[_Harmonic] | None:
+    """Every function of the press direction whose sign the verdict reads.
+
+    In :func:`~linkstat.statics.assemble_system` only a00 and a10 depend
+    on zeta, both through ``a*cos(zeta) + b*sin(zeta)`` terms, and the xi
+    numerator does not depend on it at all.  So the verdict is fixed
+    between roots of a00 (probe force f_rx), of a10 (f_sx, the sign of
+    the tip moment ratio), of the beta numerator (the same on both
+    friction branches) and of det on each branch (singularity, the sign
+    of xi, and with the beta numerator the branch choice).  Where beta
+    is zero both branches share xi = b0/a00, so a root of the beta
+    numerator alone never flips ``opens``; it is kept so that every sign
+    the decision reads is fixed between computed points.  None when the
+    tip moment ratio itself is undefined.
+    """
+    denom = p.l2 * math.sin(p.theta2 + p.theta3)
+    if denom == 0.0:
+        return None
+    # tip_moment_ratio: (l4*cos(z) - l3*sin(theta2 + z)) / denom
+    gamma = _Harmonic(
+        (p.l4 - p.l3 * math.sin(p.theta2)) / denom,
+        -p.l3 * math.cos(p.theta2) / denom,
+        (abs(p.l4) + abs(p.l3)) / abs(denom),
+    )
+    tilt = _Harmonic(  # sin(theta1 - z)
+        math.sin(p.theta1), -math.cos(p.theta1), 1.0
+    )
+    s13 = math.sin(p.theta1 - p.theta3)
+    a00 = _mix((s13, gamma), (1.0, tilt))
+    a10 = _mix((math.sin(p.theta3 + p.theta4), gamma))
+    functions = [a00, a10]
+    for sign in (1, -1):
+        # a01, a11 and the right-hand side do not depend on zeta.
+        fixed = assemble_system(p, 0.0, sign)
+        a01, a11 = float(fixed.matrix[0, 1]), float(fixed.matrix[1, 1])
+        functions.append(_mix((a11, a00), (-a01, a10)))  # det
+    b0, b1 = float(fixed.rhs[0]), float(fixed.rhs[1])
+    functions.append(_mix((b1, a00), (-b0, a10)))  # beta numerator
+    return functions
+
+
+def _roots(f: _Harmonic, lo: float, hi: float) -> list[float] | None:
+    """Zeros of ``f`` within [lo, hi], widened by the root window.
+
+    None when cancellation leaves the zeros untrustworthy.
+    """
+    amplitude = math.hypot(f.a, f.b)
+    if not (math.isfinite(amplitude) and math.isfinite(f.size)):
+        return None
+    if amplitude == 0.0 and f.size == 0.0:
+        return []  # identically zero, so its sign never changes
+    if amplitude < _CANCELLATION_FLOOR * f.size:
+        return None
+    # a*cos(z) + b*sin(z) = R*cos(z - atan2(b, a)) vanishes pi/2 past the phase.
+    first = math.atan2(f.b, f.a) + 0.5 * math.pi
+    k_lo = math.ceil((lo - _ROOT_WINDOW - first) / math.pi)
+    k_hi = math.floor((hi + _ROOT_WINDOW - first) / math.pi)
+    return [first + k * math.pi for k in range(k_lo, k_hi + 1)]
+
+
+def _inferred_verdicts(p: LinkageParameters, grid: list[float]) -> list[bool] | None:
+    """Opening flags for every grid point from verdicts around the roots."""
+    functions = _sign_functions(p)
+    if functions is None:
+        return None
+    last = len(grid) - 1
+    probes = {0, last}
+    for f in functions:
+        roots = _roots(f, grid[0], grid[-1])
+        if roots is None:
+            return None
+        for root in roots:
+            first = max(bisect_right(grid, root - _ROOT_WINDOW) - 1, 0)
+            past = min(bisect_left(grid, root + _ROOT_WINDOW), last)
+            probes.update(range(first, past + 1))
+
+    order = sorted(probes)
+    verdict = {i: predict_opening(p, grid[i]).opens for i in order}
+    opens = [verdict[last]] * len(grid)
+    for i, j in zip(order, order[1:]):
+        if j > i + 1 and verdict[i] != verdict[j]:
+            return None
+        opens[i:j] = [verdict[i]] * (j - i)
+    return opens
+
+
+def envelope(
+    p: LinkageParameters,
+    zeta_lo: float = DEFAULT_SWEEP_LO,
+    zeta_hi: float = DEFAULT_SWEEP_HI,
+    step: float = DEFAULT_SWEEP_STEP,
+    tolerance: float = DEFAULT_REFINE_TOL,
+) -> tuple[OpeningInterval, ...]:
+    """The opening envelope of the grid sweep, without sampling every point.
+
+    Returns exactly ``opening_interval(sweep(p, zeta_lo, zeta_hi, step),
+    tolerance)``.  Verdicts are computed only at the two range ends and
+    at the grid points bracketing each root of the sign functions the
+    verdict reads; every other grid point takes the verdict of the
+    computed points around it, since no sign changes between them.  If
+    two computed points around an uncomputed stretch disagree, or a sign
+    function is too cancelled to trust, every grid point gets its own
+    verdict instead.  Edges are then bisected as in
+    :func:`opening_interval`.
+    """
+    grid = _grid(zeta_lo, zeta_hi, step)
+    opens = _inferred_verdicts(p, grid)
+    if opens is None:
+        opens = [predict_opening(p, z).opens for z in grid]
+    return _refine_runs(p, grid, opens, tolerance)
 
 
 def switching_threshold(p: LinkageParameters, press_angle: float) -> float:

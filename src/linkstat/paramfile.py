@@ -129,14 +129,27 @@ def _tokenize(text: str, line: int) -> list[str]:
     return tokens
 
 
+# Deeper nesting of parentheses and calls is refused rather than left to
+# hit the interpreter's recursion limit.
+_MAX_NESTING = 100
+
+
 class _ExpressionParser:
     """Recursive descent over +, -, *, /, unary sign, parentheses and
-    single-argument functions.  Trig takes degrees."""
+    single-argument functions.  Trig takes degrees.  Every intermediate
+    value must be finite: overflow and undefined calls such as sqrt(-1)
+    are reported, not carried along."""
 
     def __init__(self, tokens: list[str], line: int):
         self.tokens = tokens
         self.pos = 0
         self.line = line
+        self.depth = 0
+
+    def _finite(self, value: float) -> float:
+        if not math.isfinite(value):
+            raise ParameterFileError("value overflows to a non-finite number", self.line)
+        return value
 
     def _peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -160,9 +173,9 @@ class _ExpressionParser:
         value = self._term()
         while self._peek() in ("+", "-"):
             if self._take() == "+":
-                value += self._term()
+                value = self._finite(value + self._term())
             else:
-                value -= self._term()
+                value = self._finite(value - self._term())
         return value
 
     def _term(self) -> float:
@@ -171,11 +184,11 @@ class _ExpressionParser:
             op = self._take()
             rhs = self._factor()
             if op == "*":
-                value *= rhs
+                value = self._finite(value * rhs)
             else:
                 if rhs == 0.0:
                     raise ParameterFileError("division by zero", self.line)
-                value /= rhs
+                value = self._finite(value / rhs)
         return value
 
     def _factor(self) -> float:
@@ -185,26 +198,40 @@ class _ExpressionParser:
                 sign = -sign
         return sign * self._atom()
 
+    def _nested(self) -> float:
+        """The expression inside a pair of parentheses, up to the ')'."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParameterFileError(
+                f"expression nests deeper than {_MAX_NESTING} levels", self.line
+            )
+        value = self._expr()
+        if self._take() != ")":
+            raise ParameterFileError("missing closing parenthesis", self.line)
+        self.depth -= 1
+        return value
+
     def _atom(self) -> float:
         tok = self._take()
         if tok == "(":
-            value = self._expr()
-            if self._take() != ")":
-                raise ParameterFileError("missing closing parenthesis", self.line)
-            return value
+            return self._nested()
         if tok in _FUNCTIONS:
             if self._take() != "(":
                 raise ParameterFileError(
                     f"{tok} must be called with parentheses", self.line
                 )
-            arg = self._expr()
-            if self._take() != ")":
-                raise ParameterFileError("missing closing parenthesis", self.line)
-            return _FUNCTIONS[tok](arg)
-        try:
-            return float(tok)
-        except ValueError:
-            raise ParameterFileError(f"unknown name {tok!r}", self.line) from None
+            arg = self._nested()
+            try:
+                value = _FUNCTIONS[tok](arg)
+            except ValueError:
+                raise ParameterFileError(
+                    f"{tok}({arg:.6g}) is undefined", self.line
+                ) from None
+            return self._finite(value)
+        # float() would also read names such as "inf" and "nan".
+        if not (tok[0].isdigit() or tok[0] == "."):
+            raise ParameterFileError(f"unknown name {tok!r}", self.line)
+        return self._finite(float(tok))
 
 
 def _eval_expression(text: str, line: int) -> float:

@@ -121,10 +121,19 @@ class BalanceSystem:
         return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
 
 
+def _require_finite(zeta: float) -> None:
+    if not math.isfinite(zeta):
+        raise ValueError(f"press direction must be finite, got {zeta!r}")
+
+
 def assemble_system(
     p: LinkageParameters, zeta: float, sign_beta3: int
 ) -> BalanceSystem:
-    """Build the 2x2 balance for one press direction and friction branch."""
+    """Build the 2x2 balance for one press direction and friction branch.
+
+    Raises ValueError for a non-finite press direction.
+    """
+    _require_finite(zeta)
     gamma = tip_moment_ratio(p, zeta)
     lam = friction_coupling(p, sign_beta3)
     f_k = spring_force(p)
@@ -303,6 +312,7 @@ def predict_opening(p: LinkageParameters, zeta: float) -> OpeningDecision:
     clamp instead of tightening it.  A negative balance force means the
     press direction cannot reach balance at all and is reported as
     NEGATIVE_XI; the wrong probe-force pattern is CONTACT_MAINTAINED.
+    A non-finite ``zeta`` raises ValueError rather than get a verdict.
     """
     try:
         solution = solve_balance(p, zeta)
@@ -373,6 +383,7 @@ def _equilibrium_rows(
     struts and the slotted pin; nothing is pre-aggregated, so this stays
     an independent check on :func:`solve_balance`.
     """
+    _require_finite(zeta)
     s1, c1 = math.sin(p.theta1), math.cos(p.theta1)
     s2, c2 = math.sin(p.theta2), math.cos(p.theta2)
     s3, c3 = math.sin(p.theta3), math.cos(p.theta3)
@@ -444,7 +455,8 @@ def full_equilibrium(
     senses are solved and the self-consistent one kept.  When both are
     consistent (the friction force is essentially zero) the branch
     matching ``sign_beta3`` is preferred; an inconsistent pair is
-    returned with ``consistent`` False rather than raised.
+    returned with ``consistent`` False rather than raised.  A non-finite
+    ``zeta`` raises ValueError.
     """
     preferred = -sign_beta3 if sign_beta3 is not None else None
     branches: dict[int, tuple[np.ndarray, float]] = {}

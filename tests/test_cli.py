@@ -260,3 +260,36 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["explode"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--zeta-deg", "nan"],
+        ["analyze", "--zeta-deg=-inf"],
+        ["sweep", "--lo-deg", "nan"],
+        ["sweep", "--hi-deg", "inf"],
+        ["sweep", "--step-deg", "nan"],
+        ["sweep", "--press-angle-deg", "inf"],
+    ],
+)
+def test_non_finite_angles_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(out)] if argv[0] == "sweep" else argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: argument --" in captured.err and "finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_undefined_expression_exits_2(tmp_path, capsys):
+    text = format_parameter_file(default_parameters()).replace("l2 = 12.0", "l2 = sqrt(-1)")
+    assert "sqrt(-1)" in text
+    path = tmp_path / "params.txt"
+    path.write_text(text)
+    assert main(["validate", "--params", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "undefined" in captured.err
+    assert captured.out == ""

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import linkstat.statics
+
 from linkstat import (
     DesignSpec,
     DesignStatus,
@@ -163,3 +165,23 @@ def test_optimizer_clips_start_into_bounds(defaults):
 def test_optimizer_rejects_bad_budget(defaults):
     with pytest.raises(ValueError, match="budget"):
         optimize_design(reachable_spec(), defaults, budget=0)
+
+
+def test_evaluate_design_needs_few_verdicts(defaults, monkeypatch):
+    # The envelope computes verdicts only around the roots of its sign
+    # functions; a full 241-point sweep plus bisection took 253.
+    import linkstat.design
+    import linkstat.modeswitch
+
+    calls = []
+    verdict = linkstat.statics.predict_opening
+
+    def counted(p, zeta):
+        calls.append(zeta)
+        return verdict(p, zeta)
+
+    monkeypatch.setattr(linkstat.modeswitch, "predict_opening", counted)
+    monkeypatch.setattr(linkstat.design, "predict_opening", counted)
+    ev = evaluate_design(reachable_spec(), defaults)
+    assert len(calls) <= 40
+    assert ev.intervals == opening_interval(sweep(defaults))

@@ -1,19 +1,25 @@
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linkstat import (
     GraspMode,
     NotOpeningError,
+    default_parameters,
+    envelope,
     opening_interval,
     parallel_grip_budget,
     select_mode,
     sweep,
     sweep_points,
     switching_threshold,
+    validate_parameters,
 )
+from linkstat import modeswitch
+from linkstat.model import LinkageParameters
 
 # Envelope boundaries computed from the member balances ahead of this
 # implementation: the opening band for the reference build runs from
@@ -168,3 +174,119 @@ def test_explicit_workers_override(defaults, monkeypatch):
     monkeypatch.setenv("LINKSTAT_THREADS", "nonsense")
     curve = sweep(defaults, rad(0.0), rad(1.0), rad(0.5), workers=2)
     assert len(curve.samples) == 3
+
+
+# ---------------------------------------------------------------------------
+# envelope: the grid sweep's envelope from verdicts around the roots only
+
+FIELDS = ("l0", "l1", "l2", "l3", "l4", "theta0", "theta1", "theta2",
+          "theta3", "theta4", "theta5", "spring_k", "natural_length", "mu")
+
+
+def swept_envelope(p, lo, hi, step, tolerance=rad(0.01)):
+    return opening_interval(sweep(p, lo, hi, step), tolerance)
+
+
+@given(
+    scales=st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=14, max_size=14),
+    frictionless=st.booleans(),
+    lo_deg=st.floats(min_value=-89.0, max_value=30.0),
+    span_deg=st.floats(min_value=20.0, max_value=120.0),
+    step_deg=st.sampled_from([0.25, 0.5, 0.7, 1.0]),
+    tolerance_deg=st.sampled_from([0.001, 0.01, 0.2]),
+)
+@settings(max_examples=100)
+def test_envelope_equals_swept_envelope(
+    scales, frictionless, lo_deg, span_deg, step_deg, tolerance_deg
+):
+    base = default_parameters()
+    p = base.with_values(
+        **{name: getattr(base, name) * (1.0 + s) for name, s in zip(FIELDS, scales)}
+    )
+    if frictionless:
+        p = p.with_values(mu=0.0)
+    assume(validate_parameters(p).ok)
+    args = (rad(lo_deg), rad(lo_deg + span_deg), rad(step_deg), rad(tolerance_deg))
+    calls = []
+    verdict = modeswitch.predict_opening
+    with mock.patch.object(
+        modeswitch, "predict_opening", lambda p, z: calls.append(z) or verdict(p, z)
+    ):
+        got = envelope(p, *args)
+    assert got == swept_envelope(p, *args)
+    # At most three grid points around each root of the five sign
+    # functions, the two ends, and the bisection of each refined edge.
+    roots = 5 * (math.ceil(rad(span_deg) / math.pi) + 1)
+    per_edge = math.ceil(math.log2(step_deg / tolerance_deg)) + 2
+    edges = sum(iv.lo_refined + iv.hi_refined for iv in got)
+    assert len(calls) <= 2 + 3 * roots + per_edge * edges
+
+
+def test_envelope_reference_build(defaults):
+    assert envelope(defaults) == swept_envelope(
+        defaults, rad(-30.0), rad(90.0), rad(0.5)
+    )
+
+
+def test_envelope_with_a_root_on_a_grid_point(defaults):
+    # The lower edge is the gamma = 0 line, tan(zeta) = (l4 - l3 sin theta2)
+    # / (l3 cos theta2); put a grid point on it, first at the range start
+    # and then twenty steps in.
+    p = defaults
+    root = math.atan2(p.l4 - p.l3 * math.sin(p.theta2), p.l3 * math.cos(p.theta2))
+    step = rad(0.5)
+    for lo in (root, root - 20 * step):
+        grid = sweep(p, lo, rad(40.0), step).zetas
+        assert min(abs(z - root) for z in grid) < 1e-15
+        assert envelope(p, lo, rad(40.0), step) == swept_envelope(p, lo, rad(40.0), step)
+
+
+def test_envelope_without_friction(defaults):
+    p = defaults.with_values(mu=0.0)
+    assert envelope(p) == swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5))
+
+
+def test_envelope_falls_back_to_every_grid_point(defaults, monkeypatch):
+    # With every root distrusted the envelope samples the whole grid.
+    monkeypatch.setattr(modeswitch, "_CANCELLATION_FLOOR", math.inf)
+    calls = []
+    verdict = modeswitch.predict_opening
+    monkeypatch.setattr(
+        modeswitch, "predict_opening", lambda p, z: calls.append(z) or verdict(p, z)
+    )
+    got = envelope(defaults)
+    assert len(calls) > 241
+    monkeypatch.undo()
+    assert got == swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5))
+
+
+def test_envelope_degenerate_and_bad_ranges(defaults):
+    assert envelope(defaults, rad(5.0), rad(5.0)) == swept_envelope(
+        defaults, rad(5.0), rad(5.0), rad(0.5)
+    )
+    with pytest.raises(ValueError):
+        envelope(defaults, rad(10.0), rad(-10.0))
+    with pytest.raises(ValueError):
+        envelope(defaults, math.nan, rad(10.0))
+    with pytest.raises(ValueError):
+        sweep(defaults, rad(0.0), math.inf)
+
+
+def test_envelope_two_bands():
+    # No validating build found has two bands inside +-89 deg; over the
+    # whole circle this one has a wide band and a sliver past -180 deg.
+    p = LinkageParameters(
+        l0=5.53587480424221, l1=11.40525650294356, l2=1.8727370896518107,
+        l3=21.07352729790857, l4=3.6130817986224213, theta0=0.11941011829985214,
+        theta1=0.15466655071014435, theta2=0.10914212977761024,
+        theta3=0.39738778929361673, theta4=0.22435311530440394,
+        theta5=0.9675572714312981, spring_k=0.9141468521625266,
+        natural_length=3.4436268126565475, mu=0.8346592772553205, epsilon=0.1,
+    )
+    assert validate_parameters(p).ok
+    args = (rad(-180.0), rad(180.0), rad(1.0))
+    wide, sliver = envelope(p, *args)
+    assert (wide.lo_refined, wide.hi_refined) == (True, False)
+    assert (sliver.lo_refined, sliver.hi_refined) == (False, True)
+    assert wide.width > sliver.width
+    assert (wide, sliver) == swept_envelope(p, *args)

@@ -218,3 +218,44 @@ def test_compare_csv_layout(defaults):
     )
     assert lines[1].endswith("true")
     assert ",,,," in lines[2] and lines[2].endswith("false")
+
+
+@pytest.mark.parametrize(
+    "value,fragment",
+    [
+        ("sqrt(-1)", "undefined"),
+        ("(" * 3000 + "1" + ")" * 3000, "nests deeper"),
+        ("1e308*10", "non-finite"),
+        ("1e999 - 1e999", "non-finite"),
+        ("1/(1e308*10)", "non-finite"),
+        ("inf", "unknown name"),
+        ("nan", "unknown name"),
+    ],
+)
+def test_expression_faults_name_their_line(value, fragment):
+    text = shipped_text().replace("l2 = 12", f"l2 = {value}")
+    lineno = text.splitlines().index(f"l2 = {value}") + 1
+    with pytest.raises(ParameterFileError, match=fragment) as err:
+        parse_parameter_document(text)
+    assert err.value.line == lineno
+
+
+def test_nesting_limit_leaves_room_for_drawings():
+    text = shipped_text().replace("l2 = 12", "l2 = " + "(" * 100 + "12" + ")" * 100)
+    assert parse_parameter_file(text).l2 == 12.0
+
+
+EXPRESSION_TEXT = st.text(alphabet="0123456789.eE+-*/() sqrtincoa_", max_size=40)
+
+
+@given(st.one_of(
+    st.text(max_size=200),
+    EXPRESSION_TEXT.map(lambda v: shipped_text().replace("l2 = 12", f"l2 = {v}")),
+    EXPRESSION_TEXT.map(lambda v: shipped_text().replace("step_deg = 0.5", f"step_deg = {v}")),
+))
+def test_any_text_parses_or_is_rejected(text):
+    try:
+        doc = parse_parameter_document(text)
+    except ParameterFileError:
+        return
+    assert all(math.isfinite(v) for v in doc.parameters.as_dict().values())

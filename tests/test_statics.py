@@ -190,3 +190,13 @@ def test_balance_scales_linearly_with_spring_rate(zeta, c):
     assert math.isclose(b.xi_b, c * a.xi_b, rel_tol=1e-12, abs_tol=1e-12)
     assert math.isclose(b.beta_3b, c * a.beta_3b, rel_tol=1e-12, abs_tol=1e-12)
     assert a.sign_beta3 == b.sign_beta3
+
+
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf])
+def test_non_finite_press_direction_rejected(defaults, zeta):
+    from linkstat import full_equilibrium
+
+    with pytest.raises(ValueError, match="finite"):
+        predict_opening(defaults, zeta)
+    with pytest.raises(ValueError, match="finite"):
+        full_equilibrium(defaults, zeta)
