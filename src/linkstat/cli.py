@@ -28,10 +28,14 @@ from .model import (
     validate_parameters,
 )
 from .modeswitch import (
+    DEFAULT_SWEEP_HI_DEG,
+    DEFAULT_SWEEP_LO_DEG,
+    DEFAULT_SWEEP_STEP_DEG,
     OpeningInterval,
     SweepCurve,
     opening_interval,
     parallel_grip_budget,
+    sweep_grid,
     sweep_points,
 )
 from .paramfile import (
@@ -60,9 +64,6 @@ SWEEP_CSV_HEADER = (
     "zeta_deg,xi_b_n,opens,blocked_reason,f_rx_n,f_sx_n,sign_beta3,sign_consistent"
 )
 
-_DEFAULT_LO_DEG = -30.0
-_DEFAULT_HI_DEG = 90.0
-_DEFAULT_STEP_DEG = 0.5
 _DEFAULT_PRESS_DEG = -15.0
 
 
@@ -180,22 +181,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _grid_deg(lo: float, hi: float, step: float) -> list[float]:
-    if hi < lo:
-        raise _Fail(2, f"sweep range is reversed: [{lo}, {hi}] deg")
-    if step <= 0.0:
-        raise _Fail(2, f"sweep step must be positive, got {step} deg")
-    if hi == lo:
-        return [lo]
-    count = int(math.floor((hi - lo) / step + 1e-9))
-    points = [lo + i * step for i in range(count + 1)]
-    if hi - points[-1] > 1e-9 * step:
-        points.append(hi)
-    else:
-        points[-1] = min(points[-1], hi)
-    return points
-
-
 def _sweep_csv(curve: SweepCurve, zetas_deg: list[float]) -> str:
     lines = [SWEEP_CSV_HEADER]
     for z_deg, sample in zip(zetas_deg, curve.samples):
@@ -297,15 +282,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     file_sweep = loaded.sweep
     lo_deg = args.lo_deg
     if lo_deg is None:
-        lo_deg = math.degrees(file_sweep.zeta_lo) if file_sweep else _DEFAULT_LO_DEG
+        lo_deg = math.degrees(file_sweep.zeta_lo) if file_sweep else DEFAULT_SWEEP_LO_DEG
     hi_deg = args.hi_deg
     if hi_deg is None:
-        hi_deg = math.degrees(file_sweep.zeta_hi) if file_sweep else _DEFAULT_HI_DEG
+        hi_deg = math.degrees(file_sweep.zeta_hi) if file_sweep else DEFAULT_SWEEP_HI_DEG
     step_deg = args.step_deg
     if step_deg is None:
-        step_deg = math.degrees(file_sweep.step) if file_sweep else _DEFAULT_STEP_DEG
+        step_deg = math.degrees(file_sweep.step) if file_sweep else DEFAULT_SWEEP_STEP_DEG
 
-    zetas_deg = _grid_deg(lo_deg, hi_deg, step_deg)
+    try:
+        zetas_deg = sweep_grid(lo_deg, hi_deg, step_deg)
+    except ValueError as exc:
+        raise _Fail(2, f"sweep {exc} deg") from exc
     try:
         curve = sweep_points(p, [math.radians(z) for z in zetas_deg])
     except ValueError as exc:
@@ -452,11 +440,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="sweep press directions, write CSV")
     add_params(sp)
     sp.add_argument("--lo-deg", type=_finite_float, default=None,
-                    help=f"sweep start (default {_DEFAULT_LO_DEG:g})")
+                    help=f"sweep start (default {DEFAULT_SWEEP_LO_DEG:g})")
     sp.add_argument("--hi-deg", type=_finite_float, default=None,
-                    help=f"sweep end (default {_DEFAULT_HI_DEG:g})")
+                    help=f"sweep end (default {DEFAULT_SWEEP_HI_DEG:g})")
     sp.add_argument("--step-deg", type=_finite_float, default=None,
-                    help=f"sweep step (default {_DEFAULT_STEP_DEG:g})")
+                    help=f"sweep step (default {DEFAULT_SWEEP_STEP_DEG:g})")
     sp.add_argument("--press-angle-deg", type=_finite_float, default=_DEFAULT_PRESS_DEG,
                     help="press direction for the threshold summary line")
     sp.add_argument("--out", metavar="FILE", default=None,

@@ -36,14 +36,23 @@ __all__ = [
     "parallel_grip_budget",
     "select_mode",
     "sweep",
+    "sweep_grid",
     "sweep_points",
     "switching_threshold",
 ]
 
-DEFAULT_SWEEP_LO = math.radians(-30.0)
-DEFAULT_SWEEP_HI = math.radians(90.0)
-DEFAULT_SWEEP_STEP = math.radians(0.5)
+DEFAULT_SWEEP_LO_DEG = -30.0
+DEFAULT_SWEEP_HI_DEG = 90.0
+DEFAULT_SWEEP_STEP_DEG = 0.5
+DEFAULT_SWEEP_LO = math.radians(DEFAULT_SWEEP_LO_DEG)
+DEFAULT_SWEEP_HI = math.radians(DEFAULT_SWEEP_HI_DEG)
+DEFAULT_SWEEP_STEP = math.radians(DEFAULT_SWEEP_STEP_DEG)
 DEFAULT_REFINE_TOL = math.radians(0.01)
+
+# Most steps a sweep grid may span.  A default sweep spans 240, and each
+# sample holds a full verdict, so this keeps a mistyped step from
+# allocating without bound.
+MAX_GRID_STEPS = 100_000
 
 _THREADS_ENV = "LINKSTAT_THREADS"
 
@@ -114,16 +123,27 @@ def sweep_points(
     )
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
+def sweep_grid(lo: float, hi: float, step: float) -> list[float]:
+    """Closed grid from ``lo`` to ``hi`` by ``step``, both ends included.
+
+    Works in any angle unit.  Raises ValueError for a non-finite, reversed
+    or zero-step range, and for one spanning more than MAX_GRID_STEPS
+    steps, which is checked before anything is allocated.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
-        raise ValueError(f"sweep range must be finite: [{lo}, {hi}] by {step}")
+        raise ValueError(f"range must be finite: [{lo}, {hi}] by {step}")
     if hi < lo:
         raise ValueError(f"range is reversed: [{lo}, {hi}]")
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if hi == lo:
         return [lo]
-    count = int(math.floor((hi - lo) / step + 1e-9))
+    steps = (hi - lo) / step
+    if not steps <= MAX_GRID_STEPS:  # negated so that an overflow to inf fails too
+        raise ValueError(
+            f"grid spans more than {MAX_GRID_STEPS} steps: [{lo}, {hi}] by {step}"
+        )
+    count = int(math.floor(steps + 1e-9))
     points = [lo + i * step for i in range(count + 1)]
     if hi - points[-1] > 1e-9 * step:
         points.append(hi)
@@ -144,7 +164,7 @@ def sweep(
     Both endpoints are always sampled: a degenerate range yields a single
     sample and a step wider than the range yields just the two ends.
     """
-    return sweep_points(p, _grid(zeta_lo, zeta_hi, step), workers=workers)
+    return sweep_points(p, sweep_grid(zeta_lo, zeta_hi, step), workers=workers)
 
 
 @dataclass(frozen=True)
@@ -301,10 +321,8 @@ def _sign_functions(p: LinkageParameters) -> list[_Harmonic] | None:
     for sign in (1, -1):
         # a01, a11 and the right-hand side do not depend on zeta.
         fixed = assemble_system(p, 0.0, sign)
-        a01, a11 = float(fixed.matrix[0, 1]), float(fixed.matrix[1, 1])
-        functions.append(_mix((a11, a00), (-a01, a10)))  # det
-    b0, b1 = float(fixed.rhs[0]), float(fixed.rhs[1])
-    functions.append(_mix((b1, a00), (-b0, a10)))  # beta numerator
+        functions.append(_mix((fixed.a11, a00), (-fixed.a01, a10)))  # det
+    functions.append(_mix((fixed.b1, a00), (-fixed.b0, a10)))  # beta numerator
     return functions
 
 
@@ -372,7 +390,7 @@ def envelope(
     verdict instead.  Edges are then bisected as in
     :func:`opening_interval`.
     """
-    grid = _grid(zeta_lo, zeta_hi, step)
+    grid = sweep_grid(zeta_lo, zeta_hi, step)
     opens = _inferred_verdicts(p, grid)
     if opens is None:
         opens = [predict_opening(p, z).opens for z in grid]

@@ -15,18 +15,22 @@ Two independent routes compute the same state:
   balances as a 9-unknown linear system and solves that directly.
 
 The second route exists to cross-check the first and is deliberately not
-implemented in terms of it.
+implemented in terms of it.  Only that route uses numpy, and it imports
+numpy on its first call: the 2x2 balance, every verdict, sweep and search
+run in plain floats, so importing linkstat does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import LinkageParameters
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BalanceSolution",
@@ -104,12 +108,19 @@ def friction_coupling(p: LinkageParameters, sign_beta3: int) -> float:
 class BalanceSystem:
     """The aggregated 2x2 balance, kept for inspection and reuse.
 
-    matrix * (xi_b, beta_3b) = rhs, with xi_b the contact force magnitude
-    and beta_3b the coupler strut force, both in N.
+    [[a00, a01], [a10, a11]] * (xi_b, beta_3b) = (b0, b1), with xi_b the
+    contact force magnitude and beta_3b the coupler strut force, both in
+    N.  Only a00 and a10 depend on the press direction, and only a11 on
+    the friction branch.  ``matrix`` and ``rhs`` build the same entries
+    as numpy arrays on demand.
     """
 
-    matrix: np.ndarray
-    rhs: np.ndarray
+    a00: float
+    a01: float
+    a10: float
+    a11: float
+    b0: float
+    b1: float
     tip_ratio: float
     coupling: float
     sign_beta3: int
@@ -117,13 +128,30 @@ class BalanceSystem:
 
     @property
     def det(self) -> float:
-        a = self.matrix
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+        return self.a00 * self.a11 - self.a01 * self.a10
+
+    @property
+    def matrix(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array([[self.a00, self.a01], [self.a10, self.a11]], dtype=float)
+
+    @property
+    def rhs(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array([self.b0, self.b1], dtype=float)
 
 
 def _require_finite(zeta: float) -> None:
     if not math.isfinite(zeta):
         raise ValueError(f"press direction must be finite, got {zeta!r}")
+
+
+def _friction_branch(p: LinkageParameters, sign_beta3: int) -> tuple[float, float]:
+    """Coupling and a11 for one friction branch, the only branch-dependent entry."""
+    lam = friction_coupling(p, sign_beta3)
+    return lam, lam * math.sin(p.theta4 - p.theta2)
 
 
 def assemble_system(
@@ -135,33 +163,16 @@ def assemble_system(
     """
     _require_finite(zeta)
     gamma = tip_moment_ratio(p, zeta)
-    lam = friction_coupling(p, sign_beta3)
+    lam, a11 = _friction_branch(p, sign_beta3)
     f_k = spring_force(p)
-
-    matrix = np.array(
-        [
-            [
-                gamma * math.sin(p.theta1 - p.theta3) + math.sin(p.theta1 - zeta),
-                math.sin(p.theta1 - p.theta3),
-            ],
-            [
-                gamma * math.sin(p.theta3 + p.theta4),
-                lam * math.sin(p.theta4 - p.theta2),
-            ],
-        ],
-        dtype=float,
-    )
     lever = p.l0 / p.l1
-    rhs = np.array(
-        [
-            lever * math.cos(p.theta0 + p.theta1) * f_k,
-            -lever * math.cos(p.theta4 + p.theta5) * f_k,
-        ],
-        dtype=float,
-    )
     return BalanceSystem(
-        matrix=matrix,
-        rhs=rhs,
+        a00=gamma * math.sin(p.theta1 - p.theta3) + math.sin(p.theta1 - zeta),
+        a01=math.sin(p.theta1 - p.theta3),
+        a10=gamma * math.sin(p.theta3 + p.theta4),
+        a11=a11,
+        b0=lever * math.cos(p.theta0 + p.theta1) * f_k,
+        b1=-lever * math.cos(p.theta4 + p.theta5) * f_k,
         tip_ratio=gamma,
         coupling=lam,
         sign_beta3=sign_beta3,
@@ -181,51 +192,59 @@ class BalanceSolution:
 
 
 def _solve_2x2(system: BalanceSystem, zeta: float) -> tuple[float, float]:
-    a = system.matrix
     det = system.det
     row_scale = max(
-        math.hypot(float(a[0, 0]), float(a[0, 1])),
-        math.hypot(float(a[1, 0]), float(a[1, 1])),
+        math.hypot(system.a00, system.a01), math.hypot(system.a10, system.a11)
     )
     if det == 0.0 or abs(det) < _DET_RELATIVE_FLOOR * row_scale * row_scale:
         raise SingularSystemError(
             f"balance matrix is singular at press direction "
             f"{math.degrees(zeta):.6g} deg (det = {det:.3e})"
         )
-    b = system.rhs
-    xi = (float(b[0]) * float(a[1, 1]) - float(a[0, 1]) * float(b[1])) / det
-    beta = (float(a[0, 0]) * float(b[1]) - float(a[1, 0]) * float(b[0])) / det
+    xi = (system.b0 * system.a11 - system.a01 * system.b1) / det
+    beta = (system.a00 * system.b1 - system.a10 * system.b0) / det
     return xi, beta
+
+
+def _solved(system: BalanceSystem, zeta: float) -> BalanceSolution:
+    xi, beta = _solve_2x2(system, zeta)
+    return BalanceSolution(
+        xi_b=xi,
+        beta_3b=beta,
+        sign_beta3=system.sign_beta3,
+        sign_consistent=_sign_of(beta) == system.sign_beta3,
+        system=system,
+    )
 
 
 def solve_balance_with_sign(
     p: LinkageParameters, zeta: float, sign_beta3: int
 ) -> BalanceSolution:
     """Solve the balance with the friction branch pinned, no iteration."""
-    system = assemble_system(p, zeta, sign_beta3)
-    xi, beta = _solve_2x2(system, zeta)
-    return BalanceSolution(
-        xi_b=xi,
-        beta_3b=beta,
-        sign_beta3=sign_beta3,
-        sign_consistent=_sign_of(beta) == sign_beta3,
-        system=system,
-    )
+    return _solved(assemble_system(p, zeta, sign_beta3), zeta)
 
 
 def solve_balance(p: LinkageParameters, zeta: float) -> BalanceSolution:
     """Solve the aggregated balance, iterating the friction branch once.
 
     The slip sense at the slotted pin is not known in advance.  Start on
-    the +1 branch; if the solved strut force contradicts it, rebuild on
-    the -1 branch and accept that answer.  A solution whose strut force
-    still contradicts its branch after the rebuild is returned with
-    ``sign_consistent`` False so callers can surface it.
+    the +1 branch; if the solved strut force contradicts it, switch to
+    the -1 branch and accept that answer.  The switch reuses the +1
+    system with only the friction coupling and a11 recomputed, which
+    gives exactly ``solve_balance_with_sign(p, zeta, -1)``.  A solution
+    whose strut force still contradicts its branch after the switch is
+    returned with ``sign_consistent`` False so callers can surface it.
+
+    When both branches are self-consistent the +1 branch is kept, and
+    the two can disagree on the sign of xi: on the reference build at
+    60 deg the +1 branch gives xi = -1387 N (blocked) and the -1 branch
+    xi = +4.77 N.  The verdict there follows this branch order.
     """
     first = solve_balance_with_sign(p, zeta, 1)
     if first.sign_consistent:
         return first
-    return solve_balance_with_sign(p, zeta, -1)
+    lam, a11 = _friction_branch(p, -1)
+    return _solved(replace(first.system, a11=a11, coupling=lam, sign_beta3=-1), zeta)
 
 
 @dataclass(frozen=True)
@@ -254,9 +273,9 @@ def perturbed_joint_forces(
     """
     if solution is None:
         solution = solve_balance(p, zeta)
-    a = solution.system.matrix
-    f_rx = -(p.epsilon * float(a[0, 0])) / math.cos(p.theta1)
-    f_sx = -(p.epsilon * float(a[1, 0])) / math.cos(p.theta4)
+    system = solution.system
+    f_rx = -(p.epsilon * system.a00) / math.cos(p.theta1)
+    f_sx = -(p.epsilon * system.a10) / math.cos(p.theta4)
     return JointForcePair(f_rx=f_rx, f_sx=f_sx)
 
 
@@ -312,7 +331,11 @@ def predict_opening(p: LinkageParameters, zeta: float) -> OpeningDecision:
     clamp instead of tightening it.  A negative balance force means the
     press direction cannot reach balance at all and is reported as
     NEGATIVE_XI; the wrong probe-force pattern is CONTACT_MAINTAINED.
-    A non-finite ``zeta`` raises ValueError rather than get a verdict.
+    The friction branch is the one :func:`solve_balance` keeps, +1 when
+    both are self-consistent, so a NEGATIVE_XI verdict can hold on that
+    branch alone (the reference build at 60 deg has xi = +4.77 N on the
+    -1 branch).  A non-finite ``zeta`` raises ValueError rather than get
+    a verdict.
     """
     try:
         solution = solve_balance(p, zeta)
@@ -383,6 +406,8 @@ def _equilibrium_rows(
     struts and the slotted pin; nothing is pre-aggregated, so this stays
     an independent check on :func:`solve_balance`.
     """
+    import numpy as np
+
     _require_finite(zeta)
     s1, c1 = math.sin(p.theta1), math.cos(p.theta1)
     s2, c2 = math.sin(p.theta2), math.cos(p.theta2)
@@ -432,6 +457,8 @@ def _equilibrium_rows(
 def _solve_equilibrium_branch(
     p: LinkageParameters, zeta: float, slip_sign: int
 ) -> tuple[np.ndarray, float]:
+    import numpy as np
+
     a, b = _equilibrium_rows(p, zeta, slip_sign)
     try:
         x = np.linalg.solve(a, b)

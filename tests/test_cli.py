@@ -1,7 +1,13 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import linkstat
 from linkstat import default_parameters, format_parameter_file
 from linkstat.cli import SWEEP_CSV_HEADER, main
 
@@ -203,6 +209,24 @@ def test_sweep_rejects_bad_range(capsys):
     assert "reversed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        # 1.2e11 steps: refused by the step count before any point exists.
+        ["--step-deg", "1e-9"],
+        # The span itself overflows to inf.
+        ["--lo-deg=-1e308", "--hi-deg=1e308"],
+    ],
+)
+def test_sweep_rejects_oversized_grid(flags, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: sweep grid spans more than")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_optimize_feasible(tmp_path, capsys):
     design = tmp_path / "design.txt"
     design.write_text(DESIGN_OK)
@@ -293,3 +317,47 @@ def test_undefined_expression_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "undefined" in captured.err
     assert captured.out == ""
+
+
+_NUMPY_FREE_CHILD = """
+import json, sys
+import linkstat, linkstat.cli
+loaded = {"import": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    code = linkstat.cli.main(argv)
+    assert code == 0, (argv, code)
+    loaded[argv[0]] = "numpy" in sys.modules
+state = linkstat.full_equilibrium(linkstat.default_parameters(), 0.0)
+loaded["xi"] = state.xi
+loaded["oracle"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_commands_never_load_numpy(tmp_path):
+    """Only the raw-equilibrium oracle needs numpy, and only it loads it."""
+    meas = tmp_path / "meas.csv"
+    meas.write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")
+    design = tmp_path / "design.txt"
+    design.write_text(DESIGN_OK)
+    commands = [
+        ["sweep", "--out", str(tmp_path / "s.csv"), "--svg", str(tmp_path / "s.svg")],
+        ["analyze", "--zeta-deg", "0"],
+        ["compare", "--measurements", str(meas)],
+        ["optimize", "--design", str(design)],
+    ]
+    src = str(Path(linkstat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_CHILD, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded.pop("xi") == pytest.approx(5.171175, rel=1e-6)
+    assert loaded.pop("oracle") is True
+    assert loaded == {
+        "import": False, "sweep": False, "analyze": False,
+        "compare": False, "optimize": False,
+    }

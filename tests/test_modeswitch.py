@@ -60,6 +60,18 @@ def test_sweep_rejects_bad_ranges(defaults):
         sweep_points(defaults, [])
 
 
+def test_grid_step_cap(defaults):
+    cap = modeswitch.MAX_GRID_STEPS
+    assert len(modeswitch.sweep_grid(0.0, float(cap), 1.0)) == cap + 1
+    with pytest.raises(ValueError, match="more than"):
+        modeswitch.sweep_grid(0.0, cap + 0.5, 1.0)
+    # Refused by the step count alone: the 1e12-point grid is never built.
+    with pytest.raises(ValueError, match="more than"):
+        sweep(defaults, 0.0, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="more than"):
+        envelope(defaults, 0.0, 1.0, 1e-12)
+
+
 def test_envelope_is_single_band(defaults):
     intervals = opening_interval(sweep(defaults))
     assert len(intervals) == 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from linkstat import (
@@ -101,6 +101,58 @@ def test_pinned_sign_skips_iteration(defaults):
     assert iterated.sign_consistent
 
 
+_SYSTEM_FLOATS = ("a00", "a01", "a10", "a11", "b0", "b1", "tip_ratio", "coupling", "spring_load")
+
+
+@given(
+    st.floats(min_value=-0.5, max_value=1.5),
+    st.floats(min_value=0.8, max_value=1.2),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+def test_branch_switch_equals_pinned_minus_branch(zeta, l_scale, mu_scale):
+    """The -1 retry reuses the +1 system yet matches a fresh -1 assembly bitwise."""
+    base = default_parameters()
+    p = base.with_values(l3=base.l3 * l_scale, mu=base.mu * mu_scale)
+    try:
+        sol = solve_balance(p, zeta)
+    except SingularSystemError:
+        return
+    assume(sol.sign_beta3 == -1)
+    pinned = solve_balance_with_sign(p, zeta, -1)
+    assert sol.xi_b.hex() == pinned.xi_b.hex()
+    assert sol.beta_3b.hex() == pinned.beta_3b.hex()
+    assert sol.sign_consistent == pinned.sign_consistent
+    system, fresh = sol.system, pinned.system
+    assert system.sign_beta3 == fresh.sign_beta3 == -1
+    for name in _SYSTEM_FLOATS:
+        assert getattr(system, name).hex() == getattr(fresh, name).hex(), name
+    assert system.det.hex() == fresh.det.hex()
+    assert np.array_equal(
+        system.matrix, np.array([[system.a00, system.a01], [system.a10, system.a11]])
+    )
+    assert np.array_equal(system.rhs, np.array([system.b0, system.b1]))
+
+
+def test_friction_tie_keeps_the_plus_branch(defaults):
+    """Both slip senses balance at 60 deg, with xi of opposite signs.
+
+    solve_balance keeps the +1 branch, so the verdict is NEGATIVE_XI even
+    though the -1 branch would need only +4.77 N.
+    """
+    zeta = rad(60.0)
+    plus = solve_balance_with_sign(defaults, zeta, 1)
+    minus = solve_balance_with_sign(defaults, zeta, -1)
+    assert plus.sign_consistent and minus.sign_consistent
+    assert plus.xi_b == pytest.approx(-1387.3267, rel=1e-6)
+    assert minus.xi_b == pytest.approx(4.7749635, rel=1e-6)
+    kept = solve_balance(defaults, zeta)
+    assert kept.sign_beta3 == 1
+    assert kept.xi_b == plus.xi_b
+    decision = predict_opening(defaults, zeta)
+    assert decision.blocked_reason is BlockedReason.NEGATIVE_XI
+    assert decision.sign_beta3 == 1
+
+
 def test_singular_point_raises(defaults):
     # theta1 == theta3 == press direction zeroes the whole first row.
     p = defaults.with_values(theta3=defaults.theta1)
@@ -174,6 +226,8 @@ def test_assemble_system_shape(defaults):
     system = assemble_system(defaults, 0.0, 1)
     assert system.matrix.shape == (2, 2)
     assert system.rhs.shape == (2,)
+    assert system.matrix.tolist() == [[system.a00, system.a01], [system.a10, system.a11]]
+    assert system.rhs.tolist() == [system.b0, system.b1]
     assert system.sign_beta3 == 1
     assert math.isclose(system.spring_load, SPRING_FORCE_REF, rel_tol=1e-6)
 
