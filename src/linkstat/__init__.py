@@ -6,16 +6,8 @@ mode), maps the envelope of press directions that open it, and searches
 the linkage design space for builds meeting envelope and force targets.
 """
 
-from .design import (
-    DesignEvaluation,
-    DesignResult,
-    DesignSpec,
-    DesignStatus,
-    VerificationRecord,
-    evaluate_design,
-    optimize_design,
-    sensitivity,
-)
+from importlib import import_module as _import_module
+
 from .model import (
     ClosureError,
     JointLayout,
@@ -78,6 +70,29 @@ from .statics import (
 )
 
 __version__ = "0.1.0"
+
+# The design search loads on first access (PEP 562), so that importing
+# linkstat, and every CLI command but ``optimize``, leaves it unloaded.
+_DESIGN_NAMES = frozenset({
+    "DesignEvaluation",
+    "DesignResult",
+    "DesignSpec",
+    "DesignStatus",
+    "VerificationRecord",
+    "evaluate_design",
+    "optimize_design",
+    "sensitivity",
+})
+
+
+def __getattr__(name: str):
+    if name == "design":
+        return _import_module(".design", __name__)
+    if name in _DESIGN_NAMES:
+        value = getattr(_import_module(".design", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BalanceSolution",

@@ -21,7 +21,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .design import DesignResult, DesignStatus, optimize_design
 from .model import (
     LinkageParameters,
     default_parameters,
@@ -327,6 +326,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # optimize
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    # Imported here so that the other subcommands never load the search.
+    from .design import DesignStatus, optimize_design
+
     loaded = _load_params(args.params)
     _require_valid(loaded)
     text = _read_text(args.design)
@@ -334,7 +336,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         spec, budget = parse_design_file(text)
         if args.budget is not None:
             budget = args.budget
-        result: DesignResult = optimize_design(spec, loaded.params, budget)
+        result = optimize_design(spec, loaded.params, budget)
     except (ParameterFileError, ValueError) as exc:
         raise _Fail(2, f"{args.design}: {exc}") from exc
 

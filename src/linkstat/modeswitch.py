@@ -23,7 +23,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .model import LinkageParameters
-from .statics import OpeningDecision, assemble_system, predict_opening
+from .statics import OpeningDecision, _build_terms, predict_opening
 
 __all__ = [
     "GraspMode",
@@ -300,9 +300,11 @@ def _sign_functions(p: LinkageParameters) -> list[_Harmonic] | None:
     is zero both branches share xi = b0/a00, so a root of the beta
     numerator alone never flips ``opens``; it is kept so that every sign
     the decision reads is fixed between computed points.  None when the
-    tip moment ratio itself is undefined.
+    tip moment ratio itself is undefined.  The press-independent entries
+    are the statics' own per-build terms.
     """
-    denom = p.l2 * math.sin(p.theta2 + p.theta3)
+    t = _build_terms(p)
+    denom = t.denom
     if denom == 0.0:
         return None
     # tip_moment_ratio: (l4*cos(z) - l3*sin(theta2 + z)) / denom
@@ -311,18 +313,14 @@ def _sign_functions(p: LinkageParameters) -> list[_Harmonic] | None:
         -p.l3 * math.cos(p.theta2) / denom,
         (abs(p.l4) + abs(p.l3)) / abs(denom),
     )
-    tilt = _Harmonic(  # sin(theta1 - z)
-        math.sin(p.theta1), -math.cos(p.theta1), 1.0
-    )
-    s13 = math.sin(p.theta1 - p.theta3)
-    a00 = _mix((s13, gamma), (1.0, tilt))
-    a10 = _mix((math.sin(p.theta3 + p.theta4), gamma))
+    tilt = _Harmonic(math.sin(p.theta1), -t.cos1, 1.0)  # sin(theta1 - z)
+    a00 = _mix((t.s13, gamma), (1.0, tilt))
+    a10 = _mix((t.s34, gamma))
     functions = [a00, a10]
     for sign in (1, -1):
-        # a01, a11 and the right-hand side do not depend on zeta.
-        fixed = assemble_system(p, 0.0, sign)
-        functions.append(_mix((fixed.a11, a00), (-fixed.a01, a10)))  # det
-    functions.append(_mix((fixed.b1, a00), (-fixed.b0, a10)))  # beta numerator
+        a11 = t.branch(sign)[1]  # a01 = s13, a11 and b do not depend on zeta
+        functions.append(_mix((a11, a00), (-t.s13, a10)))  # det
+    functions.append(_mix((t.b1, a00), (-t.b0, a10)))  # beta numerator
     return functions
 
 

@@ -18,12 +18,23 @@ The second route exists to cross-check the first and is deliberately not
 implemented in terms of it.  Only that route uses numpy, and it imports
 numpy on its first call: the 2x2 balance, every verdict, sweep and search
 run in plain floats, so importing linkstat does not load numpy.
+
+Most of the 2x2 balance does not depend on the press direction: the
+strut-angle sines, the spring load and right-hand side, the friction
+couplings and the probe-force cosines belong to the build alone.  The
+first route computes them once per build and keeps the most recent
+build's terms, keyed on the identity of its (frozen) parameters object,
+so a sweep, a bisection or a comparison over one build leaves each
+verdict only the three press-direction trig calls.  Each term is the
+float expression a per-call evaluation would use, so caching changes no
+bit of any result.  The raw equilibrium route never reads these terms,
+which keeps it independent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -154,6 +165,64 @@ def _friction_branch(p: LinkageParameters, sign_beta3: int) -> tuple[float, floa
     return lam, lam * math.sin(p.theta4 - p.theta2)
 
 
+class _BuildTerms:
+    """The entries of the 2x2 balance that do not depend on the press direction.
+
+    Each keeps the exact expression of the formula it comes from, so it
+    has the bits a per-call evaluation would give.  The -1 friction
+    branch is computed on first use: many builds never need it, and its
+    coupling may divide by zero where the +1 branch does not.
+    """
+
+    __slots__ = ("params", "denom", "s13", "s34", "b0", "b1", "spring_load",
+                 "plus", "_minus", "cos1", "cos4")
+
+    def __init__(self, p: LinkageParameters) -> None:
+        self.params = p  # held so that the identity test in _build_terms stays sound
+        self.denom = p.l2 * math.sin(p.theta2 + p.theta3)  # tip_moment_ratio's
+        self.s13 = math.sin(p.theta1 - p.theta3)
+        self.s34 = math.sin(p.theta3 + p.theta4)
+        self.plus = _friction_branch(p, 1)
+        self._minus: tuple[float, float] | None = None
+        f_k = spring_force(p)
+        lever = p.l0 / p.l1
+        self.b0 = lever * math.cos(p.theta0 + p.theta1) * f_k
+        self.b1 = -lever * math.cos(p.theta4 + p.theta5) * f_k
+        self.spring_load = f_k
+        self.cos1 = math.cos(p.theta1)
+        self.cos4 = math.cos(p.theta4)
+
+    def branch(self, sign_beta3: int) -> tuple[float, float]:
+        """(coupling, a11) of one friction branch."""
+        if sign_beta3 == 1:
+            return self.plus
+        if sign_beta3 != -1:
+            return _friction_branch(self.params, sign_beta3)
+        if self._minus is None:
+            self._minus = _friction_branch(self.params, -1)
+        return self._minus
+
+
+# The most recent build's terms.  One entry suffices: sweeps, bisections,
+# envelopes and comparisons ask about one build many times in a row.
+_last_terms: _BuildTerms | None = None
+
+
+def _build_terms(p: LinkageParameters) -> _BuildTerms:
+    """The press-independent terms of ``p``, computed once per build.
+
+    The entry is one object holding its own parameters, read and stored
+    whole, so callers that interleave (threads, or a verdict computed
+    while another build's terms are built) each get terms of their own
+    build.
+    """
+    global _last_terms
+    terms = _last_terms
+    if terms is None or terms.params is not p:
+        terms = _last_terms = _BuildTerms(p)
+    return terms
+
+
 def assemble_system(
     p: LinkageParameters, zeta: float, sign_beta3: int
 ) -> BalanceSystem:
@@ -162,21 +231,21 @@ def assemble_system(
     Raises ValueError for a non-finite press direction.
     """
     _require_finite(zeta)
-    gamma = tip_moment_ratio(p, zeta)
-    lam, a11 = _friction_branch(p, sign_beta3)
-    f_k = spring_force(p)
-    lever = p.l0 / p.l1
+    t = _build_terms(p)
+    # tip_moment_ratio(p, zeta), with its press-independent denominator cached.
+    gamma = (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / t.denom
+    lam, a11 = t.branch(sign_beta3)
     return BalanceSystem(
-        a00=gamma * math.sin(p.theta1 - p.theta3) + math.sin(p.theta1 - zeta),
-        a01=math.sin(p.theta1 - p.theta3),
-        a10=gamma * math.sin(p.theta3 + p.theta4),
+        a00=gamma * t.s13 + math.sin(p.theta1 - zeta),
+        a01=t.s13,
+        a10=gamma * t.s34,
         a11=a11,
-        b0=lever * math.cos(p.theta0 + p.theta1) * f_k,
-        b1=-lever * math.cos(p.theta4 + p.theta5) * f_k,
+        b0=t.b0,
+        b1=t.b1,
         tip_ratio=gamma,
         coupling=lam,
         sign_beta3=sign_beta3,
-        spring_load=f_k,
+        spring_load=t.spring_load,
     )
 
 
@@ -191,23 +260,22 @@ class BalanceSolution:
     system: BalanceSystem
 
 
-def _solve_2x2(system: BalanceSystem, zeta: float) -> tuple[float, float]:
-    det = system.det
-    row_scale = max(
-        math.hypot(system.a00, system.a01), math.hypot(system.a10, system.a11)
-    )
+def _solve_2x2(
+    a00: float, a01: float, a10: float, a11: float, b0: float, b1: float, zeta: float
+) -> tuple[float, float]:
+    det = a00 * a11 - a01 * a10
+    row_scale = max(math.hypot(a00, a01), math.hypot(a10, a11))
     if det == 0.0 or abs(det) < _DET_RELATIVE_FLOOR * row_scale * row_scale:
         raise SingularSystemError(
             f"balance matrix is singular at press direction "
             f"{math.degrees(zeta):.6g} deg (det = {det:.3e})"
         )
-    xi = (system.b0 * system.a11 - system.a01 * system.b1) / det
-    beta = (system.a00 * system.b1 - system.a10 * system.b0) / det
+    xi = (b0 * a11 - a01 * b1) / det
+    beta = (a00 * b1 - a10 * b0) / det
     return xi, beta
 
 
-def _solved(system: BalanceSystem, zeta: float) -> BalanceSolution:
-    xi, beta = _solve_2x2(system, zeta)
+def _solved(system: BalanceSystem, xi: float, beta: float) -> BalanceSolution:
     return BalanceSolution(
         xi_b=xi,
         beta_3b=beta,
@@ -221,7 +289,8 @@ def solve_balance_with_sign(
     p: LinkageParameters, zeta: float, sign_beta3: int
 ) -> BalanceSolution:
     """Solve the balance with the friction branch pinned, no iteration."""
-    return _solved(assemble_system(p, zeta, sign_beta3), zeta)
+    s = assemble_system(p, zeta, sign_beta3)
+    return _solved(s, *_solve_2x2(s.a00, s.a01, s.a10, s.a11, s.b0, s.b1, zeta))
 
 
 def solve_balance(p: LinkageParameters, zeta: float) -> BalanceSolution:
@@ -230,7 +299,7 @@ def solve_balance(p: LinkageParameters, zeta: float) -> BalanceSolution:
     The slip sense at the slotted pin is not known in advance.  Start on
     the +1 branch; if the solved strut force contradicts it, switch to
     the -1 branch and accept that answer.  The switch reuses the +1
-    system with only the friction coupling and a11 recomputed, which
+    entries with only the friction coupling and a11 replaced, which
     gives exactly ``solve_balance_with_sign(p, zeta, -1)``.  A solution
     whose strut force still contradicts its branch after the switch is
     returned with ``sign_consistent`` False so callers can surface it.
@@ -240,11 +309,17 @@ def solve_balance(p: LinkageParameters, zeta: float) -> BalanceSolution:
     60 deg the +1 branch gives xi = -1387 N (blocked) and the -1 branch
     xi = +4.77 N.  The verdict there follows this branch order.
     """
-    first = solve_balance_with_sign(p, zeta, 1)
-    if first.sign_consistent:
-        return first
-    lam, a11 = _friction_branch(p, -1)
-    return _solved(replace(first.system, a11=a11, coupling=lam, sign_beta3=-1), zeta)
+    s = assemble_system(p, zeta, 1)
+    a00, a01, a10, b0, b1 = s.a00, s.a01, s.a10, s.b0, s.b1
+    xi, beta = _solve_2x2(a00, a01, a10, s.a11, b0, b1, zeta)
+    if beta >= 0.0:  # consistent with the +1 branch
+        return _solved(s, xi, beta)
+    lam, a11 = _build_terms(p).branch(-1)
+    minus = BalanceSystem(
+        a00=a00, a01=a01, a10=a10, a11=a11, b0=b0, b1=b1, tip_ratio=s.tip_ratio,
+        coupling=lam, sign_beta3=-1, spring_load=s.spring_load,
+    )
+    return _solved(minus, *_solve_2x2(a00, a01, a10, a11, b0, b1, zeta))
 
 
 @dataclass(frozen=True)
@@ -274,8 +349,9 @@ def perturbed_joint_forces(
     if solution is None:
         solution = solve_balance(p, zeta)
     system = solution.system
-    f_rx = -(p.epsilon * system.a00) / math.cos(p.theta1)
-    f_sx = -(p.epsilon * system.a10) / math.cos(p.theta4)
+    t = _build_terms(p)
+    f_rx = -(p.epsilon * system.a00) / t.cos1
+    f_sx = -(p.epsilon * system.a10) / t.cos4
     return JointForcePair(f_rx=f_rx, f_sx=f_sx)
 
 

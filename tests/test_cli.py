@@ -319,6 +319,19 @@ def test_undefined_expression_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def _run_child(code, commands):
+    """Run ``code`` in a fresh interpreter on ``commands``; its last line as JSON."""
+    src = str(Path(linkstat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 _NUMPY_FREE_CHILD = """
 import json, sys
 import linkstat, linkstat.cli
@@ -346,18 +359,49 @@ def test_cli_commands_never_load_numpy(tmp_path):
         ["compare", "--measurements", str(meas)],
         ["optimize", "--design", str(design)],
     ]
-    src = str(Path(linkstat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE_CHILD, json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded = _run_child(_NUMPY_FREE_CHILD, commands)
     assert loaded.pop("xi") == pytest.approx(5.171175, rel=1e-6)
     assert loaded.pop("oracle") is True
     assert loaded == {
         "import": False, "sweep": False, "analyze": False,
         "compare": False, "optimize": False,
     }
+
+
+_DESIGN_FREE_CHILD = """
+import json, sys
+import linkstat, linkstat.cli
+loaded = {"import": "linkstat.design" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    code = linkstat.cli.main(argv)
+    assert code == 0, (argv, code)
+    loaded[argv[0]] = "linkstat.design" in sys.modules
+from linkstat import optimize_design
+loaded["from_import"] = optimize_design is sys.modules["linkstat.design"].optimize_design
+loaded["attribute"] = linkstat.DesignSpec is linkstat.design.DesignSpec
+star = {}
+exec("from linkstat import *", star)
+loaded["star"] = sorted(set(linkstat.__all__) - set(star))
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_commands_but_optimize_never_load_the_design_search(tmp_path):
+    """linkstat.design loads on first use of one of its names, not before."""
+    meas = tmp_path / "meas.csv"
+    meas.write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")
+    commands = [
+        ["sweep", "--out", str(tmp_path / "s.csv"), "--svg", str(tmp_path / "s.svg")],
+        ["analyze", "--zeta-deg", "0"],
+        ["compare", "--measurements", str(meas)],
+        ["validate"],
+    ]
+    assert _run_child(_DESIGN_FREE_CHILD, commands) == {
+        "import": False, "sweep": False, "analyze": False, "compare": False,
+        "validate": False, "from_import": True, "attribute": True, "star": [],
+    }
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        linkstat.no_such_name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import linkstat.statics as statics
 from linkstat import (
     BlockedReason,
     OpeningStatus,
@@ -12,11 +14,13 @@ from linkstat import (
     assemble_system,
     default_parameters,
     friction_coupling,
+    full_equilibrium,
     perturbed_joint_forces,
     predict_opening,
     solve_balance,
     solve_balance_with_sign,
     spring_force,
+    sweep,
     tip_moment_ratio,
 )
 
@@ -254,3 +258,132 @@ def test_non_finite_press_direction_rejected(defaults, zeta):
         predict_opening(defaults, zeta)
     with pytest.raises(ValueError, match="finite"):
         full_equilibrium(defaults, zeta)
+
+
+# Per-build terms: the press-independent entries are computed once per
+# parameters object and reused while the same object is asked again.
+
+_SCATTERED = ("l3", "l4", "theta2", "theta3", "spring_k", "mu")
+_SCALES = st.lists(st.floats(min_value=0.6, max_value=1.4), min_size=6, max_size=6)
+
+
+def _scattered(scales, mu_zero=False):
+    base = default_parameters()
+    p = base.with_values(**{f: getattr(base, f) * c for f, c in zip(_SCATTERED, scales)})
+    return p.with_values(mu=0.0) if mu_zero else p
+
+
+def _decision_bits(decision):
+    """Every field of a verdict, its solution and its system; floats as hex."""
+    fields = [decision.status, decision.blocked_reason, decision.required_force]
+    if decision.forces is not None:
+        fields += [decision.forces.f_rx, decision.forces.f_sx]
+    sol = decision.solution
+    if sol is not None:
+        fields += [sol.xi_b, sol.beta_3b, sol.sign_beta3, sol.sign_consistent]
+        fields += [getattr(sol.system, name) for name in (*_SYSTEM_FLOATS, "sign_beta3")]
+    return [f.hex() if isinstance(f, float) else f for f in fields]
+
+
+@given(
+    _SCALES,
+    _SCALES,
+    st.booleans(),
+    st.lists(st.floats(min_value=-1.0, max_value=2.0), min_size=2, max_size=2),
+)
+def test_cached_terms_match_a_fresh_build(scales_a, scales_b, mu_zero, zetas):
+    """Interleaved builds get the verdicts of a fresh copy, bit for bit.
+
+    A fresh copy is a distinct object, so it always misses the cache;
+    the calls below hit it (A after A) and miss it (A after B, and an
+    equal but distinct copy of A).
+    """
+    a = _scattered(scales_a, mu_zero)
+    b = _scattered(scales_b)
+    z0, z1 = zetas
+    calls = [(a, z0), (a, z1), (b, z0), (a, z1), (a, z0), (dataclasses.replace(a), z1)]
+    expected = [_decision_bits(predict_opening(dataclasses.replace(p), z)) for p, z in calls]
+    assert [_decision_bits(predict_opening(p, z)) for p, z in calls] == expected
+
+
+@given(_SCALES, st.booleans(), st.floats(min_value=-1.0, max_value=2.0), st.sampled_from([1, -1]))
+def test_hoisted_terms_match_public_helpers(scales, mu_zero, zeta, sign):
+    p = _scattered(scales, mu_zero)
+    for system in (assemble_system(p, zeta, sign), solve_balance(p, zeta).system):
+        assert system.tip_ratio.hex() == tip_moment_ratio(p, zeta).hex()
+        assert system.coupling.hex() == friction_coupling(p, system.sign_beta3).hex()
+        assert system.spring_load.hex() == spring_force(p).hex()
+
+
+_STATE_FIELDS = ("xi", "beta_3", "beta_6", "f_r1", "f_s4", "f_pin", "friction_sign",
+                 "consistent", "residual")
+
+
+def test_oracle_does_not_read_the_build_terms(defaults, monkeypatch):
+    zetas = [rad(z) for z in (-15.0, 0.0, 60.0)]
+    expected = [full_equilibrium(defaults, z) for z in zetas]
+
+    def refuse(p):
+        raise AssertionError("per-build terms requested")
+
+    monkeypatch.setattr(statics, "_build_terms", refuse)
+    with pytest.raises(AssertionError, match="per-build terms"):
+        predict_opening(defaults, 0.0)
+    for z, state in zip(zetas, expected):
+        got = full_equilibrium(defaults, z)
+        for name in _STATE_FIELDS:
+            assert getattr(got, name) == getattr(state, name), name
+
+
+def test_spring_force_computed_once_per_sweep(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return spring_force(p)
+
+    monkeypatch.setattr(statics, "spring_force", counted)
+    curve = sweep(dataclasses.replace(default_parameters()))
+    assert len(curve.samples) == 241
+    assert len(calls) == 1
+
+
+def test_minus_branch_terms_are_computed_on_first_retry(monkeypatch):
+    """A build whose verdicts stay on the +1 branch never asks for the -1 terms."""
+    zetas = [rad(-15.0), rad(-12.5)]  # both on the +1 branch
+    expected = [_decision_bits(predict_opening(default_parameters(), z)) for z in zetas]
+
+    def plus_only(p, sign_beta3):
+        if sign_beta3 == -1:
+            raise RuntimeError("-1 branch requested")
+        return friction_coupling(p, sign_beta3)
+
+    monkeypatch.setattr(statics, "friction_coupling", plus_only)
+    p = dataclasses.replace(default_parameters())
+    assert [_decision_bits(predict_opening(p, z)) for z in zetas] == expected
+    with pytest.raises(RuntimeError, match="-1 branch"):
+        predict_opening(p, 0.0)  # the -1 retry
+
+
+
+def test_cache_entry_stays_whole_when_another_build_cuts_in(monkeypatch):
+    """A verdict on build B computed while A's terms are being built.
+
+    This is where a thread switch would land between reading the cache
+    and storing A's terms; afterwards B must still get B's verdicts.
+    """
+    a, b = _scattered([1.1] * 6), _scattered([0.9] * 6)
+    zeta = rad(5.0)
+    expected = {id(p): _decision_bits(predict_opening(dataclasses.replace(p), zeta)) for p in (a, b)}
+    cut_in = []
+
+    def spring_force_cut_in(p):
+        if p is a and not cut_in:
+            cut_in.append(_decision_bits(predict_opening(b, zeta)))
+        return spring_force(p)
+
+    monkeypatch.setattr(statics, "spring_force", spring_force_cut_in)
+    statics._build_terms(a)
+    assert cut_in == [expected[id(b)]]
+    assert _decision_bits(predict_opening(b, zeta)) == expected[id(b)]
+    assert _decision_bits(predict_opening(a, zeta)) == expected[id(a)]
