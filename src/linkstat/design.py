@@ -11,8 +11,10 @@ verdicts only around the few press directions where one can change
 (about 20 instead of about 250 on the reference build).
 
 The search is deterministic: no randomness, fixed iteration order, and a
-Feasible verdict is always re-verified with a fresh full sweep before
-being returned.
+Feasible verdict is always re-verified before being returned, with a
+fresh verdict at every grid point and no inference from roots.  Scoring
+and re-verification both read the scalar verdict kernel
+(:func:`~linkstat.statics._decide`) and build no verdict objects.
 """
 
 from __future__ import annotations
@@ -24,16 +26,18 @@ from typing import Mapping
 
 from .model import LinkageParameters, validate_parameters
 from .modeswitch import (
+    DEFAULT_REFINE_TOL,
     DEFAULT_SWEEP_HI,
     DEFAULT_SWEEP_LO,
     DEFAULT_SWEEP_STEP,
     OpeningInterval,
+    _grid_verdicts,
+    _refine_runs,
     envelope,
-    opening_interval,
-    sweep,
+    sweep_grid,
     switching_threshold,
 )
-from .statics import predict_opening
+from .statics import _OPENS, _decide
 
 __all__ = [
     "DesignEvaluation",
@@ -252,10 +256,9 @@ def evaluate_design(spec: DesignSpec, p: LinkageParameters) -> DesignEvaluation:
             f"opening envelope misses the target band by {shortfall:.3g} deg"
         )
 
-    press = predict_opening(p, spec.press_angle)
-    if press.opens:
-        assert press.required_force is not None
-        t = press.required_force
+    code, t = _decide(p, spec.press_angle)[:2]
+    press_opens = code == _OPENS
+    if press_opens:
         violation_n = max(0.0, spec.threshold_lo - t) + max(
             0.0, t - spec.threshold_hi
         )
@@ -279,7 +282,7 @@ def evaluate_design(spec: DesignSpec, p: LinkageParameters) -> DesignEvaluation:
         penalty=penalty,
         interval_shortfall_deg=shortfall,
         threshold_violation_n=violation_n,
-        press_opens=press.opens,
+        press_opens=press_opens,
         threshold=threshold,
         intervals=intervals,
         violations=tuple(violations),
@@ -319,8 +322,16 @@ def _clip(value: float, lo: float, hi: float) -> float:
 
 
 def _verify(spec: DesignSpec, p: LinkageParameters) -> VerificationRecord:
-    curve = sweep(p, spec.sweep_lo, spec.sweep_hi, spec.sweep_step)
-    intervals = opening_interval(curve)
+    """Re-check a feasible candidate with a fresh verdict at every grid point.
+
+    No verdict is inferred from the sign-function roots that
+    :func:`~linkstat.modeswitch.envelope` relies on, so a fault there
+    cannot pass unnoticed; the verdicts come from the scalar kernel and
+    the edges are bisected as in
+    :func:`~linkstat.modeswitch.opening_interval`.
+    """
+    grid = sweep_grid(spec.sweep_lo, spec.sweep_hi, spec.sweep_step)
+    intervals = _refine_runs(p, grid, _grid_verdicts(p, grid), DEFAULT_REFINE_TOL)
     covering = [
         iv
         for iv in intervals

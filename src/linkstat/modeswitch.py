@@ -16,14 +16,20 @@ without flipping accidentally.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .model import LinkageParameters
-from .statics import OpeningDecision, _build_terms, predict_opening
+from .statics import (
+    _OPENS,
+    _VERDICT_ENUMS,
+    OpeningDecision,
+    _build_terms,
+    _decide,
+    predict_opening,
+)
 
 __all__ = [
     "GraspMode",
@@ -54,8 +60,6 @@ DEFAULT_REFINE_TOL = math.radians(0.01)
 # allocating without bound.
 MAX_GRID_STEPS = 100_000
 
-_THREADS_ENV = "LINKSTAT_THREADS"
-
 
 class NotOpeningError(RuntimeError):
     """The requested press direction never swings the finger open."""
@@ -83,40 +87,13 @@ class SweepCurve:
         return sum(1 for s in self.samples if s.decision.opens)
 
 
-def _worker_count(explicit: int | None) -> int:
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"worker count must be >= 1, got {explicit}")
-        return explicit
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{_THREADS_ENV} must be an integer >= 1, got {raw!r}"
-        ) from None
-    if count < 1:
-        raise ValueError(f"{_THREADS_ENV} must be an integer >= 1, got {raw!r}")
-    return count
-
-
-def sweep_points(
-    p: LinkageParameters,
-    zetas: Sequence[float],
-    workers: int | None = None,
-) -> SweepCurve:
+def sweep_points(p: LinkageParameters, zetas: Sequence[float]) -> SweepCurve:
     """Evaluate the opening verdict at explicitly given press directions.
 
-    Sample order follows the input order.  Evaluation is serial:
-    ``workers`` and the LINKSTAT_THREADS environment variable are still
-    checked (each must be an integer >= 1) but no longer start threads,
-    which the interpreter lock made two to three times slower.
+    Sample order follows the input order.
     """
     if not zetas:
         raise ValueError("at least one press direction is required")
-    _worker_count(workers)
     return SweepCurve(
         params=p,
         samples=tuple(SweepSample(zeta=z, decision=predict_opening(p, z)) for z in zetas),
@@ -157,14 +134,13 @@ def sweep(
     zeta_lo: float = DEFAULT_SWEEP_LO,
     zeta_hi: float = DEFAULT_SWEEP_HI,
     step: float = DEFAULT_SWEEP_STEP,
-    workers: int | None = None,
 ) -> SweepCurve:
     """Sweep the press direction over a closed grid.
 
     Both endpoints are always sampled: a degenerate range yields a single
     sample and a step wider than the range yields just the two ends.
     """
-    return sweep_points(p, sweep_grid(zeta_lo, zeta_hi, step), workers=workers)
+    return sweep_points(p, sweep_grid(zeta_lo, zeta_hi, step))
 
 
 @dataclass(frozen=True)
@@ -200,7 +176,7 @@ def _bisect_transition(
         mid = 0.5 * (closed_side + open_side)
         if mid == closed_side or mid == open_side:
             break
-        if predict_opening(p, mid).opens:
+        if _decide(p, mid)[0] == _OPENS:
             open_side = mid
         else:
             closed_side = mid
@@ -213,7 +189,15 @@ def _refine_runs(
     opens: Sequence[bool],
     tolerance: float,
 ) -> tuple[OpeningInterval, ...]:
-    """Turn runs of opening grid points into refined intervals, widest first."""
+    """Turn runs of opening grid points into refined intervals, widest first.
+
+    Raises ValueError for a non-finite or negative ``tolerance``; zero
+    bisects each edge to float resolution.
+    """
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(
+            f"refine tolerance must be finite and >= 0, got {tolerance!r}"
+        )
     runs: list[tuple[int, int]] = []
     start: int | None = None
     for i, flag in enumerate(opens):
@@ -343,6 +327,11 @@ def _roots(f: _Harmonic, lo: float, hi: float) -> list[float] | None:
     return [first + k * math.pi for k in range(k_lo, k_hi + 1)]
 
 
+def _grid_verdicts(p: LinkageParameters, grid: Sequence[float]) -> list[bool]:
+    """A fresh opening verdict at every grid point, as flags."""
+    return [_decide(p, z)[0] == _OPENS for z in grid]
+
+
 def _inferred_verdicts(p: LinkageParameters, grid: list[float]) -> list[bool] | None:
     """Opening flags for every grid point from verdicts around the roots."""
     functions = _sign_functions(p)
@@ -360,7 +349,7 @@ def _inferred_verdicts(p: LinkageParameters, grid: list[float]) -> list[bool] | 
             probes.update(range(first, past + 1))
 
     order = sorted(probes)
-    verdict = {i: predict_opening(p, grid[i]).opens for i in order}
+    verdict = {i: _decide(p, grid[i])[0] == _OPENS for i in order}
     opens = [verdict[last]] * len(grid)
     for i, j in zip(order, order[1:]):
         if j > i + 1 and verdict[i] != verdict[j]:
@@ -391,7 +380,7 @@ def envelope(
     grid = sweep_grid(zeta_lo, zeta_hi, step)
     opens = _inferred_verdicts(p, grid)
     if opens is None:
-        opens = [predict_opening(p, z).opens for z in grid]
+        opens = _grid_verdicts(p, grid)
     return _refine_runs(p, grid, opens, tolerance)
 
 
@@ -401,19 +390,14 @@ def switching_threshold(p: LinkageParameters, press_angle: float) -> float:
     Raises :class:`NotOpeningError` when pressing along ``press_angle``
     cannot open the finger at any force level.
     """
-    decision = predict_opening(p, press_angle)
-    if not decision.opens:
-        reason = (
-            decision.blocked_reason.value
-            if decision.blocked_reason is not None
-            else "unknown"
-        )
+    code, xi = _decide(p, press_angle)[:2]
+    if code != _OPENS:
+        reason = _VERDICT_ENUMS[code][1]
         raise NotOpeningError(
             f"press direction {math.degrees(press_angle):.6g} deg does not "
-            f"open the finger ({reason})"
+            f"open the finger ({reason.value})"
         )
-    assert decision.required_force is not None
-    return decision.required_force
+    return xi
 
 
 class GraspMode(Enum):

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .model import LinkageParameters
-from .statics import predict_opening
+from .statics import _OPENS, _decide
 
 __all__ = [
     "ComparisonResult",
@@ -620,10 +620,8 @@ def compare_measurements(
     rows: list[ComparisonRow] = []
     devs: list[float] = []
     for m in measurements:
-        decision = predict_opening(p, m.zeta)
-        if decision.opens:
-            assert decision.required_force is not None
-            predicted = decision.required_force
+        code, predicted = _decide(p, m.zeta)[:2]
+        if code == _OPENS:
             abs_dev = abs(predicted - m.measured_force)
             rel_dev = abs_dev / m.measured_force if m.measured_force > 0.0 else None
             devs.append(abs_dev)

@@ -19,6 +19,19 @@ implemented in terms of it.  Only that route uses numpy, and it imports
 numpy on its first call: the 2x2 balance, every verdict, sweep and search
 run in plain floats, so importing linkstat does not load numpy.
 
+The first route has one copy of its decision logic: the private scalar
+kernel :func:`_decide` assembles the two press-dependent entries, solves
+the +1 friction branch and, if the strut force contradicts it, the -1
+branch, applies the singular floor and the opening rule, and returns a
+plain tuple (status code, xi, beta, branch, det, a00, a10, f_rx, f_sx).
+The envelope and its edge bisection, the switching threshold, design
+scoring and measurement comparison read that tuple and build no objects.
+:func:`solve_balance` and :func:`predict_opening` are wrappers that
+repackage the same tuple into :class:`BalanceSolution`,
+:class:`BalanceSystem`, :class:`JointForcePair` and
+:class:`OpeningDecision`, bit for bit, for callers that read those
+fields (the CLI's sweep CSV and ``analyze``).
+
 Most of the 2x2 balance does not depend on the press direction: the
 strut-angle sines, the spring load and right-hand side, the friction
 couplings and the probe-force cosines belong to the build alone.  The
@@ -260,19 +273,75 @@ class BalanceSolution:
     system: BalanceSystem
 
 
+def _singular_error(zeta: float, det: float) -> SingularSystemError:
+    return SingularSystemError(
+        f"balance matrix is singular at press direction "
+        f"{math.degrees(zeta):.6g} deg (det = {det:.3e})"
+    )
+
+
 def _solve_2x2(
     a00: float, a01: float, a10: float, a11: float, b0: float, b1: float, zeta: float
 ) -> tuple[float, float]:
     det = a00 * a11 - a01 * a10
     row_scale = max(math.hypot(a00, a01), math.hypot(a10, a11))
     if det == 0.0 or abs(det) < _DET_RELATIVE_FLOOR * row_scale * row_scale:
-        raise SingularSystemError(
-            f"balance matrix is singular at press direction "
-            f"{math.degrees(zeta):.6g} deg (det = {det:.3e})"
-        )
+        raise _singular_error(zeta, det)
     xi = (b0 * a11 - a01 * b1) / det
     beta = (a00 * b1 - a10 * b0) / det
     return xi, beta
+
+
+# Status codes of a verdict, the first field of a _decide tuple.
+_OPENS, _NEGATIVE_XI, _CONTACT_MAINTAINED, _SINGULAR = range(4)
+
+
+def _decide(
+    p: LinkageParameters, zeta: float
+) -> tuple[int, float, float, int, float, float, float, float, float]:
+    """The opening verdict for one press direction, in plain floats.
+
+    Returns ``(status, xi, beta, branch, det, a00, a10, f_rx, f_sx)``:
+    the status code, the balance force, the coupler strut force, the
+    friction branch kept, det of that branch, the two press-dependent
+    entries of the 2x2 balance and the two probe forces.  A _SINGULAR
+    verdict carries the det that fell below the floor and nan forces.
+
+    This is the only copy of the decision: the +1 -> -1 friction retry
+    of :func:`solve_balance`, the singular floor and the opening rule of
+    :func:`predict_opening`.  Each float is the expression
+    :func:`assemble_system`, :func:`solve_balance_with_sign` and
+    :func:`perturbed_joint_forces` evaluate, so the wrappers that
+    repackage this tuple into dataclasses give the same bits.  A
+    non-finite ``zeta`` raises ValueError.
+    """
+    _require_finite(zeta)
+    t = _build_terms(p)
+    gamma = (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / t.denom
+    a01 = t.s13
+    a00 = gamma * a01 + math.sin(p.theta1 - zeta)
+    a10 = gamma * t.s34
+    b0, b1 = t.b0, t.b1
+    for branch in (1, -1):
+        a11 = t.branch(branch)[1]
+        det = a00 * a11 - a01 * a10
+        row_scale = max(math.hypot(a00, a01), math.hypot(a10, a11))
+        if det == 0.0 or abs(det) < _DET_RELATIVE_FLOOR * row_scale * row_scale:
+            nan = math.nan
+            return (_SINGULAR, nan, nan, branch, det, a00, a10, nan, nan)
+        beta = (a00 * b1 - a10 * b0) / det
+        if beta >= 0.0:  # agrees with the +1 branch; a -1 answer is kept either way
+            break
+    xi = (b0 * a11 - a01 * b1) / det
+    f_rx = -(p.epsilon * a00) / t.cos1
+    f_sx = -(p.epsilon * a10) / t.cos4
+    if xi < 0.0:
+        status = _NEGATIVE_XI
+    elif f_rx <= 0.0 and f_sx >= 0.0:
+        status = _OPENS
+    else:
+        status = _CONTACT_MAINTAINED
+    return (status, xi, beta, branch, det, a00, a10, f_rx, f_sx)
 
 
 def _solved(system: BalanceSystem, xi: float, beta: float) -> BalanceSolution:
@@ -283,6 +352,14 @@ def _solved(system: BalanceSystem, xi: float, beta: float) -> BalanceSolution:
         sign_consistent=_sign_of(beta) == system.sign_beta3,
         system=system,
     )
+
+
+def _solution(p: LinkageParameters, zeta: float, verdict: tuple) -> BalanceSolution:
+    """The BalanceSolution of a _decide tuple; raises for a singular one."""
+    status, xi, beta, branch, det = verdict[:5]
+    if status == _SINGULAR:
+        raise _singular_error(zeta, det)
+    return _solved(assemble_system(p, zeta, branch), xi, beta)
 
 
 def solve_balance_with_sign(
@@ -308,18 +385,9 @@ def solve_balance(p: LinkageParameters, zeta: float) -> BalanceSolution:
     the two can disagree on the sign of xi: on the reference build at
     60 deg the +1 branch gives xi = -1387 N (blocked) and the -1 branch
     xi = +4.77 N.  The verdict there follows this branch order.
+    The iteration itself is :func:`_decide`'s; this wraps its result.
     """
-    s = assemble_system(p, zeta, 1)
-    a00, a01, a10, b0, b1 = s.a00, s.a01, s.a10, s.b0, s.b1
-    xi, beta = _solve_2x2(a00, a01, a10, s.a11, b0, b1, zeta)
-    if beta >= 0.0:  # consistent with the +1 branch
-        return _solved(s, xi, beta)
-    lam, a11 = _build_terms(p).branch(-1)
-    minus = BalanceSystem(
-        a00=a00, a01=a01, a10=a10, a11=a11, b0=b0, b1=b1, tip_ratio=s.tip_ratio,
-        coupling=lam, sign_beta3=-1, spring_load=s.spring_load,
-    )
-    return _solved(minus, *_solve_2x2(a00, a01, a10, a11, b0, b1, zeta))
+    return _solution(p, zeta, _decide(p, zeta))
 
 
 @dataclass(frozen=True)
@@ -369,6 +437,15 @@ class BlockedReason(Enum):
     SINGULAR = "singular"
 
 
+# A _decide status code as the (status, blocked_reason) of an OpeningDecision.
+_VERDICT_ENUMS: dict[int, tuple[OpeningStatus, BlockedReason | None]] = {
+    _OPENS: (OpeningStatus.OPENS, None),
+    _NEGATIVE_XI: (OpeningStatus.BLOCKED, BlockedReason.NEGATIVE_XI),
+    _CONTACT_MAINTAINED: (OpeningStatus.BLOCKED, BlockedReason.CONTACT_MAINTAINED),
+    _SINGULAR: (OpeningStatus.SINGULAR, BlockedReason.SINGULAR),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class OpeningDecision:
     """Verdict for one press direction.
@@ -411,42 +488,26 @@ def predict_opening(p: LinkageParameters, zeta: float) -> OpeningDecision:
     both are self-consistent, so a NEGATIVE_XI verdict can hold on that
     branch alone (the reference build at 60 deg has xi = +4.77 N on the
     -1 branch).  A non-finite ``zeta`` raises ValueError rather than get
-    a verdict.
+    a verdict.  The decision is :func:`_decide`'s; this builds the four
+    dataclasses from its tuple.
     """
-    try:
-        solution = solve_balance(p, zeta)
-    except SingularSystemError:
+    verdict = _decide(p, zeta)
+    code = verdict[0]
+    status, reason = _VERDICT_ENUMS[code]
+    if code == _SINGULAR:
         return OpeningDecision(
-            status=OpeningStatus.SINGULAR,
+            status=status,
             required_force=None,
-            blocked_reason=BlockedReason.SINGULAR,
+            blocked_reason=reason,
             forces=None,
             solution=None,
         )
-    forces = perturbed_joint_forces(p, zeta, solution)
-
-    if solution.xi_b < 0.0:
-        return OpeningDecision(
-            status=OpeningStatus.BLOCKED,
-            required_force=None,
-            blocked_reason=BlockedReason.NEGATIVE_XI,
-            forces=forces,
-            solution=solution,
-        )
-    if forces.f_rx <= 0.0 and forces.f_sx >= 0.0:
-        return OpeningDecision(
-            status=OpeningStatus.OPENS,
-            required_force=solution.xi_b,
-            blocked_reason=None,
-            forces=forces,
-            solution=solution,
-        )
     return OpeningDecision(
-        status=OpeningStatus.BLOCKED,
-        required_force=None,
-        blocked_reason=BlockedReason.CONTACT_MAINTAINED,
-        forces=forces,
-        solution=solution,
+        status=status,
+        required_force=verdict[1] if code == _OPENS else None,
+        blocked_reason=reason,
+        forces=JointForcePair(f_rx=verdict[7], f_sx=verdict[8]),
+        solution=_solution(p, zeta, verdict),
     )
 
 

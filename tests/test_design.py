@@ -167,21 +167,43 @@ def test_optimizer_rejects_bad_budget(defaults):
         optimize_design(reachable_spec(), defaults, budget=0)
 
 
-def test_evaluate_design_needs_few_verdicts(defaults, monkeypatch):
-    # The envelope computes verdicts only around the roots of its sign
-    # functions; a full 241-point sweep plus bisection took 253.
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Press directions of every kernel verdict, counted at the names its
+    callers look it up by."""
     import linkstat.design
     import linkstat.modeswitch
 
     calls = []
-    verdict = linkstat.statics.predict_opening
+    kernel = linkstat.statics._decide
 
     def counted(p, zeta):
         calls.append(zeta)
-        return verdict(p, zeta)
+        return kernel(p, zeta)
 
-    monkeypatch.setattr(linkstat.modeswitch, "predict_opening", counted)
-    monkeypatch.setattr(linkstat.design, "predict_opening", counted)
+    for module in (linkstat.modeswitch, linkstat.design):
+        monkeypatch.setattr(module, "_decide", counted)
+    return calls
+
+
+def test_evaluate_design_needs_few_verdicts(defaults, kernel_calls):
+    # The envelope computes verdicts only around the roots of its sign
+    # functions; a full 241-point sweep plus bisection took 253.
     ev = evaluate_design(reachable_spec(), defaults)
-    assert len(calls) <= 40
+    assert 0 < len(kernel_calls) <= 40
     assert ev.intervals == opening_interval(sweep(defaults))
+
+
+def test_verify_computes_a_verdict_at_every_grid_point(defaults, kernel_calls):
+    # Re-verification must not lean on the envelope's root inference.
+    import linkstat.design
+
+    spec = DesignSpec(
+        interval_lo=rad(-5.0), interval_hi=rad(5.0), press_angle=0.0,
+        threshold_lo=0.0, threshold_hi=100.0, free=("l3",), bounds={"l3": (1.0, 50.0)},
+    )
+    record = linkstat.design._verify(spec, defaults)
+    assert len(kernel_calls) >= 241
+    assert set(sweep(defaults).zetas) <= set(kernel_calls)
+    iv = opening_interval(sweep(defaults))[0]
+    assert (record.interval_lo, record.interval_hi) == (iv.lo, iv.hi)

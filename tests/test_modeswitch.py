@@ -162,32 +162,6 @@ def test_grip_budget(defaults):
         parallel_grip_budget(t, margin=1.2)
 
 
-def test_worker_env_controls_sweep(defaults, monkeypatch):
-    serial = sweep(defaults, rad(-5.0), rad(5.0), rad(0.5))
-    monkeypatch.setenv("LINKSTAT_THREADS", "3")
-    threaded = sweep(defaults, rad(-5.0), rad(5.0), rad(0.5))
-    assert [s.zeta for s in serial.samples] == [s.zeta for s in threaded.samples]
-    for a, b in zip(serial.samples, threaded.samples):
-        assert a.decision.opens == b.decision.opens
-        if a.decision.solution is not None:
-            assert a.decision.solution.xi_b == b.decision.solution.xi_b
-
-
-def test_worker_env_rejects_garbage(defaults, monkeypatch):
-    monkeypatch.setenv("LINKSTAT_THREADS", "many")
-    with pytest.raises(ValueError, match="LINKSTAT_THREADS"):
-        sweep(defaults, rad(0.0), rad(1.0), rad(0.5))
-    monkeypatch.setenv("LINKSTAT_THREADS", "0")
-    with pytest.raises(ValueError, match="LINKSTAT_THREADS"):
-        sweep(defaults, rad(0.0), rad(1.0), rad(0.5))
-
-
-def test_explicit_workers_override(defaults, monkeypatch):
-    monkeypatch.setenv("LINKSTAT_THREADS", "nonsense")
-    curve = sweep(defaults, rad(0.0), rad(1.0), rad(0.5), workers=2)
-    assert len(curve.samples) == 3
-
-
 # ---------------------------------------------------------------------------
 # envelope: the grid sweep's envelope from verdicts around the roots only
 
@@ -220,12 +194,13 @@ def test_envelope_equals_swept_envelope(
     assume(validate_parameters(p).ok)
     args = (rad(lo_deg), rad(lo_deg + span_deg), rad(step_deg), rad(tolerance_deg))
     calls = []
-    verdict = modeswitch.predict_opening
+    kernel = modeswitch._decide
     with mock.patch.object(
-        modeswitch, "predict_opening", lambda p, z: calls.append(z) or verdict(p, z)
+        modeswitch, "_decide", lambda p, z: calls.append(z) or kernel(p, z)
     ):
         got = envelope(p, *args)
     assert got == swept_envelope(p, *args)
+    assert len(calls) > 0
     # At most three grid points around each root of the five sign
     # functions, the two ends, and the bisection of each refined edge.
     roots = 5 * (math.ceil(rad(span_deg) / math.pi) + 1)
@@ -262,14 +237,35 @@ def test_envelope_falls_back_to_every_grid_point(defaults, monkeypatch):
     # With every root distrusted the envelope samples the whole grid.
     monkeypatch.setattr(modeswitch, "_CANCELLATION_FLOOR", math.inf)
     calls = []
-    verdict = modeswitch.predict_opening
+    kernel = modeswitch._decide
     monkeypatch.setattr(
-        modeswitch, "predict_opening", lambda p, z: calls.append(z) or verdict(p, z)
+        modeswitch, "_decide", lambda p, z: calls.append(z) or kernel(p, z)
     )
     got = envelope(defaults)
     assert len(calls) > 241
     monkeypatch.undo()
     assert got == swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5))
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+def test_refine_tolerance_must_be_finite_and_non_negative(defaults, tolerance):
+    # nan or inf used to stop the bisection at once and report a grid
+    # point as a refined edge.
+    with pytest.raises(ValueError, match="tolerance"):
+        envelope(defaults, tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        opening_interval(sweep(defaults), tolerance=tolerance)
+
+
+def test_zero_tolerance_bisects_to_float_resolution(defaults):
+    from linkstat import predict_opening
+
+    (iv,) = envelope(defaults, tolerance=0.0)
+    assert (iv,) == swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5), 0.0)
+    assert predict_opening(defaults, iv.hi).opens
+    assert not predict_opening(defaults, math.nextafter(iv.hi, math.inf)).opens
+    assert predict_opening(defaults, iv.lo).opens
+    assert not predict_opening(defaults, math.nextafter(iv.lo, -math.inf)).opens
 
 
 def test_envelope_degenerate_and_bad_ranges(defaults):

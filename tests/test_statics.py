@@ -387,3 +387,78 @@ def test_cache_entry_stays_whole_when_another_build_cuts_in(monkeypatch):
     assert cut_in == [expected[id(b)]]
     assert _decision_bits(predict_opening(b, zeta)) == expected[id(b)]
     assert _decision_bits(predict_opening(a, zeta)) == expected[id(a)]
+
+
+# The scalar kernel: one copy of the decision, which predict_opening and
+# solve_balance only repackage.
+
+_ALL_FIELDS = ("l0", "l1", "l2", "l3", "l4", "theta0", "theta1", "theta2",
+               "theta3", "theta4", "theta5", "spring_k", "natural_length", "mu")
+
+
+def _hex(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+@given(
+    st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=14, max_size=14),
+    st.integers(min_value=0, max_value=9),
+    st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
+)
+def test_kernel_equals_the_object_path(scales, pick, zeta):
+    """Every field of the kernel tuple, bit for bit, against the wrappers
+    and against a verdict rebuilt from the pinned-branch solver."""
+    base = default_parameters()
+    p = base.with_values(
+        **{name: getattr(base, name) * (1.0 + s) for name, s in zip(_ALL_FIELDS, scales)}
+    )
+    if pick == 0:  # one build in ten without friction
+        p = p.with_values(mu=0.0)
+    code, xi, beta, branch, det, a00, a10, f_rx, f_sx = statics._decide(p, zeta)
+    decision = predict_opening(p, zeta)
+    assert (decision.status, decision.blocked_reason) == statics._VERDICT_ENUMS[code]
+
+    if code == statics._SINGULAR:
+        assert decision.solution is None and decision.forces is None
+        with pytest.raises(SingularSystemError) as raised:
+            solve_balance(p, zeta)
+        assert f"(det = {det:.3e})" in str(raised.value)
+        with pytest.raises(SingularSystemError):
+            solve_balance_with_sign(p, zeta, branch)
+        return
+
+    for sol in (decision.solution, solve_balance(p, zeta)):
+        system = sol.system
+        got = [sol.xi_b, sol.beta_3b, sol.sign_beta3, system.det, system.a00, system.a10]
+        assert [_hex(v) for v in got] == [_hex(v) for v in (xi, beta, branch, det, a00, a10)]
+        assert system.sign_beta3 == branch
+    assert [_hex(decision.forces.f_rx), _hex(decision.forces.f_sx)] == [_hex(f_rx), _hex(f_sx)]
+    assert decision.required_force == (xi if code == statics._OPENS else None)
+
+    # The same verdict from the pinned-branch solver and the probe forces,
+    # which do not go through the kernel.
+    plus = solve_balance_with_sign(p, zeta, 1)
+    assert (branch == 1) == (plus.beta_3b >= 0.0)
+    pinned = solve_balance_with_sign(p, zeta, branch)
+    forces = perturbed_joint_forces(p, zeta, pinned)
+    rebuilt = [pinned.xi_b, pinned.beta_3b, pinned.system.det, pinned.system.a00,
+               pinned.system.a10, forces.f_rx, forces.f_sx]
+    assert [_hex(v) for v in rebuilt] == [_hex(v) for v in (xi, beta, det, a00, a10, f_rx, f_sx)]
+    if xi < 0.0:
+        assert code == statics._NEGATIVE_XI
+    elif f_rx <= 0.0 and f_sx >= 0.0:
+        assert code == statics._OPENS
+    else:
+        assert code == statics._CONTACT_MAINTAINED
+
+
+def test_kernel_singular_case(defaults):
+    # theta1 == theta3 at zeta == theta1 zeroes the whole first row.
+    p = defaults.with_values(theta3=defaults.theta1)
+    verdict = statics._decide(p, defaults.theta1)
+    assert verdict[0] == statics._SINGULAR
+    assert verdict[4] == 0.0  # det
+    message = "balance matrix is singular at press direction 9 deg (det = 0.000e+00)"
+    with pytest.raises(SingularSystemError) as raised:
+        solve_balance(p, defaults.theta1)
+    assert str(raised.value) == message
