@@ -8,7 +8,8 @@ a penalty built from the opening envelope, so there is no gradient to
 trust.  Each candidate is scored with :func:`~linkstat.modeswitch.envelope`,
 which returns the envelope of the full grid sweep bit for bit but computes
 verdicts only around the few press directions where one can change
-(about 20 instead of about 250 on the reference build).
+(10 instead of 253 on the reference build: no bisection midpoint there
+lies next to a root, so every one takes a known verdict).
 
 The search is deterministic: no randomness, fixed iteration order, and a
 Feasible verdict is always re-verified before being returned, with a
@@ -31,10 +32,9 @@ from .modeswitch import (
     DEFAULT_SWEEP_LO,
     DEFAULT_SWEEP_STEP,
     OpeningInterval,
-    _grid_verdicts,
-    _refine_runs,
+    _grid,
+    _swept_intervals,
     envelope,
-    sweep_grid,
     switching_threshold,
 )
 from .statics import _OPENS, _decide
@@ -326,12 +326,13 @@ def _verify(spec: DesignSpec, p: LinkageParameters) -> VerificationRecord:
 
     No verdict is inferred from the sign-function roots that
     :func:`~linkstat.modeswitch.envelope` relies on, so a fault there
-    cannot pass unnoticed; the verdicts come from the scalar kernel and
-    the edges are bisected as in
-    :func:`~linkstat.modeswitch.opening_interval`.
+    cannot pass unnoticed; the verdicts come from the scalar kernel, the
+    grid is the one the envelope reads, and the edges are bisected as in
+    :func:`~linkstat.modeswitch.opening_interval`, with a verdict at every
+    midpoint.
     """
-    grid = sweep_grid(spec.sweep_lo, spec.sweep_hi, spec.sweep_step)
-    intervals = _refine_runs(p, grid, _grid_verdicts(p, grid), DEFAULT_REFINE_TOL)
+    grid = _grid(spec.sweep_lo, spec.sweep_hi, spec.sweep_step)
+    intervals = _swept_intervals(p, grid, DEFAULT_REFINE_TOL)
     covering = [
         iv
         for iv in intervals

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -11,6 +12,7 @@ from linkstat import (
     evaluate_design,
     opening_interval,
     optimize_design,
+    predict_opening,
     sensitivity,
     solve_balance,
     sweep,
@@ -188,14 +190,45 @@ def kernel_calls(monkeypatch):
 
 def test_evaluate_design_needs_few_verdicts(defaults, kernel_calls):
     # The envelope computes verdicts only around the roots of its sign
-    # functions; a full 241-point sweep plus bisection took 253.
+    # functions, and a bisection midpoint only next to a root; the
+    # reference build takes 10 plus one at the press direction, where a
+    # full 241-point sweep plus bisection took 253.
     ev = evaluate_design(reachable_spec(), defaults)
-    assert 0 < len(kernel_calls) <= 40
+    assert 0 < len(kernel_calls) <= 16
     assert ev.intervals == opening_interval(sweep(defaults))
 
 
+def fresh_bisection(p, grid, intervals, tolerance=rad(0.01)):
+    """Every midpoint a bisection of each refined edge visits when each
+    gets a verdict of its own, computed here without the kernel."""
+    midpoints = []
+    for iv in intervals:
+        for edge, refined, is_lo in ((iv.lo, iv.lo_refined, True), (iv.hi, iv.hi_refined, False)):
+            if not refined:
+                continue
+            if is_lo:  # grid[k - 1] < lo <= grid[k]
+                k = bisect_left(grid, edge)
+                closed, opened = grid[k - 1], grid[k]
+            else:  # grid[k] <= hi < grid[k + 1]
+                k = bisect_right(grid, edge) - 1
+                closed, opened = grid[k + 1], grid[k]
+            while abs(opened - closed) > tolerance:
+                mid = 0.5 * (closed + opened)
+                if mid == closed or mid == opened:
+                    break
+                midpoints.append(mid)
+                if predict_opening(p, mid).opens:
+                    opened = mid
+                else:
+                    closed = mid
+            assert opened == edge
+    return midpoints
+
+
 def test_verify_computes_a_verdict_at_every_grid_point(defaults, kernel_calls):
-    # Re-verification must not lean on the envelope's root inference.
+    # Re-verification must not lean on the envelope's root inference:
+    # a verdict at every grid point and at every bisection midpoint,
+    # plus one at the press direction.
     import linkstat.design
 
     spec = DesignSpec(
@@ -203,7 +236,18 @@ def test_verify_computes_a_verdict_at_every_grid_point(defaults, kernel_calls):
         threshold_lo=0.0, threshold_hi=100.0, free=("l3",), bounds={"l3": (1.0, 50.0)},
     )
     record = linkstat.design._verify(spec, defaults)
-    assert len(kernel_calls) >= 241
-    assert set(sweep(defaults).zetas) <= set(kernel_calls)
-    iv = opening_interval(sweep(defaults))[0]
+    verified = list(kernel_calls)
+    curve = sweep(defaults)
+    intervals = opening_interval(curve)
+    midpoints = fresh_bisection(defaults, curve.zetas, intervals)
+    assert len(midpoints) > 0
+    assert set(curve.zetas) <= set(verified)
+    assert set(midpoints) <= set(verified)
+    assert len(verified) == len(curve.zetas) + len(midpoints) + 1
+    iv = intervals[0]
     assert (record.interval_lo, record.interval_hi) == (iv.lo, iv.hi)
+
+    # opening_interval likewise computes every midpoint of its bisection.
+    kernel_calls.clear()
+    assert opening_interval(curve) == intervals
+    assert sorted(kernel_calls) == sorted(midpoints)

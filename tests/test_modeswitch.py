@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from unittest import mock
 
 import pytest
@@ -173,6 +174,11 @@ def swept_envelope(p, lo, hi, step, tolerance=rad(0.01)):
     return opening_interval(sweep(p, lo, hi, step), tolerance)
 
 
+def hexed(intervals):
+    """Intervals as exact bits: == cannot tell -0.0 from 0.0."""
+    return [(iv.lo.hex(), iv.hi.hex(), iv.lo_refined, iv.hi_refined) for iv in intervals]
+
+
 @given(
     scales=st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=14, max_size=14),
     frictionless=st.booleans(),
@@ -194,24 +200,68 @@ def test_envelope_equals_swept_envelope(
     assume(validate_parameters(p).ok)
     args = (rad(lo_deg), rad(lo_deg + span_deg), rad(step_deg), rad(tolerance_deg))
     calls = []
+    fallbacks = []
     kernel = modeswitch._decide
+    every_point = modeswitch._swept_intervals
     with mock.patch.object(
         modeswitch, "_decide", lambda p, z: calls.append(z) or kernel(p, z)
+    ), mock.patch.object(
+        modeswitch,
+        "_swept_intervals",
+        lambda p, g, t: fallbacks.append(g) or every_point(p, g, t),
     ):
         got = envelope(p, *args)
-    assert got == swept_envelope(p, *args)
+    assert hexed(got) == hexed(swept_envelope(p, *args))
     assert len(calls) > 0
+    grid = modeswitch.sweep_grid(*args[:3])
+    on_grid = set(grid)
+    probes = [z for z in calls if z in on_grid]
+    midpoints = [z for z in calls if z not in on_grid]
     # At most three grid points around each root of the five sign
-    # functions, the two ends, and the bisection of each refined edge.
+    # functions, and the two ends.
     roots = 5 * (math.ceil(rad(span_deg) / math.pi) + 1)
-    per_edge = math.ceil(math.log2(step_deg / tolerance_deg)) + 2
+    assert len(probes) <= 2 + 3 * roots
     edges = sum(iv.lo_refined + iv.hi_refined for iv in got)
-    assert len(calls) <= 2 + 3 * roots + per_edge * edges
+    per_edge = math.ceil(math.log2(step_deg / tolerance_deg)) + 2
+    assert len(midpoints) <= per_edge * edges
+    if fallbacks:
+        return
+    # A bisection midpoint gets a verdict of its own only within the root
+    # window of a root, or with roots on both sides of it in its grid cell.
+    window = modeswitch._ROOT_WINDOW
+    found = modeswitch._sorted_roots(p, grid[0], grid[-1])
+    for z in midpoints:
+        k = bisect_right(grid, z)
+        near = any(abs(z - r) <= window for r in found)
+        below = any(grid[k - 1] - window <= r < z for r in found)
+        above = any(z < r <= grid[k] + window for r in found)
+        assert near or (below and above)
+
+
+def test_bisection_computes_every_midpoint_without_a_root_in_the_bracket(defaults):
+    # Roots that explain no edge must not stand in for verdicts.
+    iv = envelope(defaults)[0]
+    grid = modeswitch.sweep_grid(rad(-30.0), rad(90.0), rad(0.5))
+    k = bisect_right(grid, iv.hi) - 1
+    closed, opened = grid[k + 1], grid[k]
+    counts = []
+    for roots in (None, [], [rad(-60.0), rad(120.0)]):
+        calls = []
+        kernel = modeswitch._decide
+        with mock.patch.object(
+            modeswitch, "_decide", lambda p, z: calls.append(z) or kernel(p, z)
+        ):
+            edge = modeswitch._bisect_transition(
+                defaults, closed, opened, rad(0.01), roots
+            )
+        assert edge.hex() == iv.hi.hex()
+        counts.append(len(calls))
+    assert counts[0] > 0 and len(set(counts)) == 1
 
 
 def test_envelope_reference_build(defaults):
-    assert envelope(defaults) == swept_envelope(
-        defaults, rad(-30.0), rad(90.0), rad(0.5)
+    assert hexed(envelope(defaults)) == hexed(
+        swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5))
     )
 
 
@@ -225,12 +275,36 @@ def test_envelope_with_a_root_on_a_grid_point(defaults):
     for lo in (root, root - 20 * step):
         grid = sweep(p, lo, rad(40.0), step).zetas
         assert min(abs(z - root) for z in grid) < 1e-15
-        assert envelope(p, lo, rad(40.0), step) == swept_envelope(p, lo, rad(40.0), step)
+        assert hexed(envelope(p, lo, rad(40.0), step)) == hexed(
+            swept_envelope(p, lo, rad(40.0), step)
+        )
 
 
 def test_envelope_without_friction(defaults):
     p = defaults.with_values(mu=0.0)
-    assert envelope(p) == swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5))
+    assert hexed(envelope(p)) == hexed(swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5)))
+
+
+@pytest.mark.parametrize("frictionless", [True, False])
+def test_envelope_with_a_nearly_cancelled_det(defaults, monkeypatch, frictionless):
+    # theta3 ~ theta1 and theta4 ~ theta2 shrink every term of det to
+    # ~1e-6 while the row scale stays O(1), so det reads singular over a
+    # band around its root wider than the root window.  That root is the
+    # upper edge of the band of opening press directions.
+    p = defaults.with_values(
+        theta3=defaults.theta1 + 3e-7,
+        theta4=defaults.theta2 + 9e-7,
+        **({"mu": 0.0} if frictionless else {}),
+    )
+    assert validate_parameters(p).ok
+    for tolerance in (0.0, rad(0.01)):
+        want = hexed(swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5), tolerance))
+        assert hexed(envelope(p, tolerance=tolerance)) == want
+    # Trusting the det roots anyway infers midpoints in the band wrongly.
+    monkeypatch.setattr(modeswitch, "_FLOOR_REACH", math.inf)
+    assert hexed(envelope(p, tolerance=0.0)) != hexed(
+        swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5), 0.0)
+    )
 
 
 def test_envelope_falls_back_to_every_grid_point(defaults, monkeypatch):
@@ -244,7 +318,7 @@ def test_envelope_falls_back_to_every_grid_point(defaults, monkeypatch):
     got = envelope(defaults)
     assert len(calls) > 241
     monkeypatch.undo()
-    assert got == swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5))
+    assert hexed(got) == hexed(swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5)))
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
@@ -261,7 +335,9 @@ def test_zero_tolerance_bisects_to_float_resolution(defaults):
     from linkstat import predict_opening
 
     (iv,) = envelope(defaults, tolerance=0.0)
-    assert (iv,) == swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5), 0.0)
+    assert hexed([iv]) == hexed(
+        swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5), 0.0)
+    )
     assert predict_opening(defaults, iv.hi).opens
     assert not predict_opening(defaults, math.nextafter(iv.hi, math.inf)).opens
     assert predict_opening(defaults, iv.lo).opens
@@ -269,8 +345,8 @@ def test_zero_tolerance_bisects_to_float_resolution(defaults):
 
 
 def test_envelope_degenerate_and_bad_ranges(defaults):
-    assert envelope(defaults, rad(5.0), rad(5.0)) == swept_envelope(
-        defaults, rad(5.0), rad(5.0), rad(0.5)
+    assert hexed(envelope(defaults, rad(5.0), rad(5.0))) == hexed(
+        swept_envelope(defaults, rad(5.0), rad(5.0), rad(0.5))
     )
     with pytest.raises(ValueError):
         envelope(defaults, rad(10.0), rad(-10.0))
@@ -278,6 +354,18 @@ def test_envelope_degenerate_and_bad_ranges(defaults):
         envelope(defaults, math.nan, rad(10.0))
     with pytest.raises(ValueError):
         sweep(defaults, rad(0.0), math.inf)
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_envelope_keeps_the_sign_of_a_zero_range_end(defaults, first, second):
+    # The band runs past the range end, so its upper edge is the end
+    # itself; 0.0 == -0.0, so a grid kept from the first call and looked
+    # up by float equality would give the second call the other zero.
+    for hi in (first, second):
+        got = envelope(defaults, rad(-10.0), hi, rad(0.7))
+        assert hexed(got) == hexed(swept_envelope(defaults, rad(-10.0), hi, rad(0.7)))
+        assert not got[0].hi_refined
+        assert got[0].hi.hex() == hi.hex()
 
 
 def test_envelope_two_bands():
@@ -297,4 +385,4 @@ def test_envelope_two_bands():
     assert (wide.lo_refined, wide.hi_refined) == (True, False)
     assert (sliver.lo_refined, sliver.hi_refined) == (False, True)
     assert wide.width > sliver.width
-    assert (wide, sliver) == swept_envelope(p, *args)
+    assert hexed([wide, sliver]) == hexed(swept_envelope(p, *args))
