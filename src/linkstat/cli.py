@@ -22,11 +22,13 @@ import sys
 from dataclasses import dataclass
 
 from .model import (
+    _ANGLE_FIELDS,
     LinkageParameters,
     default_parameters,
     validate_parameters,
 )
 from .modeswitch import (
+    DEFAULT_GRIP_MARGIN,
     DEFAULT_SWEEP_HI_DEG,
     DEFAULT_SWEEP_LO_DEG,
     DEFAULT_SWEEP_STEP_DEG,
@@ -168,7 +170,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if decision.opens:
         print(f"verdict: opens (turn-over at >= {_num(sol.xi_b)} N)")
         print(
-            f"parallel grip budget (0.8 margin): "
+            f"parallel grip budget ({DEFAULT_GRIP_MARGIN:g} margin): "
             f"{_num(parallel_grip_budget(sol.xi_b))} N"
         )
     else:
@@ -353,7 +355,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         print(f"verified threshold: {_num(record.threshold)} N")
         for name in spec.free:
             value = getattr(result.parameters, name)
-            if name.startswith("theta"):
+            if name in _ANGLE_FIELDS:
                 print(f"{name} = {_num(math.degrees(value))} deg")
             else:
                 print(f"{name} = {_num(value)}")

@@ -21,11 +21,11 @@ and re-verification both read the scalar verdict kernel
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Mapping
 
-from .model import LinkageParameters, validate_parameters
+from .model import _ANGLE_FIELDS, LinkageParameters, validate_parameters
 from .modeswitch import (
     DEFAULT_REFINE_TOL,
     DEFAULT_SWEEP_HI,
@@ -52,28 +52,10 @@ __all__ = [
 
 # Parameters the search may vary.  The probe step epsilon only scales
 # reported probe forces, never the verdict, so it is not a design knob.
-_FREE_FIELDS = frozenset(
-    {
-        "l0",
-        "l1",
-        "l2",
-        "l3",
-        "l4",
-        "theta0",
-        "theta1",
-        "theta2",
-        "theta3",
-        "theta4",
-        "theta5",
-        "spring_k",
-        "natural_length",
-        "mu",
-    }
-)
+_FREE_FIELDS = frozenset(f.name for f in fields(LinkageParameters)) - {"epsilon"}
 
-_ANGLE_FREE = frozenset(
-    {"theta0", "theta1", "theta2", "theta3", "theta4", "theta5"}
-)
+# Evaluations a search may spend when neither caller nor design file says.
+DEFAULT_BUDGET = 400
 
 # Initial pattern steps, halved whenever a full pass fails to improve.
 _INITIAL_STEP_ANGLE = math.radians(1.0)
@@ -92,7 +74,7 @@ _BLOCKED_SHAPING_PER_DEG = 0.01
 
 
 def _initial_step(name: str) -> float:
-    if name in _ANGLE_FREE:
+    if name in _ANGLE_FIELDS:
         return _INITIAL_STEP_ANGLE
     if name == "spring_k":
         return _INITIAL_STEP_RATE
@@ -354,7 +336,7 @@ def _verify(spec: DesignSpec, p: LinkageParameters) -> VerificationRecord:
 def optimize_design(
     spec: DesignSpec,
     start: LinkageParameters,
-    budget: int = 400,
+    budget: int = DEFAULT_BUDGET,
 ) -> DesignResult:
     """Coordinate pattern search for a feasible design.
 

@@ -1,9 +1,9 @@
-"""Geometry and parameter handling for the parallel-link finger.
+"""Parameters and their validation for the parallel-link finger.
 
 The finger is a planar six-bar linkage driven by a tension spring.  Two
-equal-length side struts (O-R and O-S in the layout below) hang from a
-common base pivot O, a coupler R-Q rides on the left strut, and a slotted
-strut S-T slides over a fixed pin T.  The spring stretches between two
+equal-length side struts, O-R and O-S, hang from a common base pivot O,
+a coupler R-Q rides on the left strut, and a slotted strut S-T slides
+over a fixed pin T.  The spring stretches between two
 anchors U and V on the outer links and pulls the finger shut.
 
 All angles held by :class:`LinkageParameters` are radians and all lengths
@@ -17,14 +17,10 @@ import math
 from dataclasses import dataclass, fields, replace
 
 __all__ = [
-    "ClosureError",
-    "JointLayout",
     "LinkageParameters",
     "ParameterViolation",
     "ValidationReport",
     "default_parameters",
-    "joint_layout",
-    "surface_angle",
     "validate_parameters",
 ]
 
@@ -35,10 +31,6 @@ _LENGTH_FIELDS = ("l0", "l1", "l2", "l3", "l4", "natural_length")
 _ANGLE_FIELDS = ("theta0", "theta1", "theta2", "theta3", "theta4", "theta5")
 
 _HALF_PI = math.pi / 2.0
-
-
-class ClosureError(RuntimeError):
-    """Raised when the linkage cannot be assembled into a closed chain."""
 
 
 @dataclass(frozen=True)
@@ -157,6 +149,22 @@ def validate_parameters(p: LinkageParameters) -> ValidationReport:
             )
         )
 
+    # The friction coupling of branch s divides by -s*mu*sin(theta2) +
+    # cos(theta2), evaluated here exactly as statics.friction_coupling does.
+    mu = p.mu
+    if math.isfinite(t2) and math.isfinite(mu):
+        sin2, cos2 = math.sin(t2), math.cos(t2)
+        for s in (1.0, -1.0):
+            if -s * mu * sin2 + cos2 == 0.0:
+                found.append(
+                    ParameterViolation(
+                        "mu",
+                        f"mu = {mu} with theta2 = {t2} makes the friction "
+                        f"coupling of the {s:+.0f} branch divide by zero "
+                        "(-s*mu*sin(theta2) + cos(theta2) = 0)",
+                    )
+                )
+
     return ValidationReport(tuple(found))
 
 
@@ -187,100 +195,3 @@ def default_parameters() -> LinkageParameters:
         mu=0.6,
         epsilon=0.1,
     )
-
-
-@dataclass(frozen=True)
-class JointLayout:
-    """Planar coordinates of the named joints, in mm.
-
-    Origin is the base pivot O with y pointing up along the finger.  The
-    slotted pin T and the coupler joint Q sit on the x = 0 axis by
-    construction; ``closure_residual`` records how far the two slot-line
-    intercepts disagreed before T was placed at their midpoint.
-    """
-
-    o: tuple[float, float]
-    r: tuple[float, float]
-    s: tuple[float, float]
-    t: tuple[float, float]
-    q: tuple[float, float]
-    anchor_u: tuple[float, float]
-    anchor_v: tuple[float, float]
-    closure_residual: float
-
-
-def joint_layout(p: LinkageParameters) -> JointLayout:
-    """Place every joint of the closed chain in the O-centred frame.
-
-    Raises ValueError when the parameters do not validate, and
-    :class:`ClosureError` when a slot line runs parallel to the centre
-    axis so the chain cannot close onto the fixed pin.
-    """
-    report = validate_parameters(p)
-    if not report.ok:
-        raise ValueError("invalid parameters:\n" + report.describe())
-
-    s1, c1 = math.sin(p.theta1), math.cos(p.theta1)
-    s4, c4 = math.sin(p.theta4), math.cos(p.theta4)
-
-    r_joint = (p.l1 * s1, p.l1 * c1)
-    s_joint = (-p.l1 * s4, p.l1 * c4)
-
-    # Each slot line heads from its strut joint toward the centre axis.
-    # A vanishing sin(theta) means the line never meets x = 0.
-    if math.sin(p.theta3) == 0.0:
-        raise ClosureError(
-            "coupler-side slot line is parallel to the centre axis "
-            f"(theta3 = {p.theta3}); the chain cannot reach the fixed pin"
-        )
-    if math.sin(p.theta2) == 0.0:
-        raise ClosureError(
-            "slotted strut runs parallel to the centre axis "
-            f"(theta2 = {p.theta2}); the chain cannot reach the fixed pin"
-        )
-
-    reach_r = r_joint[0] / math.sin(p.theta3)
-    axis_y_from_r = r_joint[1] - reach_r * math.cos(p.theta3)
-
-    reach_s = -s_joint[0] / math.sin(p.theta2)
-    axis_y_from_s = s_joint[1] - reach_s * math.cos(p.theta2)
-
-    residual = abs(axis_y_from_r - axis_y_from_s)
-    t_y = 0.5 * (axis_y_from_r + axis_y_from_s)
-    t_joint = (0.0, t_y)
-    q_joint = (0.0, t_y + p.l2 * math.sin(p.theta2 + p.theta3))
-
-    anchor_u = (
-        p.l1 * s1 + p.l0 * math.sin(p.theta0 + p.theta1),
-        p.l1 * c1 - p.l0 * math.cos(p.theta0 + p.theta1),
-    )
-    anchor_v = (
-        -p.l1 * s4 - p.l0 * math.sin(p.theta4 + p.theta5),
-        p.l1 * c4 - p.l0 * math.cos(p.theta4 + p.theta5),
-    )
-
-    return JointLayout(
-        o=(0.0, 0.0),
-        r=r_joint,
-        s=s_joint,
-        t=t_joint,
-        q=q_joint,
-        anchor_u=anchor_u,
-        anchor_v=anchor_v,
-        closure_residual=residual,
-    )
-
-
-def surface_angle(opening_fraction: float) -> float:
-    """Finger pad surface angle for a given opening fraction.
-
-    Runs linearly from pi/2 (fully closed, pad vertical) down to pi/6
-    (fully open).  ``opening_fraction`` must lie in [0, 1].
-    """
-    if not (0.0 <= opening_fraction <= 1.0):
-        raise ValueError(
-            f"opening fraction must lie in [0, 1], got {opening_fraction}"
-        )
-    closed = math.pi / 2.0
-    opened = math.pi / 6.0
-    return closed + (opened - closed) * opening_fraction

@@ -46,7 +46,6 @@ __all__ = [
     "parallel_grip_budget",
     "select_mode",
     "sweep",
-    "sweep_grid",
     "sweep_points",
     "switching_threshold",
 ]
@@ -58,6 +57,8 @@ DEFAULT_SWEEP_LO = math.radians(DEFAULT_SWEEP_LO_DEG)
 DEFAULT_SWEEP_HI = math.radians(DEFAULT_SWEEP_HI_DEG)
 DEFAULT_SWEEP_STEP = math.radians(DEFAULT_SWEEP_STEP_DEG)
 DEFAULT_REFINE_TOL = math.radians(0.01)
+# Fraction of the switching threshold that a planned parallel grip may use.
+DEFAULT_GRIP_MARGIN = 0.8
 
 # Most steps a sweep grid may span.  A default sweep spans 240, and each
 # sample holds a full verdict, so this keeps a mistyped step from
@@ -504,7 +505,9 @@ def select_mode(applied_force: float, threshold: float) -> GraspMode:
     return GraspMode.TURN_OVER if applied_force >= threshold else GraspMode.PARALLEL_GRIP
 
 
-def parallel_grip_budget(threshold: float, margin: float = 0.8) -> float:
+def parallel_grip_budget(
+    threshold: float, margin: float = DEFAULT_GRIP_MARGIN
+) -> float:
     """Largest grip force to plan for while staying safely below flip.
 
     ``margin`` is the fraction of the threshold to allow; the default

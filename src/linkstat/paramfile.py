@@ -54,7 +54,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .model import LinkageParameters
+from .model import _ANGLE_FIELDS, LinkageParameters
 from .statics import _OPENS, _decide
 
 __all__ = [
@@ -246,7 +246,7 @@ def _eval_expression(text: str, line: int) -> float:
 
 _SECTION_KEYS: dict[str, tuple[str, ...]] = {
     "lengths_mm": ("l0", "l1", "l2", "l3", "l4"),
-    "angles_deg": ("theta0", "theta1", "theta2", "theta3", "theta4", "theta5"),
+    "angles_deg": _ANGLE_FIELDS,
     "spring": ("k_n_per_mm", "natural_length_mm"),
     "contact": ("mu",),
     "solver": ("epsilon_n",),
@@ -254,6 +254,17 @@ _SECTION_KEYS: dict[str, tuple[str, ...]] = {
 }
 
 _OPTIONAL_SECTIONS = frozenset({"sweep"})
+
+# File keys that name their LinkageParameters field differently; every
+# other key of a parameter section is the field name itself.
+_FIELD_OF_KEY = {
+    "k_n_per_mm": "spring_k",
+    "natural_length_mm": "natural_length",
+    "epsilon_n": "epsilon",
+}
+
+# Sections whose values the file holds in degrees and the model in radians.
+_DEGREE_SECTIONS = frozenset({"angles_deg", "sweep"})
 
 
 @dataclass(frozen=True)
@@ -320,7 +331,10 @@ def parse_parameter_document(text: str) -> ParameterDocument:
             raise ParameterFileError(
                 f"duplicate key {key!r} in [{section}]", lineno
             )
-        values[section][key] = _eval_expression(raw_value, lineno)
+        value = _eval_expression(raw_value, lineno)
+        if section in _DEGREE_SECTIONS:
+            value = math.radians(value)
+        values[section][key] = value
 
     missing: list[str] = []
     for section, keys in _SECTION_KEYS.items():
@@ -332,33 +346,15 @@ def parse_parameter_document(text: str) -> ParameterDocument:
     if missing:
         raise ParameterFileError("missing entries: " + ", ".join(missing))
 
-    lengths = values["lengths_mm"]
-    angles = values["angles_deg"]
-    params = LinkageParameters(
-        l0=lengths["l0"],
-        l1=lengths["l1"],
-        l2=lengths["l2"],
-        l3=lengths["l3"],
-        l4=lengths["l4"],
-        theta0=math.radians(angles["theta0"]),
-        theta1=math.radians(angles["theta1"]),
-        theta2=math.radians(angles["theta2"]),
-        theta3=math.radians(angles["theta3"]),
-        theta4=math.radians(angles["theta4"]),
-        theta5=math.radians(angles["theta5"]),
-        spring_k=values["spring"]["k_n_per_mm"],
-        natural_length=values["spring"]["natural_length_mm"],
-        mu=values["contact"]["mu"],
-        epsilon=values["solver"]["epsilon_n"],
-    )
-    sweep_values = values["sweep"]
+    params = LinkageParameters(**{
+        _FIELD_OF_KEY.get(key, key): value
+        for section, entries in values.items()
+        if section != "sweep"
+        for key, value in entries.items()
+    })
     sweep = None
-    if sweep_values:
-        sweep = SweepSettings(
-            zeta_lo=math.radians(sweep_values["zeta_lo_deg"]),
-            zeta_hi=math.radians(sweep_values["zeta_hi_deg"]),
-            step=math.radians(sweep_values["step_deg"]),
-        )
+    if values["sweep"]:
+        sweep = SweepSettings(*(values["sweep"][k] for k in _SECTION_KEYS["sweep"]))
     return ParameterDocument(parameters=params, sweep=sweep)
 
 
@@ -381,41 +377,20 @@ def format_parameter_file(
     format compose to the identity, apart from the degree conversion of
     angles which costs at most one unit in the last place.
     """
-    lines = [
-        "[lengths_mm]",
-        f"l0 = {_fmt(p.l0)}",
-        f"l1 = {_fmt(p.l1)}",
-        f"l2 = {_fmt(p.l2)}",
-        f"l3 = {_fmt(p.l3)}",
-        f"l4 = {_fmt(p.l4)}",
-        "",
-        "[angles_deg]",
-        f"theta0 = {_fmt(math.degrees(p.theta0))}",
-        f"theta1 = {_fmt(math.degrees(p.theta1))}",
-        f"theta2 = {_fmt(math.degrees(p.theta2))}",
-        f"theta3 = {_fmt(math.degrees(p.theta3))}",
-        f"theta4 = {_fmt(math.degrees(p.theta4))}",
-        f"theta5 = {_fmt(math.degrees(p.theta5))}",
-        "",
-        "[spring]",
-        f"k_n_per_mm = {_fmt(p.spring_k)}",
-        f"natural_length_mm = {_fmt(p.natural_length)}",
-        "",
-        "[contact]",
-        f"mu = {_fmt(p.mu)}",
-        "",
-        "[solver]",
-        f"epsilon_n = {_fmt(p.epsilon)}",
-    ]
-    if sweep is not None:
-        lines += [
-            "",
-            "[sweep]",
-            f"zeta_lo_deg = {_fmt(math.degrees(sweep.zeta_lo))}",
-            f"zeta_hi_deg = {_fmt(math.degrees(sweep.zeta_hi))}",
-            f"step_deg = {_fmt(math.degrees(sweep.step))}",
-        ]
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, keys in _SECTION_KEYS.items():
+        if section != "sweep":
+            values = [getattr(p, _FIELD_OF_KEY.get(key, key)) for key in keys]
+        elif sweep is not None:
+            values = [sweep.zeta_lo, sweep.zeta_hi, sweep.step]
+        else:
+            continue
+        if section in _DEGREE_SECTIONS:
+            values = [math.degrees(v) for v in values]
+        blocks.append("\n".join(
+            [f"[{section}]", *(f"{k} = {_fmt(v)}" for k, v in zip(keys, values))]
+        ))
+    return "\n\n".join(blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +408,6 @@ _DESIGN_SECTIONS: dict[str, tuple[str, ...] | None] = {
     # [bounds] keys are parameter names, checked by DesignSpec validation.
     "bounds": None,
 }
-
-_DESIGN_ANGLE_BOUNDS = frozenset(
-    {"theta0", "theta1", "theta2", "theta3", "theta4", "theta5"}
-)
 
 
 def parse_design_file(text: str) -> tuple["DesignSpec", int]:
@@ -462,11 +433,11 @@ def parse_design_file(text: str) -> tuple["DesignSpec", int]:
     native unit.  The spec itself is validated by the design machinery,
     so this parser only handles structure and units.
     """
-    from .design import DesignSpec
+    from .design import DEFAULT_BUDGET, DesignSpec
 
     target: dict[str, float] = {}
     free: tuple[str, ...] = ()
-    budget = 400
+    budget = DEFAULT_BUDGET
     bounds: dict[str, tuple[float, float]] = {}
 
     for lineno, section, key, raw in _iter_entries(text, tuple(_DESIGN_SECTIONS)):
@@ -507,7 +478,7 @@ def parse_design_file(text: str) -> tuple["DesignSpec", int]:
                 )
             lo = _eval_expression(parts[0], lineno)
             hi = _eval_expression(parts[1], lineno)
-            if key in _DESIGN_ANGLE_BOUNDS:
+            if key in _ANGLE_FIELDS:
                 lo, hi = math.radians(lo), math.radians(hi)
             bounds[key] = (lo, hi)
 

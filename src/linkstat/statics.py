@@ -515,8 +515,9 @@ def predict_opening(p: LinkageParameters, zeta: float) -> OpeningDecision:
 class EquilibriumState:
     """Full member-by-member force state from the raw 9-unknown balance.
 
-    Forces are (x, y) pairs in N on the joints named in the layout;
-    ``beta_6`` is the slotted strut internal force that the aggregated
+    Forces are (x, y) pairs in N: ``f_r1`` at joint R of the left strut,
+    ``f_s4`` at joint S of the right strut and ``f_pin`` on the slotted
+    pin T (joints as named in :mod:`linkstat.model`); ``beta_6`` is the slotted strut internal force that the aggregated
     route folds away.  ``residual`` is the worst scaled defect over all
     nine balance rows.
     """

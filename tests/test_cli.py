@@ -319,6 +319,39 @@ def test_undefined_expression_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("theta2_deg,sign", [(18.5, 1), (-18.5, -1)], ids=["plus", "minus"])
+@pytest.mark.parametrize("command", ["analyze", "sweep", "optimize", "validate", "compare"])
+def test_zero_friction_coupling_denominator_exits_2(command, theta2_deg, sign, tmp_path, capsys):
+    """A build whose friction coupling divides by zero is refused, not run."""
+    t2 = math.radians(theta2_deg)
+    build = default_parameters().with_values(theta2=t2, mu=sign * math.cos(t2) / math.sin(t2))
+    params = tmp_path / "params.txt"
+    params.write_text(format_parameter_file(build))
+    design = tmp_path / "design.txt"
+    design.write_text(DESIGN_OK)
+    meas = tmp_path / "meas.csv"
+    meas.write_text("zeta_deg,measured_force_n\n0,5.0\n")
+    out = tmp_path / "out.txt"
+    argv = {
+        "analyze": ["--zeta-deg", "0"],
+        "sweep": ["--out", str(out)],
+        "optimize": ["--design", str(design), "--out", str(out)],
+        "validate": [],
+        "compare": ["--measurements", str(meas), "--out", str(out)],
+    }[command]
+    assert main([command, "--params", str(params), *argv]) == 2
+    captured = capsys.readouterr()
+    if command == "validate":
+        # validate reports rule violations on stdout, one per line.
+        assert "\nmu: " in captured.out and f"{sign:+d} branch" in captured.out
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith(f"error: {params}: invalid parameters\nmu: ")
+        assert captured.out == ""
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 def _run_child(code, commands):
     """Run ``code`` in a fresh interpreter on ``commands``; its last line as JSON."""
     src = str(Path(linkstat.__file__).resolve().parent.parent)

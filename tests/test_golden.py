@@ -1,16 +1,19 @@
 """Byte-for-byte pins on what the CLI writes.
 
-Each test runs one command in-process and compares the SHA-256 digest of
-its output with a recorded one.  The float formatting of the CLI keeps
+Each test runs one command in-process, or the parameter-file writer that
+``optimize --out`` uses, and compares the SHA-256 digest of its output
+with a recorded one.  The float formatting of the CLI keeps
 nine significant digits, so any change to the solver that moves a digit
 of a sweep, a verdict or a comparison fails here.  A change that means
 to move one must say why and record the new digests.
 """
 
 import hashlib
+import math
 
 import pytest
 
+from linkstat import SweepSettings, default_parameters, format_parameter_file
 from linkstat.cli import main
 
 # A non-reference build whose [sweep] section overrides the default
@@ -65,6 +68,8 @@ GOLDEN = {
     "analyze_-15": "b6a1d7b48df81f45d8e5dde2e707d708a62bd3ed723a5ef0f908d2ad6041a629",
     "analyze_60": "b154f2ffadf6b152fad59c4dc7cf15bda81e7a3df8a39f759df6a9a0d38c0469",
     "compare": "4c546762c5aa5655d6002457de21ef19593dd58dbaeaed8627b93656f3685425",
+    "params_builtin": "1bcd1ccbcf7fccdbc948fb23651f08d39864da4fea9b575878647010c8f1fda4",
+    "params_builtin_sweep": "a6f1ebe92420641d741a52c7f5af282d31ef5d45c746fb9981b59d7da958b99f",
 }
 
 
@@ -121,3 +126,14 @@ def test_compare_bytes(tmp_path, capsys):
     out = command_stdout(["compare", "--measurements", str(table)], capsys)
     assert "not opening" in out.decode()
     assert _sha(out) == GOLDEN["compare"]
+
+
+@pytest.mark.parametrize("with_sweep", [False, True], ids=["plain", "sweep"])
+def test_parameter_file_bytes(with_sweep):
+    sweep = None
+    if with_sweep:
+        sweep = SweepSettings(math.radians(-30.0), math.radians(90.0), math.radians(0.5))
+    text = format_parameter_file(default_parameters(), sweep)
+    assert ("[sweep]" in text) is with_sweep
+    key = "params_builtin_sweep" if with_sweep else "params_builtin"
+    assert _sha(text.encode()) == GOLDEN[key]

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from linkstat import (
-    ClosureError,
-    default_parameters,
-    joint_layout,
-    surface_angle,
-    validate_parameters,
-)
+from linkstat import default_parameters, friction_coupling, validate_parameters
 
 
 def test_defaults_validate(defaults):
@@ -64,69 +58,22 @@ def test_any_nonpositive_length_is_named(name, value):
 
 @given(st.floats(allow_nan=True, allow_infinity=True))
 def test_validation_never_raises(value):
-    p = default_parameters().with_values(l1=value, theta2=value, spring_k=value)
+    p = default_parameters().with_values(l1=value, theta2=value, spring_k=value, mu=value)
     validate_parameters(p)  # must not raise, whatever the input
 
 
-def test_layout_reference_positions(defaults):
-    layout = joint_layout(defaults)
-    assert layout.o == (0.0, 0.0)
-    assert math.isclose(layout.r[0], 24.0 * math.sin(math.radians(9.0)))
-    assert math.isclose(layout.r[1], 24.0 * math.cos(math.radians(9.0)))
-    assert layout.s[0] < 0.0 < layout.r[0]
-    # Pin and coupler joint sit on the centre axis.
-    assert layout.t[0] == 0.0
-    assert layout.q[0] == 0.0
-    assert layout.q[1] > layout.t[1]
-    # The two slot-line intercepts straddle the pin by construction.
-    assert math.isclose(layout.t[1], 12.099, rel_tol=1e-3)
-    assert math.isclose(layout.closure_residual, 4.818, rel_tol=1e-3)
-
-
-def test_layout_mirror_symmetry(defaults):
-    mirrored = defaults.with_values(
-        theta0=defaults.theta5,
-        theta5=defaults.theta0,
-        theta1=defaults.theta4,
-        theta4=defaults.theta1,
-        theta2=defaults.theta3,
-        theta3=defaults.theta2,
-    )
-    a = joint_layout(defaults)
-    b = joint_layout(mirrored)
-    for left, right in ((a.r, b.s), (a.s, b.r), (a.anchor_u, b.anchor_v), (a.anchor_v, b.anchor_u)):
-        assert math.isclose(left[0], -right[0], abs_tol=1e-9)
-        assert math.isclose(left[1], right[1], abs_tol=1e-9)
-    assert math.isclose(a.t[1], b.t[1], abs_tol=1e-9)
-    assert math.isclose(a.closure_residual, b.closure_residual, abs_tol=1e-9)
-
-
-def test_layout_rejects_invalid_parameters(defaults):
-    with pytest.raises(ValueError, match="l1"):
-        joint_layout(defaults.with_values(l1=-3.0))
-
-
-def test_layout_parallel_slot_line(defaults):
-    with pytest.raises(ClosureError):
-        joint_layout(defaults.with_values(theta3=0.0))
-
-
-def test_surface_angle_endpoints():
-    assert surface_angle(0.0) == math.pi / 2
-    assert math.isclose(surface_angle(1.0), math.pi / 6)
-    assert math.isclose(surface_angle(0.5), math.pi / 3)
-
-
-@given(
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-def test_surface_angle_monotone(a, b):
-    if a < b:
-        assert surface_angle(a) > surface_angle(b)
-
-
-@pytest.mark.parametrize("fraction", [-0.001, 1.001, math.nan])
-def test_surface_angle_domain(fraction):
-    with pytest.raises(ValueError):
-        surface_angle(fraction)
+@pytest.mark.parametrize("theta2_deg,sign", [(18.5, 1), (-18.5, -1)])
+def test_zero_friction_coupling_denominator_reported(defaults, theta2_deg, sign):
+    """mu = s*cot(theta2) zeroes the coupling denominator of branch s only."""
+    t2 = math.radians(theta2_deg)
+    p = defaults.with_values(theta2=t2, mu=sign * math.cos(t2) / math.sin(t2))
+    with pytest.raises(ZeroDivisionError):
+        friction_coupling(p, sign)
+    assert math.isfinite(friction_coupling(p, -sign))
+    report = validate_parameters(p)
+    assert [v.field for v in report.violations] == ["mu"]
+    assert f"{sign:+d} branch" in report.violations[0].message
+    # The rule is the exact zero the solver divides by, not a band around it.
+    nudged = p.with_values(mu=math.nextafter(p.mu, math.inf))
+    assert math.isfinite(friction_coupling(nudged, sign))
+    assert validate_parameters(nudged).ok
