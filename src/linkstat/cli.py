@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from .model import (
     _ANGLE_FIELDS,
@@ -107,40 +106,33 @@ def _write_text(path: str, text: str) -> None:
         raise _Fail(5, f"cannot write {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class _LoadedParams:
-    params: LinkageParameters
-    sweep: SweepSettings | None
-    label: str
-
-
-def _load_params(path: str | None) -> _LoadedParams:
+def _load_params(path: str | None) -> tuple[ParameterDocument, str]:
+    """The parameter document at ``path``, or the built-in build, and its label."""
     if path is None:
-        return _LoadedParams(default_parameters(), None, "builtin")
+        return ParameterDocument(default_parameters(), None), "builtin"
     text = _read_text(path)
     try:
-        doc: ParameterDocument = parse_parameter_document(text)
+        return parse_parameter_document(text), path
     except ParameterFileError as exc:
         raise _Fail(2, f"{path}: {exc}") from exc
-    return _LoadedParams(doc.parameters, doc.sweep, path)
 
 
-def _require_valid(loaded: _LoadedParams) -> None:
-    report = validate_parameters(loaded.params)
+def _require_valid(p: LinkageParameters, label: str) -> None:
+    report = validate_parameters(p)
     if not report.ok:
-        raise _Fail(2, f"{loaded.label}: invalid parameters\n{report.describe()}")
+        raise _Fail(2, f"{label}: invalid parameters\n{report.describe()}")
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    loaded = _load_params(args.params)
-    _require_valid(loaded)
-    p = loaded.params
+    doc, label = _load_params(args.params)
+    p = doc.parameters
+    _require_valid(p, label)
     zeta = math.radians(args.zeta_deg)
 
-    print(f"parameters: {loaded.label}")
+    print(f"parameters: {label}")
     print(f"press direction: {_num(args.zeta_deg)} deg")
     print(f"spring force: {_num(spring_force(p))} N")
     print(f"tip moment ratio: {_num(tip_moment_ratio(p, zeta))}")
@@ -276,20 +268,17 @@ def _render_svg(zetas_deg: list[float], forces: list[float]) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    loaded = _load_params(args.params)
-    _require_valid(loaded)
-    p = loaded.params
+    doc, label = _load_params(args.params)
+    p = doc.parameters
+    _require_valid(p, label)
 
-    file_sweep = loaded.sweep
-    lo_deg = args.lo_deg
-    if lo_deg is None:
-        lo_deg = math.degrees(file_sweep.zeta_lo) if file_sweep else DEFAULT_SWEEP_LO_DEG
-    hi_deg = args.hi_deg
-    if hi_deg is None:
-        hi_deg = math.degrees(file_sweep.zeta_hi) if file_sweep else DEFAULT_SWEEP_HI_DEG
-    step_deg = args.step_deg
-    if step_deg is None:
-        step_deg = math.degrees(file_sweep.step) if file_sweep else DEFAULT_SWEEP_STEP_DEG
+    # A flag overrides the file's [sweep], which overrides the default.
+    file_sweep = doc.sweep or SweepSettings(
+        DEFAULT_SWEEP_LO_DEG, DEFAULT_SWEEP_HI_DEG, DEFAULT_SWEEP_STEP_DEG
+    )
+    lo_deg = file_sweep.zeta_lo_deg if args.lo_deg is None else args.lo_deg
+    hi_deg = file_sweep.zeta_hi_deg if args.hi_deg is None else args.hi_deg
+    step_deg = file_sweep.step_deg if args.step_deg is None else args.step_deg
 
     try:
         zetas_deg = sweep_grid(lo_deg, hi_deg, step_deg)
@@ -305,7 +294,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     threshold = press.required_force if press.opens else None
 
     summary = _sweep_summary(
-        loaded.label, lo_deg, hi_deg, step_deg, curve, intervals,
+        label, lo_deg, hi_deg, step_deg, curve, intervals,
         args.press_angle_deg, threshold,
     )
     sys.stdout.write(summary)
@@ -331,14 +320,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     # Imported here so that the other subcommands never load the search.
     from .design import DesignStatus, optimize_design
 
-    loaded = _load_params(args.params)
-    _require_valid(loaded)
+    doc, label = _load_params(args.params)
+    _require_valid(doc.parameters, label)
     text = _read_text(args.design)
     try:
         spec, budget = parse_design_file(text)
         if args.budget is not None:
             budget = args.budget
-        result = optimize_design(spec, loaded.params, budget)
+        result = optimize_design(spec, doc.parameters, budget)
     except (ParameterFileError, ValueError) as exc:
         raise _Fail(2, f"{args.design}: {exc}") from exc
 
@@ -373,9 +362,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 # validate
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    loaded = _load_params(args.params)
-    report = validate_parameters(loaded.params)
-    print(f"parameters: {loaded.label}")
+    doc, label = _load_params(args.params)
+    report = validate_parameters(doc.parameters)
+    print(f"parameters: {label}")
     print(report.describe())
     return 0 if report.ok else 2
 
@@ -384,15 +373,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # compare
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    loaded = _load_params(args.params)
-    _require_valid(loaded)
+    doc, label = _load_params(args.params)
+    _require_valid(doc.parameters, label)
     text = _read_text(args.measurements)
     try:
         measurements = read_measurements(text)
     except MeasurementFileError as exc:
         raise _Fail(2, f"{args.measurements}: {exc}") from exc
 
-    result = compare_measurements(loaded.params, measurements)
+    result = compare_measurements(doc.parameters, measurements)
     print("zeta_deg  measured_N  predicted_N  abs_dev_N  rel_dev")
     for row in result.rows:
         z = f"{math.degrees(row.zeta):8.3f}"

@@ -72,6 +72,9 @@ _INTERVAL_WEIGHT = 1.0
 _THRESHOLD_WEIGHT = 10.0
 _BLOCKED_SHAPING_PER_DEG = 0.01
 
+# Central-difference step of sensitivity(), relative to the field's size.
+_SENSITIVITY_REL_STEP = 1e-6
+
 
 def _initial_step(name: str) -> float:
     if name in _ANGLE_FIELDS:
@@ -83,18 +86,13 @@ def _initial_step(name: str) -> float:
     return _INITIAL_STEP_LENGTH
 
 
-def sensitivity(
-    p: LinkageParameters,
-    name: str,
-    zeta: float,
-    rel_step: float = 1e-6,
-) -> float:
+def sensitivity(p: LinkageParameters, name: str, zeta: float) -> float:
     """Central-difference sensitivity of the balance force to one field.
 
-    The step is ``rel_step`` scaled by the field magnitude (floored at 1
-    so near-zero fields still move).  All three evaluation points must
-    open; otherwise the derivative of the switching force is undefined
-    there and :class:`~linkstat.modeswitch.NotOpeningError` propagates.
+    The step is 1e-6 of the field magnitude (floored at 1 so near-zero
+    fields still move).  All three evaluation points must open;
+    otherwise the derivative of the switching force is undefined there
+    and :class:`~linkstat.modeswitch.NotOpeningError` propagates.
     """
     if name not in _FREE_FIELDS:
         raise ValueError(
@@ -102,7 +100,7 @@ def sensitivity(
             f"{sorted(_FREE_FIELDS)}"
         )
     value = getattr(p, name)
-    h = rel_step * max(abs(value), 1.0)
+    h = _SENSITIVITY_REL_STEP * max(abs(value), 1.0)
     switching_threshold(p, zeta)
     up = switching_threshold(p.with_values(**{name: value + h}), zeta)
     down = switching_threshold(p.with_values(**{name: value - h}), zeta)

@@ -149,19 +149,22 @@ def validate_parameters(p: LinkageParameters) -> ValidationReport:
             )
         )
 
-    # The friction coupling of branch s divides by -s*mu*sin(theta2) +
-    # cos(theta2), evaluated here exactly as statics.friction_coupling does.
+    # The slotted pin self-locks once the friction angle reaches the
+    # slot's complement, mu >= cot|theta2|: the coupling denominator
+    # -s*mu*sin(theta2) + cos(theta2) of branch s, evaluated here exactly
+    # as statics.friction_coupling does, is then <= 0, and the sliding
+    # balance no longer holds.
     mu = p.mu
     if math.isfinite(t2) and math.isfinite(mu):
         sin2, cos2 = math.sin(t2), math.cos(t2)
         for s in (1.0, -1.0):
-            if -s * mu * sin2 + cos2 == 0.0:
+            if -s * mu * sin2 + cos2 <= 0.0:
                 found.append(
                     ParameterViolation(
                         "mu",
-                        f"mu = {mu} with theta2 = {t2} makes the friction "
-                        f"coupling of the {s:+.0f} branch divide by zero "
-                        "(-s*mu*sin(theta2) + cos(theta2) = 0)",
+                        f"mu = {mu} with theta2 = {t2} self-locks the slotted "
+                        f"pin on the {s:+.0f} branch (mu >= cot|theta2|, so "
+                        "-s*mu*sin(theta2) + cos(theta2) <= 0)",
                     )
                 )
 

@@ -339,8 +339,8 @@ def _sign_functions(
     # reads singular below _DET_RELATIVE_FLOOR times the squared row
     # scale, max(hypot(a00, a01), hypot(a10, a11)), which the sizes bound.
     for u, v, is_det in (
-        (t.branch(1)[1], s13, True),
-        (t.branch(-1)[1], s13, True),
+        (t.branch(1), s13, True),
+        (t.branch(-1), s13, True),
         (t.b1, t.b0, False),
     ):
         row_scale_sq = max(a00[2] ** 2 + s13 * s13, a10[2] ** 2 + u * u)
@@ -505,16 +505,12 @@ def select_mode(applied_force: float, threshold: float) -> GraspMode:
     return GraspMode.TURN_OVER if applied_force >= threshold else GraspMode.PARALLEL_GRIP
 
 
-def parallel_grip_budget(
-    threshold: float, margin: float = DEFAULT_GRIP_MARGIN
-) -> float:
+def parallel_grip_budget(threshold: float) -> float:
     """Largest grip force to plan for while staying safely below flip.
 
-    ``margin`` is the fraction of the threshold to allow; the default
-    keeps a 20 percent guard band.
+    That is :data:`DEFAULT_GRIP_MARGIN` of the threshold, a 20 percent
+    guard band.
     """
-    if not (0.0 < margin <= 1.0):
-        raise ValueError(f"margin must lie in (0, 1], got {margin}")
     if not math.isfinite(threshold) or threshold < 0.0:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
-    return margin * threshold
+    return DEFAULT_GRIP_MARGIN * threshold

@@ -1,11 +1,13 @@
-"""Text formats: linkage parameter files and bench measurement tables.
+"""Text formats: linkage parameter files, design target files and bench
+measurement tables.
 
-Parameter files are sectioned key = value text.  Values are arithmetic
-expressions over numeric literals with sin/cos/tan/sqrt, trig arguments
-in degrees, so a length derived from a tilted pad can be written the way
-it appears on a drawing, e.g. ``l4 = 2.5*cos(15)``.  Expressions are
-parsed with a tiny recursive-descent evaluator; nothing is ever passed
-to eval().
+Parameter and design files are sectioned key = value text, read by one
+reader that reports unknown sections, unknown keys and repeated keys
+with their line numbers.  Values are arithmetic expressions over
+numeric literals with sin/cos/tan/sqrt, trig arguments in degrees, so a
+length derived from a tilted pad can be written the way it appears on a
+drawing, e.g. ``l4 = 2.5*cos(15)``.  Expressions are parsed with a tiny
+recursive-descent evaluator; nothing is ever passed to eval().
 
 The canonical file layout::
 
@@ -39,10 +41,12 @@ The canonical file layout::
     zeta_hi_deg = 90
     step_deg = 0.5
 
-The [sweep] section is optional; everything else is required.  Blank
-lines and ``#`` comments are ignored.  Parsing is permissive about the
-physics (a zero length parses fine); run validation separately to get
-the full rule report.
+The [sweep] section is optional; everything else is required.  Angles
+are converted to radians; [sweep] values stay in the degrees the file
+wrote, the unit the sweep grid is built in.  Blank lines and ``#``
+comments are ignored.  Parsing is permissive about the physics (a zero
+length parses fine); run validation separately to get the full rule
+report.
 """
 
 from __future__ import annotations
@@ -75,8 +79,8 @@ __all__ = [
 ]
 
 
-class ParameterFileError(ValueError):
-    """Malformed parameter file; carries the offending line number."""
+class _LineError(ValueError):
+    """A fault in a text file; carries the offending line number."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -85,14 +89,12 @@ class ParameterFileError(ValueError):
         super().__init__(message)
 
 
-class MeasurementFileError(ValueError):
+class ParameterFileError(_LineError):
+    """Malformed parameter or design file."""
+
+
+class MeasurementFileError(_LineError):
     """Malformed measurement table."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +265,15 @@ _FIELD_OF_KEY = {
     "epsilon_n": "epsilon",
 }
 
-# Sections whose values the file holds in degrees and the model in radians.
-_DEGREE_SECTIONS = frozenset({"angles_deg", "sweep"})
-
 
 @dataclass(frozen=True)
 class SweepSettings:
-    """Sweep range override carried by a parameter file, radians."""
+    """Sweep range override carried by a parameter file, in the degrees
+    the file wrote; the CLI builds its degree grid from them unconverted."""
 
-    zeta_lo: float
-    zeta_hi: float
-    step: float
+    zeta_lo_deg: float
+    zeta_hi_deg: float
+    step_deg: float
 
 
 @dataclass(frozen=True)
@@ -283,20 +283,25 @@ class ParameterDocument:
 
 
 def _iter_entries(
-    text: str, known_sections: Sequence[str]
+    text: str, layout: dict[str, tuple[str, ...] | None]
 ) -> Iterator[tuple[int, str, str, str]]:
-    """Yield (line number, section, key, raw value) for every entry."""
+    """Yield (line number, section, key, raw value) for every entry.
+
+    ``layout`` maps each section to its keys, or to None where any key
+    is allowed.  An unknown section or key, or a key repeated within its
+    section, is reported here, before the caller reads the value.
+    """
     section: str | None = None
+    seen: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in known_sections:
+            if name not in layout:
                 raise ParameterFileError(
-                    f"unknown section [{name}]; expected one of "
-                    f"{sorted(known_sections)}",
+                    f"unknown section [{name}]; expected one of {sorted(layout)}",
                     lineno,
                 )
             section = name
@@ -310,7 +315,20 @@ def _iter_entries(
                 "value appears before any [section] header", lineno
             )
         key, _, value = line.partition("=")
-        yield lineno, section, key.strip(), value.strip()
+        key = key.strip()
+        allowed = layout[section]
+        if allowed is not None and key not in allowed:
+            raise ParameterFileError(
+                f"unknown key {key!r} in [{section}]; expected one of "
+                f"{list(allowed)}",
+                lineno,
+            )
+        if (section, key) in seen:
+            raise ParameterFileError(
+                f"duplicate key {key!r} in [{section}]", lineno
+            )
+        seen.add((section, key))
+        yield lineno, section, key, value.strip()
 
 
 def parse_parameter_document(text: str) -> ParameterDocument:
@@ -320,19 +338,9 @@ def parse_parameter_document(text: str) -> ParameterDocument:
     returned parameters are not physics-validated here.
     """
     values: dict[str, dict[str, float]] = {name: {} for name in _SECTION_KEYS}
-    for lineno, section, key, raw_value in _iter_entries(text, tuple(_SECTION_KEYS)):
-        if key not in _SECTION_KEYS[section]:
-            raise ParameterFileError(
-                f"unknown key {key!r} in [{section}]; expected one of "
-                f"{list(_SECTION_KEYS[section])}",
-                lineno,
-            )
-        if key in values[section]:
-            raise ParameterFileError(
-                f"duplicate key {key!r} in [{section}]", lineno
-            )
+    for lineno, section, key, raw_value in _iter_entries(text, _SECTION_KEYS):
         value = _eval_expression(raw_value, lineno)
-        if section in _DEGREE_SECTIONS:
+        if section == "angles_deg":
             value = math.radians(value)
         values[section][key] = value
 
@@ -346,16 +354,13 @@ def parse_parameter_document(text: str) -> ParameterDocument:
     if missing:
         raise ParameterFileError("missing entries: " + ", ".join(missing))
 
+    sweep = values.pop("sweep")
     params = LinkageParameters(**{
         _FIELD_OF_KEY.get(key, key): value
-        for section, entries in values.items()
-        if section != "sweep"
+        for entries in values.values()
         for key, value in entries.items()
     })
-    sweep = None
-    if values["sweep"]:
-        sweep = SweepSettings(*(values["sweep"][k] for k in _SECTION_KEYS["sweep"]))
-    return ParameterDocument(parameters=params, sweep=sweep)
+    return ParameterDocument(params, SweepSettings(**sweep) if sweep else None)
 
 
 def parse_parameter_file(text: str) -> LinkageParameters:
@@ -379,13 +384,11 @@ def format_parameter_file(
     """
     blocks = []
     for section, keys in _SECTION_KEYS.items():
-        if section != "sweep":
-            values = [getattr(p, _FIELD_OF_KEY.get(key, key)) for key in keys]
-        elif sweep is not None:
-            values = [sweep.zeta_lo, sweep.zeta_hi, sweep.step]
-        else:
+        source = sweep if section == "sweep" else p
+        if source is None:
             continue
-        if section in _DEGREE_SECTIONS:
+        values = [getattr(source, _FIELD_OF_KEY.get(key, key)) for key in keys]
+        if section == "angles_deg":
             values = [math.degrees(v) for v in values]
         blocks.append("\n".join(
             [f"[{section}]", *(f"{k} = {_fmt(v)}" for k, v in zip(keys, values))]
@@ -440,22 +443,11 @@ def parse_design_file(text: str) -> tuple["DesignSpec", int]:
     budget = DEFAULT_BUDGET
     bounds: dict[str, tuple[float, float]] = {}
 
-    for lineno, section, key, raw in _iter_entries(text, tuple(_DESIGN_SECTIONS)):
-        allowed = _DESIGN_SECTIONS[section]
-        if allowed is not None and key not in allowed:
-            raise ParameterFileError(
-                f"unknown key {key!r} in [{section}]; expected one of "
-                f"{list(allowed)}",
-                lineno,
-            )
+    for lineno, section, key, raw in _iter_entries(text, _DESIGN_SECTIONS):
         if section == "target":
-            if key in target:
-                raise ParameterFileError(f"duplicate key {key!r}", lineno)
             target[key] = _eval_expression(raw, lineno)
         elif section == "search":
             if key == "free":
-                if free:
-                    raise ParameterFileError("duplicate key 'free'", lineno)
                 free = tuple(
                     name.strip() for name in raw.split(",") if name.strip()
                 )
@@ -469,8 +461,6 @@ def parse_design_file(text: str) -> tuple["DesignSpec", int]:
                     )
                 budget = int(value)
         else:
-            if key in bounds:
-                raise ParameterFileError(f"duplicate bound {key!r}", lineno)
             parts = raw.split(",")
             if len(parts) != 2:
                 raise ParameterFileError(
@@ -592,29 +582,14 @@ def compare_measurements(
     devs: list[float] = []
     for m in measurements:
         code, predicted = _decide(p, m.zeta)[:2]
+        abs_dev = rel_dev = None
         if code == _OPENS:
             abs_dev = abs(predicted - m.measured_force)
             rel_dev = abs_dev / m.measured_force if m.measured_force > 0.0 else None
             devs.append(abs_dev)
-            rows.append(
-                ComparisonRow(
-                    zeta=m.zeta,
-                    measured=m.measured_force,
-                    predicted=predicted,
-                    abs_dev=abs_dev,
-                    rel_dev=rel_dev,
-                )
-            )
         else:
-            rows.append(
-                ComparisonRow(
-                    zeta=m.zeta,
-                    measured=m.measured_force,
-                    predicted=None,
-                    abs_dev=None,
-                    rel_dev=None,
-                )
-            )
+            predicted = None
+        rows.append(ComparisonRow(m.zeta, m.measured_force, predicted, abs_dev, rel_dev))
     mean = sum(devs) / len(devs) if devs else None
     return ComparisonResult(rows=tuple(rows), mean_abs_dev=mean)
 

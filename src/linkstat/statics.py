@@ -33,8 +33,8 @@ repackage the same tuple into :class:`BalanceSolution`,
 fields (the CLI's sweep CSV and ``analyze``).
 
 Most of the 2x2 balance does not depend on the press direction: the
-strut-angle sines, the spring load and right-hand side, the friction
-couplings and the probe-force cosines belong to the build alone.  The
+strut-angle sines, the right-hand side, each friction branch's a11
+and the probe-force cosines belong to the build alone.  The
 first route computes them once per build and keeps the most recent
 build's terms, keyed on the identity of its (frozen) parameters object,
 so a sweep, a bisection or a comparison over one build leaves each
@@ -145,10 +145,6 @@ class BalanceSystem:
     a11: float
     b0: float
     b1: float
-    tip_ratio: float
-    coupling: float
-    sign_beta3: int
-    spring_load: float
 
     @property
     def det(self) -> float:
@@ -172,10 +168,9 @@ def _require_finite(zeta: float) -> None:
         raise ValueError(f"press direction must be finite, got {zeta!r}")
 
 
-def _friction_branch(p: LinkageParameters, sign_beta3: int) -> tuple[float, float]:
-    """Coupling and a11 for one friction branch, the only branch-dependent entry."""
-    lam = friction_coupling(p, sign_beta3)
-    return lam, lam * math.sin(p.theta4 - p.theta2)
+def _friction_branch(p: LinkageParameters, sign_beta3: int) -> float:
+    """a11 of one friction branch, the only branch-dependent entry."""
+    return friction_coupling(p, sign_beta3) * math.sin(p.theta4 - p.theta2)
 
 
 class _BuildTerms:
@@ -187,7 +182,7 @@ class _BuildTerms:
     coupling may divide by zero where the +1 branch does not.
     """
 
-    __slots__ = ("params", "denom", "s13", "s34", "b0", "b1", "spring_load",
+    __slots__ = ("params", "denom", "s13", "s34", "b0", "b1",
                  "plus", "_minus", "cos1", "cos4")
 
     def __init__(self, p: LinkageParameters) -> None:
@@ -196,17 +191,16 @@ class _BuildTerms:
         self.s13 = math.sin(p.theta1 - p.theta3)
         self.s34 = math.sin(p.theta3 + p.theta4)
         self.plus = _friction_branch(p, 1)
-        self._minus: tuple[float, float] | None = None
+        self._minus: float | None = None
         f_k = spring_force(p)
         lever = p.l0 / p.l1
         self.b0 = lever * math.cos(p.theta0 + p.theta1) * f_k
         self.b1 = -lever * math.cos(p.theta4 + p.theta5) * f_k
-        self.spring_load = f_k
         self.cos1 = math.cos(p.theta1)
         self.cos4 = math.cos(p.theta4)
 
-    def branch(self, sign_beta3: int) -> tuple[float, float]:
-        """(coupling, a11) of one friction branch."""
+    def branch(self, sign_beta3: int) -> float:
+        """a11 of one friction branch."""
         if sign_beta3 == 1:
             return self.plus
         if sign_beta3 != -1:
@@ -247,18 +241,13 @@ def assemble_system(
     t = _build_terms(p)
     # tip_moment_ratio(p, zeta), with its press-independent denominator cached.
     gamma = (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / t.denom
-    lam, a11 = t.branch(sign_beta3)
     return BalanceSystem(
         a00=gamma * t.s13 + math.sin(p.theta1 - zeta),
         a01=t.s13,
         a10=gamma * t.s34,
-        a11=a11,
+        a11=t.branch(sign_beta3),
         b0=t.b0,
         b1=t.b1,
-        tip_ratio=gamma,
-        coupling=lam,
-        sign_beta3=sign_beta3,
-        spring_load=t.spring_load,
     )
 
 
@@ -323,7 +312,7 @@ def _decide(
     a10 = gamma * t.s34
     b0, b1 = t.b0, t.b1
     for branch in (1, -1):
-        a11 = t.branch(branch)[1]
+        a11 = t.branch(branch)
         det = a00 * a11 - a01 * a10
         row_scale = max(math.hypot(a00, a01), math.hypot(a10, a11))
         if det == 0.0 or abs(det) < _DET_RELATIVE_FLOOR * row_scale * row_scale:
@@ -344,12 +333,14 @@ def _decide(
     return (status, xi, beta, branch, det, a00, a10, f_rx, f_sx)
 
 
-def _solved(system: BalanceSystem, xi: float, beta: float) -> BalanceSolution:
+def _solved(
+    system: BalanceSystem, branch: int, xi: float, beta: float
+) -> BalanceSolution:
     return BalanceSolution(
         xi_b=xi,
         beta_3b=beta,
-        sign_beta3=system.sign_beta3,
-        sign_consistent=_sign_of(beta) == system.sign_beta3,
+        sign_beta3=branch,
+        sign_consistent=_sign_of(beta) == branch,
         system=system,
     )
 
@@ -359,7 +350,7 @@ def _solution(p: LinkageParameters, zeta: float, verdict: tuple) -> BalanceSolut
     status, xi, beta, branch, det = verdict[:5]
     if status == _SINGULAR:
         raise _singular_error(zeta, det)
-    return _solved(assemble_system(p, zeta, branch), xi, beta)
+    return _solved(assemble_system(p, zeta, branch), branch, xi, beta)
 
 
 def solve_balance_with_sign(
@@ -367,7 +358,9 @@ def solve_balance_with_sign(
 ) -> BalanceSolution:
     """Solve the balance with the friction branch pinned, no iteration."""
     s = assemble_system(p, zeta, sign_beta3)
-    return _solved(s, *_solve_2x2(s.a00, s.a01, s.a10, s.a11, s.b0, s.b1, zeta))
+    return _solved(
+        s, sign_beta3, *_solve_2x2(s.a00, s.a01, s.a10, s.a11, s.b0, s.b1, zeta)
+    )
 
 
 def solve_balance(p: LinkageParameters, zeta: float) -> BalanceSolution:
@@ -376,7 +369,7 @@ def solve_balance(p: LinkageParameters, zeta: float) -> BalanceSolution:
     The slip sense at the slotted pin is not known in advance.  Start on
     the +1 branch; if the solved strut force contradicts it, switch to
     the -1 branch and accept that answer.  The switch reuses the +1
-    entries with only the friction coupling and a11 replaced, which
+    entries with only a11, the friction branch's entry, replaced, which
     gives exactly ``solve_balance_with_sign(p, zeta, -1)``.  A solution
     whose strut force still contradicts its branch after the switch is
     returned with ``sign_consistent`` False so callers can surface it.

@@ -155,6 +155,42 @@ def test_sweep_is_byte_deterministic(tmp_path, monkeypatch):
     assert a.read_bytes() == c.read_bytes()
 
 
+SHIPPED = Path(linkstat.__file__).resolve().parent / "data" / "default_linkage.txt"
+
+
+def test_shipped_file_sweep_matches_builtin(tmp_path):
+    """The shipped copy of the built-in build, [sweep] included, sweeps the same bytes."""
+    builtin, shipped = tmp_path / "builtin.csv", tmp_path / "shipped.csv"
+    assert main(["sweep", "--out", str(builtin)]) == 0
+    assert main(["sweep", "--params", str(SHIPPED), "--out", str(shipped)]) == 0
+    assert shipped.read_bytes() == builtin.read_bytes()
+    # Line 62 is the 0 deg point: read in degrees, the file's -30 lands on it exactly.
+    assert shipped.read_text().splitlines()[61].startswith("0,")
+    summaries = [
+        Path(f"{out}.summary").read_text().splitlines() for out in (builtin, shipped)
+    ]
+    assert summaries[0][0] == "params = builtin"
+    assert summaries[1][0] == f"params = {SHIPPED}"
+    assert summaries[0][1:] == summaries[1][1:]
+
+
+def test_file_sweep_settings_equal_flags(tmp_path):
+    """[sweep] values are the degrees the flags would give, unconverted."""
+    text = SHIPPED.read_text().replace(
+        "zeta_lo_deg = -30\nzeta_hi_deg = 90\nstep_deg = 0.5",
+        "zeta_lo_deg = -7.4\nzeta_hi_deg = 22.77\nstep_deg = 0.1",
+    )
+    assert "zeta_lo_deg = -7.4" in text
+    params = tmp_path / "params.txt"
+    params.write_text(text)
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert main(["sweep", "--params", str(params), "--out", str(from_file)]) == 0
+    assert main(["sweep", "--params", str(params), "--out", str(from_flags),
+                 "--lo-deg", "-7.4", "--hi-deg", "22.77", "--step-deg", "0.1"]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    assert "\n0," in from_file.read_text()
+
+
 def test_sweep_svg(tmp_path):
     svg = tmp_path / "curve.svg"
     assert main(["sweep", "--svg", str(svg), "--lo-deg", "-20", "--hi-deg", "25"]) == 0
@@ -167,11 +203,7 @@ def test_sweep_file_settings_apply(tmp_path):
     from linkstat import SweepSettings
 
     path = tmp_path / "params.txt"
-    settings = SweepSettings(
-        zeta_lo=math.radians(-5.0),
-        zeta_hi=math.radians(5.0),
-        step=math.radians(1.0),
-    )
+    settings = SweepSettings(zeta_lo_deg=-5.0, zeta_hi_deg=5.0, step_deg=1.0)
     path.write_text(format_parameter_file(default_parameters(), settings))
     out = tmp_path / "short.csv"
     assert main(["sweep", "--params", str(path), "--out", str(out)]) == 0
@@ -184,11 +216,7 @@ def test_sweep_flag_overrides_file_settings(tmp_path):
     from linkstat import SweepSettings
 
     path = tmp_path / "params.txt"
-    settings = SweepSettings(
-        zeta_lo=math.radians(-5.0),
-        zeta_hi=math.radians(5.0),
-        step=math.radians(1.0),
-    )
+    settings = SweepSettings(zeta_lo_deg=-5.0, zeta_hi_deg=5.0, step_deg=1.0)
     path.write_text(format_parameter_file(default_parameters(), settings))
     out = tmp_path / "short.csv"
     assert (
@@ -319,12 +347,23 @@ def test_undefined_expression_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("theta2_deg,sign", [(18.5, 1), (-18.5, -1)], ids=["plus", "minus"])
+@pytest.mark.parametrize(
+    "theta2_deg,sign,mu",
+    [(18.5, 1, None), (-18.5, -1, None), (18.5, 1, 3.5), (-18.5, -1, 3.5)],
+    ids=["plus", "minus", "plus-mu3.5", "minus-mu3.5"],
+)
 @pytest.mark.parametrize("command", ["analyze", "sweep", "optimize", "validate", "compare"])
-def test_zero_friction_coupling_denominator_exits_2(command, theta2_deg, sign, tmp_path, capsys):
-    """A build whose friction coupling divides by zero is refused, not run."""
+def test_zero_friction_coupling_denominator_exits_2(
+    command, theta2_deg, sign, mu, tmp_path, capsys
+):
+    """A self-locking build, mu >= cot|theta2|, is refused, not run.
+
+    ``mu`` None is the boundary, where the friction coupling divides by zero.
+    """
     t2 = math.radians(theta2_deg)
-    build = default_parameters().with_values(theta2=t2, mu=sign * math.cos(t2) / math.sin(t2))
+    if mu is None:
+        mu = sign * math.cos(t2) / math.sin(t2)
+    build = default_parameters().with_values(theta2=t2, mu=mu)
     params = tmp_path / "params.txt"
     params.write_text(format_parameter_file(build))
     design = tmp_path / "design.txt"

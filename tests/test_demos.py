@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree, warning-free."""
 
 import os
 import subprocess
@@ -22,7 +22,8 @@ def test_demo_runs(demo):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, str(demo)],
+        # -W error: a new numpy RuntimeWarning or DeprecationWarning fails here.
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -9,7 +9,6 @@ to move one must say why and record the new digests.
 """
 
 import hashlib
-import math
 
 import pytest
 
@@ -69,7 +68,7 @@ GOLDEN = {
     "analyze_60": "b154f2ffadf6b152fad59c4dc7cf15bda81e7a3df8a39f759df6a9a0d38c0469",
     "compare": "4c546762c5aa5655d6002457de21ef19593dd58dbaeaed8627b93656f3685425",
     "params_builtin": "1bcd1ccbcf7fccdbc948fb23651f08d39864da4fea9b575878647010c8f1fda4",
-    "params_builtin_sweep": "a6f1ebe92420641d741a52c7f5af282d31ef5d45c746fb9981b59d7da958b99f",
+    "params_builtin_sweep": "deead3570d419ed3e41226c6567dfb72b825d99f30ba20999850e411de45809d",
 }
 
 
@@ -132,7 +131,7 @@ def test_compare_bytes(tmp_path, capsys):
 def test_parameter_file_bytes(with_sweep):
     sweep = None
     if with_sweep:
-        sweep = SweepSettings(math.radians(-30.0), math.radians(90.0), math.radians(0.5))
+        sweep = SweepSettings(-30.0, 90.0, 0.5)
     text = format_parameter_file(default_parameters(), sweep)
     assert ("[sweep]" in text) is with_sweep
     key = "params_builtin_sweep" if with_sweep else "params_builtin"

@@ -62,18 +62,32 @@ def test_validation_never_raises(value):
     validate_parameters(p)  # must not raise, whatever the input
 
 
-@pytest.mark.parametrize("theta2_deg,sign", [(18.5, 1), (-18.5, -1)])
-def test_zero_friction_coupling_denominator_reported(defaults, theta2_deg, sign):
-    """mu = s*cot(theta2) zeroes the coupling denominator of branch s only."""
+@pytest.mark.parametrize(
+    "theta2_deg,sign,mu",
+    [(18.5, 1, None), (-18.5, -1, None), (18.5, 1, 3.5), (-18.5, -1, 3.5)],
+    ids=["18.5-1", "-18.5--1", "18.5-1-mu3.5", "-18.5--1-mu3.5"],
+)
+def test_zero_friction_coupling_denominator_reported(defaults, theta2_deg, sign, mu):
+    """mu >= cot|theta2| self-locks the slot on branch s = sign(theta2) only.
+
+    ``mu`` None is the boundary mu = cot|theta2|, where the coupling
+    denominator of branch s is exactly zero.
+    """
     t2 = math.radians(theta2_deg)
-    p = defaults.with_values(theta2=t2, mu=sign * math.cos(t2) / math.sin(t2))
-    with pytest.raises(ZeroDivisionError):
-        friction_coupling(p, sign)
+    boundary = sign * math.cos(t2) / math.sin(t2)
+    p = defaults.with_values(theta2=t2, mu=boundary if mu is None else mu)
     assert math.isfinite(friction_coupling(p, -sign))
     report = validate_parameters(p)
     assert [v.field for v in report.violations] == ["mu"]
     assert f"{sign:+d} branch" in report.violations[0].message
-    # The rule is the exact zero the solver divides by, not a band around it.
-    nudged = p.with_values(mu=math.nextafter(p.mu, math.inf))
-    assert math.isfinite(friction_coupling(nudged, sign))
-    assert validate_parameters(nudged).ok
+    if mu is not None:
+        assert friction_coupling(p, sign) < 0.0
+        return
+    with pytest.raises(ZeroDivisionError):
+        friction_coupling(p, sign)
+    # The boundary is refused with everything above it; one ulp below passes.
+    below = p.with_values(mu=math.nextafter(p.mu, 0.0))
+    above = p.with_values(mu=math.nextafter(p.mu, math.inf))
+    assert math.isfinite(friction_coupling(below, sign))
+    assert validate_parameters(below).ok
+    assert not validate_parameters(above).ok

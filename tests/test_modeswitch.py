@@ -157,10 +157,6 @@ def test_grip_budget(defaults):
     budget = parallel_grip_budget(t)
     assert math.isclose(budget, 0.8 * t)
     assert select_mode(budget, t) is GraspMode.PARALLEL_GRIP
-    with pytest.raises(ValueError):
-        parallel_grip_budget(t, margin=0.0)
-    with pytest.raises(ValueError):
-        parallel_grip_budget(t, margin=1.2)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,7 @@ def test_shipped_file_matches_builtin_defaults(defaults):
 
 def test_shipped_file_carries_sweep_settings():
     doc = parse_parameter_document(shipped_text())
-    assert doc.sweep is not None
-    assert math.isclose(doc.sweep.zeta_lo, math.radians(-30.0))
-    assert math.isclose(doc.sweep.step, math.radians(0.5))
+    assert doc.sweep == SweepSettings(zeta_lo_deg=-30.0, zeta_hi_deg=90.0, step_deg=0.5)
 
 
 def test_expression_values():
@@ -105,14 +103,10 @@ def test_roundtrip_identity(defaults):
 
 
 def test_roundtrip_preserves_sweep(defaults):
-    sweep = SweepSettings(
-        zeta_lo=math.radians(-20.0),
-        zeta_hi=math.radians(40.0),
-        step=math.radians(0.25),
-    )
-    doc = parse_parameter_document(format_parameter_file(defaults, sweep))
-    assert doc.sweep is not None
-    assert math.isclose(doc.sweep.zeta_hi, sweep.zeta_hi, rel_tol=1e-12)
+    sweep = SweepSettings(zeta_lo_deg=-20.0, zeta_hi_deg=40.0, step_deg=0.25)
+    text = format_parameter_file(defaults, sweep)
+    assert "zeta_lo_deg = -20.0\nzeta_hi_deg = 40.0\nstep_deg = 0.25\n" in text
+    assert parse_parameter_document(text).sweep == sweep
 
 
 @given(
@@ -169,6 +163,48 @@ def test_design_file_bad_bound():
             "press_angle_deg = -15\nthreshold_lo_n = 3\nthreshold_hi_n = 8\n"
             "[search]\nfree = theta2\n[bounds]\ntheta2 = 10\n"
         )
+
+
+DESIGN_TEXT = """\
+[target]
+interval_lo_deg = -10
+interval_hi_deg = 15
+press_angle_deg = -15
+threshold_lo_n = 3
+threshold_hi_n = 8
+[search]
+free = theta2
+budget = 40
+[bounds]
+theta2 = 10, 30
+"""
+
+
+@pytest.mark.parametrize(
+    "needle,replacement,fragment,line",
+    [
+        ("threshold_hi_n = 8", "threshold_hi_n = 8\npress_angle = 0",
+         r"unknown key 'press_angle' in \[target\]", 7),
+        ("budget = 40", "budget = 40\nbudgets = 4", r"unknown key 'budgets' in \[search\]", 10),
+        ("threshold_hi_n = 8", "threshold_hi_n = 8\nthreshold_lo_n = 4",
+         r"duplicate key 'threshold_lo_n' in \[target\]", 7),
+        ("budget = 40", "budget = 40\nfree = l3", r"duplicate key 'free' in \[search\]", 10),
+        ("budget = 40", "budget = 40\nbudget = 50", r"duplicate key 'budget' in \[search\]", 10),
+        ("theta2 = 10, 30", "theta2 = 10, 30\ntheta2 = 12, 20",
+         r"duplicate key 'theta2' in \[bounds\]", 12),
+        ("free = theta2", "free = , ,", "'free' lists no names", 8),
+        ("budget = 40", "budget = 2.5", "budget must be a positive integer", 9),
+        ("free = theta2\n", "", r"missing \[search\] free", None),
+    ],
+    ids=["unknown-target-key", "unknown-search-key", "repeated-target-key", "repeated-free",
+         "repeated-budget", "repeated-bound", "empty-free", "fractional-budget", "missing-free"],
+)
+def test_design_file_faults_name_their_line(needle, replacement, fragment, line):
+    text = DESIGN_TEXT.replace(needle, replacement)
+    assert text != DESIGN_TEXT
+    with pytest.raises(ParameterFileError, match=fragment) as err:
+        parse_design_file(text)
+    assert err.value.line == line
 
 
 def test_measurements_roundtrip():
