@@ -320,6 +320,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     # Imported here so that the other subcommands never load the search.
     from .design import DesignStatus, optimize_design
 
+    if args.budget is not None and args.budget < 1:
+        raise _Fail(2, f"--budget must be >= 1, got {args.budget}")
     doc, label = _load_params(args.params)
     _require_valid(doc.parameters, label)
     text = _read_text(args.design)

@@ -14,8 +14,10 @@ lies next to a root, so every one takes a known verdict).
 The search is deterministic: no randomness, fixed iteration order, and a
 Feasible verdict is always re-verified before being returned, with a
 fresh verdict at every grid point and no inference from roots.  Scoring
-and re-verification both read the scalar verdict kernel
-(:func:`~linkstat.statics._decide`) and build no verdict objects.
+and re-verification both read the verdict kernel
+(:func:`~linkstat.statics._decide_all`, one call for all of a grid's
+points, or its one-point case :func:`~linkstat.statics._decide`) and
+build no verdict objects.
 """
 
 from __future__ import annotations

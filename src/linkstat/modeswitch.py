@@ -10,10 +10,14 @@ grid: the verdict can only change where one of a few
 grid points around those roots need a verdict of their own, and a
 bisection midpoint needs one only when it lies next to a root or
 between two; every other midpoint takes the known verdict of the
-bracket end it shares a root-free stretch with.  On top of that sit the
-operational questions: how hard must the finger be pressed to flip into
-turn-over mode, and how much grip force is safe to apply without
-flipping accidentally.
+bracket end it shares a root-free stretch with.  Verdicts come from the
+statics' batch kernel (:func:`~linkstat.statics._decide_all`): the grid
+points the envelope needs go to it in one call, and each bisection
+midpoint through its one-point case.  :func:`sweep` keeps one
+:class:`~linkstat.statics.OpeningDecision` per sample for its callers.
+On top of that sit the operational questions: how hard must the finger
+be pressed to flip into turn-over mode, and how much grip force is safe
+to apply without flipping accidentally.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import LinkageParameters
 from .statics import (
@@ -32,6 +36,7 @@ from .statics import (
     OpeningDecision,
     _build_terms,
     _decide,
+    _decide_all,
     predict_opening,
 )
 
@@ -148,12 +153,12 @@ def sweep(
     return sweep_points(p, sweep_grid(zeta_lo, zeta_hi, step))
 
 
-@dataclass(frozen=True)
-class OpeningInterval:
+class OpeningInterval(NamedTuple):
     """One contiguous band of press directions that open the finger.
 
     Endpoints are refined transition angles except where the band runs
     into the swept range boundary, flagged by the ``*_refined`` fields.
+    A named tuple, so immutable.
     """
 
     lo: float
@@ -386,7 +391,8 @@ def _swept_intervals(
     p: LinkageParameters, grid: Sequence[float], tolerance: float
 ) -> tuple[OpeningInterval, ...]:
     """The envelope from a fresh verdict at every grid point and every midpoint."""
-    return _refine_runs(p, grid, _runs([_decide(p, z)[0] == _OPENS for z in grid]), tolerance)
+    opens = [v[0] == _OPENS for v in _decide_all(p, grid)]
+    return _refine_runs(p, grid, _runs(opens), tolerance)
 
 
 def _probed_runs(
@@ -404,11 +410,12 @@ def _probed_runs(
         first = max(bisect_right(grid, root - _ROOT_WINDOW) - 1, 0)
         past = min(bisect_left(grid, root + _ROOT_WINDOW), last)
         probes.update(range(first, past + 1))
+    order = sorted(probes)
     runs: list[tuple[int, int]] = []
     start = previous = -1
     was_open = False
-    for i in sorted(probes):
-        opens = _decide(p, grid[i])[0] == _OPENS
+    for i, verdict in zip(order, _decide_all(p, [grid[i] for i in order])):
+        opens = verdict[0] == _OPENS
         if opens != was_open:
             if i > previous + 1:
                 return None

@@ -56,10 +56,10 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .model import _ANGLE_FIELDS, LinkageParameters
-from .statics import _OPENS, _decide
+from .statics import _OPENS, _decide_all
 
 __all__ = [
     "ComparisonResult",
@@ -544,13 +544,13 @@ def read_measurements(text: str) -> tuple[Measurement, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """Model prediction lined up against one bench reading.
 
     ``predicted`` is None when the model says this press direction does
     not open the finger at all; such rows are flagged, not failed, since
-    a bench fixture can still register a force there.
+    a bench fixture can still register a force there.  A named tuple, so
+    immutable.
     """
 
     zeta: float
@@ -580,16 +580,17 @@ def compare_measurements(
     """
     rows: list[ComparisonRow] = []
     devs: list[float] = []
-    for m in measurements:
-        code, predicted = _decide(p, m.zeta)[:2]
-        abs_dev = rel_dev = None
-        if code == _OPENS:
-            abs_dev = abs(predicted - m.measured_force)
-            rel_dev = abs_dev / m.measured_force if m.measured_force > 0.0 else None
+    verdicts = _decide_all(p, [m.zeta for m in measurements])
+    for m, v in zip(measurements, verdicts):
+        measured = m.measured_force
+        if v[0] == _OPENS:
+            predicted = v[1]
+            abs_dev = abs(predicted - measured)
+            rel_dev = abs_dev / measured if measured > 0.0 else None
             devs.append(abs_dev)
+            rows.append(ComparisonRow(m.zeta, measured, predicted, abs_dev, rel_dev))
         else:
-            predicted = None
-        rows.append(ComparisonRow(m.zeta, m.measured_force, predicted, abs_dev, rel_dev))
+            rows.append(ComparisonRow(m.zeta, measured, None, None, None))
     mean = sum(devs) / len(devs) if devs else None
     return ComparisonResult(rows=tuple(rows), mean_abs_dev=mean)
 

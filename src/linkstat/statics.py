@@ -20,12 +20,16 @@ numpy on its first call: the 2x2 balance, every verdict, sweep and search
 run in plain floats, so importing linkstat does not load numpy.
 
 The first route has one copy of its decision logic: the private scalar
-kernel :func:`_decide` assembles the two press-dependent entries, solves
-the +1 friction branch and, if the strut force contradicts it, the -1
-branch, applies the singular floor and the opening rule, and returns a
-plain tuple (status code, xi, beta, branch, det, a00, a10, f_rx, f_sx).
-The envelope and its edge bisection, the switching threshold, design
-scoring and measurement comparison read that tuple and build no objects.
+kernel :func:`_decide_all` takes a build and a list of press directions.
+For each it assembles the two press-dependent entries, solves the +1
+friction branch and, if the strut force contradicts it, the -1 branch,
+applies the singular floor and the opening rule, and returns a plain
+tuple (status code, xi, beta, branch, det, a00, a10, f_rx, f_sx).
+:func:`_decide` is its one-point case.  Callers holding many press
+directions of one build (the swept envelope, the envelope's probes and
+measurement comparison) hand them over in one call; the edge
+bisection, the switching threshold and design scoring ask one point at
+a time.  None of them builds objects.
 :func:`solve_balance` and :func:`predict_opening` are wrappers that
 repackage the same tuple into :class:`BalanceSolution`,
 :class:`BalanceSystem`, :class:`JointForcePair` and
@@ -49,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .model import LinkageParameters
 
@@ -284,53 +288,82 @@ def _solve_2x2(
 # Status codes of a verdict, the first field of a _decide tuple.
 _OPENS, _NEGATIVE_XI, _CONTACT_MAINTAINED, _SINGULAR = range(4)
 
+# The singular floor compares |det| with _DET_RELATIVE_FLOOR times the
+# squared row scale, max(hypot(a00, a01), hypot(a10, a11))**2.  The sum
+# of the four squared entries bounds that square from above, so a det
+# that clears this slightly larger fraction of the sum clears the floor
+# too, and the hypot rule runs only for the rest.  The margin covers the
+# rounding of both sides (a few ulps each) wherever the products stay
+# normal; where they underflow, the floor itself rounds to zero, leaving
+# only det == 0 singular, which the strict test below never passes.  An
+# inf or nan anywhere fails the strict test and takes the hypot rule.
+_DET_SAFE_FLOOR = _DET_RELATIVE_FLOOR * (1 + 1e-9)
 
-def _decide(
-    p: LinkageParameters, zeta: float
-) -> tuple[int, float, float, int, float, float, float, float, float]:
-    """The opening verdict for one press direction, in plain floats.
+_Verdict = tuple[int, float, float, int, float, float, float, float, float]
 
-    Returns ``(status, xi, beta, branch, det, a00, a10, f_rx, f_sx)``:
-    the status code, the balance force, the coupler strut force, the
-    friction branch kept, det of that branch, the two press-dependent
-    entries of the 2x2 balance and the two probe forces.  A _SINGULAR
-    verdict carries the det that fell below the floor and nan forces.
+
+def _decide_all(p: LinkageParameters, zetas: Iterable[float]) -> list[_Verdict]:
+    """The opening verdicts for many press directions, in plain floats.
+
+    Returns one ``(status, xi, beta, branch, det, a00, a10, f_rx, f_sx)``
+    tuple per press direction, in order: the status code, the balance
+    force, the coupler strut force, the friction branch kept, det of
+    that branch, the two press-dependent entries of the 2x2 balance and
+    the two probe forces.  A _SINGULAR verdict carries the det that fell
+    below the floor and nan forces.
 
     This is the only copy of the decision: the +1 -> -1 friction retry
     of :func:`solve_balance`, the singular floor and the opening rule of
-    :func:`predict_opening`.  Each float is the expression
+    :func:`predict_opening`, applied point by point.  The build's terms
+    are read once per call.  Each float is the expression
     :func:`assemble_system`, :func:`solve_balance_with_sign` and
     :func:`perturbed_joint_forces` evaluate, so the wrappers that
-    repackage this tuple into dataclasses give the same bits.  A
-    non-finite ``zeta`` raises ValueError.
+    repackage a tuple into dataclasses give the same bits.  A non-finite
+    press direction raises ValueError.
     """
-    _require_finite(zeta)
     t = _build_terms(p)
-    gamma = (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / t.denom
-    a01 = t.s13
-    a00 = gamma * a01 + math.sin(p.theta1 - zeta)
-    a10 = gamma * t.s34
-    b0, b1 = t.b0, t.b1
-    for branch in (1, -1):
-        a11 = t.branch(branch)
-        det = a00 * a11 - a01 * a10
-        row_scale = max(math.hypot(a00, a01), math.hypot(a10, a11))
-        if det == 0.0 or abs(det) < _DET_RELATIVE_FLOOR * row_scale * row_scale:
-            nan = math.nan
-            return (_SINGULAR, nan, nan, branch, det, a00, a10, nan, nan)
-        beta = (a00 * b1 - a10 * b0) / det
-        if beta >= 0.0:  # agrees with the +1 branch; a -1 answer is kept either way
-            break
-    xi = (b0 * a11 - a01 * b1) / det
-    f_rx = -(p.epsilon * a00) / t.cos1
-    f_sx = -(p.epsilon * a10) / t.cos4
-    if xi < 0.0:
-        status = _NEGATIVE_XI
-    elif f_rx <= 0.0 and f_sx >= 0.0:
-        status = _OPENS
-    else:
-        status = _CONTACT_MAINTAINED
-    return (status, xi, beta, branch, det, a00, a10, f_rx, f_sx)
+    denom, a01, s34, plus, b0, b1 = t.denom, t.s13, t.s34, t.plus, t.b0, t.b1
+    eps, cos1, cos4 = p.epsilon, t.cos1, t.cos4
+    l3, l4, theta1, theta2 = p.l3, p.l4, p.theta1, p.theta2
+    cos, sin, hypot, isfinite = math.cos, math.sin, math.hypot, math.isfinite
+    nan = math.nan
+    verdicts: list[_Verdict] = []
+    append = verdicts.append
+    for zeta in zetas:
+        if not isfinite(zeta):
+            _require_finite(zeta)
+        gamma = (l4 * cos(zeta) - l3 * sin(theta2 + zeta)) / denom
+        a00 = gamma * a01 + sin(theta1 - zeta)
+        a10 = gamma * s34
+        for branch in (1, -1):
+            a11 = plus if branch == 1 else t.branch(-1)
+            det = a00 * a11 - a01 * a10
+            sum_sq = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
+            if not abs(det) > _DET_SAFE_FLOOR * sum_sq:
+                row_scale = max(hypot(a00, a01), hypot(a10, a11))
+                if det == 0.0 or abs(det) < _DET_RELATIVE_FLOOR * row_scale * row_scale:
+                    append((_SINGULAR, nan, nan, branch, det, a00, a10, nan, nan))
+                    break
+            beta = (a00 * b1 - a10 * b0) / det
+            # Keep a +1 answer that agrees with its branch, and a -1 answer either way.
+            if beta >= 0.0 or branch == -1:
+                xi = (b0 * a11 - a01 * b1) / det
+                f_rx = -(eps * a00) / cos1
+                f_sx = -(eps * a10) / cos4
+                if xi < 0.0:
+                    status = _NEGATIVE_XI
+                elif f_rx <= 0.0 and f_sx >= 0.0:
+                    status = _OPENS
+                else:
+                    status = _CONTACT_MAINTAINED
+                append((status, xi, beta, branch, det, a00, a10, f_rx, f_sx))
+                break
+    return verdicts
+
+
+def _decide(p: LinkageParameters, zeta: float) -> _Verdict:
+    """The verdict of :func:`_decide_all` for one press direction."""
+    return _decide_all(p, (zeta,))[0]
 
 
 def _solved(
@@ -378,7 +411,7 @@ def solve_balance(p: LinkageParameters, zeta: float) -> BalanceSolution:
     the two can disagree on the sign of xi: on the reference build at
     60 deg the +1 branch gives xi = -1387 N (blocked) and the -1 branch
     xi = +4.77 N.  The verdict there follows this branch order.
-    The iteration itself is :func:`_decide`'s; this wraps its result.
+    The iteration itself is :func:`_decide_all`'s; this wraps its result.
     """
     return _solution(p, zeta, _decide(p, zeta))
 
@@ -481,7 +514,7 @@ def predict_opening(p: LinkageParameters, zeta: float) -> OpeningDecision:
     both are self-consistent, so a NEGATIVE_XI verdict can hold on that
     branch alone (the reference build at 60 deg has xi = +4.77 N on the
     -1 branch).  A non-finite ``zeta`` raises ValueError rather than get
-    a verdict.  The decision is :func:`_decide`'s; this builds the four
+    a verdict.  The decision is :func:`_decide_all`'s; this builds the four
     dataclasses from its tuple.
     """
     verdict = _decide(p, zeta)

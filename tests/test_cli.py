@@ -283,6 +283,17 @@ def test_optimize_budget_flag(tmp_path, capsys):
     assert "evaluations: 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_optimize_rejects_budget_flag_below_one(budget, tmp_path, capsys):
+    # The message names the flag, not the design file it overrides.
+    design = tmp_path / "design.txt"
+    design.write_text(DESIGN_OK)
+    assert main(["optimize", "--design", str(design), "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --budget must be >= 1, got {budget}\n"
+    assert captured.out == ""
+
+
 def test_optimize_malformed_design(tmp_path, capsys):
     design = tmp_path / "design.txt"
     design.write_text("[target]\ninterval_lo_deg = -10\n")

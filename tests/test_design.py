@@ -177,14 +177,20 @@ def kernel_calls(monkeypatch):
     import linkstat.modeswitch
 
     calls = []
-    kernel = linkstat.statics._decide
+    kernel, batch = linkstat.statics._decide, linkstat.statics._decide_all
 
     def counted(p, zeta):
         calls.append(zeta)
         return kernel(p, zeta)
 
+    def counted_batch(p, zetas):
+        zetas = list(zetas)
+        calls.extend(zetas)
+        return batch(p, zetas)
+
     for module in (linkstat.modeswitch, linkstat.design):
         monkeypatch.setattr(module, "_decide", counted)
+    monkeypatch.setattr(linkstat.modeswitch, "_decide_all", counted_batch)
     return calls
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from linkstat import (
     GraspMode,
     NotOpeningError,
+    OpeningInterval,
     default_parameters,
     envelope,
     opening_interval,
@@ -31,6 +32,23 @@ ENVELOPE_HI_DEG = 19.639128
 
 def rad(x: float) -> float:
     return math.radians(x)
+
+
+def counted_verdicts(calls):
+    """Patch modeswitch's one-point and batch kernels to append every
+    press direction they are asked about to ``calls``."""
+    one, batch = modeswitch._decide, modeswitch._decide_all
+
+    def counted_batch(p, zetas):
+        zetas = list(zetas)
+        calls.extend(zetas)
+        return batch(p, zetas)
+
+    return mock.patch.multiple(
+        modeswitch,
+        _decide=lambda p, z: calls.append(z) or one(p, z),
+        _decide_all=counted_batch,
+    )
 
 
 def test_default_sweep_shape(defaults):
@@ -197,11 +215,8 @@ def test_envelope_equals_swept_envelope(
     args = (rad(lo_deg), rad(lo_deg + span_deg), rad(step_deg), rad(tolerance_deg))
     calls = []
     fallbacks = []
-    kernel = modeswitch._decide
     every_point = modeswitch._swept_intervals
-    with mock.patch.object(
-        modeswitch, "_decide", lambda p, z: calls.append(z) or kernel(p, z)
-    ), mock.patch.object(
+    with counted_verdicts(calls), mock.patch.object(
         modeswitch,
         "_swept_intervals",
         lambda p, g, t: fallbacks.append(g) or every_point(p, g, t),
@@ -243,10 +258,7 @@ def test_bisection_computes_every_midpoint_without_a_root_in_the_bracket(default
     counts = []
     for roots in (None, [], [rad(-60.0), rad(120.0)]):
         calls = []
-        kernel = modeswitch._decide
-        with mock.patch.object(
-            modeswitch, "_decide", lambda p, z: calls.append(z) or kernel(p, z)
-        ):
+        with counted_verdicts(calls):
             edge = modeswitch._bisect_transition(
                 defaults, closed, opened, rad(0.01), roots
             )
@@ -307,14 +319,21 @@ def test_envelope_falls_back_to_every_grid_point(defaults, monkeypatch):
     # With every root distrusted the envelope samples the whole grid.
     monkeypatch.setattr(modeswitch, "_CANCELLATION_FLOOR", math.inf)
     calls = []
-    kernel = modeswitch._decide
-    monkeypatch.setattr(
-        modeswitch, "_decide", lambda p, z: calls.append(z) or kernel(p, z)
-    )
-    got = envelope(defaults)
+    with counted_verdicts(calls):
+        got = envelope(defaults)
     assert len(calls) > 241
     monkeypatch.undo()
     assert hexed(got) == hexed(swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5)))
+
+
+def test_opening_interval_is_an_immutable_named_tuple():
+    iv = OpeningInterval(-0.25, 0.5, True, False)
+    assert OpeningInterval._fields == ("lo", "hi", "lo_refined", "hi_refined")
+    assert tuple(iv) == (-0.25, 0.5, True, False)
+    assert iv.width == 0.75
+    assert repr(iv) == "OpeningInterval(lo=-0.25, hi=0.5, lo_refined=True, hi_refined=False)"
+    with pytest.raises(AttributeError):
+        iv.lo = 0.0
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])

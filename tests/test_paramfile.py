@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import linkstat.statics as statics
 from linkstat import (
+    ComparisonRow,
+    Measurement,
     MeasurementFileError,
     ParameterFileError,
     SweepSettings,
@@ -254,6 +257,55 @@ def test_compare_csv_layout(defaults):
     )
     assert lines[1].endswith("true")
     assert ",,,," in lines[2] and lines[2].endswith("false")
+
+
+def _hex(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+@given(
+    st.lists(st.floats(min_value=0.8, max_value=1.2), min_size=3, max_size=3),
+    st.lists(
+        st.tuples(st.floats(min_value=-30.0, max_value=90.0),
+                  st.floats(min_value=0.0, max_value=20.0)),
+        min_size=1, max_size=40,
+    ),
+)
+def test_compare_rows_equal_a_per_row_rebuild(scales, table):
+    # One batch of verdicts for the table gives the rows, the bits and the
+    # mean of one verdict per row.
+    base = default_parameters()
+    p = base.with_values(l3=base.l3 * scales[0], theta2=base.theta2 * scales[1],
+                         mu=base.mu * scales[2])
+    measurements = [Measurement(math.radians(z), f) for z, f in table]
+    result = compare_measurements(p, measurements)
+    devs = []
+    for m, row in zip(measurements, result.rows, strict=True):
+        code, xi = statics._decide(p, m.zeta)[:2]
+        if code == statics._OPENS:
+            abs_dev = abs(xi - m.measured_force)
+            rel_dev = abs_dev / m.measured_force if m.measured_force > 0.0 else None
+            devs.append(abs_dev)
+            want = (m.zeta, m.measured_force, xi, abs_dev, rel_dev)
+        else:
+            want = (m.zeta, m.measured_force, None, None, None)
+        assert [_hex(v) for v in row] == [_hex(v) for v in want]
+        assert row.model_opens == (code == statics._OPENS)
+    mean = sum(devs) / len(devs) if devs else None
+    assert _hex(result.mean_abs_dev) == _hex(mean)
+
+
+def test_comparison_row_is_an_immutable_named_tuple():
+    row = ComparisonRow(0.5, 5.0, 4.5, 0.5, 0.1)
+    assert ComparisonRow._fields == ("zeta", "measured", "predicted", "abs_dev", "rel_dev")
+    assert tuple(row) == (0.5, 5.0, 4.5, 0.5, 0.1)
+    assert row.model_opens
+    assert not ComparisonRow(0.5, 5.0, None, None, None).model_opens
+    assert repr(row) == (
+        "ComparisonRow(zeta=0.5, measured=5.0, predicted=4.5, abs_dev=0.5, rel_dev=0.1)"
+    )
+    with pytest.raises(AttributeError):
+        row.predicted = 1.0
 
 
 @pytest.mark.parametrize(

@@ -450,3 +450,145 @@ def test_kernel_singular_case(defaults):
     with pytest.raises(SingularSystemError) as raised:
         solve_balance(p, defaults.theta1)
     assert str(raised.value) == message
+
+
+# The batch kernel against the object route: each friction branch solved
+# by solve_balance_with_sign, whose singular floor is the hypot rule
+# alone, and the probe forces from perturbed_joint_forces.
+
+def _object_verdict(p, zeta):
+    """The kernel tuple rebuilt without the kernel."""
+    for branch in (1, -1):
+        try:
+            sol = solve_balance_with_sign(p, zeta, branch)
+        except SingularSystemError:
+            system = assemble_system(p, zeta, branch)
+            nan = math.nan
+            return (statics._SINGULAR, nan, nan, branch, system.det, system.a00,
+                    system.a10, nan, nan)
+        if sol.beta_3b >= 0.0:
+            break
+    forces = perturbed_joint_forces(p, zeta, sol)
+    if sol.xi_b < 0.0:
+        code = statics._NEGATIVE_XI
+    elif forces.f_rx <= 0.0 and forces.f_sx >= 0.0:
+        code = statics._OPENS
+    else:
+        code = statics._CONTACT_MAINTAINED
+    system = sol.system
+    return (code, sol.xi_b, sol.beta_3b, branch, system.det, system.a00, system.a10,
+            forces.f_rx, forces.f_sx)
+
+
+def _batch_matches_object_route(p, zetas):
+    verdicts = statics._decide_all(p, zetas)
+    assert len(verdicts) == len(zetas)
+    for zeta, verdict in zip(zetas, verdicts):
+        assert [_hex(v) for v in verdict] == [_hex(v) for v in _object_verdict(p, zeta)], zeta
+    return verdicts
+
+
+def test_batch_matches_the_object_route_on_a_mixed_list(defaults):
+    # theta3 == theta1 makes the press direction theta1 singular.
+    p = defaults.with_values(theta3=defaults.theta1)
+    zetas = [rad(-15.0), rad(-5.0), 0.0, defaults.theta1, rad(10.0), rad(5.0), rad(60.0)]
+    verdicts = _batch_matches_object_route(p, zetas)
+    assert {v[0] for v in verdicts} == {statics._OPENS, statics._NEGATIVE_XI,
+                                        statics._CONTACT_MAINTAINED, statics._SINGULAR}
+    assert {v[3] for v in verdicts if v[0] != statics._SINGULAR} == {1, -1}
+
+
+def _flip(pred, a, b):
+    """Adjacent floats between ``a`` and ``b`` where ``pred`` turns from true to false."""
+    while True:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return a, b
+        a, b = (mid, b) if pred(mid) else (a, mid)
+
+
+def _floor_straddles(p, lo, hi):
+    """Press directions in [lo, hi] on both sides of each edge of every
+    det's singular band, at float resolution, plus an even spread."""
+    grid = [lo + (hi - lo) * i / 240 for i in range(241)]
+    points = list(grid)
+    for branch in (1, -1):
+        def det(z):
+            return assemble_system(p, z, branch).det
+
+        def below_floor(z):
+            s = assemble_system(p, z, branch)
+            row_scale = max(math.hypot(s.a00, s.a01), math.hypot(s.a10, s.a11))
+            return s.det == 0.0 or abs(s.det) < statics._DET_RELATIVE_FLOOR * row_scale * row_scale
+
+        for a, b in zip(grid, grid[1:]):
+            side = det(a) >= 0.0
+            if (det(b) >= 0.0) == side:
+                continue
+            root = _flip(lambda z: (det(z) >= 0.0) == side, a, b)[0]
+            for end in (a, b):
+                if below_floor(root) and not below_floor(end):
+                    inside, outside = _flip(below_floor, root, end)
+                    points += [math.nextafter(inside, root), inside, outside,
+                               math.nextafter(outside, end)]
+    return points
+
+
+def _pre_test_fails(p, verdict):
+    """Whether the sum-of-squares pre-test left this verdict to the hypot rule."""
+    det, a00, a10 = verdict[4], verdict[5], verdict[6]
+    system = assemble_system(p, 0.0, verdict[3])  # for a01 and a11, which ignore zeta
+    sum_sq = a00 * a00 + system.a01 * system.a01 + a10 * a10 + system.a11 * system.a11
+    return not abs(det) > statics._DET_SAFE_FLOOR * sum_sq
+
+
+@pytest.mark.parametrize("frictionless", [True, False])
+def test_singular_pre_test_agrees_with_the_hypot_rule(defaults, frictionless):
+    # The nearly cancelled build of test_envelope_with_a_nearly_cancelled_det:
+    # every term of det is ~1e-6 while the row scale stays O(1).
+    p = defaults.with_values(
+        theta3=defaults.theta1 + 3e-7,
+        theta4=defaults.theta2 + 9e-7,
+        **({"mu": 0.0} if frictionless else {}),
+    )
+    verdicts = _batch_matches_object_route(p, _floor_straddles(p, rad(-30.0), rad(90.0)))
+    assert any(v[0] == statics._SINGULAR for v in verdicts)
+    assert any(v[0] != statics._SINGULAR and _pre_test_fails(p, v) for v in verdicts)
+
+
+@pytest.mark.parametrize("theta4_ratio", [0.05, 2.0])
+@pytest.mark.parametrize("scale,floor_is_zero", [(1e-150, False), (1e-155, False),
+                                                 (1e-157, True)])
+def test_singular_pre_test_toward_underflow(defaults, scale, floor_is_zero, theta4_ratio):
+    # With theta1 = theta2 = 0 and the other angles, l4 and the press
+    # direction all of order ``scale``, every entry of the 2x2 balance is
+    # of order ``scale``, so the squares and the floor reach subnormals.
+    # At 1e-157 the floor rounds to zero and only det == 0 is singular.
+    # The small theta4 makes the first row the larger at the band edges,
+    # the large one the second, so each entry's square counts somewhere.
+    p = defaults.with_values(theta1=0.0, theta2=0.0, theta3=0.3 * scale,
+                             theta4=theta4_ratio * scale, l4=2.0 * scale)
+    verdicts = _batch_matches_object_route(p, _floor_straddles(p, -scale, scale))
+    assert any(v[0] == statics._SINGULAR for v in verdicts)
+    if floor_is_zero:
+        assert all((v[0] == statics._SINGULAR) == (v[4] == 0.0) for v in verdicts)
+    else:
+        assert any(v[0] != statics._SINGULAR and _pre_test_fails(p, v) for v in verdicts)
+
+
+def test_singular_pre_test_toward_overflow(defaults):
+    # Lengths of 1e160 mm put a00 and a10 near 1e159, whose squares overflow.
+    p = defaults.with_values(l3=defaults.l3 * 1e160, l4=defaults.l4 * 1e160)
+    zetas = _floor_straddles(p, rad(-30.0), rad(90.0))
+    for verdict in _batch_matches_object_route(p, zetas):
+        assert verdict[5] * verdict[5] == math.inf or verdict[6] * verdict[6] == math.inf
+
+
+def test_batch_rejects_a_non_finite_press_direction(defaults):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            statics._decide_all(defaults, [0.0, rad(5.0), bad, rad(10.0)])
+
+
+def test_batch_of_no_press_directions(defaults):
+    assert statics._decide_all(defaults, []) == []
