@@ -32,6 +32,10 @@ _ANGLE_FIELDS = ("theta0", "theta1", "theta2", "theta3", "theta4", "theta5")
 
 _HALF_PI = math.pi / 2.0
 
+# The fields the spring moments b0, b1 of the 2x2 balance read.
+_SPRING_MOMENT_FIELDS = ("l0", "l1", "theta0", "theta1", "theta4", "theta5",
+                         "spring_k", "natural_length")
+
 
 @dataclass(frozen=True)
 class LinkageParameters:
@@ -167,6 +171,30 @@ def validate_parameters(p: LinkageParameters) -> ValidationReport:
                         "-s*mu*sin(theta2) + cos(theta2) <= 0)",
                     )
                 )
+
+    # The 2x2 balance's right-hand side, the spring moment about each
+    # base pivot over the strut length, overflows when l1 is tiny next to
+    # l0 and the spring force (l1 = 1e-320 passes every rule above), and
+    # every verdict would then read an infinite force.  b0 and b1 are
+    # evaluated here exactly as statics._BuildTerms does, and only
+    # when none of the fields they read broke a rule above, so those are
+    # finite and l1 is positive.
+    if not found or {v.field for v in found}.isdisjoint(_SPRING_MOMENT_FIELDS):
+        f_k = p.spring_k * (
+            p.l0 * (math.sin(p.theta0 + p.theta1) + math.sin(p.theta4 + p.theta5))
+            - p.natural_length
+        )
+        lever = p.l0 / p.l1
+        b0 = lever * math.cos(p.theta0 + p.theta1) * f_k
+        b1 = -lever * math.cos(p.theta4 + p.theta5) * f_k
+        if not (math.isfinite(b0) and math.isfinite(b1)):
+            found.append(
+                ParameterViolation(
+                    "l1",
+                    f"l0/l1 = {p.l0!r}/{p.l1!r} times the spring force "
+                    f"overflows the spring moments (b0 = {b0!r}, b1 = {b1!r})",
+                )
+            )
 
     return ValidationReport(tuple(found))
 

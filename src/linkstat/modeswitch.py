@@ -304,9 +304,7 @@ def opening_interval(
     )
 
 
-def _sign_functions(
-    p: LinkageParameters,
-) -> list[tuple[float, float, float, float]] | None:
+def _sign_functions(p: LinkageParameters) -> list[tuple[float, float, float, float]]:
     """Every function of the press direction whose sign the verdict reads.
 
     Each is an ``(a, b, size, floor)`` tuple for ``a*cos(zeta) +
@@ -322,14 +320,12 @@ def _sign_functions(
     of xi, and with the beta numerator the branch choice).  Where beta is
     zero both branches share xi = b0/a00, so a root of the beta numerator
     alone never flips ``opens``; it is kept so that every sign the
-    decision reads is fixed between computed points.  None when the tip
-    moment ratio itself is undefined.  The press-independent entries are
-    the statics' own per-build terms.
+    decision reads is fixed between computed points.  The press-independent
+    entries are the statics' own per-build terms, which refuse a build
+    whose tip moment ratio is undefined.
     """
     t = _build_terms(p)
     denom = t.denom
-    if denom == 0.0:
-        return None
     # gamma = tip_moment_ratio: (l4*cos(z) - l3*sin(theta2 + z)) / denom
     g_a = (p.l4 - p.l3 * math.sin(p.theta2)) / denom
     g_b = -p.l3 * math.cos(p.theta2) / denom
@@ -348,7 +344,10 @@ def _sign_functions(
         (t.branch(-1), s13, True),
         (t.b1, t.b0, False),
     ):
-        row_scale_sq = max(a00[2] ** 2 + s13 * s13, a10[2] ** 2 + u * u)
+        try:
+            row_scale_sq = max(a00[2] ** 2 + s13 * s13, a10[2] ** 2 + u * u)
+        except OverflowError:  # a size past ~1e154, as from a vanishing denom
+            row_scale_sq = math.inf  # so _sorted_roots falls back to the sweep
         functions.append(
             (
                 u * a00[0] - v * a10[0],
@@ -366,11 +365,8 @@ def _sorted_roots(p: LinkageParameters, lo: float, hi: float) -> list[float] | N
     Sorted.  None when a sign function is too cancelled to trust, or when
     its floor could reach past the root window.
     """
-    functions = _sign_functions(p)
-    if functions is None:
-        return None
     roots: list[float] = []
-    for a, b, size, floor in functions:
+    for a, b, size, floor in _sign_functions(p):
         amplitude = math.hypot(a, b)
         if not (math.isfinite(amplitude) and math.isfinite(size) and math.isfinite(floor)):
             return None

@@ -15,9 +15,14 @@ Two independent routes compute the same state:
   balances as a 9-unknown linear system and solves that directly.
 
 The second route exists to cross-check the first and is deliberately not
-implemented in terms of it.  Only that route uses numpy, and it imports
-numpy on its first call: the 2x2 balance, every verdict, sweep and search
-run in plain floats, so importing linkstat does not load numpy.
+implemented in terms of it: it writes its own rows member by member and
+reads none of the first route's terms.  Its two slip senses differ in
+one entry, so each call computes the rows once, writes both systems into
+one (2, 9, 9) stack from a fixed table of positions and solves them in
+one LAPACK call; the branch choice and the residual then run on plain
+floats.  Only that route uses numpy, and it imports numpy on its first
+call: the 2x2 balance, every verdict, sweep and search run in plain
+floats, so importing linkstat does not load numpy.
 
 The first route has one copy of its decision logic: the private scalar
 kernel :func:`_decide_all` takes a build and a list of press directions.
@@ -50,10 +55,11 @@ which keeps it independent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .model import LinkageParameters
 
@@ -173,8 +179,19 @@ def _require_finite(zeta: float) -> None:
 
 
 def _friction_branch(p: LinkageParameters, sign_beta3: int) -> float:
-    """a11 of one friction branch, the only branch-dependent entry."""
-    return friction_coupling(p, sign_beta3) * math.sin(p.theta4 - p.theta2)
+    """a11 of one friction branch, the only branch-dependent entry.
+
+    Raises ValueError where the branch's coupling denominator
+    -s*mu*sin(theta2) + cos(theta2) is zero, its one division.
+    """
+    try:
+        coupling = friction_coupling(p, sign_beta3)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"mu = {p.mu!r} with theta2 = {p.theta2!r} makes the {sign_beta3:+d} "
+            "friction branch's denominator -s*mu*sin(theta2) + cos(theta2) zero"
+        ) from None
+    return coupling * math.sin(p.theta4 - p.theta2)
 
 
 class _BuildTerms:
@@ -183,7 +200,10 @@ class _BuildTerms:
     Each keeps the exact expression of the formula it comes from, so it
     has the bits a per-call evaluation would give.  The -1 friction
     branch is computed on first use: many builds never need it, and its
-    coupling may divide by zero where the +1 branch does not.
+    coupling may divide by zero where the +1 branch does not.  Each
+    division the balance makes is checked once here, with a ValueError
+    naming its divisor: l1, the coupler moment arm l2*sin(theta2+theta3)
+    and each friction branch's coupling denominator.
     """
 
     __slots__ = ("params", "denom", "s13", "s34", "b0", "b1",
@@ -192,10 +212,21 @@ class _BuildTerms:
     def __init__(self, p: LinkageParameters) -> None:
         self.params = p  # held so that the identity test in _build_terms stays sound
         self.denom = p.l2 * math.sin(p.theta2 + p.theta3)  # tip_moment_ratio's
+        if self.denom == 0.0:
+            raise ValueError(
+                f"l2*sin(theta2+theta3) = 0.0 with l2 = {p.l2!r}, theta2 = "
+                f"{p.theta2!r}, theta3 = {p.theta3!r}: the coupler moment arm "
+                "divides the tip moment ratio and must be nonzero"
+            )
         self.s13 = math.sin(p.theta1 - p.theta3)
         self.s34 = math.sin(p.theta3 + p.theta4)
         self.plus = _friction_branch(p, 1)
         self._minus: float | None = None
+        if p.l1 == 0.0:
+            raise ValueError(
+                f"l1 = {p.l1!r}: the strut length divides the spring moment "
+                "and must be nonzero"
+            )
         f_k = spring_force(p)
         lever = p.l0 / p.l1
         self.b0 = lever * math.cos(p.theta0 + p.theta1) * f_k
@@ -537,15 +568,14 @@ def predict_opening(p: LinkageParameters, zeta: float) -> OpeningDecision:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class EquilibriumState:
+class EquilibriumState(NamedTuple):
     """Full member-by-member force state from the raw 9-unknown balance.
 
     Forces are (x, y) pairs in N: ``f_r1`` at joint R of the left strut,
     ``f_s4`` at joint S of the right strut and ``f_pin`` on the slotted
-    pin T (joints as named in :mod:`linkstat.model`); ``beta_6`` is the slotted strut internal force that the aggregated
-    route folds away.  ``residual`` is the worst scaled defect over all
-    nine balance rows.
+    pin T (joints as named in :mod:`linkstat.model`); ``beta_6`` is the
+    slotted strut internal force that the aggregated route folds away.
+    ``residual`` is the worst scaled defect over all nine balance rows.
     """
 
     xi: float
@@ -559,82 +589,108 @@ class EquilibriumState:
     residual: float
 
 
-def _equilibrium_rows(
-    p: LinkageParameters, zeta: float, slip_sign: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw balance rows, one unknown vector:
+# Where each entry of _equilibrium_rows lands in the 9x9 matrix, in the
+# order that function lists them.  The unknowns are (xi, beta_3, beta_6,
+# f_r1x, f_r1y, f_s4x, f_s4y, f_pinx, f_piny).  The Coulomb entry (8, 7),
+# the only one that depends on the assumed slip sense, comes last.
+_ROW_POSITIONS = (
+    (0, 3), (0, 0), (0, 1), (1, 4), (1, 0), (1, 1), (2, 4), (2, 3),  # left strut
+    (3, 5), (3, 0), (3, 2), (4, 6), (4, 0), (4, 2), (5, 6), (5, 5),  # right strut
+    (6, 7), (6, 1), (6, 2), (7, 8), (7, 1), (7, 2), (8, 8),  # slotted pin
+    (8, 7),  # Coulomb condition
+)
+# The two rows with a right-hand side: the strut moments about the base pivot.
+_RHS_ROWS = (2, 5)
 
-    (xi, beta_3, beta_6, f_r1x, f_r1y, f_s4x, f_s4y, f_pinx, f_piny).
 
-    Member balances are written directly from the free bodies of the two
-    struts and the slotted pin; nothing is pre-aggregated, so this stays
-    an independent check on :func:`solve_balance`.
+@functools.cache
+def _stacked_positions() -> np.ndarray:
+    """_ROW_POSITIONS for both slip senses, then _RHS_ROWS for both.
+
+    As flat indices into one buffer that holds the (2, 9, 9) matrices and
+    then the (2, 9, 1) right-hand sides; built on the oracle's first
+    call, which loads numpy.
     """
     import numpy as np
 
+    positions = np.array(
+        [81 * k + 9 * row + col for k in (0, 1) for row, col in _ROW_POSITIONS]
+        + [162 + 9 * k + row for k in (0, 1) for row in _RHS_ROWS],
+        dtype=np.intp,
+    )
+    positions.flags.writeable = False  # one array, shared by every call
+    return positions
+
+
+def _raw_singular_error(zeta: float, cause: str = "") -> SingularSystemError:
+    return SingularSystemError(
+        f"raw equilibrium is singular at press direction "
+        f"{math.degrees(zeta):.6g} deg{cause}"
+    )
+
+
+def _equilibrium_rows(
+    p: LinkageParameters, zeta: float
+) -> tuple[list[float], float, float, float]:
+    """Raw balance rows for one press direction, entry by entry.
+
+    Returns the entries at :data:`_ROW_POSITIONS` but the last, the
+    Coulomb coefficient -mu of the +1 slip sense (the -1 sense has +mu
+    there), and the right-hand sides of rows 2 and 5; every other entry
+    is zero.  Member balances are written directly from the free bodies
+    of the two struts and the slotted pin; nothing is pre-aggregated, so
+    this stays an independent check on :func:`solve_balance`.
+    """
     _require_finite(zeta)
     s1, c1 = math.sin(p.theta1), math.cos(p.theta1)
     s2, c2 = math.sin(p.theta2), math.cos(p.theta2)
     s3, c3 = math.sin(p.theta3), math.cos(p.theta3)
     s4, c4 = math.sin(p.theta4), math.cos(p.theta4)
-    gamma = tip_moment_ratio(p, zeta)
+    # tip_moment_ratio(p, zeta), with a zero arm caught.
+    arm = p.l2 * math.sin(p.theta2 + p.theta3)
+    if arm == 0.0:
+        raise _raw_singular_error(
+            zeta, ": the coupler moment arm l2*sin(theta2+theta3) is zero"
+        )
+    gamma = (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / arm
     f_k = spring_force(p)
-
-    a = np.zeros((9, 9), dtype=float)
-    b = np.zeros(9, dtype=float)
-
-    # Left strut, force balance (x then y).
-    a[0, 3] = 1.0
-    a[0, 0] = gamma * s3 + math.sin(zeta)
-    a[0, 1] = s3
-    a[1, 4] = 1.0
-    a[1, 0] = gamma * c3 + math.cos(zeta)
-    a[1, 1] = c3
-    # Left strut, moment about the base pivot.
-    a[2, 4] = p.l1 * s1
-    a[2, 3] = -p.l1 * c1
-    b[2] = -p.l0 * math.cos(p.theta0 + p.theta1) * f_k
-    # Right strut, force balance.
-    a[3, 5] = 1.0
-    a[3, 0] = -gamma * s3
-    a[3, 2] = s2
-    a[4, 6] = 1.0
-    a[4, 0] = -gamma * c3
-    a[4, 2] = -c2
-    # Right strut, moment about the base pivot.
-    a[5, 6] = -p.l1 * s4
-    a[5, 5] = -p.l1 * c4
-    b[5] = p.l0 * math.cos(p.theta4 + p.theta5) * f_k
-    # Slotted pin, force balance.
-    a[6, 7] = 1.0
-    a[6, 1] = s3
-    a[6, 2] = s2
-    a[7, 8] = 1.0
-    a[7, 1] = c3
-    a[7, 2] = -c2
-    # Coulomb condition at the pin for the assumed slip sense.
-    a[8, 8] = 1.0
-    a[8, 7] = -p.mu * float(slip_sign)
-    return a, b
+    entries = [
+        # Left strut: force balance (x then y), moment about the base pivot.
+        1.0, gamma * s3 + math.sin(zeta), s3,
+        1.0, gamma * c3 + math.cos(zeta), c3,
+        p.l1 * s1, -p.l1 * c1,
+        # Right strut: force balance, moment about the base pivot.
+        1.0, -gamma * s3, s2,
+        1.0, -gamma * c3, -c2,
+        -p.l1 * s4, -p.l1 * c4,
+        # Slotted pin: force balance, then the Coulomb row's own unknown.
+        1.0, s3, s2,
+        1.0, c3, -c2,
+        1.0,
+    ]
+    b2 = -p.l0 * math.cos(p.theta0 + p.theta1) * f_k
+    b5 = p.l0 * math.cos(p.theta4 + p.theta5) * f_k
+    return entries, -p.mu, b2, b5
 
 
-def _solve_equilibrium_branch(
-    p: LinkageParameters, zeta: float, slip_sign: int
-) -> tuple[np.ndarray, float]:
-    import numpy as np
+def _all_finite(values: list[float]) -> bool:
+    """Whether every value is finite.
 
-    a, b = _equilibrium_rows(p, zeta, slip_sign)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"raw equilibrium is singular at press direction "
-            f"{math.degrees(zeta):.6g} deg"
-        ) from exc
-    defect = a @ x - b
-    scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(x))))
-    residual = float(np.max(np.abs(defect))) / scale
-    return x, residual
+    A sum is finite only when every term is, so the term-by-term test
+    runs only when the sum is not, which an overflow can also cause.
+    """
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def _abs_max(values: list[float]) -> float:
+    """max(abs(v)) over ``values``, nan if any is nan, as numpy's max gives.
+
+    Python's ``max`` keeps a nan only when it comes first.  A sum of
+    magnitudes is nan exactly when one of them is, since inf + inf = inf.
+    """
+    magnitudes = list(map(abs, values))
+    total = sum(magnitudes)
+    return max(magnitudes) if total == total else total
 
 
 def full_equilibrium(
@@ -646,20 +702,51 @@ def full_equilibrium(
     senses are solved and the self-consistent one kept.  When both are
     consistent (the friction force is essentially zero) the branch
     matching ``sign_beta3`` is preferred; an inconsistent pair is
-    returned with ``consistent`` False rather than raised.  A non-finite
-    ``zeta`` raises ValueError.
-    """
-    preferred = -sign_beta3 if sign_beta3 is not None else None
-    branches: dict[int, tuple[np.ndarray, float]] = {}
-    consistent_signs: list[int] = []
-    for slip in (1, -1):
-        x, residual = _solve_equilibrium_branch(p, zeta, slip)
-        branches[slip] = (x, residual)
-        pin_x = float(x[7])
-        tol = 1e-9 * max(1.0, abs(pin_x))
-        if slip * pin_x >= -tol:
-            consistent_signs.append(slip)
+    returned with ``consistent`` False rather than raised.
 
+    The two senses differ only in the Coulomb entry, so the rows are
+    computed once and written into a stack of two 9x9 systems that one
+    LAPACK call solves; numpy is imported on the first call.  The
+    defect a x - b is taken for both at once; the branch choice, and
+    ``residual``, the kept system's largest defect over max(1, |b|,
+    |x|), are computed in floats.
+
+    A non-finite ``zeta`` raises ValueError.  SingularSystemError, naming
+    the press direction, is raised when either system is singular, when
+    its rows or its solution are not finite, and when the coupler moment
+    arm l2*sin(theta2+theta3) is zero.
+    """
+    import numpy as np
+
+    entries, coulomb, b2, b5 = _equilibrium_rows(p, zeta)
+    buffer = np.zeros(180)
+    buffer.put(
+        _stacked_positions(),
+        entries + [coulomb] + entries + [-coulomb, b2, b5, b2, b5],
+    )
+    a = buffer[:162].reshape(2, 9, 9)
+    # A stack of column vectors, not (2, 9): numpy 2 reads a 2-D b as one
+    # matrix of right-hand sides, numpy 1 as a stack of vectors.
+    b = buffer[162:].reshape(2, 9, 1)
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise _raw_singular_error(zeta) from exc
+    # Checked after the solve, so that a singular system names only that.
+    if not _all_finite([*entries, coulomb, b2, b5]):
+        raise _raw_singular_error(zeta, ": the balance rows are not finite")
+    plus, minus = x.reshape(2, 9).tolist()
+    if not _all_finite(plus + minus):
+        raise _raw_singular_error(zeta, ": the solution is not finite")
+    defects = (a @ x - b).reshape(2, 9).tolist()
+
+    branches = {1: plus, -1: minus}
+    consistent_signs = [
+        slip
+        for slip, row in branches.items()
+        if slip * row[7] >= -1e-9 * max(1.0, abs(row[7]))
+    ]
+    preferred = -sign_beta3 if sign_beta3 is not None else None
     if not consistent_signs:
         # Neither slip sense agrees with its own solution; report the
         # branch implied by the strut-force sign convention.
@@ -675,24 +762,22 @@ def full_equilibrium(
             # Tie-break with the sense opposing the coupler strut force,
             # matching the convention of the aggregated route.
             chosen = next(
-                (
-                    s
-                    for s in consistent_signs
-                    if s == -_sign_of(float(branches[s][0][1]))
-                ),
+                (s for s in consistent_signs if s == -_sign_of(branches[s][1])),
                 consistent_signs[0],
             )
         consistent = True
 
-    x, residual = branches[chosen]
+    xs = branches[chosen]
+    # Everything in the scale is finite here, so max needs no nan care.
+    scale = max(1.0, abs(b2), abs(b5), max(map(abs, xs)))
     return EquilibriumState(
-        xi=float(x[0]),
-        beta_3=float(x[1]),
-        beta_6=float(x[2]),
-        f_r1=(float(x[3]), float(x[4])),
-        f_s4=(float(x[5]), float(x[6])),
-        f_pin=(float(x[7]), float(x[8])),
+        xi=xs[0],
+        beta_3=xs[1],
+        beta_6=xs[2],
+        f_r1=(xs[3], xs[4]),
+        f_s4=(xs[5], xs[6]),
+        f_pin=(xs[7], xs[8]),
         friction_sign=chosen,
         consistent=consistent,
-        residual=residual,
+        residual=_abs_max(defects[0] if chosen == 1 else defects[1]) / scale,
     )

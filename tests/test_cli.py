@@ -402,6 +402,40 @@ def test_zero_friction_coupling_denominator_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep", "optimize", "validate", "compare"])
+def test_subnormal_strut_length_exits_2(command, tmp_path, capsys):
+    """l1 = 1e-320 passes the length rule, but the spring moments over it overflow.
+
+    ``analyze`` read such a build as opening at an infinite force and
+    then failed in the grip budget with a traceback.
+    """
+    params = tmp_path / "params.txt"
+    params.write_text(format_parameter_file(default_parameters().with_values(l1=1e-320)))
+    design = tmp_path / "design.txt"
+    design.write_text(DESIGN_OK)
+    meas = tmp_path / "meas.csv"
+    meas.write_text("zeta_deg,measured_force_n\n0,5.0\n")
+    out = tmp_path / "out.txt"
+    argv = {
+        "analyze": ["--zeta-deg", "0"],
+        "sweep": ["--out", str(out)],
+        "optimize": ["--design", str(design), "--out", str(out)],
+        "validate": [],
+        "compare": ["--measurements", str(meas), "--out", str(out)],
+    }[command]
+    assert main([command, "--params", str(params), *argv]) == 2
+    captured = capsys.readouterr()
+    message = "l1: l0/l1 = 10.93/1e-320 times the spring force overflows the spring moments"
+    if command == "validate":
+        assert message in captured.out
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith(f"error: {params}: invalid parameters\n{message}")
+        assert captured.out == ""
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 def _run_child(code, commands):
     """Run ``code`` in a fresh interpreter on ``commands``; its last line as JSON."""
     src = str(Path(linkstat.__file__).resolve().parent.parent)

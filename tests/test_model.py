@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from linkstat import default_parameters, friction_coupling, validate_parameters
+from linkstat.statics import _BuildTerms
 
 
 def test_defaults_validate(defaults):
@@ -91,3 +92,28 @@ def test_zero_friction_coupling_denominator_reported(defaults, theta2_deg, sign,
     assert math.isfinite(friction_coupling(below, sign))
     assert validate_parameters(below).ok
     assert not validate_parameters(above).ok
+
+
+def test_subnormal_strut_length_is_refused(defaults):
+    # l1 = 1e-320 is positive, but l0/l1 overflows the spring moments.
+    report = validate_parameters(defaults.with_values(l1=1e-320))
+    assert [v.field for v in report.violations] == ["l1"]
+    assert "b0 = inf, b1 = -inf" in report.violations[0].message
+    assert validate_parameters(defaults.with_values(l1=1e-300)).ok
+
+
+_MAGNITUDES = st.floats(min_value=5e-324, max_value=1e308)
+
+
+@given(_MAGNITUDES, _MAGNITUDES, _MAGNITUDES, _MAGNITUDES)
+@example(10.93, 1e-320, 0.862, 9.7)
+@example(1e300, 24.0, 1e10, 9.7)
+def test_spring_moment_rule_matches_the_statics(l0, l1, spring_k, natural_length):
+    """validate_parameters refuses exactly the builds whose b0, b1 overflow."""
+    p = default_parameters().with_values(
+        l0=l0, l1=l1, spring_k=spring_k, natural_length=natural_length
+    )
+    terms = _BuildTerms(p)
+    b0, b1 = terms.b0, terms.b1
+    refused = any(v.field == "l1" for v in validate_parameters(p).violations)
+    assert refused == (not (math.isfinite(b0) and math.isfinite(b1)))

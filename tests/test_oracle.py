@@ -17,6 +17,8 @@ from linkstat import (
     friction_coupling,
     full_equilibrium,
     solve_balance,
+    spring_force,
+    tip_moment_ratio,
 )
 
 PERTURBED_FIELDS = (
@@ -24,6 +26,9 @@ PERTURBED_FIELDS = (
     "theta0", "theta1", "theta2", "theta3", "theta4", "theta5",
     "spring_k", "natural_length", "mu",
 )
+
+STATE_FIELDS = ("xi", "beta_3", "beta_6", "f_r1", "f_s4", "f_pin",
+                "friction_sign", "consistent", "residual")
 
 
 def rel(a: float, b: float) -> float:
@@ -122,5 +127,156 @@ def test_raw_route_singular_matrix(defaults):
     p = defaults.with_values(theta2=0.0, theta3=0.0, mu=0.0)
     # theta2 = -theta3 = 0 collapses the coupler geometry; the raw matrix
     # degenerates as well (division by sin(theta2+theta3) happens first).
-    with pytest.raises((SingularSystemError, ZeroDivisionError)):
+    with pytest.raises(SingularSystemError):
         full_equilibrium(p, 0.3)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"l2": 0.0}, {"theta2": -math.radians(15.0)}],
+    ids=["l2-zero", "theta2-minus-theta3"],
+)
+def test_zero_moment_arm_names_the_press_direction(defaults, changes):
+    with pytest.raises(
+        SingularSystemError,
+        match=r"at press direction 17\.1887 deg: the coupler moment arm "
+        r"l2\*sin\(theta2\+theta3\) is zero",
+    ):
+        full_equilibrium(defaults.with_values(**changes), 0.3)
+
+
+def test_singular_rows_keep_their_message(defaults):
+    # l1 = 0 empties both strut moment rows; LAPACK finds the stack singular.
+    with pytest.raises(SingularSystemError) as err:
+        full_equilibrium(defaults.with_values(l1=0.0), 0.3)
+    assert str(err.value) == "raw equilibrium is singular at press direction 17.1887 deg"
+
+
+def test_non_finite_solution_is_singular(defaults):
+    # l1 = 1e-320 solves into xi = nan and f_pin = (inf, inf).
+    with pytest.raises(SingularSystemError, match="the solution is not finite"):
+        full_equilibrium(defaults.with_values(l1=1e-320), 0.0)
+
+
+def test_non_finite_rows_are_singular(defaults):
+    # A subnormal coupler length overflows the tip moment ratio; the
+    # solve then gives finite forces with a nan residual.
+    with pytest.raises(SingularSystemError, match="the balance rows are not finite"):
+        full_equilibrium(defaults.with_values(l2=5e-324), 0.0)
+
+
+def test_equilibrium_state_is_an_immutable_named_tuple(defaults):
+    state = full_equilibrium(defaults, 0.0)
+    assert state._fields == STATE_FIELDS
+    with pytest.raises(AttributeError):
+        state.xi = 1.0
+    assert repr(state) == (
+        f"EquilibriumState(xi={state.xi!r}, beta_3={state.beta_3!r}, "
+        f"beta_6={state.beta_6!r}, f_r1={state.f_r1!r}, f_s4={state.f_s4!r}, "
+        f"f_pin={state.f_pin!r}, friction_sign={state.friction_sign!r}, "
+        f"consistent={state.consistent!r}, residual={state.residual!r})"
+    )
+    assert state == full_equilibrium(defaults, 0.0)
+
+
+# The oracle as it was written before its rows were stacked: one zeroed
+# 9x9 system per slip sense, two solves and numpy reductions.  The
+# stacked route must give every field of it bit for bit.
+
+def _reference_rows(p, zeta, slip_sign):
+    s1, c1 = math.sin(p.theta1), math.cos(p.theta1)
+    s2, c2 = math.sin(p.theta2), math.cos(p.theta2)
+    s3, c3 = math.sin(p.theta3), math.cos(p.theta3)
+    s4, c4 = math.sin(p.theta4), math.cos(p.theta4)
+    gamma = tip_moment_ratio(p, zeta)
+    f_k = spring_force(p)
+    a = np.zeros((9, 9), dtype=float)
+    b = np.zeros(9, dtype=float)
+    a[0, 3] = 1.0
+    a[0, 0] = gamma * s3 + math.sin(zeta)
+    a[0, 1] = s3
+    a[1, 4] = 1.0
+    a[1, 0] = gamma * c3 + math.cos(zeta)
+    a[1, 1] = c3
+    a[2, 4] = p.l1 * s1
+    a[2, 3] = -p.l1 * c1
+    b[2] = -p.l0 * math.cos(p.theta0 + p.theta1) * f_k
+    a[3, 5] = 1.0
+    a[3, 0] = -gamma * s3
+    a[3, 2] = s2
+    a[4, 6] = 1.0
+    a[4, 0] = -gamma * c3
+    a[4, 2] = -c2
+    a[5, 6] = -p.l1 * s4
+    a[5, 5] = -p.l1 * c4
+    b[5] = p.l0 * math.cos(p.theta4 + p.theta5) * f_k
+    a[6, 7] = 1.0
+    a[6, 1] = s3
+    a[6, 2] = s2
+    a[7, 8] = 1.0
+    a[7, 1] = c3
+    a[7, 2] = -c2
+    a[8, 8] = 1.0
+    a[8, 7] = -p.mu * float(slip_sign)
+    return a, b
+
+
+def _reference_equilibrium(p, zeta, sign_beta3=None):
+    preferred = -sign_beta3 if sign_beta3 is not None else None
+    branches = {}
+    consistent_signs = []
+    for slip in (1, -1):
+        a, b = _reference_rows(p, zeta, slip)
+        x = np.linalg.solve(a, b)
+        defect = a @ x - b
+        scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(x))))
+        branches[slip] = (x, float(np.max(np.abs(defect))) / scale)
+        pin_x = float(x[7])
+        if slip * pin_x >= -1e-9 * max(1.0, abs(pin_x)):
+            consistent_signs.append(slip)
+    if not consistent_signs:
+        chosen = preferred if preferred in branches else 1
+    elif len(consistent_signs) == 1:
+        chosen = consistent_signs[0]
+    elif preferred in consistent_signs:
+        chosen = preferred
+    else:
+        chosen = next(
+            (s for s in consistent_signs if s == -(1 if float(branches[s][0][1]) >= 0.0 else -1)),
+            consistent_signs[0],
+        )
+    x, residual = branches[chosen]
+    return (
+        float(x[0]), float(x[1]), float(x[2]),
+        (float(x[3]), float(x[4])), (float(x[5]), float(x[6])), (float(x[7]), float(x[8])),
+        chosen, bool(consistent_signs), residual,
+    )
+
+
+def _bits(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.floats(min_value=0.7, max_value=1.3), min_size=14, max_size=14),
+    st.sampled_from(["scattered", "theta3=theta1", "mu=0"]),
+    st.lists(st.floats(min_value=-1.2, max_value=1.8), min_size=1, max_size=4),
+)
+def test_stacked_solve_equals_two_separate_solves(scales, case, zetas):
+    base = default_parameters()
+    p = base.with_values(**{f: getattr(base, f) * c for f, c in zip(PERTURBED_FIELDS, scales)})
+    if case == "theta3=theta1":
+        p = p.with_values(theta3=p.theta1)
+    elif case == "mu=0":
+        p = p.with_values(mu=0.0)
+    for zeta in zetas:
+        for hint in (None, 1, -1):
+            expected = _reference_equilibrium(p, zeta, hint)
+            assert math.isfinite(expected[-1])
+            state = full_equilibrium(p, zeta, hint)
+            assert _bits(tuple(getattr(state, name) for name in STATE_FIELDS)) == _bits(expected)

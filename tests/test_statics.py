@@ -1,18 +1,23 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import linkstat.statics as statics
 from linkstat import (
     BlockedReason,
+    Measurement,
+    NotOpeningError,
     OpeningStatus,
     SingularSystemError,
     assemble_system,
+    compare_measurements,
     default_parameters,
+    envelope,
     friction_coupling,
     full_equilibrium,
     perturbed_joint_forces,
@@ -21,6 +26,7 @@ from linkstat import (
     solve_balance_with_sign,
     spring_force,
     sweep,
+    switching_threshold,
     tip_moment_ratio,
 )
 
@@ -592,3 +598,78 @@ def test_batch_rejects_a_non_finite_press_direction(defaults):
 
 def test_batch_of_no_press_directions(defaults):
     assert statics._decide_all(defaults, []) == []
+
+
+# Every division of the 2x2 balance is checked once per build, with a
+# ValueError naming its divisor.
+
+@pytest.mark.parametrize(
+    "changes,divisor",
+    [
+        ({"l1": 0.0}, "l1 = 0.0"),
+        ({"l2": 0.0}, r"l2\*sin\(theta2\+theta3\) = 0.0"),
+        ({"theta2": -rad(15.0)}, r"l2\*sin\(theta2\+theta3\) = 0.0"),
+    ],
+    ids=["l1", "l2", "theta2=-theta3"],
+)
+def test_zero_divisor_of_the_build_is_named(defaults, changes, divisor):
+    p = defaults.with_values(**changes)
+    for call in (lambda: predict_opening(p, 0.0), lambda: solve_balance(p, 0.0),
+                 lambda: statics._decide_all(p, [0.0, 0.1]), lambda: sweep(p)):
+        with pytest.raises(ValueError, match=divisor):
+            call()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_zero_friction_denominator_is_named_on_first_use(defaults, sign):
+    # At mu = cot(theta2) the +1 branch's denominator is zero; with theta2
+    # negated, the -1 branch's is, and it is only computed on a retry.
+    t2 = sign * defaults.theta2
+    p = defaults.with_values(theta2=t2, mu=sign * math.cos(t2) / math.sin(t2))
+    message = re.escape(f"{sign:+d} friction branch's denominator")
+    if sign == 1:
+        with pytest.raises(ValueError, match=message):
+            statics._build_terms(p)
+        return
+    statics._build_terms(p)  # the +1 branch alone is fine
+    verdicts = statics._decide_all(p, [rad(-15.0)])
+    assert verdicts[0][3] == 1  # kept on the +1 branch, no retry
+    with pytest.raises(ValueError, match=message):
+        statics._decide_all(p, [rad(z) for z in range(-30, 91, 5)])
+
+
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(statics.LinkageParameters))
+_EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, -1.0, 5e-324]),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(_FIELD_NAMES), _EDGE_VALUES, min_size=1, max_size=5),
+    st.floats(min_value=-1.5, max_value=1.5),
+)
+@example({"l1": 0.0}, 0.0)
+@example({"l1": 1e-320}, 0.0)
+@example({"l2": 5e-324}, 0.0)
+@example({"l2": 1.3239771654038585e-221}, 0.0)  # the envelope's sizes overflow when squared
+@example({"theta2": 0.0, "theta3": 0.0}, 0.3)
+def test_every_entry_point_is_total_on_finite_builds(changes, zeta):
+    """Each call returns or raises one of the documented errors."""
+    p = default_parameters().with_values(**changes)
+    calls = [
+        lambda: predict_opening(p, zeta),
+        lambda: solve_balance(p, zeta),
+        lambda: sweep(p, -0.5, 1.5, 0.05),
+        lambda: envelope(p, -0.5, 1.5, 0.05),
+        lambda: switching_threshold(p, zeta),
+        lambda: full_equilibrium(p, zeta),
+        lambda: full_equilibrium(p, zeta, 1),
+        lambda: compare_measurements(p, (Measurement(zeta, 5.0), Measurement(0.0, 2.0))),
+    ]
+    for call in calls:
+        try:
+            call()
+        except (ValueError, SingularSystemError, NotOpeningError):
+            pass
