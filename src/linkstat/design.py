@@ -23,9 +23,8 @@ build no verdict objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .model import _ANGLE_FIELDS, LinkageParameters, validate_parameters
 from .modeswitch import (
@@ -54,7 +53,7 @@ __all__ = [
 
 # Parameters the search may vary.  The probe step epsilon only scales
 # reported probe forces, never the verdict, so it is not a design knob.
-_FREE_FIELDS = frozenset(f.name for f in fields(LinkageParameters)) - {"epsilon"}
+_FREE_FIELDS = frozenset(LinkageParameters._fields) - {"epsilon"}
 
 # Evaluations a search may spend when neither caller nor design file says.
 DEFAULT_BUDGET = 400
@@ -109,8 +108,7 @@ def sensitivity(p: LinkageParameters, name: str, zeta: float) -> float:
     return (up - down) / (2.0 * h)
 
 
-@dataclass(frozen=True)
-class DesignSpec:
+class DesignSpec(NamedTuple):
     """Target and search space for a design run.
 
     Angles radians, forces N.  The opening envelope must contain
@@ -201,8 +199,7 @@ def _distance_to_envelope_deg(
     return best
 
 
-@dataclass(frozen=True, eq=False)
-class DesignEvaluation:
+class DesignEvaluation(NamedTuple):
     """Penalty breakdown for one candidate parameter set."""
 
     penalty: float
@@ -276,8 +273,7 @@ class DesignStatus(Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True, eq=False)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Fresh confirmation attached to every Feasible verdict."""
 
     interval_lo: float
@@ -285,8 +281,7 @@ class VerificationRecord:
     threshold: float
 
 
-@dataclass(frozen=True, eq=False)
-class DesignResult:
+class DesignResult(NamedTuple):
     status: DesignStatus
     parameters: LinkageParameters
     evaluations: int

@@ -14,7 +14,7 @@ always with an explicit ``_deg`` suffix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 __all__ = [
     "LinkageParameters",
@@ -32,13 +32,15 @@ _ANGLE_FIELDS = ("theta0", "theta1", "theta2", "theta3", "theta4", "theta5")
 
 _HALF_PI = math.pi / 2.0
 
+# The fields the tip moment ratio reads.
+_TIP_RATIO_FIELDS = ("l2", "l3", "l4", "theta2", "theta3")
+
 # The fields the spring moments b0, b1 of the 2x2 balance read.
 _SPRING_MOMENT_FIELDS = ("l0", "l1", "theta0", "theta1", "theta4", "theta5",
                          "spring_k", "natural_length")
 
 
-@dataclass(frozen=True)
-class LinkageParameters:
+class LinkageParameters(NamedTuple):
     """One complete description of the finger linkage.
 
     Lengths in mm, angles in radians.  Construction is permissive; call
@@ -78,23 +80,21 @@ class LinkageParameters:
     epsilon: float
 
     def with_values(self, **changes: float) -> "LinkageParameters":
-        """Return a copy with the named fields replaced."""
-        return replace(self, **changes)
+        """Return a copy with the named fields replaced; ValueError names an unknown one."""
+        return self._replace(**changes)
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self._fields, self))
 
 
-@dataclass(frozen=True)
-class ParameterViolation:
+class ParameterViolation(NamedTuple):
     """A single broken parameter rule."""
 
     field: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[ParameterViolation, ...]
 
     @property
@@ -141,32 +141,53 @@ def validate_parameters(p: LinkageParameters) -> ValidationReport:
         elif value < floor:
             found.append(ParameterViolation(name, f"must be >= {floor}, got {value}"))
 
+    # The rules below read many fields, so they read each once.
+    (l0, l1, l2, l3, l4, theta0, theta1, theta2, theta3, theta4, theta5,
+     spring_k, natural_length, mu, _) = p
+
     # theta2 = -theta3 collapses the coupler moment arm: the pair is
     # degenerate even though each angle passes its own range check.
-    t2, t3 = p.theta2, p.theta3
-    if math.isfinite(t2) and math.isfinite(t3) and math.sin(t2 + t3) == 0.0:
+    if math.isfinite(theta2) and math.isfinite(theta3) and math.sin(theta2 + theta3) == 0.0:
         found.append(
             ParameterViolation(
                 "theta2",
-                f"theta2 + theta3 = {t2 + t3} makes sin(theta2+theta3) vanish; "
+                f"theta2 + theta3 = {theta2 + theta3} makes sin(theta2+theta3) vanish; "
                 "the coupler transmits no moment (degenerate pair theta2, theta3)",
             )
         )
+
+    # The tip moment ratio (l4*cos(zeta) - l3*sin(theta2+zeta)) over the
+    # coupler moment arm l2*sin(theta2+theta3) overflows when l2 is tiny
+    # (l2 = 5e-324 passes every rule above), and every verdict would then
+    # read nan.  Its numerator is at most |l3| + |l4| in size; that bound
+    # over the arm, evaluated here as statics._BuildTerms forms the arm,
+    # is checked only when none of the fields it reads broke a rule above.
+    if not found or {v.field for v in found}.isdisjoint(_TIP_RATIO_FIELDS):
+        arm = l2 * math.sin(theta2 + theta3)
+        bound = abs(l3) + abs(l4)
+        if arm == 0.0 or not math.isfinite(bound / arm):
+            found.append(
+                ParameterViolation(
+                    "l2",
+                    f"l2*sin(theta2+theta3) = {arm!r} with l2 = {l2!r}: "
+                    f"|l3| + |l4| = {bound!r} over it overflows the tip "
+                    "moment ratio",
+                )
+            )
 
     # The slotted pin self-locks once the friction angle reaches the
     # slot's complement, mu >= cot|theta2|: the coupling denominator
     # -s*mu*sin(theta2) + cos(theta2) of branch s, evaluated here exactly
     # as statics.friction_coupling does, is then <= 0, and the sliding
     # balance no longer holds.
-    mu = p.mu
-    if math.isfinite(t2) and math.isfinite(mu):
-        sin2, cos2 = math.sin(t2), math.cos(t2)
+    if math.isfinite(theta2) and math.isfinite(mu):
+        sin2, cos2 = math.sin(theta2), math.cos(theta2)
         for s in (1.0, -1.0):
             if -s * mu * sin2 + cos2 <= 0.0:
                 found.append(
                     ParameterViolation(
                         "mu",
-                        f"mu = {mu} with theta2 = {t2} self-locks the slotted "
+                        f"mu = {mu} with theta2 = {theta2} self-locks the slotted "
                         f"pin on the {s:+.0f} branch (mu >= cot|theta2|, so "
                         "-s*mu*sin(theta2) + cos(theta2) <= 0)",
                     )
@@ -180,18 +201,18 @@ def validate_parameters(p: LinkageParameters) -> ValidationReport:
     # when none of the fields they read broke a rule above, so those are
     # finite and l1 is positive.
     if not found or {v.field for v in found}.isdisjoint(_SPRING_MOMENT_FIELDS):
-        f_k = p.spring_k * (
-            p.l0 * (math.sin(p.theta0 + p.theta1) + math.sin(p.theta4 + p.theta5))
-            - p.natural_length
+        f_k = spring_k * (
+            l0 * (math.sin(theta0 + theta1) + math.sin(theta4 + theta5))
+            - natural_length
         )
-        lever = p.l0 / p.l1
-        b0 = lever * math.cos(p.theta0 + p.theta1) * f_k
-        b1 = -lever * math.cos(p.theta4 + p.theta5) * f_k
+        lever = l0 / l1
+        b0 = lever * math.cos(theta0 + theta1) * f_k
+        b1 = -lever * math.cos(theta4 + theta5) * f_k
         if not (math.isfinite(b0) and math.isfinite(b1)):
             found.append(
                 ParameterViolation(
                     "l1",
-                    f"l0/l1 = {p.l0!r}/{p.l1!r} times the spring force "
+                    f"l0/l1 = {l0!r}/{l1!r} times the spring force "
                     f"overflows the spring moments (b0 = {b0!r}, b1 = {b1!r})",
                 )
             )

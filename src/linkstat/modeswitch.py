@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -75,14 +74,12 @@ class NotOpeningError(RuntimeError):
     """The requested press direction never swings the finger open."""
 
 
-@dataclass(frozen=True, eq=False)
-class SweepSample:
+class SweepSample(NamedTuple):
     zeta: float
     decision: OpeningDecision
 
 
-@dataclass(frozen=True, eq=False)
-class SweepCurve:
+class SweepCurve(NamedTuple):
     """Ordered opening verdicts over a set of press directions."""
 
     params: LinkageParameters

@@ -45,7 +45,7 @@ Most of the 2x2 balance does not depend on the press direction: the
 strut-angle sines, the right-hand side, each friction branch's a11
 and the probe-force cosines belong to the build alone.  The
 first route computes them once per build and keeps the most recent
-build's terms, keyed on the identity of its (frozen) parameters object,
+build's terms, keyed on the identity of its (immutable) parameters object,
 so a sweep, a bisection or a comparison over one build leaves each
 verdict only the three press-direction trig calls.  Each term is the
 float expression a per-call evaluation would use, so caching changes no
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -113,33 +112,52 @@ def spring_force(p: LinkageParameters) -> float:
     return p.spring_k * (stretched - p.natural_length)
 
 
+def _coupler_arm(p: LinkageParameters) -> float:
+    """l2*sin(theta2+theta3), the tip moment ratio's divisor.
+
+    Raises ValueError when it is zero.
+    """
+    arm = p.l2 * math.sin(p.theta2 + p.theta3)
+    if arm == 0.0:
+        raise ValueError(
+            f"l2*sin(theta2+theta3) = 0.0 with l2 = {p.l2!r}, theta2 = "
+            f"{p.theta2!r}, theta3 = {p.theta3!r}: the coupler moment arm "
+            "divides the tip moment ratio and must be nonzero"
+        )
+    return arm
+
+
 def tip_moment_ratio(p: LinkageParameters, zeta: float) -> float:
     """Ratio coupling the tip contact force into the coupler strut load.
 
     ``zeta`` is the press direction in radians, measured at the tip pad;
     zero presses straight along the pad normal.  The ratio changes sign
     where the contact force line crosses the slotted strut axis, which is
-    what ultimately bounds the opening envelope from below.
+    what ultimately bounds the opening envelope from below.  Raises
+    ValueError where the coupler moment arm l2*sin(theta2+theta3) is zero.
     """
-    return (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / (
-        p.l2 * math.sin(p.theta2 + p.theta3)
-    )
+    return (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / _coupler_arm(p)
 
 
 def friction_coupling(p: LinkageParameters, sign_beta3: int) -> float:
     """Transmission factor through the slotted pin for a friction branch.
 
     ``sign_beta3`` picks the assumed slip sense (+1 or -1).  With mu = 0
-    both branches collapse to the same frictionless value.
+    both branches collapse to the same frictionless value.  Raises
+    ValueError where the branch's denominator -s*mu*sin(theta2) +
+    cos(theta2) is zero.
     """
     s = float(sign_beta3)
-    return (s * p.mu * math.sin(p.theta3) + math.cos(p.theta3)) / (
-        -s * p.mu * math.sin(p.theta2) + math.cos(p.theta2)
-    )
+    denom = -s * p.mu * math.sin(p.theta2) + math.cos(p.theta2)
+    if denom == 0.0:
+        raise ValueError(
+            f"mu = {p.mu!r} with theta2 = {p.theta2!r} makes the {s:+.0f} "
+            "friction branch's denominator -s*mu*sin(theta2) + cos(theta2) zero"
+        )
+    return (s * p.mu * math.sin(p.theta3) + math.cos(p.theta3)) / denom
 
 
-@dataclass(frozen=True, eq=False)
-class BalanceSystem:
+class BalanceSystem(NamedTuple):
     """The aggregated 2x2 balance, kept for inspection and reuse.
 
     [[a00, a01], [a10, a11]] * (xi_b, beta_3b) = (b0, b1), with xi_b the
@@ -179,19 +197,8 @@ def _require_finite(zeta: float) -> None:
 
 
 def _friction_branch(p: LinkageParameters, sign_beta3: int) -> float:
-    """a11 of one friction branch, the only branch-dependent entry.
-
-    Raises ValueError where the branch's coupling denominator
-    -s*mu*sin(theta2) + cos(theta2) is zero, its one division.
-    """
-    try:
-        coupling = friction_coupling(p, sign_beta3)
-    except ZeroDivisionError:
-        raise ValueError(
-            f"mu = {p.mu!r} with theta2 = {p.theta2!r} makes the {sign_beta3:+d} "
-            "friction branch's denominator -s*mu*sin(theta2) + cos(theta2) zero"
-        ) from None
-    return coupling * math.sin(p.theta4 - p.theta2)
+    """a11 of one friction branch, the only branch-dependent entry."""
+    return friction_coupling(p, sign_beta3) * math.sin(p.theta4 - p.theta2)
 
 
 class _BuildTerms:
@@ -211,13 +218,7 @@ class _BuildTerms:
 
     def __init__(self, p: LinkageParameters) -> None:
         self.params = p  # held so that the identity test in _build_terms stays sound
-        self.denom = p.l2 * math.sin(p.theta2 + p.theta3)  # tip_moment_ratio's
-        if self.denom == 0.0:
-            raise ValueError(
-                f"l2*sin(theta2+theta3) = 0.0 with l2 = {p.l2!r}, theta2 = "
-                f"{p.theta2!r}, theta3 = {p.theta3!r}: the coupler moment arm "
-                "divides the tip moment ratio and must be nonzero"
-            )
+        self.denom = _coupler_arm(p)  # tip_moment_ratio's
         self.s13 = math.sin(p.theta1 - p.theta3)
         self.s34 = math.sin(p.theta3 + p.theta4)
         self.plus = _friction_branch(p, 1)
@@ -286,8 +287,7 @@ def assemble_system(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BalanceSolution:
+class BalanceSolution(NamedTuple):
     """Solved contact and strut forces for one press direction."""
 
     xi_b: float
@@ -349,7 +349,7 @@ def _decide_all(p: LinkageParameters, zetas: Iterable[float]) -> list[_Verdict]:
     are read once per call.  Each float is the expression
     :func:`assemble_system`, :func:`solve_balance_with_sign` and
     :func:`perturbed_joint_forces` evaluate, so the wrappers that
-    repackage a tuple into dataclasses give the same bits.  A non-finite
+    repackage a tuple into named tuples give the same bits.  A non-finite
     press direction raises ValueError.
     """
     t = _build_terms(p)
@@ -447,8 +447,7 @@ def solve_balance(p: LinkageParameters, zeta: float) -> BalanceSolution:
     return _solution(p, zeta, _decide(p, zeta))
 
 
-@dataclass(frozen=True)
-class JointForcePair:
+class JointForcePair(NamedTuple):
     """Lateral driving forces on the two strut joints under a force probe.
 
     Obtained by nudging the contact force a small step ``epsilon`` past
@@ -503,8 +502,7 @@ _VERDICT_ENUMS: dict[int, tuple[OpeningStatus, BlockedReason | None]] = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class OpeningDecision:
+class OpeningDecision(NamedTuple):
     """Verdict for one press direction.
 
     ``required_force`` is the contact force in N needed to hold balance,
@@ -546,7 +544,7 @@ def predict_opening(p: LinkageParameters, zeta: float) -> OpeningDecision:
     branch alone (the reference build at 60 deg has xi = +4.77 N on the
     -1 branch).  A non-finite ``zeta`` raises ValueError rather than get
     a verdict.  The decision is :func:`_decide_all`'s; this builds the four
-    dataclasses from its tuple.
+    named tuples from its tuple.
     """
     verdict = _decide(p, zeta)
     code = verdict[0]
@@ -642,35 +640,36 @@ def _equilibrium_rows(
     this stays an independent check on :func:`solve_balance`.
     """
     _require_finite(zeta)
-    s1, c1 = math.sin(p.theta1), math.cos(p.theta1)
-    s2, c2 = math.sin(p.theta2), math.cos(p.theta2)
-    s3, c3 = math.sin(p.theta3), math.cos(p.theta3)
-    s4, c4 = math.sin(p.theta4), math.cos(p.theta4)
+    l0, l1, l2, l3, l4, theta0, theta1, theta2, theta3, theta4, theta5, _, _, mu, _ = p
+    s1, c1 = math.sin(theta1), math.cos(theta1)
+    s2, c2 = math.sin(theta2), math.cos(theta2)
+    s3, c3 = math.sin(theta3), math.cos(theta3)
+    s4, c4 = math.sin(theta4), math.cos(theta4)
     # tip_moment_ratio(p, zeta), with a zero arm caught.
-    arm = p.l2 * math.sin(p.theta2 + p.theta3)
+    arm = l2 * math.sin(theta2 + theta3)
     if arm == 0.0:
         raise _raw_singular_error(
             zeta, ": the coupler moment arm l2*sin(theta2+theta3) is zero"
         )
-    gamma = (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / arm
+    gamma = (l4 * math.cos(zeta) - l3 * math.sin(theta2 + zeta)) / arm
     f_k = spring_force(p)
     entries = [
         # Left strut: force balance (x then y), moment about the base pivot.
         1.0, gamma * s3 + math.sin(zeta), s3,
         1.0, gamma * c3 + math.cos(zeta), c3,
-        p.l1 * s1, -p.l1 * c1,
+        l1 * s1, -l1 * c1,
         # Right strut: force balance, moment about the base pivot.
         1.0, -gamma * s3, s2,
         1.0, -gamma * c3, -c2,
-        -p.l1 * s4, -p.l1 * c4,
+        -l1 * s4, -l1 * c4,
         # Slotted pin: force balance, then the Coulomb row's own unknown.
         1.0, s3, s2,
         1.0, c3, -c2,
         1.0,
     ]
-    b2 = -p.l0 * math.cos(p.theta0 + p.theta1) * f_k
-    b5 = p.l0 * math.cos(p.theta4 + p.theta5) * f_k
-    return entries, -p.mu, b2, b5
+    b2 = -l0 * math.cos(theta0 + theta1) * f_k
+    b5 = l0 * math.cos(theta4 + theta5) * f_k
+    return entries, -mu, b2, b5
 
 
 def _all_finite(values: list[float]) -> bool:

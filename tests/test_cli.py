@@ -402,15 +402,10 @@ def test_zero_friction_coupling_denominator_exits_2(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["analyze", "sweep", "optimize", "validate", "compare"])
-def test_subnormal_strut_length_exits_2(command, tmp_path, capsys):
-    """l1 = 1e-320 passes the length rule, but the spring moments over it overflow.
-
-    ``analyze`` read such a build as opening at an infinite force and
-    then failed in the grip budget with a traceback.
-    """
+def _assert_build_refused(command, tmp_path, capsys, changes, message):
+    """``command`` on the default build with ``changes`` exits 2 naming ``message``."""
     params = tmp_path / "params.txt"
-    params.write_text(format_parameter_file(default_parameters().with_values(l1=1e-320)))
+    params.write_text(format_parameter_file(default_parameters().with_values(**changes)))
     design = tmp_path / "design.txt"
     design.write_text(DESIGN_OK)
     meas = tmp_path / "meas.csv"
@@ -425,7 +420,6 @@ def test_subnormal_strut_length_exits_2(command, tmp_path, capsys):
     }[command]
     assert main([command, "--params", str(params), *argv]) == 2
     captured = capsys.readouterr()
-    message = "l1: l0/l1 = 10.93/1e-320 times the spring force overflows the spring moments"
     if command == "validate":
         assert message in captured.out
         assert captured.err == ""
@@ -434,6 +428,36 @@ def test_subnormal_strut_length_exits_2(command, tmp_path, capsys):
         assert captured.out == ""
     assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
+
+
+_COMMANDS = ["analyze", "sweep", "optimize", "validate", "compare"]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_subnormal_strut_length_exits_2(command, tmp_path, capsys):
+    """l1 = 1e-320 passes the length rule, but the spring moments over it overflow.
+
+    ``analyze`` read such a build as opening at an infinite force and
+    then failed in the grip budget with a traceback.
+    """
+    _assert_build_refused(
+        command, tmp_path, capsys, {"l1": 1e-320},
+        "l1: l0/l1 = 10.93/1e-320 times the spring force overflows the spring moments",
+    )
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_subnormal_coupler_length_exits_2(command, tmp_path, capsys):
+    """l2 = 5e-324 passes the length rule, but the tip moment ratio over it overflows.
+
+    ``analyze --zeta-deg 0`` read such a build as opening, with a tip
+    moment ratio of -inf and a nan strut force.
+    """
+    _assert_build_refused(
+        command, tmp_path, capsys, {"l2": 5e-324},
+        "l2: l2*sin(theta2+theta3) = 5e-324 with l2 = 5e-324: |l3| + |l4| = "
+        "25.039814565722672 over it overflows the tip moment ratio",
+    )
 
 
 def _run_child(code, commands):
@@ -483,6 +507,43 @@ def test_cli_commands_never_load_numpy(tmp_path):
         "import": False, "sweep": False, "analyze": False,
         "compare": False, "optimize": False,
     }
+
+
+_RECORD_MODULES_CHILD = """
+import json, sys
+def heavy():
+    return [name for name in ("dataclasses", "inspect") if name in sys.modules]
+loaded = {"interpreter": heavy()}
+import linkstat
+loaded["linkstat"] = heavy()
+import linkstat.cli
+loaded["linkstat.cli"] = heavy()
+for argv in json.loads(sys.argv[1]):
+    code = linkstat.cli.main(argv)
+    assert code == 0, (argv, code)
+    loaded[argv[0]] = heavy()
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_commands_never_load_dataclasses_or_inspect(tmp_path):
+    """The record types are named tuples, so no command pays for these imports."""
+    meas = tmp_path / "meas.csv"
+    meas.write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")
+    design = tmp_path / "design.txt"
+    design.write_text(DESIGN_OK)
+    commands = [
+        ["sweep", "--out", str(tmp_path / "s.csv"), "--svg", str(tmp_path / "s.svg")],
+        ["analyze", "--zeta-deg", "0"],
+        ["compare", "--measurements", str(meas)],
+        ["optimize", "--design", str(design)],
+        ["validate"],
+    ]
+    loaded = _run_child(_RECORD_MODULES_CHILD, commands)
+    assert loaded == dict.fromkeys(
+        ["interpreter", "linkstat", "linkstat.cli", "sweep", "analyze", "compare",
+         "optimize", "validate"], [],
+    )
 
 
 _DESIGN_FREE_CHILD = """

@@ -99,13 +99,13 @@ def test_evaluate_design_invalid_candidate(defaults):
 def test_spec_validation():
     spec = reachable_spec()
     with pytest.raises(ValueError, match="free"):
-        DesignSpec(**{**spec.__dict__, "free": ()}).validated()
+        spec._replace(free=()).validated()
     with pytest.raises(ValueError, match="bounds"):
-        DesignSpec(**{**spec.__dict__, "bounds": {}}).validated()
+        spec._replace(bounds={}).validated()
     with pytest.raises(ValueError, match="searchable"):
-        DesignSpec(**{**spec.__dict__, "free": ("epsilon",)}).validated()
+        spec._replace(free=("epsilon",)).validated()
     with pytest.raises(ValueError, match="band"):
-        DesignSpec(**{**spec.__dict__, "threshold_lo": 9.0}).validated()
+        spec._replace(threshold_lo=9.0).validated()
 
 
 def test_optimizer_finds_reachable_target(defaults):

@@ -1,11 +1,12 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from linkstat import default_parameters, friction_coupling, validate_parameters
-from linkstat.statics import _BuildTerms
+from linkstat.statics import _BuildTerms, tip_moment_ratio
 
 
 def test_defaults_validate(defaults):
@@ -84,7 +85,8 @@ def test_zero_friction_coupling_denominator_reported(defaults, theta2_deg, sign,
     if mu is not None:
         assert friction_coupling(p, sign) < 0.0
         return
-    with pytest.raises(ZeroDivisionError):
+    message = re.escape(f"the {sign:+d} friction branch's denominator")
+    with pytest.raises(ValueError, match=message):
         friction_coupling(p, sign)
     # The boundary is refused with everything above it; one ulp below passes.
     below = p.with_values(mu=math.nextafter(p.mu, 0.0))
@@ -117,3 +119,33 @@ def test_spring_moment_rule_matches_the_statics(l0, l1, spring_k, natural_length
     b0, b1 = terms.b0, terms.b1
     refused = any(v.field == "l1" for v in validate_parameters(p).violations)
     assert refused == (not (math.isfinite(b0) and math.isfinite(b1)))
+
+
+@given(_MAGNITUDES, _MAGNITUDES, _MAGNITUDES)
+@example(5e-324, 22.625, 2.41)
+@example(1e-310, 22.625, 2.41)
+@example(1e-300, 1e10, 2.41)
+def test_tip_moment_rule_matches_the_statics(l2, l3, l4):
+    """validate_parameters refuses exactly the builds whose tip moment ratio
+    bound (|l3| + |l4|) over the statics' coupler arm overflows."""
+    p = default_parameters().with_values(l2=l2, l3=l3, l4=l4)
+    refused = any(v.field == "l2" for v in validate_parameters(p).violations)
+    try:
+        arm = _BuildTerms(p).denom
+    except ValueError as exc:  # the arm underflowed to zero
+        assert "coupler moment arm" in str(exc)
+        assert refused
+        return
+    assert refused == (not math.isfinite((l3 + l4) / arm))
+    if not refused:
+        assert math.isfinite(tip_moment_ratio(p, 0.0))
+
+
+def test_tip_moment_ratio_names_a_zero_arm(defaults):
+    with pytest.raises(ValueError, match=r"l2\*sin\(theta2\+theta3\) = 0\.0"):
+        tip_moment_ratio(defaults.with_values(l2=0.0), 0.0)
+
+
+def test_with_values_names_an_unknown_field(defaults):
+    with pytest.raises(ValueError, match="bogus"):
+        defaults.with_values(bogus=1.0)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 import linkstat.statics as statics
 from linkstat import (
     BlockedReason,
+    DesignSpec,
     Measurement,
     NotOpeningError,
     OpeningStatus,
@@ -18,10 +18,12 @@ from linkstat import (
     compare_measurements,
     default_parameters,
     envelope,
+    evaluate_design,
     friction_coupling,
     full_equilibrium,
     perturbed_joint_forces,
     predict_opening,
+    sensitivity,
     solve_balance,
     solve_balance_with_sign,
     spring_force,
@@ -305,8 +307,8 @@ def test_cached_terms_match_a_fresh_build(scales_a, scales_b, mu_zero, zetas):
     a = _scattered(scales_a, mu_zero)
     b = _scattered(scales_b)
     z0, z1 = zetas
-    calls = [(a, z0), (a, z1), (b, z0), (a, z1), (a, z0), (dataclasses.replace(a), z1)]
-    expected = [_decision_bits(predict_opening(dataclasses.replace(p), z)) for p, z in calls]
+    calls = [(a, z0), (a, z1), (b, z0), (a, z1), (a, z0), (a.with_values(), z1)]
+    expected = [_decision_bits(predict_opening(p.with_values(), z)) for p, z in calls]
     assert [_decision_bits(predict_opening(p, z)) for p, z in calls] == expected
 
 
@@ -338,7 +340,7 @@ def test_spring_force_computed_once_per_sweep(monkeypatch):
         return spring_force(p)
 
     monkeypatch.setattr(statics, "spring_force", counted)
-    curve = sweep(dataclasses.replace(default_parameters()))
+    curve = sweep(default_parameters().with_values())
     assert len(curve.samples) == 241
     assert len(calls) == 1
 
@@ -354,7 +356,7 @@ def test_minus_branch_terms_are_computed_on_first_retry(monkeypatch):
         return friction_coupling(p, sign_beta3)
 
     monkeypatch.setattr(statics, "friction_coupling", plus_only)
-    p = dataclasses.replace(default_parameters())
+    p = default_parameters().with_values()
     assert [_decision_bits(predict_opening(p, z)) for z in zetas] == expected
     with pytest.raises(RuntimeError, match="-1 branch"):
         predict_opening(p, 0.0)  # the -1 retry
@@ -369,7 +371,7 @@ def test_cache_entry_stays_whole_when_another_build_cuts_in(monkeypatch):
     """
     a, b = _scattered([1.1] * 6), _scattered([0.9] * 6)
     zeta = rad(5.0)
-    expected = {id(p): _decision_bits(predict_opening(dataclasses.replace(p), zeta)) for p in (a, b)}
+    expected = {id(p): _decision_bits(predict_opening(p.with_values(), zeta)) for p in (a, b)}
     cut_in = []
 
     def spring_force_cut_in(p):
@@ -638,7 +640,12 @@ def test_zero_friction_denominator_is_named_on_first_use(defaults, sign):
         statics._decide_all(p, [rad(z) for z in range(-30, 91, 5)])
 
 
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(statics.LinkageParameters))
+_FIELD_NAMES = statics.LinkageParameters._fields
+_TOTALITY_SPEC = DesignSpec(
+    interval_lo=rad(-10.0), interval_hi=rad(15.0), press_angle=0.0,
+    threshold_lo=3.0, threshold_hi=8.0, free=("theta2",),
+    bounds={"theta2": (rad(10.0), rad(30.0))},
+)
 _EDGE_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1e300, -1e300, -1.0, 5e-324]),
     st.floats(min_value=-1e300, max_value=1e300),
@@ -667,6 +674,10 @@ def test_every_entry_point_is_total_on_finite_builds(changes, zeta):
         lambda: full_equilibrium(p, zeta),
         lambda: full_equilibrium(p, zeta, 1),
         lambda: compare_measurements(p, (Measurement(zeta, 5.0), Measurement(0.0, 2.0))),
+        lambda: solve_balance_with_sign(p, zeta, 1),
+        lambda: solve_balance_with_sign(p, zeta, -1),
+        lambda: evaluate_design(_TOTALITY_SPEC._replace(press_angle=zeta), p),
+        lambda: sensitivity(p, next(iter(changes)), zeta),
     ]
     for call in calls:
         try:
