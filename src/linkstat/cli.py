@@ -12,6 +12,11 @@ Angles cross this boundary in degrees; everything beneath it runs in
 radians.  Exit codes: 0 success, 2 parse or validation failure, 3 a
 degenerate or indeterminate analysis point, 4 infeasible design target,
 5 I/O failure.
+
+This module loads only what every command needs to parse its command
+line and read and validate a parameter file.  A handler imports the
+solver (``statics``, ``modeswitch``) and its own extras once its input
+has validated, so a command refused before that never loads them.
 """
 
 from __future__ import annotations
@@ -19,44 +24,26 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import TYPE_CHECKING
 
 from .model import (
     _ANGLE_FIELDS,
+    DEFAULT_SWEEP_HI_DEG,
+    DEFAULT_SWEEP_LO_DEG,
+    DEFAULT_SWEEP_STEP_DEG,
     LinkageParameters,
     default_parameters,
     validate_parameters,
 )
-from .modeswitch import (
-    DEFAULT_GRIP_MARGIN,
-    DEFAULT_SWEEP_HI_DEG,
-    DEFAULT_SWEEP_LO_DEG,
-    DEFAULT_SWEEP_STEP_DEG,
-    OpeningInterval,
-    SweepCurve,
-    opening_interval,
-    parallel_grip_budget,
-    sweep_grid,
-    sweep_points,
-)
 from .paramfile import (
-    MeasurementFileError,
     ParameterDocument,
     ParameterFileError,
     SweepSettings,
-    compare_measurements,
-    format_comparison_csv,
-    format_parameter_file,
-    parse_design_file,
     parse_parameter_document,
-    read_measurements,
 )
-from .statics import (
-    OpeningStatus,
-    friction_coupling,
-    predict_opening,
-    spring_force,
-    tip_moment_ratio,
-)
+
+if TYPE_CHECKING:
+    from .modeswitch import OpeningInterval, SweepCurve
 
 __all__ = ["main"]
 
@@ -130,6 +117,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     doc, label = _load_params(args.params)
     p = doc.parameters
     _require_valid(p, label)
+    from .modeswitch import DEFAULT_GRIP_MARGIN, parallel_grip_budget
+    from .statics import (
+        OpeningStatus,
+        friction_coupling,
+        predict_opening,
+        spring_force,
+        tip_moment_ratio,
+    )
+
     zeta = math.radians(args.zeta_deg)
 
     print(f"parameters: {label}")
@@ -175,6 +171,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 # sweep
 
 def _sweep_csv(curve: SweepCurve, zetas_deg: list[float]) -> str:
+    from .statics import OpeningStatus
+
     lines = [SWEEP_CSV_HEADER]
     for z_deg, sample in zip(zetas_deg, curve.samples):
         d = sample.decision
@@ -211,6 +209,8 @@ def _sweep_summary(
     press_deg: float,
     threshold: float | None,
 ) -> str:
+    from .modeswitch import parallel_grip_budget
+
     lines = [
         f"params = {label}",
         f"zeta_lo_deg = {_num(lo_deg)}",
@@ -271,6 +271,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     doc, label = _load_params(args.params)
     p = doc.parameters
     _require_valid(p, label)
+    from .modeswitch import opening_interval, sweep_grid, sweep_points
+    from .statics import predict_opening
 
     # A flag overrides the file's [sweep], which overrides the default.
     file_sweep = doc.sweep or SweepSettings(
@@ -317,13 +319,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # optimize
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    # Imported here so that the other subcommands never load the search.
-    from .design import DesignStatus, optimize_design
-
     if args.budget is not None and args.budget < 1:
         raise _Fail(2, f"--budget must be >= 1, got {args.budget}")
     doc, label = _load_params(args.params)
     _require_valid(doc.parameters, label)
+    from .design import DesignStatus, optimize_design
+    from .paramfile import format_parameter_file, parse_design_file
+
     text = _read_text(args.design)
     try:
         spec, budget = parse_design_file(text)
@@ -377,6 +379,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     doc, label = _load_params(args.params)
     _require_valid(doc.parameters, label)
+    from .paramfile import (
+        MeasurementFileError,
+        compare_measurements,
+        format_comparison_csv,
+        read_measurements,
+    )
+
     text = _read_text(args.measurements)
     try:
         measurements = read_measurements(text)

@@ -32,6 +32,13 @@ _ANGLE_FIELDS = ("theta0", "theta1", "theta2", "theta3", "theta4", "theta5")
 
 _HALF_PI = math.pi / 2.0
 
+# The default press-direction sweep, in the degrees the CLI and parameter
+# files speak.  Kept here, beside the parameters, so that building the
+# CLI's help needs no solver; modeswitch derives its radian grid from them.
+DEFAULT_SWEEP_LO_DEG = -30.0
+DEFAULT_SWEEP_HI_DEG = 90.0
+DEFAULT_SWEEP_STEP_DEG = 0.5
+
 # The fields the tip moment ratio reads.
 _TIP_RATIO_FIELDS = ("l2", "l3", "l4", "theta2", "theta3")
 

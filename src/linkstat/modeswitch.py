@@ -27,7 +27,12 @@ from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .model import LinkageParameters
+from .model import (
+    DEFAULT_SWEEP_HI_DEG,
+    DEFAULT_SWEEP_LO_DEG,
+    DEFAULT_SWEEP_STEP_DEG,
+    LinkageParameters,
+)
 from .statics import (
     _DET_RELATIVE_FLOOR,
     _OPENS,
@@ -54,9 +59,6 @@ __all__ = [
     "switching_threshold",
 ]
 
-DEFAULT_SWEEP_LO_DEG = -30.0
-DEFAULT_SWEEP_HI_DEG = 90.0
-DEFAULT_SWEEP_STEP_DEG = 0.5
 DEFAULT_SWEEP_LO = math.radians(DEFAULT_SWEEP_LO_DEG)
 DEFAULT_SWEEP_HI = math.radians(DEFAULT_SWEEP_HI_DEG)
 DEFAULT_SWEEP_STEP = math.radians(DEFAULT_SWEEP_STEP_DEG)

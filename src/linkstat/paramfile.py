@@ -51,14 +51,11 @@ report.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .model import _ANGLE_FIELDS, LinkageParameters
-from .statics import _OPENS, _decide_all
 
 __all__ = [
     "ComparisonResult",
@@ -525,6 +522,9 @@ class Measurement:
 
 def read_measurements(text: str) -> tuple[Measurement, ...]:
     """Read a measurement CSV with header ``zeta_deg,measured_force_n``."""
+    import csv
+    import io
+
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -586,6 +586,20 @@ class ComparisonRow(NamedTuple):
 class ComparisonResult(NamedTuple):
     rows: tuple[ComparisonRow, ...]
     mean_abs_dev: float | None
+
+
+def _decide_all(p: LinkageParameters, zetas: list[float]) -> list[tuple]:
+    """Stand-in for the statics' batch kernel until the first comparison.
+
+    Reading and writing files needs no solver, so this module does not
+    import the statics at load.  The first call imports the kernel and its
+    opening code, rebinds both names here, and every later call reaches
+    the kernel directly, with no import on its path.
+    """
+    global _OPENS, _decide_all
+    from .statics import _OPENS, _decide_all
+
+    return _decide_all(p, zetas)
 
 
 def compare_measurements(

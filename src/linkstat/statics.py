@@ -112,16 +112,16 @@ def spring_force(p: LinkageParameters) -> float:
     return p.spring_k * (stretched - p.natural_length)
 
 
-def _coupler_arm(p: LinkageParameters) -> float:
+def _coupler_arm(l2: float, theta2: float, theta3: float) -> float:
     """l2*sin(theta2+theta3), the tip moment ratio's divisor.
 
     Raises ValueError when it is zero.
     """
-    arm = p.l2 * math.sin(p.theta2 + p.theta3)
+    arm = l2 * math.sin(theta2 + theta3)
     if arm == 0.0:
         raise ValueError(
-            f"l2*sin(theta2+theta3) = 0.0 with l2 = {p.l2!r}, theta2 = "
-            f"{p.theta2!r}, theta3 = {p.theta3!r}: the coupler moment arm "
+            f"l2*sin(theta2+theta3) = 0.0 with l2 = {l2!r}, theta2 = "
+            f"{theta2!r}, theta3 = {theta3!r}: the coupler moment arm "
             "divides the tip moment ratio and must be nonzero"
         )
     return arm
@@ -136,7 +136,9 @@ def tip_moment_ratio(p: LinkageParameters, zeta: float) -> float:
     what ultimately bounds the opening envelope from below.  Raises
     ValueError where the coupler moment arm l2*sin(theta2+theta3) is zero.
     """
-    return (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / _coupler_arm(p)
+    return (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / _coupler_arm(
+        p.l2, p.theta2, p.theta3
+    )
 
 
 def friction_coupling(p: LinkageParameters, sign_beta3: int) -> float:
@@ -147,14 +149,18 @@ def friction_coupling(p: LinkageParameters, sign_beta3: int) -> float:
     ValueError where the branch's denominator -s*mu*sin(theta2) +
     cos(theta2) is zero.
     """
-    s = float(sign_beta3)
-    denom = -s * p.mu * math.sin(p.theta2) + math.cos(p.theta2)
+    return _coupling(p.mu, p.theta2, p.theta3, float(sign_beta3))
+
+
+def _coupling(mu: float, theta2: float, theta3: float, s: float) -> float:
+    """friction_coupling on the fields it reads, with the branch sign as a float."""
+    denom = -s * mu * math.sin(theta2) + math.cos(theta2)
     if denom == 0.0:
         raise ValueError(
-            f"mu = {p.mu!r} with theta2 = {p.theta2!r} makes the {s:+.0f} "
+            f"mu = {mu!r} with theta2 = {theta2!r} makes the {s:+.0f} "
             "friction branch's denominator -s*mu*sin(theta2) + cos(theta2) zero"
         )
-    return (s * p.mu * math.sin(p.theta3) + math.cos(p.theta3)) / denom
+    return (s * mu * math.sin(theta3) + math.cos(theta3)) / denom
 
 
 class BalanceSystem(NamedTuple):
@@ -217,23 +223,28 @@ class _BuildTerms:
                  "plus", "_minus", "cos1", "cos4")
 
     def __init__(self, p: LinkageParameters) -> None:
+        # Fields are read once, by unpacking: a named-tuple field read per
+        # use costs more than the arithmetic here.
+        (l0, l1, l2, _, _, theta0, theta1, theta2, theta3, theta4, theta5,
+         _, _, mu, _) = p
         self.params = p  # held so that the identity test in _build_terms stays sound
-        self.denom = _coupler_arm(p)  # tip_moment_ratio's
-        self.s13 = math.sin(p.theta1 - p.theta3)
-        self.s34 = math.sin(p.theta3 + p.theta4)
-        self.plus = _friction_branch(p, 1)
+        self.denom = _coupler_arm(l2, theta2, theta3)  # tip_moment_ratio's
+        self.s13 = math.sin(theta1 - theta3)
+        self.s34 = math.sin(theta3 + theta4)
+        # _friction_branch(p, 1), on the unpacked fields
+        self.plus = _coupling(mu, theta2, theta3, 1.0) * math.sin(theta4 - theta2)
         self._minus: float | None = None
-        if p.l1 == 0.0:
+        if l1 == 0.0:
             raise ValueError(
-                f"l1 = {p.l1!r}: the strut length divides the spring moment "
+                f"l1 = {l1!r}: the strut length divides the spring moment "
                 "and must be nonzero"
             )
         f_k = spring_force(p)
-        lever = p.l0 / p.l1
-        self.b0 = lever * math.cos(p.theta0 + p.theta1) * f_k
-        self.b1 = -lever * math.cos(p.theta4 + p.theta5) * f_k
-        self.cos1 = math.cos(p.theta1)
-        self.cos4 = math.cos(p.theta4)
+        lever = l0 / l1
+        self.b0 = lever * math.cos(theta0 + theta1) * f_k
+        self.b1 = -lever * math.cos(theta4 + theta5) * f_k
+        self.cos1 = math.cos(theta1)
+        self.cos4 = math.cos(theta4)
 
     def branch(self, sign_beta3: int) -> float:
         """a11 of one friction branch."""

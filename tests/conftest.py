@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -38,3 +44,27 @@ def defaults():
     from linkstat import default_parameters
 
     return default_parameters()
+
+
+@pytest.fixture
+def run_child():
+    """Run code in a fresh interpreter that imports this checkout's linkstat.
+
+    ``run_child(code, arg)`` passes ``arg`` as JSON in argv[1] and returns
+    the last line of the child's output, read as JSON.
+    """
+    import linkstat
+
+    src = str(Path(linkstat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+    def run(code, arg=None):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(arg)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    return run

@@ -1,8 +1,4 @@
-import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -460,124 +456,86 @@ def test_subnormal_coupler_length_exits_2(command, tmp_path, capsys):
     )
 
 
-def _run_child(code, commands):
-    """Run ``code`` in a fresh interpreter on ``commands``; its last line as JSON."""
-    src = str(Path(linkstat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(commands)],
-        env=env, capture_output=True, text=True, timeout=120,
+# Each step runs alone in a fresh interpreter: a Python statement that
+# may set ``result``, or a command line whose exit code is the result.
+# The child reports which watched modules are then loaded: linkstat's
+# own, csv (only ``compare`` reads a CSV), numpy (only the raw-equilibrium
+# oracle needs it) and dataclasses/inspect (no record type needs them).
+_LOADS_CHILD = """
+import json, sys
+step = json.loads(sys.argv[1])
+result = None
+if isinstance(step, list):
+    from linkstat.cli import main
+    try:
+        result = main(step)
+    except SystemExit as exc:  # argparse exits on --help or a refused command line
+        result = exc.code
+else:
+    exec(step)
+watched = {"csv", "dataclasses", "inspect", "linkstat", "numpy"}
+loaded = sorted(m for m in sys.modules if m in watched or m.startswith("linkstat."))
+print(json.dumps([result, loaded]))
+"""
+
+# What every command loads to parse its command line and read and
+# validate a parameter file, and what one that solves loads on top.
+_FRONT = ["linkstat", "linkstat.cli", "linkstat.model", "linkstat.paramfile"]
+_SOLVER = sorted([*_FRONT, "linkstat.modeswitch", "linkstat.statics"])
+
+# step id -> (statement or command line, result, modules loaded).  In a
+# command line, {name} stands for a file the test writes.
+_LOAD_BUDGET = {
+    "interpreter": ("", None, []),
+    "import linkstat": ("import linkstat", None, ["linkstat"]),
+    "sweep-help": (["sweep", "--help"], 0, _FRONT),
+    "validate": (["validate"], 0, _FRONT),
+    "validate-parse-failure": (["validate", "--params", "{broken}"], 2, _FRONT),
+    "sweep-parse-failure": (["sweep", "--params", "{broken}"], 2, _FRONT),
+    "analyze-rule-failure": (["analyze", "--params", "{bad}", "--zeta-deg", "0"], 2, _FRONT),
+    "compare-rule-failure": (["compare", "--params", "{bad}", "--measurements", "{meas}"],
+                             2, _FRONT),
+    "analyze-nan": (["analyze", "--zeta-deg", "nan"], 2, _FRONT),
+    "analyze": (["analyze", "--zeta-deg", "0"], 0, _SOLVER),
+    "sweep": (["sweep", "--out", "{out}", "--svg", "{svg}"], 0, _SOLVER),
+    "compare": (["compare", "--measurements", "{meas}"], 0,
+                sorted(["csv", *_FRONT, "linkstat.statics"])),
+    "optimize": (["optimize", "--design", "{design}"], 0,
+                 sorted([*_SOLVER, "linkstat.design"])),
+}
+
+
+def _load_budget_files(tmp_path):
+    files = {name: tmp_path / name for name in ("meas", "design", "broken", "out", "svg")}
+    files["meas"].write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")
+    files["design"].write_text(DESIGN_OK)
+    files["broken"].write_text("[lengths_mm]\nl0 = 1/0\n")
+    files["bad"] = write_bad_params(tmp_path)
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("step", _LOAD_BUDGET)
+def test_load_budget(step, tmp_path, run_child):
+    """Each step loads exactly its modules: the solver only once a command
+    has valid input to solve, csv only for compare, the design search only
+    for optimize, and never numpy, dataclasses or inspect."""
+    action, result, loaded = _LOAD_BUDGET[step]
+    if isinstance(action, list):
+        files = _load_budget_files(tmp_path)
+        action = [arg.format(**files) for arg in action]
+    assert run_child(_LOADS_CHILD, action) == [result, loaded]
+
+
+def test_only_the_oracle_loads_numpy(run_child):
+    result, loaded = run_child(
+        _LOADS_CHILD,
+        "import linkstat\n"
+        "result = round(linkstat.full_equilibrium(linkstat.default_parameters(), 0.0).xi, 6)",
     )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-_NUMPY_FREE_CHILD = """
-import json, sys
-import linkstat, linkstat.cli
-loaded = {"import": "numpy" in sys.modules}
-for argv in json.loads(sys.argv[1]):
-    code = linkstat.cli.main(argv)
-    assert code == 0, (argv, code)
-    loaded[argv[0]] = "numpy" in sys.modules
-state = linkstat.full_equilibrium(linkstat.default_parameters(), 0.0)
-loaded["xi"] = state.xi
-loaded["oracle"] = "numpy" in sys.modules
-print(json.dumps(loaded))
-"""
-
-
-def test_cli_commands_never_load_numpy(tmp_path):
-    """Only the raw-equilibrium oracle needs numpy, and only it loads it."""
-    meas = tmp_path / "meas.csv"
-    meas.write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")
-    design = tmp_path / "design.txt"
-    design.write_text(DESIGN_OK)
-    commands = [
-        ["sweep", "--out", str(tmp_path / "s.csv"), "--svg", str(tmp_path / "s.svg")],
-        ["analyze", "--zeta-deg", "0"],
-        ["compare", "--measurements", str(meas)],
-        ["optimize", "--design", str(design)],
-    ]
-    loaded = _run_child(_NUMPY_FREE_CHILD, commands)
-    assert loaded.pop("xi") == pytest.approx(5.171175, rel=1e-6)
-    assert loaded.pop("oracle") is True
-    assert loaded == {
-        "import": False, "sweep": False, "analyze": False,
-        "compare": False, "optimize": False,
-    }
-
-
-_RECORD_MODULES_CHILD = """
-import json, sys
-def heavy():
-    return [name for name in ("dataclasses", "inspect") if name in sys.modules]
-loaded = {"interpreter": heavy()}
-import linkstat
-loaded["linkstat"] = heavy()
-import linkstat.cli
-loaded["linkstat.cli"] = heavy()
-for argv in json.loads(sys.argv[1]):
-    code = linkstat.cli.main(argv)
-    assert code == 0, (argv, code)
-    loaded[argv[0]] = heavy()
-print(json.dumps(loaded))
-"""
-
-
-def test_cli_commands_never_load_dataclasses_or_inspect(tmp_path):
-    """The record types are named tuples, so no command pays for these imports."""
-    meas = tmp_path / "meas.csv"
-    meas.write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")
-    design = tmp_path / "design.txt"
-    design.write_text(DESIGN_OK)
-    commands = [
-        ["sweep", "--out", str(tmp_path / "s.csv"), "--svg", str(tmp_path / "s.svg")],
-        ["analyze", "--zeta-deg", "0"],
-        ["compare", "--measurements", str(meas)],
-        ["optimize", "--design", str(design)],
-        ["validate"],
-    ]
-    loaded = _run_child(_RECORD_MODULES_CHILD, commands)
-    assert loaded == dict.fromkeys(
-        ["interpreter", "linkstat", "linkstat.cli", "sweep", "analyze", "compare",
-         "optimize", "validate"], [],
-    )
-
-
-_DESIGN_FREE_CHILD = """
-import json, sys
-import linkstat, linkstat.cli
-loaded = {"import": "linkstat.design" in sys.modules}
-for argv in json.loads(sys.argv[1]):
-    code = linkstat.cli.main(argv)
-    assert code == 0, (argv, code)
-    loaded[argv[0]] = "linkstat.design" in sys.modules
-from linkstat import optimize_design
-loaded["from_import"] = optimize_design is sys.modules["linkstat.design"].optimize_design
-loaded["attribute"] = linkstat.DesignSpec is linkstat.design.DesignSpec
-star = {}
-exec("from linkstat import *", star)
-loaded["star"] = sorted(set(linkstat.__all__) - set(star))
-print(json.dumps(loaded))
-"""
-
-
-def test_cli_commands_but_optimize_never_load_the_design_search(tmp_path):
-    """linkstat.design loads on first use of one of its names, not before."""
-    meas = tmp_path / "meas.csv"
-    meas.write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")
-    commands = [
-        ["sweep", "--out", str(tmp_path / "s.csv"), "--svg", str(tmp_path / "s.svg")],
-        ["analyze", "--zeta-deg", "0"],
-        ["compare", "--measurements", str(meas)],
-        ["validate"],
-    ]
-    assert _run_child(_DESIGN_FREE_CHILD, commands) == {
-        "import": False, "sweep": False, "analyze": False, "compare": False,
-        "validate": False, "from_import": True, "attribute": True, "star": [],
-    }
+    assert result == 5.171175
+    assert [m for m in loaded if m.startswith("linkstat")] == [
+        "linkstat", "linkstat.model", "linkstat.statics"]
+    assert "numpy" in loaded
 
 
 def test_unknown_package_attribute_raises():

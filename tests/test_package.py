@@ -1,0 +1,64 @@
+"""The package surface: every public name, its home module, and how it loads."""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import linkstat
+
+SUBMODULES = ("model", "statics", "modeswitch", "paramfile", "design")
+
+
+def test_name_table_is_the_union_of_the_submodules_all():
+    homes = {}
+    for module in SUBMODULES:
+        names = importlib.import_module(f"linkstat.{module}").__all__
+        assert homes.keys().isdisjoint(names), module  # one home per name
+        homes.update(dict.fromkeys(names, module))
+    assert linkstat._HOMES == homes
+    assert linkstat.__all__ == sorted([*homes, "__version__"])
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name, module in linkstat._HOMES.items():
+        home = importlib.import_module(f"linkstat.{module}")
+        assert getattr(linkstat, name) is getattr(home, name), name
+    from linkstat import optimize_design
+
+    assert optimize_design is sys.modules["linkstat.design"].optimize_design
+    for module in SUBMODULES:
+        assert getattr(linkstat, module) is sys.modules[f"linkstat.{module}"]
+
+
+def test_star_import_in_a_fresh_interpreter_binds_exactly_all(run_child):
+    code = (
+        "import json\n"
+        "ns = {}\n"
+        "exec('from linkstat import *', ns)\n"
+        "del ns['__builtins__']\n"
+        "print(json.dumps(sorted(ns)))\n"
+    )
+    assert run_child(code) == linkstat.__all__
+
+
+def test_private_submodule_names_are_not_package_attributes():
+    with pytest.raises(AttributeError, match="'_decide_all'"):
+        linkstat._decide_all
+
+
+def test_dir_lists_every_public_name():
+    assert set(linkstat.__all__) <= set(dir(linkstat))
+
+
+def test_type_checkers_see_every_home_module():
+    """The TYPE_CHECKING block star-imports each module the name table names."""
+    tree = ast.parse(Path(linkstat.__file__).read_text(encoding="utf-8"))
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"]
+    starred = {node.module for node in block.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               and [alias.name for alias in node.names] == ["*"]}
+    assert starred == set(linkstat._HOMES.values())
