@@ -33,6 +33,7 @@ from .model import (
     DEFAULT_SWEEP_STEP_DEG,
     LinkageParameters,
     default_parameters,
+    sweep_grid,
     validate_parameters,
 )
 from .paramfile import (
@@ -271,8 +272,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     doc, label = _load_params(args.params)
     p = doc.parameters
     _require_valid(p, label)
-    from .modeswitch import opening_interval, sweep_grid, sweep_points
-    from .statics import predict_opening
 
     # A flag overrides the file's [sweep], which overrides the default.
     file_sweep = doc.sweep or SweepSettings(
@@ -286,6 +285,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         zetas_deg = sweep_grid(lo_deg, hi_deg, step_deg)
     except ValueError as exc:
         raise _Fail(2, f"sweep {exc} deg") from exc
+    from .modeswitch import opening_interval, sweep_points
+    from .statics import predict_opening
+
     try:
         curve = sweep_points(p, [math.radians(z) for z in zetas_deg])
     except ValueError as exc:
@@ -323,10 +325,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         raise _Fail(2, f"--budget must be >= 1, got {args.budget}")
     doc, label = _load_params(args.params)
     _require_valid(doc.parameters, label)
+    text = _read_text(args.design)
     from .design import DesignStatus, optimize_design
     from .paramfile import format_parameter_file, parse_design_file
 
-    text = _read_text(args.design)
     try:
         spec, budget = parse_design_file(text)
         if args.budget is not None:

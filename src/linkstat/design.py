@@ -26,12 +26,16 @@ import math
 from enum import Enum
 from typing import Mapping, NamedTuple
 
-from .model import _ANGLE_FIELDS, LinkageParameters, validate_parameters
-from .modeswitch import (
-    DEFAULT_REFINE_TOL,
+from .model import (
+    _ANGLE_FIELDS,
     DEFAULT_SWEEP_HI,
     DEFAULT_SWEEP_LO,
     DEFAULT_SWEEP_STEP,
+    LinkageParameters,
+    validate_parameters,
+)
+from .modeswitch import (
+    DEFAULT_REFINE_TOL,
     OpeningInterval,
     _grid,
     _swept_intervals,
@@ -168,19 +172,15 @@ class DesignSpec(NamedTuple):
         return self
 
 
-def _deg(x: float) -> float:
-    return math.degrees(x)
-
-
 def _containment_shortfall_deg(
     intervals: tuple[OpeningInterval, ...], lo: float, hi: float
 ) -> float:
     """Degrees by which the best interval misses containing [lo, hi]."""
     if not intervals:
-        return _deg(hi - lo) + 30.0
+        return math.degrees(hi - lo) + 30.0
     best = math.inf
     for iv in intervals:
-        miss = max(0.0, _deg(iv.lo - lo)) + max(0.0, _deg(hi - iv.hi))
+        miss = max(0.0, math.degrees(iv.lo - lo)) + max(0.0, math.degrees(hi - iv.hi))
         best = min(best, miss)
     return best
 
@@ -195,7 +195,7 @@ def _distance_to_envelope_deg(
         if iv.lo <= angle <= iv.hi:
             return 0.0
         gap = iv.lo - angle if angle < iv.lo else angle - iv.hi
-        best = min(best, _deg(gap))
+        best = min(best, math.degrees(gap))
     return best
 
 
@@ -251,7 +251,7 @@ def evaluate_design(spec: DesignSpec, p: LinkageParameters) -> DesignEvaluation:
         gap = _distance_to_envelope_deg(intervals, spec.press_angle)
         violation_n = max(1.0, spec.threshold_hi) + _BLOCKED_SHAPING_PER_DEG * gap
         violations.append(
-            f"press direction {_deg(spec.press_angle):.4g} deg is blocked "
+            f"press direction {math.degrees(spec.press_angle):.4g} deg is blocked "
             f"({gap:.3g} deg outside the nearest opening band)"
         )
         threshold = None
@@ -380,10 +380,6 @@ def optimize_design(
                     best_p, best = candidate, trial
                     improved = True
                     break
-            if evaluations >= budget or best.penalty == 0.0:
-                break
-        if best.penalty == 0.0 or evaluations >= budget:
-            break
         if not improved:
             steps = {name: 0.5 * step for name, step in steps.items()}
             if all(steps[name] < floor[name] for name in spec.free):

@@ -1,4 +1,4 @@
-"""Parameters and their validation for the parallel-link finger.
+"""Parameters, their validation and the sweep range for the parallel-link finger.
 
 The finger is a planar six-bar linkage driven by a tension spring.  Two
 equal-length side struts, O-R and O-S, hang from a common base pivot O,
@@ -33,11 +33,50 @@ _ANGLE_FIELDS = ("theta0", "theta1", "theta2", "theta3", "theta4", "theta5")
 _HALF_PI = math.pi / 2.0
 
 # The default press-direction sweep, in the degrees the CLI and parameter
-# files speak.  Kept here, beside the parameters, so that building the
-# CLI's help needs no solver; modeswitch derives its radian grid from them.
+# files speak and in radians, and the grid every sweep is built on.  Kept
+# here, beside the parameters, so that building the CLI's help and
+# checking its grid need no solver.
 DEFAULT_SWEEP_LO_DEG = -30.0
 DEFAULT_SWEEP_HI_DEG = 90.0
 DEFAULT_SWEEP_STEP_DEG = 0.5
+DEFAULT_SWEEP_LO = math.radians(DEFAULT_SWEEP_LO_DEG)
+DEFAULT_SWEEP_HI = math.radians(DEFAULT_SWEEP_HI_DEG)
+DEFAULT_SWEEP_STEP = math.radians(DEFAULT_SWEEP_STEP_DEG)
+
+# Most steps a sweep grid may span.  A default sweep spans 240, and each
+# sample holds a full verdict, so this keeps a mistyped step from
+# allocating without bound.
+MAX_GRID_STEPS = 100_000
+
+
+def sweep_grid(lo: float, hi: float, step: float) -> list[float]:
+    """Closed grid from ``lo`` to ``hi`` by ``step``, both ends included.
+
+    Works in any angle unit.  Raises ValueError for a non-finite, reversed
+    or zero-step range, and for one spanning more than MAX_GRID_STEPS
+    steps, which is checked before anything is allocated.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+        raise ValueError(f"range must be finite: [{lo}, {hi}] by {step}")
+    if hi < lo:
+        raise ValueError(f"range is reversed: [{lo}, {hi}]")
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    if hi == lo:
+        return [lo]
+    steps = (hi - lo) / step
+    if not steps <= MAX_GRID_STEPS:  # negated so that an overflow to inf fails too
+        raise ValueError(
+            f"grid spans more than {MAX_GRID_STEPS} steps: [{lo}, {hi}] by {step}"
+        )
+    count = int(math.floor(steps + 1e-9))
+    points = [lo + i * step for i in range(count + 1)]
+    if hi - points[-1] > 1e-9 * step:
+        points.append(hi)
+    else:
+        points[-1] = min(points[-1], hi)
+    return points
+
 
 # The fields the tip moment ratio reads.
 _TIP_RATIO_FIELDS = ("l2", "l3", "l4", "theta2", "theta3")

@@ -28,10 +28,11 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .model import (
-    DEFAULT_SWEEP_HI_DEG,
-    DEFAULT_SWEEP_LO_DEG,
-    DEFAULT_SWEEP_STEP_DEG,
+    DEFAULT_SWEEP_HI,
+    DEFAULT_SWEEP_LO,
+    DEFAULT_SWEEP_STEP,
     LinkageParameters,
+    sweep_grid,
 )
 from .statics import (
     _DET_RELATIVE_FLOOR,
@@ -59,17 +60,9 @@ __all__ = [
     "switching_threshold",
 ]
 
-DEFAULT_SWEEP_LO = math.radians(DEFAULT_SWEEP_LO_DEG)
-DEFAULT_SWEEP_HI = math.radians(DEFAULT_SWEEP_HI_DEG)
-DEFAULT_SWEEP_STEP = math.radians(DEFAULT_SWEEP_STEP_DEG)
 DEFAULT_REFINE_TOL = math.radians(0.01)
 # Fraction of the switching threshold that a planned parallel grip may use.
 DEFAULT_GRIP_MARGIN = 0.8
-
-# Most steps a sweep grid may span.  A default sweep spans 240, and each
-# sample holds a full verdict, so this keeps a mistyped step from
-# allocating without bound.
-MAX_GRID_STEPS = 100_000
 
 
 class NotOpeningError(RuntimeError):
@@ -107,35 +100,6 @@ def sweep_points(p: LinkageParameters, zetas: Sequence[float]) -> SweepCurve:
         params=p,
         samples=tuple(SweepSample(zeta=z, decision=predict_opening(p, z)) for z in zetas),
     )
-
-
-def sweep_grid(lo: float, hi: float, step: float) -> list[float]:
-    """Closed grid from ``lo`` to ``hi`` by ``step``, both ends included.
-
-    Works in any angle unit.  Raises ValueError for a non-finite, reversed
-    or zero-step range, and for one spanning more than MAX_GRID_STEPS
-    steps, which is checked before anything is allocated.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
-        raise ValueError(f"range must be finite: [{lo}, {hi}] by {step}")
-    if hi < lo:
-        raise ValueError(f"range is reversed: [{lo}, {hi}]")
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if hi == lo:
-        return [lo]
-    steps = (hi - lo) / step
-    if not steps <= MAX_GRID_STEPS:  # negated so that an overflow to inf fails too
-        raise ValueError(
-            f"grid spans more than {MAX_GRID_STEPS} steps: [{lo}, {hi}] by {step}"
-        )
-    count = int(math.floor(steps + 1e-9))
-    points = [lo + i * step for i in range(count + 1)]
-    if hi - points[-1] > 1e-9 * step:
-        points.append(hi)
-    else:
-        points[-1] = min(points[-1], hi)
-    return points
 
 
 def sweep(

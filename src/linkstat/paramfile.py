@@ -490,34 +490,11 @@ def parse_design_file(text: str) -> tuple["DesignSpec", int]:
 _MEASUREMENT_HEADER = ["zeta_deg", "measured_force_n"]
 
 
-class Measurement:
-    """One bench reading: press direction (radians) and force (N).
+class Measurement(NamedTuple):
+    """One bench reading: press direction (radians) and force (N)."""
 
-    Immutable and equal by value, but slotted rather than a named tuple:
-    :func:`compare_measurements` reads both fields of every row, and a
-    slot reads faster."""
-
-    __slots__ = ("zeta", "measured_force")
-
-    def __init__(self, zeta: float, measured_force: float) -> None:
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "measured_force", measured_force)
-
-    def __setattr__(self, name: str, *_: object) -> None:
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"Measurement(zeta={self.zeta!r}, measured_force={self.measured_force!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.zeta, self.measured_force) == (other.zeta, other.measured_force)
-
-    def __hash__(self) -> int:
-        return hash((self.zeta, self.measured_force))
+    zeta: float
+    measured_force: float
 
 
 def read_measurements(text: str) -> tuple[Measurement, ...]:
@@ -557,7 +534,7 @@ def read_measurements(text: str) -> tuple[Measurement, ...]:
             raise MeasurementFileError(
                 f"measured force must be >= 0, got {force}", lineno
             )
-        out.append(Measurement(zeta=math.radians(zeta_deg), measured_force=force))
+        out.append(Measurement(math.radians(zeta_deg), force))
     if not out:
         raise MeasurementFileError("no data rows")
     return tuple(out)
@@ -588,7 +565,7 @@ class ComparisonResult(NamedTuple):
     mean_abs_dev: float | None
 
 
-def _decide_all(p: LinkageParameters, zetas: list[float]) -> list[tuple]:
+def _decide_all(p: LinkageParameters, zetas: Sequence[float]) -> list[tuple]:
     """Stand-in for the statics' batch kernel until the first comparison.
 
     Reading and writing files needs no solver, so this module does not
@@ -612,17 +589,19 @@ def compare_measurements(
     """
     rows: list[ComparisonRow] = []
     devs: list[float] = []
-    verdicts = _decide_all(p, [m.zeta for m in measurements])
-    for m, v in zip(measurements, verdicts):
-        measured = m.measured_force
+    # Both columns in one transpose: reading a named-tuple row by field or
+    # by unpacking costs more per row.
+    zetas, forces = tuple(zip(*measurements)) or ((), ())
+    verdicts = _decide_all(p, zetas)
+    for zeta, measured, v in zip(zetas, forces, verdicts):
         if v[0] == _OPENS:
             predicted = v[1]
             abs_dev = abs(predicted - measured)
             rel_dev = abs_dev / measured if measured > 0.0 else None
             devs.append(abs_dev)
-            rows.append(ComparisonRow(m.zeta, measured, predicted, abs_dev, rel_dev))
+            rows.append(ComparisonRow(zeta, measured, predicted, abs_dev, rel_dev))
         else:
-            rows.append(ComparisonRow(m.zeta, measured, None, None, None))
+            rows.append(ComparisonRow(zeta, measured, None, None, None))
     mean = sum(devs) / len(devs) if devs else None
     return ComparisonResult(rows=tuple(rows), mean_abs_dev=mean)
 

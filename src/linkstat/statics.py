@@ -144,12 +144,18 @@ def tip_moment_ratio(p: LinkageParameters, zeta: float) -> float:
 def friction_coupling(p: LinkageParameters, sign_beta3: int) -> float:
     """Transmission factor through the slotted pin for a friction branch.
 
-    ``sign_beta3`` picks the assumed slip sense (+1 or -1).  With mu = 0
-    both branches collapse to the same frictionless value.  Raises
-    ValueError where the branch's denominator -s*mu*sin(theta2) +
-    cos(theta2) is zero.
+    ``sign_beta3`` picks the assumed slip sense, +1 or -1; any other
+    value raises ValueError.  With mu = 0 both branches collapse to the
+    same frictionless value.  Raises ValueError where the branch's
+    denominator -s*mu*sin(theta2) + cos(theta2) is zero.
     """
+    if sign_beta3 != 1 and sign_beta3 != -1:
+        raise _branch_sign_error(sign_beta3)
     return _coupling(p.mu, p.theta2, p.theta3, float(sign_beta3))
+
+
+def _branch_sign_error(sign_beta3: object) -> ValueError:
+    return ValueError(f"friction branch sign must be +1 or -1, got {sign_beta3!r}")
 
 
 def _coupling(mu: float, theta2: float, theta3: float, s: float) -> float:
@@ -202,11 +208,6 @@ def _require_finite(zeta: float) -> None:
         raise ValueError(f"press direction must be finite, got {zeta!r}")
 
 
-def _friction_branch(p: LinkageParameters, sign_beta3: int) -> float:
-    """a11 of one friction branch, the only branch-dependent entry."""
-    return friction_coupling(p, sign_beta3) * math.sin(p.theta4 - p.theta2)
-
-
 class _BuildTerms:
     """The entries of the 2x2 balance that do not depend on the press direction.
 
@@ -231,7 +232,7 @@ class _BuildTerms:
         self.denom = _coupler_arm(l2, theta2, theta3)  # tip_moment_ratio's
         self.s13 = math.sin(theta1 - theta3)
         self.s34 = math.sin(theta3 + theta4)
-        # _friction_branch(p, 1), on the unpacked fields
+        # a11 of the +1 branch, on the unpacked fields; branch() builds the -1 one
         self.plus = _coupling(mu, theta2, theta3, 1.0) * math.sin(theta4 - theta2)
         self._minus: float | None = None
         if l1 == 0.0:
@@ -247,13 +248,17 @@ class _BuildTerms:
         self.cos4 = math.cos(theta4)
 
     def branch(self, sign_beta3: int) -> float:
-        """a11 of one friction branch."""
+        """a11 of one friction branch, the only branch-dependent entry.
+
+        Raises ValueError for a sign other than +1 or -1.
+        """
         if sign_beta3 == 1:
             return self.plus
         if sign_beta3 != -1:
-            return _friction_branch(self.params, sign_beta3)
+            raise _branch_sign_error(sign_beta3)
         if self._minus is None:
-            self._minus = _friction_branch(self.params, -1)
+            p = self.params
+            self._minus = friction_coupling(p, -1) * math.sin(p.theta4 - p.theta2)
         return self._minus
 
 
@@ -282,7 +287,8 @@ def assemble_system(
 ) -> BalanceSystem:
     """Build the 2x2 balance for one press direction and friction branch.
 
-    Raises ValueError for a non-finite press direction.
+    Raises ValueError for a non-finite press direction and for a branch
+    sign other than +1 or -1.
     """
     _require_finite(zeta)
     t = _build_terms(p)
@@ -431,7 +437,10 @@ def _solution(p: LinkageParameters, zeta: float, verdict: tuple) -> BalanceSolut
 def solve_balance_with_sign(
     p: LinkageParameters, zeta: float, sign_beta3: int
 ) -> BalanceSolution:
-    """Solve the balance with the friction branch pinned, no iteration."""
+    """Solve the balance with the friction branch pinned, no iteration.
+
+    ``sign_beta3`` is +1 or -1; any other value raises ValueError.
+    """
     s = assemble_system(p, zeta, sign_beta3)
     return _solved(
         s, sign_beta3, *_solve_2x2(s.a00, s.a01, s.a10, s.a11, s.b0, s.b1, zeta)

@@ -496,6 +496,8 @@ _LOAD_BUDGET = {
     "compare-rule-failure": (["compare", "--params", "{bad}", "--measurements", "{meas}"],
                              2, _FRONT),
     "analyze-nan": (["analyze", "--zeta-deg", "nan"], 2, _FRONT),
+    "sweep-grid-refused": (["sweep", "--step-deg", "0.00001"], 2, _FRONT),
+    "optimize-missing-design": (["optimize", "--design", "{missing}"], 5, _FRONT),
     "analyze": (["analyze", "--zeta-deg", "0"], 0, _SOLVER),
     "sweep": (["sweep", "--out", "{out}", "--svg", "{svg}"], 0, _SOLVER),
     "compare": (["compare", "--measurements", "{meas}"], 0,
@@ -506,7 +508,8 @@ _LOAD_BUDGET = {
 
 
 def _load_budget_files(tmp_path):
-    files = {name: tmp_path / name for name in ("meas", "design", "broken", "out", "svg")}
+    files = {name: tmp_path / name
+             for name in ("meas", "design", "broken", "out", "svg", "missing")}
     files["meas"].write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")
     files["design"].write_text(DESIGN_OK)
     files["broken"].write_text("[lengths_mm]\nl0 = 1/0\n")

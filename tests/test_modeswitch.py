@@ -21,7 +21,7 @@ from linkstat import (
     validate_parameters,
 )
 from linkstat import modeswitch
-from linkstat.model import LinkageParameters
+from linkstat.model import MAX_GRID_STEPS, LinkageParameters
 
 # Envelope boundaries computed from the member balances ahead of this
 # implementation: the opening band for the reference build runs from
@@ -80,7 +80,7 @@ def test_sweep_rejects_bad_ranges(defaults):
 
 
 def test_grid_step_cap(defaults):
-    cap = modeswitch.MAX_GRID_STEPS
+    cap = MAX_GRID_STEPS
     assert len(modeswitch.sweep_grid(0.0, float(cap), 1.0)) == cap + 1
     with pytest.raises(ValueError, match="more than"):
         modeswitch.sweep_grid(0.0, cap + 0.5, 1.0)

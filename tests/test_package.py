@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -62,3 +63,16 @@ def test_type_checkers_see_every_home_module():
                if isinstance(node, ast.ImportFrom) and node.level == 1
                and [alias.name for alias in node.names] == ["*"]}
     assert starred == set(linkstat._HOMES.values())
+
+
+def test_sources_parse_at_the_python_floor():
+    """Every module parses as the oldest Python that pyproject.toml admits."""
+    package = Path(linkstat.__file__).resolve().parent
+    pyproject = (package.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.M)
+    assert floor is not None, "requires-python has no >=X.Y floor"
+    version = (int(floor[1]), int(floor[2]))
+    for path in sorted(package.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+    with pytest.raises(SyntaxError):  # 3.11 syntax: the floor is enforced
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=version)

@@ -113,6 +113,17 @@ def test_pinned_sign_skips_iteration(defaults):
     assert iterated.sign_consistent
 
 
+@pytest.mark.parametrize("sign", [0, 2, -2, 0.5, math.nan])
+def test_branch_sign_other_than_plus_or_minus_one_is_refused(defaults, sign):
+    for call in (
+        lambda: friction_coupling(defaults, sign),
+        lambda: assemble_system(defaults, 0.0, sign),
+        lambda: solve_balance_with_sign(defaults, 0.0, sign),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"+1 or -1, got {sign!r}")):
+            call()
+
+
 _SYSTEM_FLOATS = ("a00", "a01", "a10", "a11", "b0", "b1")
 
 
