@@ -20,7 +20,7 @@ _HOMES: dict[str, str] = {
     name: module
     for module, names in {
         "model": (
-            "LinkageParameters", "ParameterViolation", "ValidationReport",
+            "DesignSpec", "LinkageParameters", "ParameterViolation", "ValidationReport",
             "default_parameters", "validate_parameters",
         ),
         "statics": (
@@ -43,7 +43,7 @@ _HOMES: dict[str, str] = {
             "read_measurements",
         ),
         "design": (
-            "DesignEvaluation", "DesignResult", "DesignSpec", "DesignStatus",
+            "DesignEvaluation", "DesignResult", "DesignStatus",
             "VerificationRecord", "evaluate_design", "optimize_design", "sensitivity",
         ),
     }.items()

@@ -11,7 +11,7 @@ Five subcommands cover the workflow:
 Angles cross this boundary in degrees; everything beneath it runs in
 radians.  Exit codes: 0 success, 2 parse or validation failure, 3 a
 degenerate or indeterminate analysis point, 4 infeasible design target,
-5 I/O failure.
+5 I/O failure (a stdout closed by its reader included).
 
 This module loads only what every command needs to parse its command
 line and read and validate a parameter file.  A handler imports the
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -84,6 +85,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _Fail(5, f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _Fail(2, f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -326,11 +329,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     doc, label = _load_params(args.params)
     _require_valid(doc.parameters, label)
     text = _read_text(args.design)
-    from .design import DesignStatus, optimize_design
     from .paramfile import format_parameter_file, parse_design_file
 
     try:
         spec, budget = parse_design_file(text)
+        spec.validated()  # a refused spec never loads the solver
+        from .design import DesignStatus, optimize_design
+
         if args.budget is not None:
             budget = args.budget
         result = optimize_design(spec, doc.parameters, budget)
@@ -487,10 +492,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _Fail as fail:
         print(f"error: {fail}", file=sys.stderr)
         return fail.code
+    except BrokenPipeError as exc:
+        # The reader is gone.  Point stdout at devnull so that the flush
+        # at interpreter exit cannot fail again on the unwritten rest.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .model import (
     _ANGLE_FIELDS,
-    DEFAULT_SWEEP_HI,
-    DEFAULT_SWEEP_LO,
-    DEFAULT_SWEEP_STEP,
+    _FREE_FIELDS,
+    DEFAULT_BUDGET,
+    DesignSpec,
     LinkageParameters,
     validate_parameters,
 )
@@ -47,20 +47,12 @@ from .statics import _OPENS, _decide
 __all__ = [
     "DesignEvaluation",
     "DesignResult",
-    "DesignSpec",
     "DesignStatus",
     "VerificationRecord",
     "evaluate_design",
     "optimize_design",
     "sensitivity",
 ]
-
-# Parameters the search may vary.  The probe step epsilon only scales
-# reported probe forces, never the verdict, so it is not a design knob.
-_FREE_FIELDS = frozenset(LinkageParameters._fields) - {"epsilon"}
-
-# Evaluations a search may spend when neither caller nor design file says.
-DEFAULT_BUDGET = 400
 
 # Initial pattern steps, halved whenever a full pass fails to improve.
 _INITIAL_STEP_ANGLE = math.radians(1.0)
@@ -110,66 +102,6 @@ def sensitivity(p: LinkageParameters, name: str, zeta: float) -> float:
     up = switching_threshold(p.with_values(**{name: value + h}), zeta)
     down = switching_threshold(p.with_values(**{name: value - h}), zeta)
     return (up - down) / (2.0 * h)
-
-
-class DesignSpec(NamedTuple):
-    """Target and search space for a design run.
-
-    Angles radians, forces N.  The opening envelope must contain
-    [interval_lo, interval_hi] and pressing along ``press_angle`` must
-    flip the finger at a force inside [threshold_lo, threshold_hi].
-    ``free`` lists the parameters the search may vary and ``bounds`` maps
-    each of them to an inclusive (lo, hi) box.
-    """
-
-    interval_lo: float
-    interval_hi: float
-    press_angle: float
-    threshold_lo: float
-    threshold_hi: float
-    free: tuple[str, ...]
-    bounds: Mapping[str, tuple[float, float]]
-    sweep_lo: float = DEFAULT_SWEEP_LO
-    sweep_hi: float = DEFAULT_SWEEP_HI
-    sweep_step: float = DEFAULT_SWEEP_STEP
-
-    def validated(self) -> "DesignSpec":
-        if not self.free:
-            raise ValueError("at least one free parameter is required")
-        unknown = [n for n in self.free if n not in _FREE_FIELDS]
-        if unknown:
-            raise ValueError(
-                f"not searchable: {unknown}; allowed fields are "
-                f"{sorted(_FREE_FIELDS)}"
-            )
-        if len(set(self.free)) != len(self.free):
-            raise ValueError(f"duplicate free parameters in {self.free}")
-        for name in self.free:
-            if name not in self.bounds:
-                raise ValueError(f"free parameter {name!r} has no bounds")
-            lo, hi = self.bounds[name]
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-                raise ValueError(
-                    f"bounds for {name!r} must be a finite ordered pair, "
-                    f"got ({lo}, {hi})"
-                )
-        if not self.interval_lo < self.interval_hi:
-            raise ValueError(
-                "target interval is empty: "
-                f"[{self.interval_lo}, {self.interval_hi}]"
-            )
-        if not (
-            math.isfinite(self.threshold_lo)
-            and math.isfinite(self.threshold_hi)
-            and 0.0 <= self.threshold_lo <= self.threshold_hi
-        ):
-            raise ValueError(
-                "switching band must satisfy 0 <= lo <= hi and be finite, "
-                f"got [{self.threshold_lo}, {self.threshold_hi}]"
-            )
-        if not self.sweep_lo <= self.interval_lo or not self.interval_hi <= self.sweep_hi:
-            raise ValueError("target interval must lie inside the sweep range")
-        return self
 
 
 def _containment_shortfall_deg(

@@ -1,4 +1,5 @@
-"""Parameters, their validation and the sweep range for the parallel-link finger.
+"""Parameters, their validation, the sweep range and the design target for the
+parallel-link finger.
 
 The finger is a planar six-bar linkage driven by a tension spring.  Two
 equal-length side struts, O-R and O-S, hang from a common base pivot O,
@@ -14,9 +15,10 @@ always with an explicit ``_deg`` suffix.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 __all__ = [
+    "DesignSpec",
     "LinkageParameters",
     "ParameterViolation",
     "ValidationReport",
@@ -293,3 +295,71 @@ def default_parameters() -> LinkageParameters:
         mu=0.6,
         epsilon=0.1,
     )
+
+
+# Parameters the search may vary.  The probe step epsilon only scales
+# reported probe forces, never the verdict, so it is not a design knob.
+_FREE_FIELDS = frozenset(LinkageParameters._fields) - {"epsilon"}
+
+# Evaluations a search may spend when neither caller nor design file says.
+DEFAULT_BUDGET = 400
+
+
+class DesignSpec(NamedTuple):
+    """Target and search space for a design run.
+
+    Angles radians, forces N.  The opening envelope must contain
+    [interval_lo, interval_hi] and pressing along ``press_angle`` must
+    flip the finger at a force inside [threshold_lo, threshold_hi].
+    ``free`` lists the parameters the search may vary and ``bounds`` maps
+    each of them to an inclusive (lo, hi) box.
+    """
+
+    interval_lo: float
+    interval_hi: float
+    press_angle: float
+    threshold_lo: float
+    threshold_hi: float
+    free: tuple[str, ...]
+    bounds: Mapping[str, tuple[float, float]]
+    sweep_lo: float = DEFAULT_SWEEP_LO
+    sweep_hi: float = DEFAULT_SWEEP_HI
+    sweep_step: float = DEFAULT_SWEEP_STEP
+
+    def validated(self) -> "DesignSpec":
+        if not self.free:
+            raise ValueError("at least one free parameter is required")
+        unknown = [n for n in self.free if n not in _FREE_FIELDS]
+        if unknown:
+            raise ValueError(
+                f"not searchable: {unknown}; allowed fields are "
+                f"{sorted(_FREE_FIELDS)}"
+            )
+        if len(set(self.free)) != len(self.free):
+            raise ValueError(f"duplicate free parameters in {self.free}")
+        for name in self.free:
+            if name not in self.bounds:
+                raise ValueError(f"free parameter {name!r} has no bounds")
+            lo, hi = self.bounds[name]
+            if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+                raise ValueError(
+                    f"bounds for {name!r} must be a finite ordered pair, "
+                    f"got ({lo}, {hi})"
+                )
+        if not self.interval_lo < self.interval_hi:
+            raise ValueError(
+                "target interval is empty: "
+                f"[{self.interval_lo}, {self.interval_hi}]"
+            )
+        if not (
+            math.isfinite(self.threshold_lo)
+            and math.isfinite(self.threshold_hi)
+            and 0.0 <= self.threshold_lo <= self.threshold_hi
+        ):
+            raise ValueError(
+                "switching band must satisfy 0 <= lo <= hi and be finite, "
+                f"got [{self.threshold_lo}, {self.threshold_hi}]"
+            )
+        if not self.sweep_lo <= self.interval_lo or not self.interval_hi <= self.sweep_hi:
+            raise ValueError("target interval must lie inside the sweep range")
+        return self

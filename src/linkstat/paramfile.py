@@ -55,7 +55,7 @@ import math
 import re
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .model import _ANGLE_FIELDS, LinkageParameters
+from .model import _ANGLE_FIELDS, DEFAULT_BUDGET, DesignSpec, LinkageParameters
 
 __all__ = [
     "ComparisonResult",
@@ -407,7 +407,7 @@ _DESIGN_SECTIONS: dict[str, tuple[str, ...] | None] = {
 }
 
 
-def parse_design_file(text: str) -> tuple["DesignSpec", int]:
+def parse_design_file(text: str) -> tuple[DesignSpec, int]:
     """Parse a design target file into a spec plus evaluation budget.
 
     Layout::
@@ -427,11 +427,9 @@ def parse_design_file(text: str) -> tuple["DesignSpec", int]:
         theta2 = 10, 30        # degrees for angles, mm for lengths
 
     Bound pairs for theta fields are degrees; everything else keeps its
-    native unit.  The spec itself is validated by the design machinery,
-    so this parser only handles structure and units.
+    native unit.  This parser only handles structure and units; call
+    :meth:`DesignSpec.validated` for the spec's own rules.
     """
-    from .design import DEFAULT_BUDGET, DesignSpec
-
     target: dict[str, float] = {}
     free: tuple[str, ...] = ()
     budget = DEFAULT_BUDGET
@@ -565,20 +563,6 @@ class ComparisonResult(NamedTuple):
     mean_abs_dev: float | None
 
 
-def _decide_all(p: LinkageParameters, zetas: Sequence[float]) -> list[tuple]:
-    """Stand-in for the statics' batch kernel until the first comparison.
-
-    Reading and writing files needs no solver, so this module does not
-    import the statics at load.  The first call imports the kernel and its
-    opening code, rebinds both names here, and every later call reaches
-    the kernel directly, with no import on its path.
-    """
-    global _OPENS, _decide_all
-    from .statics import _OPENS, _decide_all
-
-    return _decide_all(p, zetas)
-
-
 def compare_measurements(
     p: LinkageParameters, measurements: Sequence[Measurement]
 ) -> ComparisonResult:
@@ -587,6 +571,8 @@ def compare_measurements(
     The mean absolute deviation covers only rows where the model opens;
     it is None when no row does.
     """
+    from .statics import _OPENS, _decide_all
+
     rows: list[ComparisonRow] = []
     devs: list[float] = []
     # Both columns in one transpose: reading a named-tuple row by field or

@@ -47,22 +47,27 @@ def defaults():
 
 
 @pytest.fixture
-def run_child():
+def child_env():
+    """The environment of a fresh interpreter that imports this checkout's linkstat."""
+    import linkstat
+
+    src = str(Path(linkstat.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+@pytest.fixture
+def run_child(child_env):
     """Run code in a fresh interpreter that imports this checkout's linkstat.
 
     ``run_child(code, arg)`` passes ``arg`` as JSON in argv[1] and returns
     the last line of the child's output, read as JSON.
     """
-    import linkstat
-
-    src = str(Path(linkstat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
     def run(code, arg=None):
         proc = subprocess.run(
             [sys.executable, "-c", code, json.dumps(arg)],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=child_env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])

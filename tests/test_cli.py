@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +108,32 @@ def test_invalid_params_rejected_before_analysis(tmp_path, capsys):
 def test_missing_file_is_io_error(capsys):
     assert main(["sweep", "--params", "/no/such/file.txt"]) == 5
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--params", "--measurements", "--design"])
+def test_non_utf8_file_exits_2(flag, tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"[lengths_mm]\nl0 = 1\xff\n")
+    command = {"--params": "validate", "--measurements": "compare", "--design": "optimize"}
+    assert main([command[flag], flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+    assert captured.out == ""
+
+
+def test_closed_stdout_exits_5(child_env):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "linkstat.cli", "sweep"], stdout=write_end,
+            stderr=subprocess.PIPE, env=child_env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("error: cannot write to stdout: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_malformed_params_exit_code(tmp_path, capsys):
@@ -498,6 +527,11 @@ _LOAD_BUDGET = {
     "analyze-nan": (["analyze", "--zeta-deg", "nan"], 2, _FRONT),
     "sweep-grid-refused": (["sweep", "--step-deg", "0.00001"], 2, _FRONT),
     "optimize-missing-design": (["optimize", "--design", "{missing}"], 5, _FRONT),
+    "optimize-malformed-design": (["optimize", "--design", "{malformed}"], 2, _FRONT),
+    "optimize-invalid-spec": (["optimize", "--design", "{invalid_spec}"], 2, _FRONT),
+    "parse-design-file": ("import linkstat.paramfile\n"
+                          f"spec, result = linkstat.paramfile.parse_design_file({DESIGN_OK!r})",
+                          400, ["linkstat", "linkstat.model", "linkstat.paramfile"]),
     "analyze": (["analyze", "--zeta-deg", "0"], 0, _SOLVER),
     "sweep": (["sweep", "--out", "{out}", "--svg", "{svg}"], 0, _SOLVER),
     "compare": (["compare", "--measurements", "{meas}"], 0,
@@ -509,9 +543,12 @@ _LOAD_BUDGET = {
 
 def _load_budget_files(tmp_path):
     files = {name: tmp_path / name
-             for name in ("meas", "design", "broken", "out", "svg", "missing")}
+             for name in ("meas", "design", "malformed", "invalid_spec", "broken",
+                          "out", "svg", "missing")}
     files["meas"].write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")
     files["design"].write_text(DESIGN_OK)
+    files["malformed"].write_text("[target]\ninterval_lo_deg = 1/0\n")
+    files["invalid_spec"].write_text(DESIGN_OK.replace("theta2", "theta9"))
     files["broken"].write_text("[lengths_mm]\nl0 = 1/0\n")
     files["bad"] = write_bad_params(tmp_path)
     return {name: str(path) for name, path in files.items()}
