@@ -36,11 +36,12 @@ _HOMES: dict[str, str] = {
             "select_mode", "sweep", "sweep_points", "switching_threshold",
         ),
         "paramfile": (
-            "ComparisonResult", "ComparisonRow", "Measurement", "MeasurementFileError",
-            "ParameterDocument", "ParameterFileError", "SweepSettings",
-            "compare_measurements", "format_comparison_csv", "format_parameter_file",
-            "parse_design_file", "parse_parameter_document", "parse_parameter_file",
-            "read_measurements",
+            "Measurement", "MeasurementFileError", "ParameterDocument", "ParameterFileError",
+            "SweepSettings", "format_parameter_file", "parse_design_file",
+            "parse_parameter_document", "parse_parameter_file", "read_measurements",
+        ),
+        "compare": (
+            "ComparisonResult", "ComparisonRow", "compare_measurements", "format_comparison_csv",
         ),
         "design": (
             "DesignEvaluation", "DesignResult", "DesignStatus",
@@ -56,6 +57,7 @@ __all__ = sorted([*_HOMES, "__version__"])
 # names below, the interpreter never runs these imports.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from .compare import *
     from .design import *
     from .model import *
     from .modeswitch import *

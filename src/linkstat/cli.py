@@ -386,18 +386,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     doc, label = _load_params(args.params)
     _require_valid(doc.parameters, label)
-    from .paramfile import (
-        MeasurementFileError,
-        compare_measurements,
-        format_comparison_csv,
-        read_measurements,
-    )
+    from .paramfile import MeasurementFileError, read_measurements
 
     text = _read_text(args.measurements)
     try:
         measurements = read_measurements(text)
     except MeasurementFileError as exc:
         raise _Fail(2, f"{args.measurements}: {exc}") from exc
+    # Through paramfile, which loads linkstat.compare here: wrappers of the
+    # public functions, such as the benchmark's tracer, replace them there.
+    from .paramfile import compare_measurements, format_comparison_csv
 
     result = compare_measurements(doc.parameters, measurements)
     print("zeta_deg  measured_N  predicted_N  abs_dev_N  rel_dev")

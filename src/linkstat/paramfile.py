@@ -9,6 +9,12 @@ length derived from a tilted pad can be written the way it appears on a
 drawing, e.g. ``l4 = 2.5*cos(15)``.  Expressions are parsed with a tiny
 recursive-descent evaluator; nothing is ever passed to eval().
 
+Lining a measurement table up against the model is
+:mod:`linkstat.compare`'s job, since it needs the solver and reading a
+file never does.  Its four names still resolve here
+(``linkstat.paramfile.compare_measurements`` and so on), loading that
+module on first access.
+
 The canonical file layout::
 
     [lengths_mm]
@@ -53,20 +59,16 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from .model import _ANGLE_FIELDS, DEFAULT_BUDGET, DesignSpec, LinkageParameters
 
 __all__ = [
-    "ComparisonResult",
-    "ComparisonRow",
     "Measurement",
     "MeasurementFileError",
     "ParameterFileError",
     "SweepSettings",
     "ParameterDocument",
-    "compare_measurements",
-    "format_comparison_csv",
     "format_parameter_file",
     "parse_design_file",
     "parse_parameter_document",
@@ -483,7 +485,7 @@ def parse_design_file(text: str) -> tuple[DesignSpec, int]:
 
 
 # ---------------------------------------------------------------------------
-# Measurements and model-vs-bench comparison
+# Measurements
 
 _MEASUREMENT_HEADER = ["zeta_deg", "measured_force_n"]
 
@@ -538,77 +540,18 @@ def read_measurements(text: str) -> tuple[Measurement, ...]:
     return tuple(out)
 
 
-class ComparisonRow(NamedTuple):
-    """Model prediction lined up against one bench reading.
-
-    ``predicted`` is None when the model says this press direction does
-    not open the finger at all; such rows are flagged, not failed, since
-    a bench fixture can still register a force there.  A named tuple, so
-    immutable.
-    """
-
-    zeta: float
-    measured: float
-    predicted: float | None
-    abs_dev: float | None
-    rel_dev: float | None
-
-    @property
-    def model_opens(self) -> bool:
-        return self.predicted is not None
+# The comparison of a table against the model lives in linkstat.compare,
+# which loads the solver.  Its names still resolve here, loading it on
+# first access; each is then bound in this module.
+_COMPARE_NAMES = frozenset(
+    {"ComparisonResult", "ComparisonRow", "compare_measurements", "format_comparison_csv"}
+)
 
 
-class ComparisonResult(NamedTuple):
-    rows: tuple[ComparisonRow, ...]
-    mean_abs_dev: float | None
+def __getattr__(name: str):
+    if name in _COMPARE_NAMES:
+        from . import compare
 
-
-def compare_measurements(
-    p: LinkageParameters, measurements: Sequence[Measurement]
-) -> ComparisonResult:
-    """Compare predicted switching forces against bench readings.
-
-    The mean absolute deviation covers only rows where the model opens;
-    it is None when no row does.
-    """
-    from .statics import _OPENS, _decide_all
-
-    rows: list[ComparisonRow] = []
-    devs: list[float] = []
-    # Both columns in one transpose: reading a named-tuple row by field or
-    # by unpacking costs more per row.
-    zetas, forces = tuple(zip(*measurements)) or ((), ())
-    verdicts = _decide_all(p, zetas)
-    for zeta, measured, v in zip(zetas, forces, verdicts):
-        if v[0] == _OPENS:
-            predicted = v[1]
-            abs_dev = abs(predicted - measured)
-            rel_dev = abs_dev / measured if measured > 0.0 else None
-            devs.append(abs_dev)
-            rows.append(ComparisonRow(zeta, measured, predicted, abs_dev, rel_dev))
-        else:
-            rows.append(ComparisonRow(zeta, measured, None, None, None))
-    mean = sum(devs) / len(devs) if devs else None
-    return ComparisonResult(rows=tuple(rows), mean_abs_dev=mean)
-
-
-def format_comparison_csv(result: ComparisonResult) -> str:
-    """Render a comparison as CSV, blank cells where the model is silent."""
-    def num(x: float | None) -> str:
-        return "" if x is None else f"{x:.9g}"
-
-    lines = ["zeta_deg,measured_force_n,predicted_force_n,abs_dev_n,rel_dev,model_opens"]
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    f"{math.degrees(row.zeta):.9g}",
-                    f"{row.measured:.9g}",
-                    num(row.predicted),
-                    num(row.abs_dev),
-                    num(row.rel_dev),
-                    "true" if row.model_opens else "false",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        value = globals()[name] = getattr(compare, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

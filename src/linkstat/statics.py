@@ -17,12 +17,15 @@ Two independent routes compute the same state:
 The second route exists to cross-check the first and is deliberately not
 implemented in terms of it: it writes its own rows member by member and
 reads none of the first route's terms.  Its two slip senses differ in
-one entry, so each call computes the rows once, writes both systems into
-one (2, 9, 9) stack from a fixed table of positions and solves them in
-one LAPACK call; the branch choice and the residual then run on plain
-floats.  Only that route uses numpy, and it imports numpy on its first
-call: the 2x2 balance, every verdict, sweep and search run in plain
-floats, so importing linkstat does not load numpy.
+one entry, so both systems form one (2, 9, 9) stack that one LAPACK call
+solves; the branch choice and the residual then run on plain floats.
+Only four entries of each system depend on the press direction, so the
+stack is written once per build, from a fixed table of positions, and
+kept read-only for the most recent build in a cache of the route's own;
+each call copies it and writes those four entries.  Only that route uses
+numpy, and it imports numpy on its first call: the 2x2 balance, every
+verdict, sweep and search run in plain floats, so importing linkstat
+does not load numpy.
 
 The first route has one copy of its decision logic: the private scalar
 kernel :func:`_decide_all` takes a build and a list of press directions.
@@ -63,6 +66,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 from .model import LinkageParameters
 
 if TYPE_CHECKING:
+    from typing import Callable
+
     import numpy as np
 
 __all__ = [
@@ -610,10 +615,12 @@ class EquilibriumState(NamedTuple):
 # Where each entry of _equilibrium_rows lands in the 9x9 matrix, in the
 # order that function lists them.  The unknowns are (xi, beta_3, beta_6,
 # f_r1x, f_r1y, f_s4x, f_s4y, f_pinx, f_piny).  The Coulomb entry (8, 7),
-# the only one that depends on the assumed slip sense, comes last.
+# the only one that depends on the assumed slip sense, comes last.  The
+# four entries that depend on the press direction, (0, 0), (1, 0), (3, 0)
+# and (4, 0), are not listed: full_equilibrium writes them on every call.
 _ROW_POSITIONS = (
-    (0, 3), (0, 0), (0, 1), (1, 4), (1, 0), (1, 1), (2, 4), (2, 3),  # left strut
-    (3, 5), (3, 0), (3, 2), (4, 6), (4, 0), (4, 2), (5, 6), (5, 5),  # right strut
+    (0, 3), (0, 1), (1, 4), (1, 1), (2, 4), (2, 3),  # left strut
+    (3, 5), (3, 2), (4, 6), (4, 2), (5, 6), (5, 5),  # right strut
     (6, 7), (6, 1), (6, 2), (7, 8), (7, 1), (7, 2), (8, 8),  # slotted pin
     (8, 7),  # Coulomb condition
 )
@@ -636,7 +643,7 @@ def _stacked_positions() -> np.ndarray:
         + [162 + 9 * k + row for k in (0, 1) for row in _RHS_ROWS],
         dtype=np.intp,
     )
-    positions.flags.writeable = False  # one array, shared by every call
+    positions.flags.writeable = False  # one array, shared by every build
     return positions
 
 
@@ -649,38 +656,47 @@ def _raw_singular_error(zeta: float, cause: str = "") -> SingularSystemError:
 
 def _equilibrium_rows(
     p: LinkageParameters, zeta: float
-) -> tuple[list[float], float, float, float]:
-    """Raw balance rows for one press direction, entry by entry.
+) -> tuple[
+    list[float], float, float, float, Callable[[float], tuple[float, float, float, float]]
+]:
+    """Raw balance rows of one build, entry by entry.
 
     Returns the entries at :data:`_ROW_POSITIONS` but the last, the
     Coulomb coefficient -mu of the +1 slip sense (the -1 sense has +mu
-    there), and the right-hand sides of rows 2 and 5; every other entry
-    is zero.  Member balances are written directly from the free bodies
-    of the two struts and the slotted pin; nothing is pre-aggregated, so
-    this stays an independent check on :func:`solve_balance`.
+    there), the right-hand sides of rows 2 and 5, and a function that
+    gives the entries at (0, 0), (1, 0), (3, 0) and (4, 0) for a press
+    direction; every other entry is zero.  Member balances are written
+    directly from the free bodies of the two struts and the slotted pin;
+    nothing is pre-aggregated, so this stays an independent check on
+    :func:`solve_balance`.  ``zeta`` is named only in the error that a
+    zero coupler moment arm raises.
     """
-    _require_finite(zeta)
     l0, l1, l2, l3, l4, theta0, theta1, theta2, theta3, theta4, theta5, _, _, mu, _ = p
     s1, c1 = math.sin(theta1), math.cos(theta1)
     s2, c2 = math.sin(theta2), math.cos(theta2)
     s3, c3 = math.sin(theta3), math.cos(theta3)
     s4, c4 = math.sin(theta4), math.cos(theta4)
-    # tip_moment_ratio(p, zeta), with a zero arm caught.
     arm = l2 * math.sin(theta2 + theta3)
     if arm == 0.0:
         raise _raw_singular_error(
             zeta, ": the coupler moment arm l2*sin(theta2+theta3) is zero"
         )
-    gamma = (l4 * math.cos(zeta) - l3 * math.sin(theta2 + zeta)) / arm
+    cos, sin = math.cos, math.sin
+
+    def press_entries(zeta: float) -> tuple[float, float, float, float]:
+        # tip_moment_ratio(p, zeta), then the tip load in the strut force balances.
+        gamma = (l4 * cos(zeta) - l3 * sin(theta2 + zeta)) / arm
+        return gamma * s3 + sin(zeta), gamma * c3 + cos(zeta), -gamma * s3, -gamma * c3
+
     f_k = spring_force(p)
     entries = [
         # Left strut: force balance (x then y), moment about the base pivot.
-        1.0, gamma * s3 + math.sin(zeta), s3,
-        1.0, gamma * c3 + math.cos(zeta), c3,
+        1.0, s3,
+        1.0, c3,
         l1 * s1, -l1 * c1,
         # Right strut: force balance, moment about the base pivot.
-        1.0, -gamma * s3, s2,
-        1.0, -gamma * c3, -c2,
+        1.0, s2,
+        1.0, -c2,
         -l1 * s4, -l1 * c4,
         # Slotted pin: force balance, then the Coulomb row's own unknown.
         1.0, s3, s2,
@@ -689,7 +705,7 @@ def _equilibrium_rows(
     ]
     b2 = -l0 * math.cos(theta0 + theta1) * f_k
     b5 = l0 * math.cos(theta4 + theta5) * f_k
-    return entries, -mu, b2, b5
+    return entries, -mu, b2, b5, press_entries
 
 
 def _all_finite(values: list[float]) -> bool:
@@ -712,6 +728,56 @@ def _abs_max(values: list[float]) -> float:
     return max(magnitudes) if total == total else total
 
 
+class _OracleTerms:
+    """The raw balance of one build, less its press-dependent entries.
+
+    ``matrix`` is the (2, 9, 9) stack of both slip senses with zeros at
+    the four entries ``press_entries`` gives, and ``rhs`` its (2, 9, 1)
+    right-hand sides; both are read-only, so every call solves a copy.
+    ``finite`` says whether every entry but those four is finite, and
+    ``scale`` is max(1, |b|), the floor of the residual's scale.  Built
+    from :func:`_equilibrium_rows` alone, so nothing is shared with the
+    aggregated route's build terms.
+    """
+
+    __slots__ = ("params", "matrix", "rhs", "scale", "press_entries", "finite")
+
+    def __init__(self, p: LinkageParameters, zeta: float) -> None:
+        import numpy as np
+
+        entries, coulomb, b2, b5, self.press_entries = _equilibrium_rows(p, zeta)
+        self.params = p  # held so that the identity test in _oracle_terms stays sound
+        values = entries + [coulomb] + entries + [-coulomb, b2, b5, b2, b5]
+        self.finite = _all_finite(values)
+        self.scale = max(1.0, abs(b2), abs(b5))
+        buffer = np.zeros(180)
+        buffer.put(_stacked_positions(), values)
+        buffer.setflags(write=False)  # the views below inherit it
+        self.matrix = buffer[:162].reshape(2, 9, 9)
+        # A stack of column vectors, not (2, 9): numpy 2 reads a 2-D b as one
+        # matrix of right-hand sides, numpy 1 as a stack of vectors.
+        self.rhs = buffer[162:].reshape(2, 9, 1)
+
+
+# The most recent build's oracle terms, one entry as for _build_terms but
+# a cache of its own: the oracle reads nothing the aggregated route holds.
+_last_oracle_terms: _OracleTerms | None = None
+
+
+def _oracle_terms(p: LinkageParameters, zeta: float) -> _OracleTerms:
+    """The raw balance of ``p`` without its press entries, built once per build.
+
+    Read and stored whole, like :func:`_build_terms`.  A build whose rows
+    raise is never stored, so each call on it raises the same error,
+    naming its own ``zeta``.
+    """
+    global _last_oracle_terms
+    terms = _last_oracle_terms
+    if terms is None or terms.params is not p:
+        terms = _last_oracle_terms = _OracleTerms(p, zeta)
+    return terms
+
+
 def full_equilibrium(
     p: LinkageParameters, zeta: float, sign_beta3: int | None = None
 ) -> EquilibriumState:
@@ -723,80 +789,65 @@ def full_equilibrium(
     matching ``sign_beta3`` is preferred; an inconsistent pair is
     returned with ``consistent`` False rather than raised.
 
-    The two senses differ only in the Coulomb entry, so the rows are
-    computed once and written into a stack of two 9x9 systems that one
-    LAPACK call solves; numpy is imported on the first call.  The
-    defect a x - b is taken for both at once; the branch choice, and
-    ``residual``, the kept system's largest defect over max(1, |b|,
-    |x|), are computed in floats.
+    The two senses differ only in the Coulomb entry, so both are one
+    stack of two 9x9 systems that one LAPACK call solves; numpy is
+    imported on the first call.  All but four entries of that stack
+    belong to the build alone: they are written once per build, and
+    each call copies them and writes the four press-dependent entries of
+    each sense.  The defect a x - b is taken for both senses at once;
+    the branch choice, and ``residual``, the kept system's largest
+    defect over max(1, |b|, |x|), are computed in floats.
 
     A non-finite ``zeta`` raises ValueError.  SingularSystemError, naming
-    the press direction, is raised when either system is singular, when
-    its rows or its solution are not finite, and when the coupler moment
-    arm l2*sin(theta2+theta3) is zero.
+    the press direction, is raised when the coupler moment arm
+    l2*sin(theta2+theta3) is zero, when either system is singular, and
+    when its rows or its solution are not finite, in that order.
     """
     import numpy as np
 
-    entries, coulomb, b2, b5 = _equilibrium_rows(p, zeta)
-    buffer = np.zeros(180)
-    buffer.put(
-        _stacked_positions(),
-        entries + [coulomb] + entries + [-coulomb, b2, b5, b2, b5],
-    )
-    a = buffer[:162].reshape(2, 9, 9)
-    # A stack of column vectors, not (2, 9): numpy 2 reads a 2-D b as one
-    # matrix of right-hand sides, numpy 1 as a stack of vectors.
-    b = buffer[162:].reshape(2, 9, 1)
+    _require_finite(zeta)
+    t = _oracle_terms(p, zeta)
+    e00, e10, e30, e40 = t.press_entries(zeta)
+    a = t.matrix.copy()
+    a[0, 0, 0] = a[1, 0, 0] = e00
+    a[0, 1, 0] = a[1, 1, 0] = e10
+    a[0, 3, 0] = a[1, 3, 0] = e30
+    a[0, 4, 0] = a[1, 4, 0] = e40
+    b = t.rhs
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise _raw_singular_error(zeta) from exc
     # Checked after the solve, so that a singular system names only that.
-    if not _all_finite([*entries, coulomb, b2, b5]):
+    if not (t.finite and _all_finite([e00, e10, e30, e40])):
         raise _raw_singular_error(zeta, ": the balance rows are not finite")
-    plus, minus = x.reshape(2, 9).tolist()
-    if not _all_finite(plus + minus):
+    solved = x.ravel().tolist()  # the +1 sense's nine unknowns, then the -1 sense's
+    if not _all_finite(solved):
         raise _raw_singular_error(zeta, ": the solution is not finite")
-    defects = (a @ x - b).reshape(2, 9).tolist()
+    defects = (a @ x - b).ravel().tolist()
 
-    branches = {1: plus, -1: minus}
-    consistent_signs = [
-        slip
-        for slip, row in branches.items()
-        if slip * row[7] >= -1e-9 * max(1.0, abs(row[7]))
-    ]
+    # A slip sense is consistent when the pin's slot force, unknown 7,
+    # does not oppose it.
+    pin_plus, pin_minus = solved[7], solved[16]
+    plus_ok = pin_plus >= -1e-9 * max(1.0, abs(pin_plus))
+    minus_ok = -pin_minus >= -1e-9 * max(1.0, abs(pin_minus))
     preferred = -sign_beta3 if sign_beta3 is not None else None
-    if not consistent_signs:
-        # Neither slip sense agrees with its own solution; report the
-        # branch implied by the strut-force sign convention.
-        chosen = preferred if preferred in branches else 1
-        consistent = False
-    elif len(consistent_signs) == 1:
-        chosen = consistent_signs[0]
-        consistent = True
+    if plus_ok != minus_ok:
+        chosen = 1 if plus_ok else -1
+    elif preferred in (1, -1):
+        # Both senses consistent, or neither (then the pair is reported
+        # inconsistent): keep the branch the strut-force sign implies.
+        chosen = preferred
+    elif plus_ok:
+        # Tie-break with the sense opposing the coupler strut force,
+        # matching the convention of the aggregated route.
+        chosen = -1 if solved[1] >= 0.0 and solved[10] >= 0.0 else 1
     else:
-        if preferred in consistent_signs:
-            chosen = preferred
-        else:
-            # Tie-break with the sense opposing the coupler strut force,
-            # matching the convention of the aggregated route.
-            chosen = next(
-                (s for s in consistent_signs if s == -_sign_of(branches[s][1])),
-                consistent_signs[0],
-            )
-        consistent = True
-
-    xs = branches[chosen]
+        chosen = 1
+    xs, defect = (solved[:9], defects[:9]) if chosen == 1 else (solved[9:], defects[9:])
     # Everything in the scale is finite here, so max needs no nan care.
-    scale = max(1.0, abs(b2), abs(b5), max(map(abs, xs)))
+    scale = max(t.scale, max(map(abs, xs)))
     return EquilibriumState(
-        xi=xs[0],
-        beta_3=xs[1],
-        beta_6=xs[2],
-        f_r1=(xs[3], xs[4]),
-        f_s4=(xs[5], xs[6]),
-        f_pin=(xs[7], xs[8]),
-        friction_sign=chosen,
-        consistent=consistent,
-        residual=_abs_max(defects[0] if chosen == 1 else defects[1]) / scale,
+        xs[0], xs[1], xs[2], (xs[3], xs[4]), (xs[5], xs[6]), (xs[7], xs[8]),
+        chosen, plus_ok or minus_ok, _abs_max(defect) / scale,
     )

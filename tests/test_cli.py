@@ -337,6 +337,30 @@ def test_compare_table(tmp_path, capsys):
     assert out.read_text().count("\n") == 3
 
 
+def test_compare_finds_the_comparison_on_paramfile(tmp_path, monkeypatch):
+    """A wrapper set on linkstat.paramfile sees the command's calls."""
+    import linkstat.paramfile as paramfile
+
+    calls = []
+
+    def wrapped(name):
+        original = getattr(paramfile, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(paramfile, name, wrapper)
+
+    for name in ("compare_measurements", "format_comparison_csv"):
+        wrapped(name)
+    meas = tmp_path / "meas.csv"
+    meas.write_text("zeta_deg,measured_force_n\n0,5.0\n")
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--measurements", str(meas), "--out", str(out)]) == 0
+    assert calls == ["compare_measurements", "format_comparison_csv"]
+
+
 def test_compare_rejects_bad_header(tmp_path, capsys):
     meas = tmp_path / "meas.csv"
     meas.write_text("angle,force\n0,5\n")
@@ -534,8 +558,14 @@ _LOAD_BUDGET = {
                           400, ["linkstat", "linkstat.model", "linkstat.paramfile"]),
     "analyze": (["analyze", "--zeta-deg", "0"], 0, _SOLVER),
     "sweep": (["sweep", "--out", "{out}", "--svg", "{svg}"], 0, _SOLVER),
+    "read-measurements": ("import linkstat.paramfile\n"
+                          "result = len(linkstat.paramfile.read_measurements('zeta_deg,"
+                          "measured_force_n\\n0,5.0\\n'))",
+                          1, ["csv", "linkstat", "linkstat.model", "linkstat.paramfile"]),
+    "compare-table-failure": (["compare", "--measurements", "{broken}"], 2,
+                              sorted(["csv", *_FRONT])),
     "compare": (["compare", "--measurements", "{meas}"], 0,
-                sorted(["csv", *_FRONT, "linkstat.statics"])),
+                sorted(["csv", *_FRONT, "linkstat.compare", "linkstat.statics"])),
     "optimize": (["optimize", "--design", "{design}"], 0,
                  sorted([*_SOLVER, "linkstat.design"])),
 }

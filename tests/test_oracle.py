@@ -280,3 +280,68 @@ def test_stacked_solve_equals_two_separate_solves(scales, case, zetas):
             assert math.isfinite(expected[-1])
             state = full_equilibrium(p, zeta, hint)
             assert _bits(tuple(getattr(state, name) for name in STATE_FIELDS)) == _bits(expected)
+
+
+# The per-build stack: the rows that do not depend on the press direction
+# are written once per build, and every call solves its own copy.
+
+def _state_bits(state):
+    return _bits(tuple(getattr(state, name) for name in STATE_FIELDS))
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.floats(min_value=0.7, max_value=1.3), min_size=14, max_size=14),
+    st.lists(st.floats(min_value=0.7, max_value=1.3), min_size=14, max_size=14),
+    st.lists(st.floats(min_value=-1.2, max_value=1.8), min_size=2, max_size=4),
+)
+def test_alternating_builds_each_get_their_own_stack(scales_a, scales_b, zetas):
+    base = default_parameters()
+    a = base.with_values(**{f: getattr(base, f) * c for f, c in zip(PERTURBED_FIELDS, scales_a)})
+    b = base.with_values(**{f: getattr(base, f) * c for f, c in zip(PERTURBED_FIELDS, scales_b)})
+    # A after A hits the cached stack; B after A, A after B and an equal
+    # but distinct copy of A miss it.
+    for zeta in zetas:
+        for p in (a, b, a, a.with_values()):
+            for hint in (None, 1, -1):
+                expected = _reference_equilibrium(p, zeta, hint)
+                assert _state_bits(full_equilibrium(p, zeta, hint)) == _bits(expected)
+
+
+def test_cached_stack_is_read_only(defaults):
+    from linkstat import statics
+
+    full_equilibrium(defaults, 0.0)
+    terms = statics._oracle_terms(defaults, 0.0)
+    for array in (terms.matrix, terms.rhs):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] = 1.0
+    # The press-dependent entries stay zero in the stack: each call writes
+    # them into its own copy.
+    assert not terms.matrix[:, [0, 1, 3, 4], 0].any()
+    assert _state_bits(full_equilibrium(defaults, 0.3)) == _bits(
+        _reference_equilibrium(defaults, 0.3))
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"l2": 0.0}, "the coupler moment arm l2*sin(theta2+theta3) is zero"),
+        ({"l1": 1e-320}, "the solution is not finite"),
+        ({"l2": 5e-324}, "the balance rows are not finite"),
+    ],
+    ids=["zero-arm", "l1-subnormal", "l2-subnormal"],
+)
+def test_failing_build_fails_alike_on_every_call(defaults, changes, message):
+    bad = defaults.with_values(**changes)
+    texts = []
+    for zeta in (0.3, 0.3, -0.2):
+        with pytest.raises(SingularSystemError) as err:
+            full_equilibrium(bad, zeta)
+        texts.append(str(err.value))
+    assert texts[0] == texts[1] == (
+        f"raw equilibrium is singular at press direction 17.1887 deg: {message}")
+    assert texts[2] == f"raw equilibrium is singular at press direction -11.4592 deg: {message}"
+    assert _state_bits(full_equilibrium(defaults, 0.3)) == _bits(
+        _reference_equilibrium(defaults, 0.3))

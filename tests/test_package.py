@@ -10,7 +10,7 @@ import pytest
 
 import linkstat
 
-SUBMODULES = ("model", "statics", "modeswitch", "paramfile", "design")
+SUBMODULES = ("model", "statics", "modeswitch", "paramfile", "compare", "design")
 
 
 def test_name_table_is_the_union_of_the_submodules_all():
@@ -76,3 +76,28 @@ def test_sources_parse_at_the_python_floor():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
     with pytest.raises(SyntaxError):  # 3.11 syntax: the floor is enforced
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=version)
+
+
+def test_comparison_names_still_resolve_on_paramfile():
+    """The comparison moved to linkstat.compare; linkstat.paramfile.X still works."""
+    import linkstat.compare
+    import linkstat.paramfile
+
+    for name in linkstat.compare.__all__:
+        assert getattr(linkstat.paramfile, name) is getattr(linkstat.compare, name), name
+    from linkstat.paramfile import compare_measurements
+
+    assert compare_measurements is linkstat.compare.compare_measurements
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        linkstat.paramfile.no_such_name
+
+
+def test_comparison_runs_no_import_per_call():
+    """compare_measurements finds the kernel among its module's globals."""
+    import linkstat.compare
+
+    tree = ast.parse(Path(linkstat.compare.__file__).read_text(encoding="utf-8"))
+    (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name == "compare_measurements"]
+    assert not [node for node in ast.walk(function)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]

@@ -328,8 +328,15 @@ _STATE_FIELDS = ("xi", "beta_3", "beta_6", "f_r1", "f_s4", "f_pin", "friction_si
 
 
 def test_oracle_does_not_read_the_build_terms(defaults, monkeypatch):
-    zetas = [rad(z) for z in (-15.0, 0.0, 60.0)]
-    expected = [full_equilibrium(defaults, z) for z in zetas]
+    # Two builds, alternated, so that every call after the first builds
+    # the oracle's own per-build stack afresh.  Each expected state comes
+    # from an empty oracle cache.
+    other = _scattered([1.1] * 6)
+    calls = [(p, rad(z)) for z in (-15.0, 0.0, 60.0) for p in (defaults, other)]
+    expected = []
+    for p, z in calls:
+        monkeypatch.setattr(statics, "_last_oracle_terms", None)
+        expected.append(full_equilibrium(p, z))
 
     def refuse(p):
         raise AssertionError("per-build terms requested")
@@ -337,8 +344,8 @@ def test_oracle_does_not_read_the_build_terms(defaults, monkeypatch):
     monkeypatch.setattr(statics, "_build_terms", refuse)
     with pytest.raises(AssertionError, match="per-build terms"):
         predict_opening(defaults, 0.0)
-    for z, state in zip(zetas, expected):
-        got = full_equilibrium(defaults, z)
+    for (p, z), state in zip(calls, expected):
+        got = full_equilibrium(p, z)
         for name in _STATE_FIELDS:
             assert getattr(got, name) == getattr(state, name), name
 
