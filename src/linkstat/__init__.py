@@ -21,14 +21,14 @@ _HOMES: dict[str, str] = {
     for module, names in {
         "model": (
             "DesignSpec", "LinkageParameters", "ParameterViolation", "ValidationReport",
-            "default_parameters", "validate_parameters",
+            "default_parameters", "spring_force", "validate_parameters",
         ),
         "statics": (
             "BalanceSolution", "BalanceSystem", "BlockedReason", "EquilibriumState",
             "JointForcePair", "OpeningDecision", "OpeningStatus", "SingularSystemError",
             "assemble_system", "friction_coupling", "full_equilibrium",
             "perturbed_joint_forces", "predict_opening", "solve_balance",
-            "solve_balance_with_sign", "spring_force", "tip_moment_ratio",
+            "solve_balance_with_sign", "tip_moment_ratio",
         ),
         "modeswitch": (
             "GraspMode", "NotOpeningError", "OpeningInterval", "SweepCurve",

@@ -34,6 +34,7 @@ from .model import (
     DEFAULT_SWEEP_STEP_DEG,
     LinkageParameters,
     default_parameters,
+    spring_force,
     sweep_grid,
     validate_parameters,
 )
@@ -126,7 +127,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         OpeningStatus,
         friction_coupling,
         predict_opening,
-        spring_force,
         tip_moment_ratio,
     )
 

@@ -1,5 +1,5 @@
-"""Parameters, their validation, the sweep range and the design target for the
-parallel-link finger.
+"""Parameters, the spring force, their validation, the sweep range and the
+design target for the parallel-link finger.
 
 The finger is a planar six-bar linkage driven by a tension spring.  Two
 equal-length side struts, O-R and O-S, hang from a common base pivot O,
@@ -23,6 +23,7 @@ __all__ = [
     "ParameterViolation",
     "ValidationReport",
     "default_parameters",
+    "spring_force",
     "validate_parameters",
 ]
 
@@ -155,6 +156,27 @@ class ValidationReport(NamedTuple):
         return "\n".join(f"{v.field}: {v.message}" for v in self.violations)
 
 
+def spring_force(p: LinkageParameters) -> float:
+    """Tension in the return spring with the finger closed, in N.
+
+    The stretched length is modelled as the lateral projection of the two
+    anchor offsets, l0*(sin(theta0+theta1) + sin(theta4+theta5)); the
+    spring rate times the stretch past natural length gives the force.
+    """
+    stretched = p.l0 * (
+        math.sin(p.theta0 + p.theta1) + math.sin(p.theta4 + p.theta5)
+    )
+    return p.spring_k * (stretched - p.natural_length)
+
+
+def _spring_moments(p: LinkageParameters) -> tuple[float, float]:
+    """(b0, b1), the 2x2 balance's spring moments; l1 must be nonzero."""
+    f_k = spring_force(p)
+    lever = p.l0 / p.l1
+    return (lever * math.cos(p.theta0 + p.theta1) * f_k,
+            -lever * math.cos(p.theta4 + p.theta5) * f_k)
+
+
 def validate_parameters(p: LinkageParameters) -> ValidationReport:
     """Check every parameter rule and report all violations at once.
 
@@ -190,8 +212,7 @@ def validate_parameters(p: LinkageParameters) -> ValidationReport:
             found.append(ParameterViolation(name, f"must be >= {floor}, got {value}"))
 
     # The rules below read many fields, so they read each once.
-    (l0, l1, l2, l3, l4, theta0, theta1, theta2, theta3, theta4, theta5,
-     spring_k, natural_length, mu, _) = p
+    l0, l1, l2, l3, l4, _, _, theta2, theta3, _, _, _, _, mu, _ = p
 
     # theta2 = -theta3 collapses the coupler moment arm: the pair is
     # degenerate even though each angle passes its own range check.
@@ -244,18 +265,11 @@ def validate_parameters(p: LinkageParameters) -> ValidationReport:
     # The 2x2 balance's right-hand side, the spring moment about each
     # base pivot over the strut length, overflows when l1 is tiny next to
     # l0 and the spring force (l1 = 1e-320 passes every rule above), and
-    # every verdict would then read an infinite force.  b0 and b1 are
-    # evaluated here exactly as statics._BuildTerms does, and only
-    # when none of the fields they read broke a rule above, so those are
-    # finite and l1 is positive.
+    # every verdict would then read an infinite force.  b0 and b1 are the
+    # solver's own, checked only when none of the fields they read broke a
+    # rule above, so those are finite and l1 is positive.
     if not found or {v.field for v in found}.isdisjoint(_SPRING_MOMENT_FIELDS):
-        f_k = spring_k * (
-            l0 * (math.sin(theta0 + theta1) + math.sin(theta4 + theta5))
-            - natural_length
-        )
-        lever = l0 / l1
-        b0 = lever * math.cos(theta0 + theta1) * f_k
-        b1 = -lever * math.cos(theta4 + theta5) * f_k
+        b0, b1 = _spring_moments(p)
         if not (math.isfinite(b0) and math.isfinite(b1)):
             found.append(
                 ParameterViolation(

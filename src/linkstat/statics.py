@@ -15,10 +15,12 @@ Two independent routes compute the same state:
   balances as a 9-unknown linear system and solves that directly.
 
 The second route exists to cross-check the first and is deliberately not
-implemented in terms of it: it writes its own rows member by member and
-reads none of the first route's terms.  Its two slip senses differ in
-one entry, so both systems form one (2, 9, 9) stack that one LAPACK call
-solves; the branch choice and the residual then run on plain floats.
+implemented in terms of it: it writes its own rows member by member, in
+the class that caches them, and reads none of the first route's terms;
+the two share only :func:`linkstat.model.spring_force`, which scales
+both right-hand sides.  Its two slip senses differ in one entry, so
+both systems form one (2, 9, 9) stack that one LAPACK call solves; the
+branch choice and the residual then run on plain floats.
 Only four entries of each system depend on the press direction, so the
 stack is written once per build, from a fixed table of positions, and
 kept read-only for the most recent build in a cache of the route's own;
@@ -63,11 +65,9 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .model import LinkageParameters
+from .model import LinkageParameters, _spring_moments, spring_force
 
 if TYPE_CHECKING:
-    from typing import Callable
-
     import numpy as np
 
 __all__ = [
@@ -86,7 +86,6 @@ __all__ = [
     "predict_opening",
     "solve_balance",
     "solve_balance_with_sign",
-    "spring_force",
     "tip_moment_ratio",
 ]
 
@@ -102,19 +101,6 @@ class SingularSystemError(RuntimeError):
 def _sign_of(value: float) -> int:
     """Sign convention used throughout: zero counts as positive."""
     return 1 if value >= 0.0 else -1
-
-
-def spring_force(p: LinkageParameters) -> float:
-    """Tension in the return spring with the finger closed, in N.
-
-    The stretched length is modelled as the lateral projection of the two
-    anchor offsets, l0*(sin(theta0+theta1) + sin(theta4+theta5)); the
-    spring rate times the stretch past natural length gives the force.
-    """
-    stretched = p.l0 * (
-        math.sin(p.theta0 + p.theta1) + math.sin(p.theta4 + p.theta5)
-    )
-    return p.spring_k * (stretched - p.natural_length)
 
 
 def _coupler_arm(l2: float, theta2: float, theta3: float) -> float:
@@ -231,8 +217,7 @@ class _BuildTerms:
     def __init__(self, p: LinkageParameters) -> None:
         # Fields are read once, by unpacking: a named-tuple field read per
         # use costs more than the arithmetic here.
-        (l0, l1, l2, _, _, theta0, theta1, theta2, theta3, theta4, theta5,
-         _, _, mu, _) = p
+        _, l1, l2, _, _, _, theta1, theta2, theta3, theta4, _, _, _, mu, _ = p
         self.params = p  # held so that the identity test in _build_terms stays sound
         self.denom = _coupler_arm(l2, theta2, theta3)  # tip_moment_ratio's
         self.s13 = math.sin(theta1 - theta3)
@@ -245,10 +230,7 @@ class _BuildTerms:
                 f"l1 = {l1!r}: the strut length divides the spring moment "
                 "and must be nonzero"
             )
-        f_k = spring_force(p)
-        lever = l0 / l1
-        self.b0 = lever * math.cos(theta0 + theta1) * f_k
-        self.b1 = -lever * math.cos(theta4 + theta5) * f_k
+        self.b0, self.b1 = _spring_moments(p)
         self.cos1 = math.cos(theta1)
         self.cos4 = math.cos(theta4)
 
@@ -297,8 +279,7 @@ def assemble_system(
     """
     _require_finite(zeta)
     t = _build_terms(p)
-    # tip_moment_ratio(p, zeta), with its press-independent denominator cached.
-    gamma = (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / t.denom
+    gamma = tip_moment_ratio(p, zeta)
     return BalanceSystem(
         a00=gamma * t.s13 + math.sin(p.theta1 - zeta),
         a01=t.s13,
@@ -612,10 +593,10 @@ class EquilibriumState(NamedTuple):
     residual: float
 
 
-# Where each entry of _equilibrium_rows lands in the 9x9 matrix, in the
-# order that function lists them.  The unknowns are (xi, beta_3, beta_6,
-# f_r1x, f_r1y, f_s4x, f_s4y, f_pinx, f_piny).  The Coulomb entry (8, 7),
-# the only one that depends on the assumed slip sense, comes last.  The
+# Where each entry _OracleTerms writes lands in the 9x9 matrix, in the
+# order it lists them.  The unknowns are (xi, beta_3, beta_6, f_r1x,
+# f_r1y, f_s4x, f_s4y, f_pinx, f_piny).  The Coulomb entry (8, 7), the
+# only one that depends on the assumed slip sense, comes last.  The
 # four entries that depend on the press direction, (0, 0), (1, 0), (3, 0)
 # and (4, 0), are not listed: full_equilibrium writes them on every call.
 _ROW_POSITIONS = (
@@ -654,60 +635,6 @@ def _raw_singular_error(zeta: float, cause: str = "") -> SingularSystemError:
     )
 
 
-def _equilibrium_rows(
-    p: LinkageParameters, zeta: float
-) -> tuple[
-    list[float], float, float, float, Callable[[float], tuple[float, float, float, float]]
-]:
-    """Raw balance rows of one build, entry by entry.
-
-    Returns the entries at :data:`_ROW_POSITIONS` but the last, the
-    Coulomb coefficient -mu of the +1 slip sense (the -1 sense has +mu
-    there), the right-hand sides of rows 2 and 5, and a function that
-    gives the entries at (0, 0), (1, 0), (3, 0) and (4, 0) for a press
-    direction; every other entry is zero.  Member balances are written
-    directly from the free bodies of the two struts and the slotted pin;
-    nothing is pre-aggregated, so this stays an independent check on
-    :func:`solve_balance`.  ``zeta`` is named only in the error that a
-    zero coupler moment arm raises.
-    """
-    l0, l1, l2, l3, l4, theta0, theta1, theta2, theta3, theta4, theta5, _, _, mu, _ = p
-    s1, c1 = math.sin(theta1), math.cos(theta1)
-    s2, c2 = math.sin(theta2), math.cos(theta2)
-    s3, c3 = math.sin(theta3), math.cos(theta3)
-    s4, c4 = math.sin(theta4), math.cos(theta4)
-    arm = l2 * math.sin(theta2 + theta3)
-    if arm == 0.0:
-        raise _raw_singular_error(
-            zeta, ": the coupler moment arm l2*sin(theta2+theta3) is zero"
-        )
-    cos, sin = math.cos, math.sin
-
-    def press_entries(zeta: float) -> tuple[float, float, float, float]:
-        # tip_moment_ratio(p, zeta), then the tip load in the strut force balances.
-        gamma = (l4 * cos(zeta) - l3 * sin(theta2 + zeta)) / arm
-        return gamma * s3 + sin(zeta), gamma * c3 + cos(zeta), -gamma * s3, -gamma * c3
-
-    f_k = spring_force(p)
-    entries = [
-        # Left strut: force balance (x then y), moment about the base pivot.
-        1.0, s3,
-        1.0, c3,
-        l1 * s1, -l1 * c1,
-        # Right strut: force balance, moment about the base pivot.
-        1.0, s2,
-        1.0, -c2,
-        -l1 * s4, -l1 * c4,
-        # Slotted pin: force balance, then the Coulomb row's own unknown.
-        1.0, s3, s2,
-        1.0, c3, -c2,
-        1.0,
-    ]
-    b2 = -l0 * math.cos(theta0 + theta1) * f_k
-    b5 = l0 * math.cos(theta4 + theta5) * f_k
-    return entries, -mu, b2, b5, press_entries
-
-
 def _all_finite(values: list[float]) -> bool:
     """Whether every value is finite.
 
@@ -735,9 +662,11 @@ class _OracleTerms:
     the four entries ``press_entries`` gives, and ``rhs`` its (2, 9, 1)
     right-hand sides; both are read-only, so every call solves a copy.
     ``finite`` says whether every entry but those four is finite, and
-    ``scale`` is max(1, |b|), the floor of the residual's scale.  Built
-    from :func:`_equilibrium_rows` alone, so nothing is shared with the
-    aggregated route's build terms.
+    ``scale`` is max(1, |b|), the floor of the residual's scale.  The rows
+    are written here alone, member by member from the free bodies of the
+    two struts and the slotted pin, sharing only :func:`spring_force` with
+    the aggregated route.  ``zeta`` is named only in the error that a zero
+    coupler moment arm raises.
     """
 
     __slots__ = ("params", "matrix", "rhs", "scale", "press_entries", "finite")
@@ -745,9 +674,45 @@ class _OracleTerms:
     def __init__(self, p: LinkageParameters, zeta: float) -> None:
         import numpy as np
 
-        entries, coulomb, b2, b5, self.press_entries = _equilibrium_rows(p, zeta)
+        l0, l1, l2, l3, l4, theta0, theta1, theta2, theta3, theta4, theta5, _, _, mu, _ = p
+        s1, c1 = math.sin(theta1), math.cos(theta1)
+        s2, c2 = math.sin(theta2), math.cos(theta2)
+        s3, c3 = math.sin(theta3), math.cos(theta3)
+        s4, c4 = math.sin(theta4), math.cos(theta4)
+        arm = l2 * math.sin(theta2 + theta3)
+        if arm == 0.0:
+            raise _raw_singular_error(
+                zeta, ": the coupler moment arm l2*sin(theta2+theta3) is zero"
+            )
+        cos, sin = math.cos, math.sin
+
+        def press_entries(zeta: float) -> tuple[float, float, float, float]:
+            # tip_moment_ratio(p, zeta), then the tip load in the strut force balances.
+            gamma = (l4 * cos(zeta) - l3 * sin(theta2 + zeta)) / arm
+            return gamma * s3 + sin(zeta), gamma * c3 + cos(zeta), -gamma * s3, -gamma * c3
+
+        self.press_entries = press_entries
         self.params = p  # held so that the identity test in _oracle_terms stays sound
-        values = entries + [coulomb] + entries + [-coulomb, b2, b5, b2, b5]
+        f_k = spring_force(p)
+        # The entries at _ROW_POSITIONS but the last, the Coulomb coefficient,
+        # which is -mu for the +1 slip sense and +mu for the -1 sense.
+        entries = [
+            # Left strut: force balance (x then y), moment about the base pivot.
+            1.0, s3,
+            1.0, c3,
+            l1 * s1, -l1 * c1,
+            # Right strut: force balance, moment about the base pivot.
+            1.0, s2,
+            1.0, -c2,
+            -l1 * s4, -l1 * c4,
+            # Slotted pin: force balance, then the Coulomb row's own unknown.
+            1.0, s3, s2,
+            1.0, c3, -c2,
+            1.0,
+        ]
+        b2 = -l0 * math.cos(theta0 + theta1) * f_k
+        b5 = l0 * math.cos(theta4 + theta5) * f_k
+        values = entries + [-mu] + entries + [mu, b2, b5, b2, b5]
         self.finite = _all_finite(values)
         self.scale = max(1.0, abs(b2), abs(b5))
         buffer = np.zeros(180)

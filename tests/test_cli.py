@@ -368,6 +368,69 @@ def test_compare_rejects_bad_header(tmp_path, capsys):
     assert "header" in capsys.readouterr().err
 
 
+def test_analyze_rejects_a_non_numeric_angle(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["analyze", "--zeta-deg", "abc"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith("error: argument --zeta-deg: not a number: 'abc'\n")
+    assert captured.out == ""
+
+
+def test_sweep_out_on_a_directory_exits_5(tmp_path, capsys):
+    assert main(["sweep", "--out", str(tmp_path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
+    assert "opening_intervals = 1" in captured.out  # the summary precedes the write
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_where_the_model_opens_nowhere(tmp_path, capsys):
+    meas = tmp_path / "meas.csv"
+    meas.write_text("zeta_deg,measured_force_n\n-20,2.0\n60,3.5\n")
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--measurements", str(meas), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        " -20.000      2.0000  not opening          -  -",
+        "  60.000      3.5000  not opening          -  -",
+        "mean abs deviation: undefined (model opens nowhere measured)",
+        f"wrote {out}",
+    ]
+    assert out.read_text().splitlines()[1:] == ["-20,2,,,,false", "60,3.5,,,,false"]
+
+
+DESIGN_MET_AT_START = """
+[target]
+interval_lo_deg = -10
+interval_hi_deg = 15
+press_angle_deg = 0
+threshold_lo_n = 3
+threshold_hi_n = 8
+
+[search]
+free = l4, spring_k, mu
+
+[bounds]
+l4 = 2, 3
+spring_k = 0.5, 1.5
+mu = 0.5, 0.7
+"""
+
+
+def test_optimize_prints_lengths_and_rates_without_deg(tmp_path, capsys):
+    """The built-in build already meets this target; no free field is an
+    angle, so none is printed in degrees."""
+    design = tmp_path / "design.txt"
+    design.write_text(DESIGN_MET_AT_START)
+    assert main(["optimize", "--design", str(design)]) == 0
+    p = default_parameters()
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        f"l4 = {p.l4:.9g}",
+        f"spring_k = {p.spring_k:.9g}",
+        f"mu = {p.mu:.9g}",
+    ]
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["explode"])
@@ -568,6 +631,9 @@ _LOAD_BUDGET = {
                 sorted(["csv", *_FRONT, "linkstat.compare", "linkstat.statics"])),
     "optimize": (["optimize", "--design", "{design}"], 0,
                  sorted([*_SOLVER, "linkstat.design"])),
+    "spring-force": ("import linkstat\n"
+                     "result = linkstat.spring_force(linkstat.default_parameters())",
+                     3.69172157852751, ["linkstat", "linkstat.model"]),
 }
 
 

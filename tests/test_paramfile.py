@@ -318,6 +318,8 @@ def test_comparison_row_is_an_immutable_named_tuple():
         ("1/(1e308*10)", "non-finite"),
         ("inf", "unknown name"),
         ("nan", "unknown name"),
+        ("(12 3", "missing closing parenthesis"),
+        ("sin 30", "sin must be called with parentheses"),
     ],
 )
 def test_expression_faults_name_their_line(value, fragment):
@@ -347,3 +349,56 @@ def test_any_text_parses_or_is_rejected(text):
     except ParameterFileError:
         return
     assert all(math.isfinite(v) for v in doc.parameters.as_dict().values())
+
+
+def test_division_that_succeeds_is_exact():
+    text = shipped_text().replace("l2 = 12", "l2 = 24/2")
+    assert parse_parameter_file(text).l2 == 12.0
+
+
+def test_value_before_any_section_names_its_line():
+    text = shipped_text().replace("[lengths_mm]\n", "mu = 0.6\n[lengths_mm]\n", 1)
+    lineno = text.splitlines().index("mu = 0.6") + 1
+    assert lineno == 5  # after the three comment lines and a blank one
+    with pytest.raises(ParameterFileError) as err:
+        parse_parameter_document(text)
+    assert str(err.value) == f"line {lineno}: value appears before any [section] header"
+
+
+def test_bound_with_a_blank_before_its_comma():
+    spec, _ = parse_design_file(DESIGN_TEXT.replace("theta2 = 10, 30", "theta2 = 10 , 30"))
+    assert spec.bounds["theta2"] == (math.radians(10.0), math.radians(30.0))
+
+
+def test_blank_line_between_measurement_rows_is_skipped():
+    rows = read_measurements("zeta_deg,measured_force_n\n-10,5.1\n\n10,4.8\n")
+    assert rows == (Measurement(math.radians(-10.0), 5.1), Measurement(math.radians(10.0), 4.8))
+    # The blank line still counts: a fault after it names its own line.
+    with pytest.raises(MeasurementFileError) as err:
+        read_measurements("zeta_deg,measured_force_n\n-10,5.1\n\n10,x\n")
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "needle,replacement,message",
+    [
+        ("free = theta2", "free = theta2, theta2",
+         "duplicate free parameters in ('theta2', 'theta2')"),
+        ("theta2 = 10, 30", "theta2 = 30, 10",
+         f"bounds for 'theta2' must be a finite ordered pair, got "
+         f"({math.radians(30.0)}, {math.radians(10.0)})"),
+        ("interval_hi_deg = 15", "interval_hi_deg = -10",
+         f"target interval is empty: [{math.radians(-10.0)}, {math.radians(-10.0)}]"),
+        ("interval_hi_deg = 15", "interval_hi_deg = 95",
+         "target interval must lie inside the sweep range"),
+    ],
+    ids=["duplicate-free", "unordered-bounds", "empty-band", "band-outside-sweep"],
+)
+def test_design_spec_refusals(needle, replacement, message):
+    """Files that parse but whose spec DesignSpec.validated refuses."""
+    text = DESIGN_TEXT.replace(needle, replacement)
+    assert text != DESIGN_TEXT
+    spec, _ = parse_design_file(text)
+    with pytest.raises(ValueError) as err:
+        spec.validated()
+    assert str(err.value) == message

@@ -357,7 +357,7 @@ def test_spring_force_computed_once_per_sweep(monkeypatch):
         calls.append(p)
         return spring_force(p)
 
-    monkeypatch.setattr(statics, "spring_force", counted)
+    monkeypatch.setattr("linkstat.model.spring_force", counted)
     curve = sweep(default_parameters().with_values())
     assert len(curve.samples) == 241
     assert len(calls) == 1
@@ -397,7 +397,7 @@ def test_cache_entry_stays_whole_when_another_build_cuts_in(monkeypatch):
             cut_in.append(_decision_bits(predict_opening(b, zeta)))
         return spring_force(p)
 
-    monkeypatch.setattr(statics, "spring_force", spring_force_cut_in)
+    monkeypatch.setattr("linkstat.model.spring_force", spring_force_cut_in)
     statics._build_terms(a)
     assert cut_in == [expected[id(b)]]
     assert _decision_bits(predict_opening(b, zeta)) == expected[id(b)]
