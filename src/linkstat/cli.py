@@ -304,18 +304,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         label, lo_deg, hi_deg, step_deg, curve, intervals,
         args.press_angle_deg, threshold,
     )
-    sys.stdout.write(summary)
-
     if args.out is not None:
         _write_text(args.out, _sweep_csv(curve, zetas_deg))
         _write_text(args.out + ".summary", summary)
+    if args.svg is not None:
+        forces = [s.decision.required_force if s.decision.opens else 0.0
+                  for s in curve.samples]
+        _write_text(args.svg, _render_svg(zetas_deg, forces))
+
+    sys.stdout.write(summary)
+    if args.out is not None:
         print(f"wrote {args.out} and {args.out}.summary")
     if args.svg is not None:
-        forces = [
-            s.decision.required_force if s.decision.opens else 0.0
-            for s in curve.samples
-        ]
-        _write_text(args.svg, _render_svg(zetas_deg, forces))
         print(f"wrote {args.svg}")
     return 0
 
@@ -334,7 +334,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     try:
         spec, budget = parse_design_file(text)
         spec.validated()  # a refused spec never loads the solver
-        from .design import DesignStatus, optimize_design
+        from .design import optimize_design
 
         if args.budget is not None:
             budget = args.budget
@@ -342,9 +342,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     except (ParameterFileError, ValueError) as exc:
         raise _Fail(2, f"{args.design}: {exc}") from exc
 
+    if result.feasible and args.out is not None:
+        _write_text(args.out, format_parameter_file(result.parameters))
     print(f"evaluations: {result.evaluations}")
     print(f"penalty: {_num(result.penalty)}")
-    if result.status is DesignStatus.FEASIBLE:
+    if result.feasible:
         record = result.verification
         assert record is not None
         print("status: feasible")
@@ -360,7 +362,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             else:
                 print(f"{name} = {_num(value)}")
         if args.out is not None:
-            _write_text(args.out, format_parameter_file(result.parameters))
             print(f"wrote {args.out}")
         return 0
     print("status: infeasible")
@@ -398,6 +399,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from .paramfile import compare_measurements, format_comparison_csv
 
     result = compare_measurements(doc.parameters, measurements)
+    if args.out is not None:
+        _write_text(args.out, format_comparison_csv(result))
     print("zeta_deg  measured_N  predicted_N  abs_dev_N  rel_dev")
     for row in result.rows:
         z = f"{math.degrees(row.zeta):8.3f}"
@@ -415,7 +418,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     else:
         print("mean abs deviation: undefined (model opens nowhere measured)")
     if args.out is not None:
-        _write_text(args.out, format_comparison_csv(result))
         print(f"wrote {args.out}")
     return 0
 

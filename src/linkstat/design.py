@@ -12,12 +12,12 @@ verdicts only around the few press directions where one can change
 lies next to a root, so every one takes a known verdict).
 
 The search is deterministic: no randomness, fixed iteration order, and a
-Feasible verdict is always re-verified before being returned, with a
-fresh verdict at every grid point and no inference from roots.  Scoring
-and re-verification both read the verdict kernel
-(:func:`~linkstat.statics._decide_all`, one call for all of a grid's
-points, or its one-point case :func:`~linkstat.statics._decide`) and
-build no verdict objects.
+Feasible verdict is always re-verified before being returned, on the
+same grid (the default range, built once) with a fresh verdict at every
+grid point and no inference from roots.  Scoring and re-verification
+both read the verdict kernel (:func:`~linkstat.statics._decide_all`, one
+call for all of a grid's points, or its one-point case
+:func:`~linkstat.statics._decide`) and build no verdict objects.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ from .model import (
     DEFAULT_BUDGET,
     DesignSpec,
     LinkageParameters,
+    sweep_grid,
     validate_parameters,
 )
 from .modeswitch import (
     DEFAULT_REFINE_TOL,
     OpeningInterval,
-    _grid,
+    _envelope,
     _swept_intervals,
-    envelope,
     switching_threshold,
 )
 from .statics import _OPENS, _decide
@@ -71,6 +71,9 @@ _BLOCKED_SHAPING_PER_DEG = 0.01
 
 # Central-difference step of sensitivity(), relative to the field's size.
 _SENSITIVITY_REL_STEP = 1e-6
+
+# The one grid candidates are scored and re-verified on: the default range.
+_GRID = tuple(sweep_grid(DesignSpec.sweep_lo, DesignSpec.sweep_hi, DesignSpec.sweep_step))
 
 
 def _initial_step(name: str) -> float:
@@ -156,7 +159,7 @@ def evaluate_design(spec: DesignSpec, p: LinkageParameters) -> DesignEvaluation:
             violations=("candidate parameters do not validate",),
         )
 
-    intervals = envelope(p, spec.sweep_lo, spec.sweep_hi, spec.sweep_step)
+    intervals = _envelope(p, _GRID, DEFAULT_REFINE_TOL)
     shortfall = _containment_shortfall_deg(
         intervals, spec.interval_lo, spec.interval_hi
     )
@@ -240,8 +243,7 @@ def _verify(spec: DesignSpec, p: LinkageParameters) -> VerificationRecord:
     :func:`~linkstat.modeswitch.opening_interval`, with a verdict at every
     midpoint.
     """
-    grid = _grid(spec.sweep_lo, spec.sweep_hi, spec.sweep_step)
-    intervals = _swept_intervals(p, grid, DEFAULT_REFINE_TOL)
+    intervals = _swept_intervals(p, _GRID, DEFAULT_REFINE_TOL)
     covering = [
         iv
         for iv in intervals

@@ -326,7 +326,8 @@ class DesignSpec(NamedTuple):
     [interval_lo, interval_hi] and pressing along ``press_angle`` must
     flip the finger at a force inside [threshold_lo, threshold_hi].
     ``free`` lists the parameters the search may vary and ``bounds`` maps
-    each of them to an inclusive (lo, hi) box.
+    each of them to an inclusive (lo, hi) box.  The search range is fixed:
+    ``sweep_lo``, ``sweep_hi`` and ``sweep_step`` are class constants.
     """
 
     interval_lo: float
@@ -336,9 +337,10 @@ class DesignSpec(NamedTuple):
     threshold_hi: float
     free: tuple[str, ...]
     bounds: Mapping[str, tuple[float, float]]
-    sweep_lo: float = DEFAULT_SWEEP_LO
-    sweep_hi: float = DEFAULT_SWEEP_HI
-    sweep_step: float = DEFAULT_SWEEP_STEP
+
+    sweep_lo = DEFAULT_SWEEP_LO
+    sweep_hi = DEFAULT_SWEEP_HI
+    sweep_step = DEFAULT_SWEEP_STEP
 
     def validated(self) -> "DesignSpec":
         if not self.free:
@@ -375,5 +377,9 @@ class DesignSpec(NamedTuple):
                 f"got [{self.threshold_lo}, {self.threshold_hi}]"
             )
         if not self.sweep_lo <= self.interval_lo or not self.interval_hi <= self.sweep_hi:
-            raise ValueError("target interval must lie inside the sweep range")
+            raise ValueError(
+                "target interval must lie inside the sweep range "
+                f"[{self.sweep_lo}, {self.sweep_hi}], got "
+                f"[{self.interval_lo}, {self.interval_hi}]"
+            )
         return self

@@ -389,23 +389,6 @@ def _probed_runs(
     return runs
 
 
-# The grid of the latest envelope or re-verification, with the range it
-# came from.  The key holds the sign and type of each end besides its
-# value, since 0.0 == -0.0 and 0 == 0.0 but the end points they give the
-# grid differ in bits.
-_last_grid: tuple[tuple, tuple[float, ...]] | None = None
-
-
-def _grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
-    """``sweep_grid(lo, hi, step)``, built once for repeated calls with one range."""
-    global _last_grid
-    key = (lo, hi, step, math.copysign(1.0, lo), math.copysign(1.0, hi), type(lo), type(hi))
-    entry = _last_grid
-    if entry is None or entry[0] != key:
-        entry = _last_grid = (key, tuple(sweep_grid(lo, hi, step)))
-    return entry[1]
-
-
 def envelope(
     p: LinkageParameters,
     zeta_lo: float = DEFAULT_SWEEP_LO,
@@ -429,7 +412,13 @@ def envelope(
     the root window, every grid point and every midpoint gets its own
     verdict instead.
     """
-    grid = _grid(zeta_lo, zeta_hi, step)
+    return _envelope(p, sweep_grid(zeta_lo, zeta_hi, step), tolerance)
+
+
+def _envelope(
+    p: LinkageParameters, grid: Sequence[float], tolerance: float
+) -> tuple[OpeningInterval, ...]:
+    """:func:`envelope` on a grid the caller has already built."""
     roots = _sorted_roots(p, grid[0], grid[-1])
     runs = None if roots is None else _probed_runs(p, grid, roots)
     if runs is None:

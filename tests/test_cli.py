@@ -381,8 +381,26 @@ def test_sweep_out_on_a_directory_exits_5(tmp_path, capsys):
     assert main(["sweep", "--out", str(tmp_path)]) == 5
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {tmp_path}: ")
-    assert "opening_intervals = 1" in captured.out  # the summary precedes the write
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""  # files are written before anything is printed
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["optimize", "compare"])
+def test_out_on_a_directory_exits_5_before_printing(command, tmp_path, capsys):
+    design = tmp_path / "design.txt"
+    design.write_text(DESIGN_MET_AT_START)
+    meas = tmp_path / "meas.csv"
+    meas.write_text("zeta_deg,measured_force_n\n0,5.0\n")
+    target = tmp_path / "out"
+    target.mkdir()
+    flags = {"optimize": ["--design", str(design)], "compare": ["--measurements", str(meas)]}
+    assert main([command, *flags[command], "--out", str(target)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1  # one error line, no traceback
+    assert captured.out == ""
+    assert list(target.iterdir()) == []
 
 
 def test_compare_where_the_model_opens_nowhere(tmp_path, capsys):

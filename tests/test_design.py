@@ -108,6 +108,19 @@ def test_spec_validation():
         spec._replace(threshold_lo=9.0).validated()
 
 
+def test_spec_search_range_is_the_fixed_default():
+    # The range is a class constant, not a field: no spec can set it, and
+    # the benchmark's design check reads it off the spec.
+    from linkstat import model
+
+    with pytest.raises(TypeError):
+        DesignSpec(**reachable_spec()._asdict(), sweep_lo=0.0)
+    with pytest.raises(ValueError):
+        reachable_spec()._replace(sweep_lo=0.0)
+    assert (DesignSpec.sweep_lo, DesignSpec.sweep_hi, DesignSpec.sweep_step) == (
+        model.DEFAULT_SWEEP_LO, model.DEFAULT_SWEEP_HI, model.DEFAULT_SWEEP_STEP)
+
+
 def test_optimizer_finds_reachable_target(defaults):
     result = optimize_design(reachable_spec(), defaults, budget=400)
     assert result.status is DesignStatus.FEASIBLE

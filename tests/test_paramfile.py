@@ -390,7 +390,9 @@ def test_blank_line_between_measurement_rows_is_skipped():
         ("interval_hi_deg = 15", "interval_hi_deg = -10",
          f"target interval is empty: [{math.radians(-10.0)}, {math.radians(-10.0)}]"),
         ("interval_hi_deg = 15", "interval_hi_deg = 95",
-         "target interval must lie inside the sweep range"),
+         "target interval must lie inside the sweep range "
+         f"[{math.radians(-30.0)}, {math.radians(90.0)}], got "
+         f"[{math.radians(-10.0)}, {math.radians(95.0)}]"),
     ],
     ids=["duplicate-free", "unordered-bounds", "empty-band", "band-outside-sweep"],
 )

@@ -25,7 +25,7 @@ RECORDS = {
     "Measurement": ("zeta", "measured_force"),
     "DesignSpec": (
         "interval_lo", "interval_hi", "press_angle", "threshold_lo", "threshold_hi",
-        "free", "bounds", "sweep_lo", "sweep_hi", "sweep_step",
+        "free", "bounds",
     ),
     "DesignEvaluation": (
         "penalty", "interval_shortfall_deg", "threshold_violation_n", "press_opens",
