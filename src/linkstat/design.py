@@ -9,7 +9,13 @@ trust.  Each candidate is scored with :func:`~linkstat.modeswitch.envelope`,
 which returns the envelope of the full grid sweep bit for bit but computes
 verdicts only around the few press directions where one can change
 (10 instead of 253 on the reference build: no bisection midpoint there
-lies next to a root, so every one takes a known verdict).
+lies next to a root, so every one takes a known verdict).  A move of
+``spring_k``, ``natural_length``, ``l0`` or ``l1`` only scales the
+spring moments (b0, b1) on the balance's right-hand side, which changes
+no verdict's status while the spring force stays positive; such a move
+keeps the best build's envelope wherever
+:func:`~linkstat.modeswitch._spring_scale_keeps_verdicts` accepts its
+geometry, and computes one fresh verdict, at the press direction.
 
 The search is deterministic: no randomness, fixed iteration order, and a
 Feasible verdict is always re-verified before being returned, on the
@@ -39,6 +45,8 @@ from .modeswitch import (
     DEFAULT_REFINE_TOL,
     OpeningInterval,
     _envelope,
+    _spring_scalable,
+    _spring_scale_keeps_verdicts,
     _swept_intervals,
     switching_threshold,
 )
@@ -71,6 +79,10 @@ _BLOCKED_SHAPING_PER_DEG = 0.01
 
 # Central-difference step of sensitivity(), relative to the field's size.
 _SENSITIVITY_REL_STEP = 1e-6
+
+# The fields a spring-scale move changes: they enter the 2x2 balance only
+# through its spring moments (b0, b1), which they scale by one factor.
+_SPRING_SCALE_FIELDS = frozenset({"spring_k", "natural_length", "l0", "l1"})
 
 # The one grid candidates are scored and re-verified on: the default range.
 _GRID = tuple(sweep_grid(DesignSpec.sweep_lo, DesignSpec.sweep_hi, DesignSpec.sweep_step))
@@ -146,20 +158,29 @@ class DesignEvaluation(NamedTuple):
     violations: tuple[str, ...]
 
 
+# The score of a candidate that does not validate.
+_INVALID = DesignEvaluation(
+    penalty=math.inf,
+    interval_shortfall_deg=math.inf,
+    threshold_violation_n=math.inf,
+    press_opens=False,
+    threshold=None,
+    intervals=(),
+    violations=("candidate parameters do not validate",),
+)
+
+
 def evaluate_design(spec: DesignSpec, p: LinkageParameters) -> DesignEvaluation:
     """Score a candidate against the target.  Zero penalty means feasible."""
     if not validate_parameters(p).ok:
-        return DesignEvaluation(
-            penalty=math.inf,
-            interval_shortfall_deg=math.inf,
-            threshold_violation_n=math.inf,
-            press_opens=False,
-            threshold=None,
-            intervals=(),
-            violations=("candidate parameters do not validate",),
-        )
+        return _INVALID
+    return _scored(spec, p, _envelope(p, _GRID, DEFAULT_REFINE_TOL))
 
-    intervals = _envelope(p, _GRID, DEFAULT_REFINE_TOL)
+
+def _scored(
+    spec: DesignSpec, p: LinkageParameters, intervals: tuple[OpeningInterval, ...]
+) -> DesignEvaluation:
+    """Score a validated candidate whose opening envelope is ``intervals``."""
     shortfall = _containment_shortfall_deg(
         intervals, spec.interval_lo, spec.interval_hi
     )
@@ -274,6 +295,18 @@ def optimize_design(
     A full pass with no improvement halves every step, and the search
     stops when steps fall below 1/64 of their initial size, the penalty
     reaches zero, or the evaluation budget runs out.
+
+    A trial that moves ``spring_k``, ``natural_length``, ``l0`` or ``l1``
+    from a validated best build is scored with the best build's envelope
+    when both builds have a positive spring force of ordinary size and
+    the best build's geometry passes
+    :func:`~linkstat.modeswitch._spring_scale_keeps_verdicts`, asked once
+    per geometry.  Such a move scales (b0, b1) by one positive factor and
+    leaves every verdict's status as it was, so the envelope is the one
+    :func:`evaluate_design` would compute, bit for bit; the trial still
+    runs :func:`~linkstat.model.validate_parameters` and a fresh verdict
+    at the press direction, and counts as an evaluation.  Every other
+    trial is :func:`evaluate_design`.
     """
     spec = spec.validated()
     if budget < 1:
@@ -287,14 +320,33 @@ def optimize_design(
     floor = {name: step / _STEP_SHRINK_LIMIT for name, step in steps.items()}
 
     evaluations = 0
+    # Whether a spring-scale move from best_p keeps its envelope: computed
+    # on the first such move, and reset whenever a candidate that built
+    # an envelope of its own is accepted.
+    keeps_envelope: bool | None = None
 
-    def scored(candidate: LinkageParameters) -> DesignEvaluation:
-        nonlocal evaluations
+    def scored(
+        candidate: LinkageParameters, name: str | None = None
+    ) -> tuple[DesignEvaluation, bool]:
+        """The candidate's score, and whether it took best's envelope."""
+        nonlocal evaluations, keeps_envelope
         evaluations += 1
-        return evaluate_design(spec, candidate)
+        if (
+            name in _SPRING_SCALE_FIELDS
+            and best is not _INVALID
+            and validate_parameters(candidate).ok
+            and _spring_scalable(candidate)
+        ):
+            if keeps_envelope is None:
+                keeps_envelope = _spring_scale_keeps_verdicts(
+                    best_p, _GRID[0], _GRID[-1]
+                )
+            if keeps_envelope:
+                return _scored(spec, candidate, best.intervals), True
+        return evaluate_design(spec, candidate), False
 
     best_p = start
-    best = scored(best_p)
+    best, _ = scored(best_p)
 
     while best.penalty > 0.0 and evaluations < budget:
         improved = False
@@ -309,8 +361,10 @@ def optimize_design(
                 if moved == getattr(best_p, name):
                     continue
                 candidate = best_p.with_values(**{name: moved})
-                trial = scored(candidate)
+                trial, reused = scored(candidate, name)
                 if trial.penalty < best.penalty:
+                    if not reused:
+                        keeps_envelope = None
                     best_p, best = candidate, trial
                     improved = True
                     break

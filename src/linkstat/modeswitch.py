@@ -13,7 +13,10 @@ between two; every other midpoint takes the known verdict of the
 bracket end it shares a root-free stretch with.  Verdicts come from the
 statics' batch kernel (:func:`~linkstat.statics._decide_all`): the grid
 points the envelope needs go to it in one call, and each bisection
-midpoint through its one-point case.  :func:`sweep` keeps one
+midpoint through its one-point case.  The same roots tell the design
+search when a move that only scales the spring moments keeps every
+verdict, and with it the envelope (:func:`_spring_scale_keeps_verdicts`).
+:func:`sweep` keeps one
 :class:`~linkstat.statics.OpeningDecision` per sample for its callers.
 On top of that sit the operational questions: how hard must the finger
 be pressed to flip into turn-over mode, and how much grip force is safe
@@ -32,6 +35,8 @@ from .model import (
     DEFAULT_SWEEP_LO,
     DEFAULT_SWEEP_STEP,
     LinkageParameters,
+    _spring_moments,
+    spring_force,
     sweep_grid,
 )
 from .statics import (
@@ -285,7 +290,7 @@ def _sign_functions(p: LinkageParameters) -> list[tuple[float, float, float, flo
     alone never flips ``opens``; it is kept so that every sign the
     decision reads is fixed between computed points.  The press-independent
     entries are the statics' own per-build terms, which refuse a build
-    whose tip moment ratio is undefined.
+    whose tip moment ratio is undefined.  The beta numerator comes last.
     """
     t = _build_terms(p)
     denom = t.denom
@@ -322,28 +327,122 @@ def _sign_functions(p: LinkageParameters) -> list[tuple[float, float, float, flo
     return functions
 
 
-def _sorted_roots(p: LinkageParameters, lo: float, hi: float) -> list[float] | None:
-    """Zeros of every sign function within [lo, hi], widened by the root window.
+def _roots_by_function(
+    p: LinkageParameters, lo: float, hi: float
+) -> list[list[float]] | None:
+    """Zeros of each sign function within [lo, hi], widened by the root window.
 
-    Sorted.  None when a sign function is too cancelled to trust, or when
-    its floor could reach past the root window.
+    One list per function of :func:`_sign_functions`, in its order, each
+    ascending.  None when a sign function is too cancelled to trust, or
+    when its floor could reach past the root window.
     """
-    roots: list[float] = []
+    groups: list[list[float]] = []
     for a, b, size, floor in _sign_functions(p):
         amplitude = math.hypot(a, b)
         if not (math.isfinite(amplitude) and math.isfinite(size) and math.isfinite(floor)):
             return None
         if amplitude == 0.0 and size == 0.0:
-            continue  # identically zero, so its sign never changes
+            groups.append([])  # identically zero, so its sign never changes
+            continue
         if amplitude < _CANCELLATION_FLOOR * size or floor >= _FLOOR_REACH * amplitude:
             return None
         # a*cos(z) + b*sin(z) = R*cos(z - atan2(b, a)) vanishes pi/2 past the phase.
         first = math.atan2(b, a) + 0.5 * math.pi
         k_lo = math.ceil((lo - _ROOT_WINDOW - first) / math.pi)
         k_hi = math.floor((hi + _ROOT_WINDOW - first) / math.pi)
-        roots.extend(first + k * math.pi for k in range(k_lo, k_hi + 1))
+        groups.append([first + k * math.pi for k in range(k_lo, k_hi + 1)])
+    return groups
+
+
+def _sorted_roots(p: LinkageParameters, lo: float, hi: float) -> list[float] | None:
+    """Zeros of every sign function within [lo, hi], widened by the root window.
+
+    Sorted.  None as for :func:`_roots_by_function`.
+    """
+    groups = _roots_by_function(p, lo, hi)
+    if groups is None:
+        return None
+    roots = [r for group in groups for r in group]
     roots.sort()
     return roots
+
+
+# A spring-scale move leaves xi's numerator b0*a11 - s13*b1 (the same at
+# every press direction) its computed sign when the numerator clears this
+# fraction of the size of its two terms.
+_SCALE_MARGIN = 1e-9
+# Spring moments kept within these magnitudes, so that their products
+# with the matrix entries neither underflow nor overflow.
+_MOMENT_MIN = 2.0 ** -256
+_MOMENT_MAX = 2.0 ** 256
+
+
+def _spring_scalable(p: LinkageParameters) -> bool:
+    """Whether ``p`` pulls the finger shut with spring moments of ordinary size.
+
+    True when the spring force is positive and both spring moments b0,
+    b1 lie within [2**-256, 2**256] in magnitude.  Two such builds of one
+    geometry have spring moments that differ by one positive factor, up
+    to a few roundings in each.  ``p`` must validate.
+    """
+    if not spring_force(p) > 0.0:
+        return False
+    return all(_MOMENT_MIN <= abs(b) <= _MOMENT_MAX for b in _spring_moments(p))
+
+
+def _spring_scale_keeps_verdicts(p: LinkageParameters, lo: float, hi: float) -> bool:
+    """Whether a spring-scale move from ``p`` keeps every verdict in [lo, hi].
+
+    A spring-scale move changes only spring_k, natural_length, l0 or l1,
+    from and to builds that :func:`_spring_scalable` accepts.  It
+    multiplies (b0, b1) by one positive factor, up to a few roundings in
+    each, and leaves the geometry alone.  The verdict's status is then
+    the same at every press direction in [lo, hi], bit for bit, when this
+    returns True:
+
+    * a00, a10, a01, a11 and det of each branch, the singular floor and
+      the probe forces f_rx, f_sx do not read b, so the singular and
+      probe-force verdicts cannot change;
+    * on a fixed branch s, sign(xi) = sign(N_s)*sign(det_s), where
+      N_s = b0*a11_s - s13*b1 does not depend on the press direction.
+      Its computed sign is exact when |N_s| clears _SCALE_MARGIN of
+      |b0*a11_s| + |s13*b1|, which is checked on both branches;
+    * the branch choice reads the sign of the beta numerator
+      b1*a00 - b0*a10, which rounding can flip only within far less than
+      the root window of its root.  At that root beta is zero on both
+      branches, so both give xi = b0/a00, and the status could differ
+      only if another sign function (a00, a10 or a det, which includes
+      its singular band) changed sign there too.  So no root of the beta
+      numerator in [lo, hi] may lie within twice the root window of a
+      root of any other sign function, and every sign function must pass
+      the cancellation and floor tests of :func:`_roots_by_function`.
+
+    Equal statuses at every press direction give equal grid verdicts and
+    equal bisections, so :func:`envelope`, which equals
+    ``opening_interval(sweep(...))`` bit for bit, returns the same
+    intervals for both builds.  False also when ``p`` is not
+    :func:`_spring_scalable` or its -1 friction branch cannot be formed;
+    any other build that does not validate may raise ValueError.
+    """
+    if not _spring_scalable(p):
+        return False
+    t = _build_terms(p)
+    try:
+        minus = t.branch(-1)
+    except ValueError:
+        return False
+    b0, b1, s13 = t.b0, t.b1, t.s13
+    for a11 in (t.plus, minus):
+        if not abs(b0 * a11 - s13 * b1) > _SCALE_MARGIN * (abs(b0 * a11) + abs(s13 * b1)):
+            return False
+    groups = _roots_by_function(p, lo, hi)
+    if groups is None:
+        return False
+    *others, beta_roots = groups  # the beta numerator is the last sign function
+    reach = 2.0 * _ROOT_WINDOW
+    return not any(
+        abs(r - q) <= reach for r in beta_roots for group in others for q in group
+    )
 
 
 def _swept_intervals(

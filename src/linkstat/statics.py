@@ -804,8 +804,13 @@ def full_equilibrium(
         # inconsistent): keep the branch the strut-force sign implies.
         chosen = preferred
     elif plus_ok:
-        # Tie-break with the sense opposing the coupler strut force,
-        # matching the convention of the aggregated route.
+        # Both senses consistent and no hint: keep sense -1 (the
+        # aggregated route's +1 branch, as the hint mapping above shows)
+        # when the coupler strut force, unknown 1, is non-negative in
+        # both solutions, else sense +1.  The aggregated route keeps its
+        # +1 branch on every tie, so the two rules differ where that
+        # force is negative: an unhinted call and the fast route give
+        # different xi at 61 points of the default grid (ROADMAP item 9).
         chosen = -1 if solved[1] >= 0.0 and solved[10] >= 0.0 else 1
     else:
         chosen = 1

@@ -270,3 +270,112 @@ def test_verify_computes_a_verdict_at_every_grid_point(defaults, kernel_calls):
     kernel_calls.clear()
     assert opening_interval(curve) == intervals
     assert sorted(kernel_calls) == sorted(midpoints)
+
+
+def bits(values):
+    """Floats as exact bits: == cannot tell -0.0 from 0.0."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+def result_bits(result):
+    """Every field of a DesignResult, floats as exact bits."""
+    return (
+        result.status,
+        bits(result.parameters),
+        result.evaluations,
+        result.penalty.hex(),
+        result.violations,
+        None if result.verification is None else bits(result.verification),
+    )
+
+
+SCALE_BOUNDS = {
+    "spring_k": (0.3, 1.5),
+    "theta2": (rad(10.0), rad(30.0)),
+    "natural_length": (5.0, 14.5),  # past the ~13.98 mm stretch f_k < 0
+    "l0": (8.0, 14.0),
+    "l1": (18.0, 30.0),
+}
+
+
+def scale_spec(free, band):
+    """Band [-8, 12] deg, press at 0 deg, switching band ``band``, ``free`` searched."""
+    return DesignSpec(
+        interval_lo=rad(-8.0), interval_hi=rad(12.0), press_angle=0.0,
+        threshold_lo=band[0], threshold_hi=band[1],
+        free=free, bounds={name: SCALE_BOUNDS[name] for name in free},
+    )
+
+
+@pytest.mark.parametrize(
+    "free, band",
+    [
+        (("spring_k",), (6.0, 8.0)),
+        (("spring_k", "theta2"), (6.0, 8.0)),
+        (("natural_length",), (0.01, 0.02)),  # tries builds with f_k < 0
+        (("natural_length",), (20.0, 30.0)),  # infeasible
+        (("l0",), (6.0, 8.0)),
+        (("l1",), (6.0, 8.0)),
+    ],
+)
+def test_search_reusing_the_envelope_matches_a_fresh_search(defaults, monkeypatch, free, band):
+    # A spring-scale move takes the best build's envelope instead of
+    # computing its own; with the guard refusing, every trial computes it.
+    import linkstat.design
+
+    spec = scale_spec(free, band)
+    envelopes = []
+    computed = linkstat.design._envelope
+    monkeypatch.setattr(
+        linkstat.design, "_envelope", lambda *args: envelopes.append(args) or computed(*args)
+    )
+    reused = optimize_design(spec, defaults)
+    with_reuse = len(envelopes)
+    monkeypatch.setattr(linkstat.design, "_spring_scale_keeps_verdicts", lambda *args: False)
+    envelopes.clear()
+    fresh = optimize_design(spec, defaults)
+    assert result_bits(reused) == result_bits(fresh)
+    assert len(envelopes) == fresh.evaluations
+    assert with_reuse < fresh.evaluations
+
+
+def test_every_score_reads_the_candidates_own_envelope(defaults, monkeypatch):
+    # Over searches that try builds with f_k < 0 and move the geometry
+    # between spring moves, each candidate is scored with the envelope it
+    # would compute itself, and the guard is asked once per geometry a
+    # spring move starts from.
+    import linkstat.design
+
+    design = linkstat.design
+    scored, keeps, scalable = (
+        design._scored, design._spring_scale_keeps_verdicts, design._spring_scalable)
+    checked, asked, moved = [], [], []
+
+    def checked_score(spec, p, intervals):
+        checked.append(p)
+        own = design._envelope(p, design._GRID, rad(0.01))
+        assert list(map(bits, intervals)) == list(map(bits, own))
+        return scored(spec, p, intervals)
+
+    def asked_keeps(p, lo, hi):
+        asked.append(p.theta2)
+        return keeps(p, lo, hi)
+
+    def moved_scalable(p):
+        ok = scalable(p)
+        if ok:
+            moved.append(p.theta2)
+        return ok
+
+    monkeypatch.setattr(design, "_scored", checked_score)
+    monkeypatch.setattr(design, "_spring_scale_keeps_verdicts", asked_keeps)
+    monkeypatch.setattr(design, "_spring_scalable", moved_scalable)
+    for free, band in ((("natural_length",), (0.01, 0.02)), (("spring_k", "theta2"), (6.0, 8.0))):
+        checked.clear()
+        asked.clear()
+        moved.clear()
+        result = optimize_design(scale_spec(free, band), defaults)
+        assert len(checked) == result.evaluations
+        assert len(set(asked)) == len(asked)
+        assert set(moved) == set(asked)
+    assert len(asked) > 1  # the theta2 search moved springs from several geometries

@@ -21,7 +21,8 @@ from linkstat import (
     validate_parameters,
 )
 from linkstat import modeswitch
-from linkstat.model import MAX_GRID_STEPS, LinkageParameters
+from linkstat.model import MAX_GRID_STEPS, LinkageParameters, spring_force, sweep_grid
+from linkstat.statics import _OPENS, _build_terms, _decide_all
 
 # Envelope boundaries computed from the member balances ahead of this
 # implementation: the opening band for the reference build runs from
@@ -401,3 +402,163 @@ def test_envelope_two_bands():
     assert (sliver.lo_refined, sliver.hi_refined) == (False, True)
     assert wide.width > sliver.width
     assert hexed([wide, sliver]) == hexed(swept_envelope(p, *args))
+
+
+# ---------------------------------------------------------------------------
+# spring-scale moves: spring_k, natural_length, l0 and l1 only scale (b0, b1)
+
+SCALE_FIELDS = ("spring_k", "natural_length", "l0", "l1")
+DEFAULT_RANGE = (rad(-30.0), rad(90.0))
+
+
+def spring_moment_scale(p):
+    """The factor the spring moments (b0, b1) share: f_k * l0 / l1."""
+    return spring_force(p) * p.l0 / p.l1
+
+
+@given(
+    scales=st.lists(st.floats(min_value=-0.2, max_value=0.2), min_size=14, max_size=14),
+    field=st.sampled_from(SCALE_FIELDS),
+    factor=st.floats(min_value=0.3, max_value=3.0),
+)
+@settings(max_examples=100)
+def test_spring_scale_move_keeps_every_verdict(scales, field, factor):
+    base = default_parameters()
+    p = base.with_values(
+        **{name: getattr(base, name) * (1.0 + s) for name, s in zip(FIELDS, scales)}
+    )
+    q = p.with_values(**{field: getattr(p, field) * factor})
+    assume(validate_parameters(p).ok and validate_parameters(q).ok)
+    assume(modeswitch._spring_scalable(q))
+    assume(modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE))
+    assert hexed(envelope(q)) == hexed(envelope(p))
+    grid = sweep_grid(*DEFAULT_RANGE, rad(0.5))
+    ratio = spring_moment_scale(q) / spring_moment_scale(p)
+    for zeta, vp, vq in zip(grid, _decide_all(p, grid), _decide_all(q, grid)):
+        assert vp[0] == vq[0]
+        if vp[0] == _OPENS:
+            want = ratio * switching_threshold(p, zeta)
+            assert abs(switching_threshold(q, zeta) - want) <= 1e-13 * abs(want)
+
+
+def xi_numerator_margins(p):
+    """|N_s| over |b0*a11_s| + |s13*b1| on both friction branches."""
+    t = _build_terms(p)
+    return [
+        abs(t.b0 * a11 - t.s13 * t.b1) / (abs(t.b0 * a11) + abs(t.s13 * t.b1))
+        for a11 in (t.plus, t.branch(-1))
+    ]
+
+
+def cancelled_xi_numerator(defaults, offset=0.0):
+    """A build whose +1 branch xi numerator b0*a11 - s13*b1 vanishes.
+
+    With theta1 = 40 deg, s13 > 0; theta5 then puts cos(theta4 + theta5)
+    at -cos(theta0 + theta1)*a11/s13, plus ``offset`` radians.
+    """
+    p = defaults.with_values(theta1=rad(40.0))
+    t = _build_terms(p)
+    c45 = -math.cos(p.theta0 + p.theta1) * t.plus / t.s13
+    return p.with_values(theta5=math.acos(c45) - p.theta4 + offset)
+
+
+def test_spring_scale_guard_accepts_the_reference_build(defaults):
+    assert modeswitch._spring_scalable(defaults)
+    assert modeswitch._spring_scale_keeps_verdicts(defaults, *DEFAULT_RANGE)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"natural_length": 15.0},  # past the stretched length, ~13.98 mm
+        {"spring_k": 0.0},
+        {"spring_k": 1e-90},  # spring moments below 2**-256
+        {"spring_k": 1e90},  # and above 2**256
+    ],
+    ids=["stretch-past-natural-length", "no-spring", "tiny-moments", "huge-moments"],
+)
+def test_spring_scale_guard_refuses_unscalable_springs(defaults, changes):
+    p = defaults.with_values(**changes)
+    assert validate_parameters(p).ok
+    assert not modeswitch._spring_scalable(p)
+    assert not modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
+
+
+def test_spring_moments_that_underflow_change_verdicts():
+    # With f_k > 0 still, spring moments of one subnormal ulp (5e-324)
+    # have lost their ratio, and statuses differ from the same geometry
+    # with an ordinary spring: the moment range is part of the guard.
+    p = LinkageParameters(
+        l0=9.988339739261995, l1=24.20347250214445, l2=11.514237258147347,
+        l3=21.277128356395757, l4=2.243452981329211, theta0=0.4642418958546651,
+        theta1=0.15736573826863795, theta2=0.3357884965652129,
+        theta3=0.2187684555937756, theta4=0.13455803096547223,
+        theta5=0.5332540241687941, spring_k=0.862,
+        natural_length=11.556947498608928, mu=0.7051234086323387, epsilon=0.1,
+    )
+    q = p.with_values(spring_k=5e-323)
+    assert validate_parameters(q).ok and spring_force(q) > 0.0
+    assert modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
+    assert not modeswitch._spring_scalable(q)
+    grid = sweep_grid(*DEFAULT_RANGE, rad(0.5))
+    assert [v[0] for v in _decide_all(p, grid)] != [v[0] for v in _decide_all(q, grid)]
+
+
+def test_spring_scale_guard_refuses_a_cancelled_xi_numerator(defaults):
+    p = cancelled_xi_numerator(defaults)
+    assert validate_parameters(p).ok
+    assert min(xi_numerator_margins(p)) < modeswitch._SCALE_MARGIN
+    assert modeswitch._roots_by_function(p, *DEFAULT_RANGE) is not None
+    assert not modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
+    # A millirad further, the numerator clears the margin and reuse is safe.
+    q = cancelled_xi_numerator(defaults, 1e-3)
+    assert min(xi_numerator_margins(q)) > modeswitch._SCALE_MARGIN
+    assert modeswitch._spring_scale_keeps_verdicts(q, *DEFAULT_RANGE)
+
+
+def beta_root_gaps(p):
+    """Distance from each beta-numerator root to the nearest other root."""
+    *others, betas = modeswitch._roots_by_function(p, *DEFAULT_RANGE)
+    return [min(abs(r - q) for group in others for q in group) for r in betas]
+
+
+@pytest.mark.parametrize("where", ["det", "a00-and-a10"])
+def test_spring_scale_guard_refuses_a_beta_root_beside_another_root(defaults, where):
+    if where == "det":
+        # A numerator cancelled to ~2e-7 clears the margin, but it puts the
+        # beta-numerator root ~4e-8 rad from the +1 det's.
+        p = cancelled_xi_numerator(defaults, 1e-7)
+        assert min(xi_numerator_margins(p)) > modeswitch._SCALE_MARGIN
+    else:
+        # theta1 on the gamma = 0 line zeroes a00 and a10 together, and
+        # with them the beta numerator.
+        p = defaults.with_values(
+            theta1=math.atan2(
+                defaults.l4 - defaults.l3 * math.sin(defaults.theta2),
+                defaults.l3 * math.cos(defaults.theta2),
+            )
+        )
+    assert validate_parameters(p).ok
+    assert modeswitch._spring_scalable(p)
+    assert min(beta_root_gaps(p)) <= 2.0 * modeswitch._ROOT_WINDOW
+    assert not modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
+    assert min(beta_root_gaps(defaults)) > 2.0 * modeswitch._ROOT_WINDOW
+
+
+def test_spring_scale_guard_refuses_a_distrusted_sign_function(defaults):
+    # The nearly cancelled det of test_envelope_with_a_nearly_cancelled_det.
+    p = defaults.with_values(theta3=defaults.theta1 + 3e-7, theta4=defaults.theta2 + 9e-7)
+    assert validate_parameters(p).ok
+    assert min(xi_numerator_margins(p)) > modeswitch._SCALE_MARGIN
+    assert modeswitch._roots_by_function(p, *DEFAULT_RANGE) is None
+    assert not modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
+
+
+def test_spring_scale_guard_refuses_an_undefined_minus_branch(defaults):
+    # mu = cot(80 deg) with theta2 = -80 deg zeroes the -1 branch's coupling
+    # denominator mu*sin(theta2) + cos(theta2); validation refuses it.
+    p = defaults.with_values(theta2=rad(-80.0), mu=-math.cos(rad(-80.0)) / math.sin(rad(-80.0)))
+    with pytest.raises(ValueError, match="-1 friction branch"):
+        _build_terms(p).branch(-1)
+    assert modeswitch._spring_scalable(p)
+    assert not modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
