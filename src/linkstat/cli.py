@@ -341,6 +341,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         result = optimize_design(spec, doc.parameters, budget)
     except (ParameterFileError, ValueError) as exc:
         raise _Fail(2, f"{args.design}: {exc}") from exc
+    except RuntimeError as exc:  # a feasible answer failed re-verification
+        raise _Fail(3, f"{args.design}: {exc}") from exc
 
     if result.feasible and args.out is not None:
         _write_text(args.out, format_parameter_file(result.parameters))

@@ -19,8 +19,14 @@ geometry, and computes one fresh verdict, at the press direction.
 
 The search is deterministic: no randomness, fixed iteration order, and a
 Feasible verdict is always re-verified before being returned, on the
-same grid (the default range, built once) with a fresh verdict at every
-grid point and no inference from roots.  Scoring and re-verification
+same grid (the default range, built once), with fresh verdicts and no
+inference from roots: at every grid point of the run the search's
+envelope says covers the target band, at the run's two grid neighbours,
+at every bisection midpoint of its edges and at the press direction.  A
+run that opens between two closed neighbours is a run of the full
+sweep, and its refined edges are the full sweep's, so the record is the
+one a verdict at every grid point would give; when the run is not
+confirmed, every grid point gets a verdict.  Scoring and re-verification
 both read the verdict kernel (:func:`~linkstat.statics._decide_all`, one
 call for all of a grid's points, or its one-point case
 :func:`~linkstat.statics._decide`) and build no verdict objects.
@@ -29,6 +35,7 @@ call for all of a grid's points, or its one-point case
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import NamedTuple
 
@@ -45,12 +52,14 @@ from .modeswitch import (
     DEFAULT_REFINE_TOL,
     OpeningInterval,
     _envelope,
+    _refine_runs,
+    _runs,
     _spring_scalable,
     _spring_scale_keeps_verdicts,
     _swept_intervals,
     switching_threshold,
 )
-from .statics import _OPENS, _decide
+from .statics import _OPENS, _decide, _decide_all
 
 __all__ = [
     "DesignEvaluation",
@@ -254,32 +263,83 @@ def _clip(value: float, lo: float, hi: float) -> float:
     return min(max(value, lo), hi)
 
 
-def _verify(spec: DesignSpec, p: LinkageParameters) -> VerificationRecord:
-    """Re-check a feasible candidate with a fresh verdict at every grid point.
+def _covers(iv: OpeningInterval, spec: DesignSpec) -> bool:
+    return iv.lo <= spec.interval_lo and iv.hi >= spec.interval_hi
 
-    No verdict is inferred from the sign-function roots that
-    :func:`~linkstat.modeswitch.envelope` relies on, so a fault there
-    cannot pass unnoticed; the verdicts come from the scalar kernel, the
-    grid is the one the envelope reads, and the edges are bisected as in
-    :func:`~linkstat.modeswitch.opening_interval`, with a verdict at every
-    midpoint.
+
+def _confirmed_cover(
+    spec: DesignSpec, p: LinkageParameters, hint: tuple[OpeningInterval, ...]
+) -> OpeningInterval | None:
+    """The full sweep's interval covering the target band, found from ``hint``.
+
+    Takes the first hint interval that covers the band and the grid
+    points ``first..last`` inside it, and computes a fresh verdict at
+    each of them and at each grid neighbour, ``first - 1`` and
+    ``last + 1``, that exists.  When all of ``first..last`` open and no
+    neighbour does, they form a maximal run of the full sweep, and their
+    edges are bisected with a verdict at every midpoint, as the full
+    sweep bisects them.  Returns that refined interval when it covers
+    the band.  None when no hint interval covers the band, a verdict
+    disagrees (always so when the covering interval holds no grid point)
+    or the refined interval falls short.  The hint only says where to
+    look; no verdict is taken from it.
     """
-    intervals = _swept_intervals(p, _GRID, DEFAULT_REFINE_TOL)
-    covering = [
-        iv
-        for iv in intervals
-        if iv.lo <= spec.interval_lo and iv.hi >= spec.interval_hi
-    ]
-    if not covering:
-        raise RuntimeError(
-            "feasible candidate failed re-verification of envelope coverage"
-        )
+    for iv in hint:
+        if _covers(iv, spec):
+            break
+    else:
+        return None
+    first = bisect_left(_GRID, iv.lo)
+    last = bisect_right(_GRID, iv.hi) - 1
+    start = max(first - 1, 0)
+    opens = [v[0] == _OPENS for v in _decide_all(p, _GRID[start : last + 2])]
+    if _runs(opens) != [(first - start, last - start)]:
+        return None
+    (refined,) = _refine_runs(p, _GRID, [(first, last)], DEFAULT_REFINE_TOL)
+    return refined if _covers(refined, spec) else None
+
+
+def _verify(
+    spec: DesignSpec,
+    p: LinkageParameters,
+    hint: tuple[OpeningInterval, ...] = (),
+) -> VerificationRecord:
+    """Re-check a feasible candidate with fresh verdicts and no root inference.
+
+    ``hint`` is the candidate's envelope as the search scored it.  The
+    covering run it points to is confirmed by :func:`_confirmed_cover`,
+    which computes a fresh verdict at the run's grid points, at its two
+    grid neighbours and at every bisection midpoint of its edges.
+    Without a hint, or when that check fails, every grid point and every
+    midpoint gets a fresh verdict
+    (:func:`~linkstat.modeswitch._swept_intervals`).  The switching
+    force gets one fresh verdict at the press direction.  Every verdict
+    comes from the scalar kernel on the grid the envelope reads; none is
+    inferred from the sign-function roots that
+    :func:`~linkstat.modeswitch.envelope` relies on, so a fault there
+    cannot pass unnoticed.
+
+    The record, and the RuntimeError raised when a check fails, are
+    those of the full sweep for every hint, given a validated ``spec``:
+    a confirmed run is a maximal run of the full sweep, its refined edges
+    depend only on its own brackets, and the full sweep's refined
+    intervals are disjoint, so at most one of them covers the band.  The
+    hint decides only how much work is done.
+    """
+    best = _confirmed_cover(spec, p, hint)
+    if best is None:
+        intervals = _swept_intervals(p, _GRID, DEFAULT_REFINE_TOL)
+        covering = [iv for iv in intervals if _covers(iv, spec)]
+        if not covering:
+            raise RuntimeError(
+                "feasible candidate failed re-verification of envelope coverage"
+            )
+        best = covering[0]
     t = switching_threshold(p, spec.press_angle)
     if not (spec.threshold_lo <= t <= spec.threshold_hi):
         raise RuntimeError(
             "feasible candidate failed re-verification of the switching band"
         )
-    best = covering[0]
     return VerificationRecord(interval_lo=best.lo, interval_hi=best.hi, threshold=t)
 
 
@@ -307,6 +367,14 @@ def optimize_design(
     runs :func:`~linkstat.model.validate_parameters` and a fresh verdict
     at the press direction, and counts as an evaluation.  Every other
     trial is :func:`evaluate_design`.
+
+    A feasible answer is re-verified by :func:`_verify`, given the
+    envelope the answer was scored with: fresh verdicts at the grid
+    points of its run covering the target band, at the run's two grid
+    neighbours, at every bisection midpoint and at the press direction,
+    or at every grid point and midpoint when that run is not confirmed.
+    The verification record, or the RuntimeError when re-verification
+    fails, is the one a verdict at every grid point gives.
     """
     spec = spec.validated()
     if budget < 1:
@@ -374,7 +442,7 @@ def optimize_design(
                 break
 
     if best.penalty == 0.0:
-        record = _verify(spec, best_p)
+        record = _verify(spec, best_p, best.intervals)
         return DesignResult(
             status=DesignStatus.FEASIBLE,
             parameters=best_p,

@@ -308,6 +308,49 @@ def test_optimize_budget_flag(tmp_path, capsys):
     assert "evaluations: 3" in capsys.readouterr().out
 
 
+DESIGN_CLOSED_BAND = """
+[target]
+interval_lo_deg = 30
+interval_hi_deg = 60
+press_angle_deg = 0
+threshold_lo_n = 3
+threshold_hi_n = 8
+
+[search]
+free = theta2
+
+[bounds]
+theta2 = 10, 30
+"""
+
+
+def test_optimize_failed_reverification_exits_3(tmp_path, capsys, monkeypatch):
+    # The search is told that every build opens over the whole range, so
+    # it takes the start as feasible; re-verification refuses that hint,
+    # sweeps the full grid and finds the band [30, 60] deg closed.
+    import linkstat.design
+
+    monkeypatch.setattr(
+        linkstat.design, "_envelope",
+        lambda p, grid, tol: (linkstat.OpeningInterval(grid[0], grid[-1], False, False),),
+    )
+    swept = []
+    every_point = linkstat.design._swept_intervals
+    monkeypatch.setattr(linkstat.design, "_swept_intervals",
+                        lambda *args: swept.append(args) or every_point(*args))
+    design = tmp_path / "design.txt"
+    design.write_text(DESIGN_CLOSED_BAND)
+    found = tmp_path / "found.txt"
+    assert main(["optimize", "--design", str(design), "--out", str(found)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {design}: feasible candidate failed re-verification of envelope coverage\n"
+    )
+    assert not found.exists()
+    assert len(swept) == 1
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_optimize_rejects_budget_flag_below_one(budget, tmp_path, capsys):
     # The message names the flag, not the design file it overrides.

@@ -2,6 +2,8 @@ import math
 from bisect import bisect_left, bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linkstat.statics
 
@@ -9,6 +11,8 @@ from linkstat import (
     DesignSpec,
     DesignStatus,
     NotOpeningError,
+    OpeningInterval,
+    default_parameters,
     evaluate_design,
     opening_interval,
     optimize_design,
@@ -17,6 +21,7 @@ from linkstat import (
     solve_balance,
     sweep,
     switching_threshold,
+    validate_parameters,
 )
 
 
@@ -163,6 +168,37 @@ def test_optimizer_respects_budget(defaults):
     assert result.status is DesignStatus.INFEASIBLE
 
 
+def test_optimizer_stops_between_directions_when_the_budget_runs_out(defaults, monkeypatch):
+    # A stiffer spring raises the switching force away from the band, so
+    # the +step trial fails and spends the last evaluation: the -step
+    # trial is never scored.
+    import linkstat.design
+
+    spec = DesignSpec(
+        interval_lo=rad(-10.0), interval_hi=rad(15.0), press_angle=0.0,
+        threshold_lo=0.01, threshold_hi=0.02,
+        free=("spring_k",), bounds={"spring_k": (0.01, 1.0)},
+    )
+    tried = []
+    scored = linkstat.design._scored
+    monkeypatch.setattr(linkstat.design, "_scored",
+                        lambda spec, p, intervals: tried.append(p.spring_k)
+                        or scored(spec, p, intervals))
+    result = optimize_design(spec, defaults, budget=2)
+    assert result.evaluations == 2
+    assert tried == [defaults.spring_k, defaults.spring_k + 0.05]
+    assert result.parameters == defaults
+
+
+def test_distance_to_envelope_is_zero_inside_a_band(defaults):
+    import linkstat.design
+
+    (iv,) = opening_interval(sweep(defaults))
+    for angle in (iv.lo, 0.0, iv.hi):
+        assert linkstat.design._distance_to_envelope_deg((iv,), angle) == 0.0
+    assert linkstat.design._distance_to_envelope_deg((iv,), iv.hi + rad(1.0)) == pytest.approx(1.0)
+
+
 def test_optimizer_clips_start_into_bounds(defaults):
     spec = DesignSpec(
         interval_lo=rad(-10.0),
@@ -203,7 +239,7 @@ def kernel_calls(monkeypatch):
 
     for module in (linkstat.modeswitch, linkstat.design):
         monkeypatch.setattr(module, "_decide", counted)
-    monkeypatch.setattr(linkstat.modeswitch, "_decide_all", counted_batch)
+        monkeypatch.setattr(module, "_decide_all", counted_batch)
     return calls
 
 
@@ -379,3 +415,193 @@ def test_every_score_reads_the_candidates_own_envelope(defaults, monkeypatch):
         assert len(set(asked)) == len(asked)
         assert set(moved) == set(asked)
     assert len(asked) > 1  # the theta2 search moved springs from several geometries
+
+
+# ---------------------------------------------------------------------------
+# re-verification from the search's envelope
+
+GRID_STEP = rad(0.5)
+
+
+def verify_spec(lo_deg, hi_deg, press_deg=0.0, threshold=(0.0, 100.0)):
+    return DesignSpec(
+        interval_lo=rad(lo_deg), interval_hi=rad(hi_deg), press_angle=rad(press_deg),
+        threshold_lo=threshold[0], threshold_hi=threshold[1],
+        free=("l3",), bounds={"l3": (1.0, 50.0)},
+    ).validated()
+
+
+def verified(spec, p, hint=()):
+    """What _verify gives: its record as exact bits, or its error's type and text."""
+    import linkstat.design
+
+    try:
+        return bits(linkstat.design._verify(spec, p, hint))
+    except RuntimeError as exc:
+        return type(exc), str(exc)
+
+
+def own_envelope(p):
+    import linkstat.design
+
+    return linkstat.design._envelope(p, linkstat.design._GRID, rad(0.01))
+
+
+# The reference build with theta2 doubled opens from the lower end of the
+# default range, -30 deg, to about 19.6 deg.
+def low_end_build():
+    p = default_parameters()
+    return p.with_values(theta2=2.0 * p.theta2)
+
+
+@pytest.mark.parametrize("build, band", [(None, (-5.0, 5.0)), (low_end_build, (-30.0, 10.0))])
+def test_hinted_verify_computes_verdicts_on_the_covering_run_only(
+    defaults, kernel_calls, build, band
+):
+    # A verdict at each grid point of the run, at each grid neighbour that
+    # exists, at every bisection midpoint and at the press direction.
+    import linkstat.design
+
+    grid = linkstat.design._GRID
+    p = defaults if build is None else build()
+    spec = verify_spec(*band)
+    hint = own_envelope(p)
+    (iv,) = hint
+    kernel_calls.clear()
+    record = linkstat.design._verify(spec, p, hint)
+    hinted = list(kernel_calls)
+    first, last = bisect_left(grid, iv.lo), bisect_right(grid, iv.hi) - 1
+    neighbours = [i for i in (first - 1, last + 1) if 0 <= i < len(grid)]
+    midpoints = fresh_bisection(p, grid, hint)
+    expected = [grid[i] for i in range(first, last + 1)] + [grid[i] for i in neighbours]
+    assert sorted(hinted) == sorted(expected + midpoints + [spec.press_angle])
+    assert len(neighbours) == (2 if build is None else 1)
+    assert iv.lo_refined == (build is None) and iv.hi_refined
+    assert bits(record) == verified(spec, p)
+    assert len(hinted) < len(grid) // 2
+
+
+def test_search_verifies_on_the_covering_run(defaults, kernel_calls, monkeypatch):
+    # optimize_design hands _verify the envelope the search scored the
+    # answer with, so its re-verification takes no full sweep.
+    import linkstat.design
+
+    spec = reachable_spec()
+    swept = []
+    every_point = linkstat.design._swept_intervals
+    verify = linkstat.design._verify
+
+    def spied_verify(spec, p, hint=()):
+        kernel_calls.clear()
+        swept.append(hint)
+        return verify(spec, p, hint)
+
+    monkeypatch.setattr(linkstat.design, "_verify", spied_verify)
+    monkeypatch.setattr(linkstat.design, "_swept_intervals",
+                        lambda *args: swept.append("full sweep") or every_point(*args))
+    result = optimize_design(spec, defaults)
+    assert result.feasible
+    (hint,) = swept
+    assert hint == own_envelope(result.parameters)
+    assert len(kernel_calls) < len(linkstat.design._GRID) // 2
+
+
+def shifted(iv, lo=0.0, hi=0.0):
+    return iv._replace(lo=iv.lo + lo, hi=iv.hi + hi)
+
+
+@pytest.mark.parametrize(
+    "band, hint",
+    [
+        # No hint interval covers the band.
+        ((-5.0, 5.0), lambda env: ()),
+        ((30.0, 60.0), lambda env: env),
+        # The covering hint interval holds no grid point.
+        ((0.1, 0.2), lambda env: (OpeningInterval(rad(0.05), rad(0.3), True, True),)),
+        # A grid point inside the hint does not open.
+        ((-5.0, 5.0), lambda env: (shifted(env[0], lo=-GRID_STEP),)),
+        ((-5.0, 5.0), lambda env: (shifted(env[0], hi=GRID_STEP),)),
+        # A grid neighbour of the hint's points opens.
+        ((-5.0, 5.0), lambda env: (shifted(env[0], lo=GRID_STEP),)),
+        ((-5.0, 5.0), lambda env: (shifted(env[0], hi=-GRID_STEP),)),
+        # The run is confirmed, but its refined edge falls short of the
+        # band, which reaches past the true edge at -12.516 deg.
+        ((-12.6, 5.0), lambda env: (shifted(env[0], lo=rad(-0.2)),)),
+    ],
+)
+def test_a_refused_hint_falls_back_to_the_full_sweep(defaults, monkeypatch, band, hint):
+    import linkstat.design
+
+    spec = verify_spec(*band)
+    hint = hint(own_envelope(defaults))
+    expected = verified(spec, defaults)
+    swept = []
+    every_point = linkstat.design._swept_intervals
+    monkeypatch.setattr(linkstat.design, "_swept_intervals",
+                        lambda *args: swept.append(args) or every_point(*args))
+    assert verified(spec, defaults, hint) == expected
+    assert len(swept) == 1
+
+
+def test_an_accepted_hint_takes_no_full_sweep(defaults, monkeypatch):
+    import linkstat.design
+
+    spec = verify_spec(-5.0, 5.0)
+    expected = verified(spec, defaults)
+    monkeypatch.setattr(linkstat.design, "_swept_intervals", None)
+    for hint in (own_envelope(defaults), (shifted(own_envelope(defaults)[0], lo=rad(-0.2)),)):
+        assert verified(spec, defaults, hint) == expected
+
+
+SCATTERED_FIELDS = ("l0", "l1", "l2", "l3", "l4", "theta0", "theta1", "theta2",
+                    "theta3", "theta4", "theta5", "spring_k", "natural_length", "mu")
+SCATTER = st.lists(st.floats(min_value=-0.2, max_value=0.2), min_size=14, max_size=14)
+FRACTION = st.floats(min_value=0.0, max_value=1.0)
+
+
+def scattered(scales):
+    base = default_parameters()
+    return base.with_values(
+        **{name: getattr(base, name) * (1.0 + s) for name, s in zip(SCATTERED_FIELDS, scales)}
+    )
+
+
+@given(
+    scales=SCATTER,
+    other_scales=SCATTER,
+    where=st.sampled_from(["inside", "inside", "inside", "anywhere"]),
+    band=st.tuples(FRACTION, FRACTION),
+    press=FRACTION,
+    threshold=st.tuples(st.floats(min_value=0.0, max_value=8.0), FRACTION),
+)
+@settings(max_examples=150)
+def test_hinted_verify_equals_the_full_sweep(scales, other_scales, where, band, press, threshold):
+    # For builds scattered +-20 % and random target bands, every hint
+    # gives the record or the error of the full sweep.
+    p = scattered(scales)
+    if not validate_parameters(p).ok:
+        p = default_parameters()
+    other = scattered(other_scales)
+    if not validate_parameters(other).ok:
+        other = default_parameters()
+    own = own_envelope(p)
+    # A band inside the build's widest interval, or anywhere in the range,
+    # the lower fraction mapped to the lower edge.
+    lo_deg, hi_deg = -30.0, 90.0
+    if where == "inside" and own:
+        lo_deg, hi_deg = math.degrees(own[0].lo), math.degrees(own[0].hi)
+    u, v = sorted(band)
+    span = hi_deg - lo_deg
+    band_lo, band_hi = lo_deg + u * span, lo_deg + max(v * span, u * span + 0.01)
+    if band_hi > 90.0:
+        band_lo, band_hi = 89.99, 90.0
+    spec = verify_spec(band_lo, band_hi, band_lo + press * (band_hi - band_lo),
+                       (threshold[0], threshold[0] + 20.0 * threshold[1]))
+    cover = [iv for iv in own if iv.lo <= spec.interval_lo and iv.hi >= spec.interval_hi]
+    iv = (cover or own or [OpeningInterval(spec.interval_lo, spec.interval_hi, True, True)])[0]
+    hints = [own, (), own_envelope(other), (shifted(iv, lo=-GRID_STEP, hi=GRID_STEP),),
+             (shifted(iv, lo=rad(-0.2), hi=rad(0.2)),)]
+    hints += [(shifted(iv, **{edge: d}),) for edge in ("lo", "hi") for d in (-GRID_STEP, GRID_STEP)]
+    expected = verified(spec, p)
+    for hint in hints:
+        assert verified(spec, p, hint) == expected
