@@ -291,10 +291,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .modeswitch import opening_interval, sweep_points
     from .statics import predict_opening
 
-    try:
-        curve = sweep_points(p, [math.radians(z) for z in zetas_deg])
-    except ValueError as exc:
-        raise _Fail(2, str(exc)) from exc
+    # p is valid and every grid point finite, so no verdict raises here.
+    curve = sweep_points(p, [math.radians(z) for z in zetas_deg])
     intervals = opening_interval(curve)
 
     press = predict_opening(p, math.radians(args.press_angle_deg))

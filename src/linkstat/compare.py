@@ -64,15 +64,18 @@ def compare_measurements(
     # by unpacking costs more per row.
     zetas, forces = tuple(zip(*measurements)) or ((), ())
     verdicts = _decide_all(p, zetas)
+    # _make takes the fields as one tuple, which costs less per row than
+    # the generated constructor's keyword-capable signature.
+    make = ComparisonRow._make
     for zeta, measured, v in zip(zetas, forces, verdicts):
         if v[0] == _OPENS:
             predicted = v[1]
             abs_dev = abs(predicted - measured)
             rel_dev = abs_dev / measured if measured > 0.0 else None
             devs.append(abs_dev)
-            rows.append(ComparisonRow(zeta, measured, predicted, abs_dev, rel_dev))
+            rows.append(make((zeta, measured, predicted, abs_dev, rel_dev)))
         else:
-            rows.append(ComparisonRow(zeta, measured, None, None, None))
+            rows.append(make((zeta, measured, None, None, None)))
     mean = sum(devs) / len(devs) if devs else None
     return ComparisonResult(rows=tuple(rows), mean_abs_dev=mean)
 

@@ -55,7 +55,10 @@ so a sweep, a bisection or a comparison over one build leaves each
 verdict only the three press-direction trig calls.  Each term is the
 float expression a per-call evaluation would use, so caching changes no
 bit of any result.  The raw equilibrium route never reads these terms,
-which keeps it independent.
+which keeps it independent.  :func:`_decide_all` reads them once per
+call, in one unpack of a tuple the terms hold, and fetches the -1
+branch's a11 at most once per call, at the first point that needs it;
+the per-point work is then the arithmetic of the decision alone.
 """
 
 from __future__ import annotations
@@ -209,15 +212,21 @@ class _BuildTerms:
     division the balance makes is checked once here, with a ValueError
     naming its divisor: l1, the coupler moment arm l2*sin(theta2+theta3)
     and each friction branch's coupling denominator.
+
+    ``kernel`` holds the 13 press-independent values :func:`_decide_all`
+    reads, in its order: denom, s13, s34, plus, b0, b1, epsilon, cos1,
+    cos4, l3, l4, theta1 and theta2.  One tuple unpack per call costs
+    about half of 13 attribute and field reads, and a one-point verdict
+    (bisection, scoring, the switching threshold) pays that per point.
     """
 
     __slots__ = ("params", "denom", "s13", "s34", "b0", "b1",
-                 "plus", "_minus", "cos1", "cos4")
+                 "plus", "_minus", "cos1", "cos4", "kernel")
 
     def __init__(self, p: LinkageParameters) -> None:
         # Fields are read once, by unpacking: a named-tuple field read per
         # use costs more than the arithmetic here.
-        _, l1, l2, _, _, _, theta1, theta2, theta3, theta4, _, _, _, mu, _ = p
+        _, l1, l2, l3, l4, _, theta1, theta2, theta3, theta4, _, _, _, mu, epsilon = p
         self.params = p  # held so that the identity test in _build_terms stays sound
         self.denom = _coupler_arm(l2, theta2, theta3)  # tip_moment_ratio's
         self.s13 = math.sin(theta1 - theta3)
@@ -233,6 +242,8 @@ class _BuildTerms:
         self.b0, self.b1 = _spring_moments(p)
         self.cos1 = math.cos(theta1)
         self.cos4 = math.cos(theta4)
+        self.kernel = (self.denom, self.s13, self.s34, self.plus, self.b0, self.b1,
+                       epsilon, self.cos1, self.cos4, l3, l4, theta1, theta2)
 
     def branch(self, sign_beta3: int) -> float:
         """a11 of one friction branch, the only branch-dependent entry.
@@ -348,19 +359,27 @@ def _decide_all(p: LinkageParameters, zetas: Iterable[float]) -> list[_Verdict]:
 
     This is the only copy of the decision: the +1 -> -1 friction retry
     of :func:`solve_balance`, the singular floor and the opening rule of
-    :func:`predict_opening`, applied point by point.  The build's terms
-    are read once per call.  Each float is the expression
+    :func:`predict_opening`, applied point by point.  Once per call it
+    reads the build's 13 press-independent values in one unpack of
+    ``_BuildTerms.kernel``, binds the floors and status codes as locals
+    and squares a01; the -1 branch's a11 is fetched at the first point
+    whose +1 answer contradicts its branch, so a build whose -1 coupling
+    raises still raises there.  Each point then runs one branch loop
+    that starts on the +1 branch.  Each float is the expression
     :func:`assemble_system`, :func:`solve_balance_with_sign` and
     :func:`perturbed_joint_forces` evaluate, so the wrappers that
     repackage a tuple into named tuples give the same bits.  A non-finite
     press direction raises ValueError.
     """
     t = _build_terms(p)
-    denom, a01, s34, plus, b0, b1 = t.denom, t.s13, t.s34, t.plus, t.b0, t.b1
-    eps, cos1, cos4 = p.epsilon, t.cos1, t.cos4
-    l3, l4, theta1, theta2 = p.l3, p.l4, p.theta1, p.theta2
+    denom, a01, s34, plus, b0, b1, eps, cos1, cos4, l3, l4, theta1, theta2 = t.kernel
+    a01_sq = a01 * a01
+    safe_floor, relative_floor = _DET_SAFE_FLOOR, _DET_RELATIVE_FLOOR
+    opens, negative_xi, contact_maintained, singular = (
+        _OPENS, _NEGATIVE_XI, _CONTACT_MAINTAINED, _SINGULAR)
     cos, sin, hypot, isfinite = math.cos, math.sin, math.hypot, math.isfinite
     nan = math.nan
+    minus: float | None = None  # the -1 branch's a11, fetched when first needed
     verdicts: list[_Verdict] = []
     append = verdicts.append
     for zeta in zetas:
@@ -369,14 +388,14 @@ def _decide_all(p: LinkageParameters, zetas: Iterable[float]) -> list[_Verdict]:
         gamma = (l4 * cos(zeta) - l3 * sin(theta2 + zeta)) / denom
         a00 = gamma * a01 + sin(theta1 - zeta)
         a10 = gamma * s34
-        for branch in (1, -1):
-            a11 = plus if branch == 1 else t.branch(-1)
+        branch, a11 = 1, plus
+        while True:
             det = a00 * a11 - a01 * a10
-            sum_sq = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
-            if not abs(det) > _DET_SAFE_FLOOR * sum_sq:
+            sum_sq = a00 * a00 + a01_sq + a10 * a10 + a11 * a11
+            if not abs(det) > safe_floor * sum_sq:
                 row_scale = max(hypot(a00, a01), hypot(a10, a11))
-                if det == 0.0 or abs(det) < _DET_RELATIVE_FLOOR * row_scale * row_scale:
-                    append((_SINGULAR, nan, nan, branch, det, a00, a10, nan, nan))
+                if det == 0.0 or abs(det) < relative_floor * row_scale * row_scale:
+                    append((singular, nan, nan, branch, det, a00, a10, nan, nan))
                     break
             beta = (a00 * b1 - a10 * b0) / det
             # Keep a +1 answer that agrees with its branch, and a -1 answer either way.
@@ -385,13 +404,16 @@ def _decide_all(p: LinkageParameters, zetas: Iterable[float]) -> list[_Verdict]:
                 f_rx = -(eps * a00) / cos1
                 f_sx = -(eps * a10) / cos4
                 if xi < 0.0:
-                    status = _NEGATIVE_XI
+                    status = negative_xi
                 elif f_rx <= 0.0 and f_sx >= 0.0:
-                    status = _OPENS
+                    status = opens
                 else:
-                    status = _CONTACT_MAINTAINED
+                    status = contact_maintained
                 append((status, xi, beta, branch, det, a00, a10, f_rx, f_sx))
                 break
+            if minus is None:
+                minus = t.branch(-1)
+            branch, a11 = -1, minus
     return verdicts
 
 

@@ -88,6 +88,29 @@ def test_analyze_singular_exit_code(tmp_path, capsys):
     assert "singular" in capsys.readouterr().out
 
 
+def test_analyze_indeterminate_friction_branch_exits_3(tmp_path, capsys):
+    # With theta1 = 18 deg, at 6 deg the +1 branch's strut force is
+    # negative and the -1 branch's positive: neither slip sense holds.
+    path = tmp_path / "indeterminate.txt"
+    path.write_text(format_parameter_file(default_parameters().with_values(
+        theta1=math.radians(18.0))))
+    assert main(["analyze", "--params", str(path), "--zeta-deg", "6"]) == 3
+    out = capsys.readouterr().out
+    assert "friction branch: -1 " in out and "INCONSISTENT" in out
+    assert out.endswith("verdict: indeterminate friction branch\n")
+
+
+def test_sweep_writes_the_singular_row(tmp_path, capsys):
+    # theta3 = theta1 = 9 deg, a point of the default grid.
+    path = write_singular_params(tmp_path)
+    out = tmp_path / "curve.csv"
+    assert main(["sweep", "--params", str(path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[79] == "9,0,false,singular,nan,nan,0,false"
+    assert [line for line in lines if "singular" in line] == [lines[79]]
+    assert "interval_1_hi_deg = 8.9921875" in capsys.readouterr().out
+
+
 def test_validate_ok(capsys):
     assert main(["validate"]) == 0
     assert "parameters ok" in capsys.readouterr().out

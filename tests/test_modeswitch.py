@@ -178,6 +178,12 @@ def test_grip_budget(defaults):
     assert select_mode(budget, t) is GraspMode.PARALLEL_GRIP
 
 
+@pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
+def test_grip_budget_rejects_bad_threshold(threshold):
+    with pytest.raises(ValueError, match=f"threshold must be finite and >= 0, got {threshold}"):
+        parallel_grip_budget(threshold)
+
+
 # ---------------------------------------------------------------------------
 # envelope: the grid sweep's envelope from verdicts around the roots only
 

@@ -291,6 +291,11 @@ def test_compare_rows_equal_a_per_row_rebuild(scales, table):
             want = (m.zeta, m.measured_force, None, None, None)
         assert [_hex(v) for v in row] == [_hex(v) for v in want]
         assert row.model_opens == (code == statics._OPENS)
+        # Rows built from one tuple are the class's own, field for field.
+        assert type(row) is ComparisonRow
+        assert row == ComparisonRow(*row)
+        assert repr(row) == "ComparisonRow(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(ComparisonRow._fields, want)) + ")"
     mean = sum(devs) / len(devs) if devs else None
     assert _hex(result.mean_abs_dev) == _hex(mean)
 

@@ -610,14 +610,53 @@ def test_singular_pre_test_toward_overflow(defaults):
         assert verdict[5] * verdict[5] == math.inf or verdict[6] * verdict[6] == math.inf
 
 
-def test_batch_rejects_a_non_finite_press_direction(defaults):
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            statics._decide_all(defaults, [0.0, rad(5.0), bad, rad(10.0)])
+@given(
+    st.lists(st.floats(min_value=-1.5, max_value=1.5), max_size=40),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+@example([0.0, rad(5.0), rad(10.0)], 2, math.nan)
+def test_batch_rejects_a_non_finite_press_direction(zetas, at, bad):
+    zetas.insert(min(at, len(zetas)), bad)
+    with pytest.raises(ValueError) as raised:
+        statics._decide_all(default_parameters(), zetas)
+    assert str(raised.value) == f"press direction must be finite, got {bad!r}"
 
 
 def test_batch_of_no_press_directions(defaults):
     assert statics._decide_all(defaults, []) == []
+
+
+# The kernel reads the build's terms once per call, from one tuple, and
+# fetches the -1 branch's a11 at the first point that needs it.  Builds
+# scattered +-50 %, one in ten frictionless, against the object route;
+# the same points regrouped so that every +1 verdict comes first, which
+# leaves the -1 branch first needed mid-list whenever a list has both.
+
+def _scattered_wide(scales, frictionless):
+    base = default_parameters()
+    p = base.with_values(**{f: getattr(base, f) * c for f, c in zip(_ALL_FIELDS, scales)})
+    return p.with_values(mu=0.0) if frictionless else p
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.5, max_value=1.5), min_size=14, max_size=14),
+    st.integers(min_value=0, max_value=9),
+    st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=1, max_size=40),
+)
+@example([1.0] * 14, 1, [rad(-15.0), rad(-12.5), 0.0, rad(-15.0), rad(5.0)])
+def test_batch_reads_each_build_once_per_call(scales, pick, zetas):
+    p = _scattered_wide(scales, frictionless=pick == 0)
+    verdicts = _batch_matches_object_route(p, zetas)
+    by_point = dict(zip(zetas, verdicts))
+    regrouped = sorted(zetas, key=lambda z: -by_point[z][3])
+    # A second call on the same object reads the cached terms; a copy
+    # builds its own.
+    for build in (p, p.with_values()):
+        again = statics._decide_all(build, regrouped)
+        assert [[_hex(v) for v in verdict] for verdict in again] == [
+            [_hex(v) for v in by_point[z]] for z in regrouped]
 
 
 # Every division of the 2x2 balance is checked once per build, with a
@@ -656,6 +695,14 @@ def test_zero_friction_denominator_is_named_on_first_use(defaults, sign):
     assert verdicts[0][3] == 1  # kept on the +1 branch, no retry
     with pytest.raises(ValueError, match=message):
         statics._decide_all(p, [rad(z) for z in range(-30, 91, 5)])
+    # -15 and 30 deg stay on the +1 branch and 20 deg needs the -1 branch,
+    # whose terms are fetched there: a nan before 20 deg is reached first,
+    # and one after it never is.
+    assert {v[3] for v in statics._decide_all(p, [rad(-15.0), rad(30.0)] * 2)} == {1}
+    with pytest.raises(ValueError, match="finite"):
+        statics._decide_all(p, [rad(-15.0), rad(30.0), math.nan, rad(20.0)])
+    with pytest.raises(ValueError, match=message):
+        statics._decide_all(p, [rad(-15.0), rad(30.0), rad(20.0), math.nan])
 
 
 _FIELD_NAMES = statics.LinkageParameters._fields
