@@ -82,7 +82,8 @@ def _num(x: float) -> str:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig reads past the byte-order mark of a spreadsheet export.
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise _Fail(5, f"cannot read {path}: {exc}") from exc

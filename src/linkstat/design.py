@@ -26,10 +26,10 @@ at every bisection midpoint of its edges and at the press direction.  A
 run that opens between two closed neighbours is a run of the full
 sweep, and its refined edges are the full sweep's, so the record is the
 one a verdict at every grid point would give; when the run is not
-confirmed, every grid point gets a verdict.  Scoring and re-verification
-both read the verdict kernel (:func:`~linkstat.statics._decide_all`, one
-call for all of a grid's points, or its one-point case
-:func:`~linkstat.statics._decide`) and build no verdict objects.
+confirmed, the full sweep gives every grid point a verdict, and only it
+builds verdict objects: scoring and the confirmed run read the verdict
+kernel (:func:`~linkstat.statics._decide_all`, or its one-point case
+:func:`~linkstat.statics._decide`).
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ from .modeswitch import (
     _runs,
     _spring_scalable,
     _spring_scale_keeps_verdicts,
-    _swept_intervals,
+    opening_interval,
+    sweep_points,
     switching_threshold,
 )
 from .statics import _OPENS, _decide, _decide_all
@@ -311,11 +312,11 @@ def _verify(
     which computes a fresh verdict at the run's grid points, at its two
     grid neighbours and at every bisection midpoint of its edges.
     Without a hint, or when that check fails, every grid point and every
-    midpoint gets a fresh verdict
-    (:func:`~linkstat.modeswitch._swept_intervals`).  The switching
-    force gets one fresh verdict at the press direction.  Every verdict
-    comes from the scalar kernel on the grid the envelope reads; none is
-    inferred from the sign-function roots that
+    midpoint gets a fresh verdict from the public full sweep, which
+    builds verdict objects (:func:`~linkstat.modeswitch.sweep_points`).
+    The switching force gets one fresh verdict at the press direction.
+    Every verdict comes from the scalar kernel on the grid the envelope
+    reads; none is inferred from the sign-function roots that
     :func:`~linkstat.modeswitch.envelope` relies on, so a fault there
     cannot pass unnoticed.
 
@@ -328,7 +329,7 @@ def _verify(
     """
     best = _confirmed_cover(spec, p, hint)
     if best is None:
-        intervals = _swept_intervals(p, _GRID, DEFAULT_REFINE_TOL)
+        intervals = opening_interval(sweep_points(p, _GRID), DEFAULT_REFINE_TOL)
         covering = [iv for iv in intervals if _covers(iv, spec)]
         if not covering:
             raise RuntimeError(

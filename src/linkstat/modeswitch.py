@@ -11,13 +11,13 @@ grid points around those roots need a verdict of their own, and a
 bisection midpoint needs one only when it lies next to a root or
 between two; every other midpoint takes the known verdict of the
 bracket end it shares a root-free stretch with.  Verdicts come from the
-statics' batch kernel (:func:`~linkstat.statics._decide_all`): the grid
-points the envelope needs go to it in one call, and each bisection
-midpoint through its one-point case.  The same roots tell the design
-search when a move that only scales the spring moments keeps every
-verdict, and with it the envelope (:func:`_spring_scale_keeps_verdicts`).
-:func:`sweep` keeps one
-:class:`~linkstat.statics.OpeningDecision` per sample for its callers.
+statics' batch kernel (:func:`~linkstat.statics._decide_all`): a sweep's
+points, or those the envelope needs, go to it in one call, and each
+bisection midpoint through its one-point case.  The same roots tell the
+design search when a move that only scales the spring moments keeps
+every verdict (:func:`_spring_scale_keeps_verdicts`).  A sweep keeps
+one :class:`~linkstat.statics.OpeningDecision` per sample; where the
+roots cannot be trusted, the envelope is ``opening_interval(sweep(...))``.
 On top of that sit the operational questions: how hard must the finger
 be pressed to flip into turn-over mode, and how much grip force is safe
 to apply without flipping accidentally.
@@ -47,7 +47,7 @@ from .statics import (
     _build_terms,
     _decide,
     _decide_all,
-    predict_opening,
+    _opening_decision,
 )
 
 __all__ = [
@@ -97,13 +97,18 @@ class SweepCurve(NamedTuple):
 def sweep_points(p: LinkageParameters, zetas: Sequence[float]) -> SweepCurve:
     """Evaluate the opening verdict at explicitly given press directions.
 
-    Sample order follows the input order.
+    Sample order follows the input order.  The verdict kernel gets every
+    press direction in one call; each decision, and the ValueError of a
+    non-finite one, is :func:`~linkstat.statics.predict_opening`'s.
     """
     if not zetas:
         raise ValueError("at least one press direction is required")
     return SweepCurve(
         params=p,
-        samples=tuple(SweepSample(zeta=z, decision=predict_opening(p, z)) for z in zetas),
+        samples=tuple(
+            SweepSample(zeta=z, decision=_opening_decision(p, z, verdict))
+            for z, verdict in zip(zetas, _decide_all(p, zetas))
+        ),
     )
 
 
@@ -315,7 +320,7 @@ def _sign_functions(p: LinkageParameters) -> list[tuple[float, float, float, flo
         try:
             row_scale_sq = max(a00[2] ** 2 + s13 * s13, a10[2] ** 2 + u * u)
         except OverflowError:  # a size past ~1e154, as from a vanishing denom
-            row_scale_sq = math.inf  # so _sorted_roots falls back to the sweep
+            row_scale_sq = math.inf  # so the envelope falls back to the sweep
         functions.append(
             (
                 u * a00[0] - v * a10[0],
@@ -352,19 +357,6 @@ def _roots_by_function(
         k_hi = math.floor((hi + _ROOT_WINDOW - first) / math.pi)
         groups.append([first + k * math.pi for k in range(k_lo, k_hi + 1)])
     return groups
-
-
-def _sorted_roots(p: LinkageParameters, lo: float, hi: float) -> list[float] | None:
-    """Zeros of every sign function within [lo, hi], widened by the root window.
-
-    Sorted.  None as for :func:`_roots_by_function`.
-    """
-    groups = _roots_by_function(p, lo, hi)
-    if groups is None:
-        return None
-    roots = [r for group in groups for r in group]
-    roots.sort()
-    return roots
 
 
 # A spring-scale move leaves xi's numerator b0*a11 - s13*b1 (the same at
@@ -445,14 +437,6 @@ def _spring_scale_keeps_verdicts(p: LinkageParameters, lo: float, hi: float) -> 
     )
 
 
-def _swept_intervals(
-    p: LinkageParameters, grid: Sequence[float], tolerance: float
-) -> tuple[OpeningInterval, ...]:
-    """The envelope from a fresh verdict at every grid point and every midpoint."""
-    opens = [v[0] == _OPENS for v in _decide_all(p, grid)]
-    return _refine_runs(p, grid, _runs(opens), tolerance)
-
-
 def _probed_runs(
     p: LinkageParameters, grid: Sequence[float], roots: Sequence[float]
 ) -> list[tuple[int, int]] | None:
@@ -518,11 +502,13 @@ def _envelope(
     p: LinkageParameters, grid: Sequence[float], tolerance: float
 ) -> tuple[OpeningInterval, ...]:
     """:func:`envelope` on a grid the caller has already built."""
-    roots = _sorted_roots(p, grid[0], grid[-1])
-    runs = None if roots is None else _probed_runs(p, grid, roots)
-    if runs is None:
-        return _swept_intervals(p, grid, tolerance)
-    return _refine_runs(p, grid, runs, tolerance, roots)
+    groups = _roots_by_function(p, grid[0], grid[-1])
+    if groups is not None:
+        roots = sorted(r for group in groups for r in group)
+        runs = _probed_runs(p, grid, roots)
+        if runs is not None:
+            return _refine_runs(p, grid, runs, tolerance, roots)
+    return opening_interval(sweep_points(p, grid), tolerance)
 
 
 def switching_threshold(p: LinkageParameters, press_angle: float) -> float:

@@ -36,15 +36,14 @@ friction branch and, if the strut force contradicts it, the -1 branch,
 applies the singular floor and the opening rule, and returns a plain
 tuple (status code, xi, beta, branch, det, a00, a10, f_rx, f_sx).
 :func:`_decide` is its one-point case.  Callers holding many press
-directions of one build (the swept envelope, the envelope's probes and
+directions of one build (a sweep, the envelope's probes and
 measurement comparison) hand them over in one call; the edge
 bisection, the switching threshold and design scoring ask one point at
-a time.  None of them builds objects.
-:func:`solve_balance` and :func:`predict_opening` are wrappers that
-repackage the same tuple into :class:`BalanceSolution`,
-:class:`BalanceSystem`, :class:`JointForcePair` and
-:class:`OpeningDecision`, bit for bit, for callers that read those
-fields (the CLI's sweep CSV and ``analyze``).
+a time.  Only a sweep builds objects: :func:`_opening_decision`, the one
+builder of :class:`OpeningDecision`, repackages each tuple, bit for bit,
+for callers that read its fields (the CLI's sweep CSV), and
+:func:`predict_opening` is its view of one point.  :func:`solve_balance`
+repackages the :class:`BalanceSolution` alone.
 
 Most of the 2x2 balance does not depend on the press direction: the
 strut-angle sines, the right-hand side, each friction branch's a11
@@ -571,10 +570,16 @@ def predict_opening(p: LinkageParameters, zeta: float) -> OpeningDecision:
     both are self-consistent, so a NEGATIVE_XI verdict can hold on that
     branch alone (the reference build at 60 deg has xi = +4.77 N on the
     -1 branch).  A non-finite ``zeta`` raises ValueError rather than get
-    a verdict.  The decision is :func:`_decide_all`'s; this builds the four
-    named tuples from its tuple.
+    a verdict.  The decision is :func:`_decide`'s, repackaged by
+    :func:`_opening_decision`.
     """
-    verdict = _decide(p, zeta)
+    return _opening_decision(p, zeta, _decide(p, zeta))
+
+
+def _opening_decision(
+    p: LinkageParameters, zeta: float, verdict: _Verdict
+) -> OpeningDecision:
+    """The OpeningDecision of ``p`` at ``zeta`` from its kernel ``verdict``."""
     code = verdict[0]
     status, reason = _VERDICT_ENUMS[code]
     if code == _SINGULAR:

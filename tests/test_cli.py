@@ -144,6 +144,37 @@ def test_non_utf8_file_exits_2(flag, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("validate", ["--params"]),
+    ("compare", ["--params", "--measurements"]),
+    ("optimize", ["--params", "--design"]),
+])
+def test_a_byte_order_mark_is_read_past(command, flags, tmp_path, capsys):
+    # Spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark;
+    # every input file reads as it does without one.
+    texts = {
+        "--params": format_parameter_file(default_parameters()),
+        "--measurements": "zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n",
+        "--design": DESIGN_OK,
+    }
+    paths = {flag: tmp_path / f"input{flag[1:]}.txt" for flag in flags}
+    out = tmp_path / "out.txt"
+    argv = [command] + [arg for flag in flags for arg in (flag, str(paths[flag]))]
+    if command != "validate":
+        argv += ["--out", str(out)]
+    runs = []
+    for bom in ("", "\ufeff"):
+        for flag in flags:
+            paths[flag].write_text(bom + texts[flag], encoding="utf-8")
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else None
+        runs.append((code, captured.out, captured.err, written))
+    assert runs[0][0] == 0 and runs[0][2] == ""
+    assert runs[1] == runs[0]
+
+
 def test_closed_stdout_exits_5(child_env):
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -350,7 +381,7 @@ theta2 = 10, 30
 def test_optimize_failed_reverification_exits_3(tmp_path, capsys, monkeypatch):
     # The search is told that every build opens over the whole range, so
     # it takes the start as feasible; re-verification refuses that hint,
-    # sweeps the full grid and finds the band [30, 60] deg closed.
+    # sweeps the full grid once and finds the band [30, 60] deg closed.
     import linkstat.design
 
     monkeypatch.setattr(
@@ -358,8 +389,8 @@ def test_optimize_failed_reverification_exits_3(tmp_path, capsys, monkeypatch):
         lambda p, grid, tol: (linkstat.OpeningInterval(grid[0], grid[-1], False, False),),
     )
     swept = []
-    every_point = linkstat.design._swept_intervals
-    monkeypatch.setattr(linkstat.design, "_swept_intervals",
+    every_point = linkstat.design.sweep_points
+    monkeypatch.setattr(linkstat.design, "sweep_points",
                         lambda *args: swept.append(args) or every_point(*args))
     design = tmp_path / "design.txt"
     design.write_text(DESIGN_CLOSED_BAND)
@@ -761,3 +792,36 @@ def test_only_the_oracle_loads_numpy(run_child):
 def test_unknown_package_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         linkstat.no_such_name
+
+
+def test_every_traced_layer_is_reached(tmp_path, capsys):
+    """The benchmark's tracer (bench/tracing.py) wraps linkstat functions by
+    name and reads each per-layer figure from their spans.  A sweep, a
+    comparison and a search from the command line, plus one raw
+    equilibrium, must give every figure a span of its own."""
+    import importlib.util
+
+    import linkstat.cli
+    import linkstat.design  # the tracer wraps names in every linkstat module
+
+    source = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("linkstat_bench_tracing", source)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    meas = tmp_path / "meas.csv"
+    meas.write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")
+    design = tmp_path / "design.txt"
+    design.write_text(DESIGN_OK)
+    params = str(SHIPPED)
+    tracer = tracing.Tracer()
+    with tracer.active():
+        traced_main = linkstat.cli.main  # the wrapper, where this module's main is not
+        assert traced_main(["sweep", "--params", params, "--out", str(tmp_path / "s.csv")]) == 0
+        assert traced_main(["compare", "--params", params, "--measurements", str(meas)]) == 0
+        assert traced_main(["optimize", "--params", params, "--design", str(design)]) == 0
+        linkstat.full_equilibrium(default_parameters(), 0.0)
+    capsys.readouterr()
+    figures, probed = tracing.layer_metrics(tracer.take(), [], set())
+    assert probed == []
+    assert figures.keys() == tracing.LAYER_METRICS.keys()

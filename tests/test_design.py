@@ -488,7 +488,7 @@ def test_search_verifies_on_the_covering_run(defaults, kernel_calls, monkeypatch
 
     spec = reachable_spec()
     swept = []
-    every_point = linkstat.design._swept_intervals
+    every_point = linkstat.design.sweep_points
     verify = linkstat.design._verify
 
     def spied_verify(spec, p, hint=()):
@@ -497,7 +497,7 @@ def test_search_verifies_on_the_covering_run(defaults, kernel_calls, monkeypatch
         return verify(spec, p, hint)
 
     monkeypatch.setattr(linkstat.design, "_verify", spied_verify)
-    monkeypatch.setattr(linkstat.design, "_swept_intervals",
+    monkeypatch.setattr(linkstat.design, "sweep_points",
                         lambda *args: swept.append("full sweep") or every_point(*args))
     result = optimize_design(spec, defaults)
     assert result.feasible
@@ -536,8 +536,8 @@ def test_a_refused_hint_falls_back_to_the_full_sweep(defaults, monkeypatch, band
     hint = hint(own_envelope(defaults))
     expected = verified(spec, defaults)
     swept = []
-    every_point = linkstat.design._swept_intervals
-    monkeypatch.setattr(linkstat.design, "_swept_intervals",
+    every_point = linkstat.design.sweep_points
+    monkeypatch.setattr(linkstat.design, "sweep_points",
                         lambda *args: swept.append(args) or every_point(*args))
     assert verified(spec, defaults, hint) == expected
     assert len(swept) == 1
@@ -548,7 +548,7 @@ def test_an_accepted_hint_takes_no_full_sweep(defaults, monkeypatch):
 
     spec = verify_spec(-5.0, 5.0)
     expected = verified(spec, defaults)
-    monkeypatch.setattr(linkstat.design, "_swept_intervals", None)
+    monkeypatch.setattr(linkstat.design, "sweep_points", None)
     for hint in (own_envelope(defaults), (shifted(own_envelope(defaults)[0], lo=rad(-0.2)),)):
         assert verified(spec, defaults, hint) == expected
 

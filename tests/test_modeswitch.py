@@ -3,7 +3,7 @@ from bisect import bisect_right
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from linkstat import (
@@ -14,6 +14,7 @@ from linkstat import (
     envelope,
     opening_interval,
     parallel_grip_budget,
+    predict_opening,
     select_mode,
     sweep,
     sweep_points,
@@ -35,14 +36,17 @@ def rad(x: float) -> float:
     return math.radians(x)
 
 
-def counted_verdicts(calls):
+def counted_verdicts(calls, batches=None):
     """Patch modeswitch's one-point and batch kernels to append every
-    press direction they are asked about to ``calls``."""
+    press direction they are asked about to ``calls``, and each batch
+    call's list of them to ``batches``."""
     one, batch = modeswitch._decide, modeswitch._decide_all
 
     def counted_batch(p, zetas):
         zetas = list(zetas)
         calls.extend(zetas)
+        if batches is not None:
+            batches.append(zetas)
         return batch(p, zetas)
 
     return mock.patch.multiple(
@@ -222,11 +226,11 @@ def test_envelope_equals_swept_envelope(
     args = (rad(lo_deg), rad(lo_deg + span_deg), rad(step_deg), rad(tolerance_deg))
     calls = []
     fallbacks = []
-    every_point = modeswitch._swept_intervals
+    every_point = modeswitch.sweep_points
     with counted_verdicts(calls), mock.patch.object(
         modeswitch,
-        "_swept_intervals",
-        lambda p, g, t: fallbacks.append(g) or every_point(p, g, t),
+        "sweep_points",
+        lambda p, g: fallbacks.append(g) or every_point(p, g),
     ):
         got = envelope(p, *args)
     assert hexed(got) == hexed(swept_envelope(p, *args))
@@ -242,12 +246,14 @@ def test_envelope_equals_swept_envelope(
     edges = sum(iv.lo_refined + iv.hi_refined for iv in got)
     per_edge = math.ceil(math.log2(step_deg / tolerance_deg)) + 2
     assert len(midpoints) <= per_edge * edges
+    assert len(fallbacks) <= 1  # the full sweep runs once, or never
     if fallbacks:
         return
     # A bisection midpoint gets a verdict of its own only within the root
     # window of a root, or with roots on both sides of it in its grid cell.
     window = modeswitch._ROOT_WINDOW
-    found = modeswitch._sorted_roots(p, grid[0], grid[-1])
+    groups = modeswitch._roots_by_function(p, grid[0], grid[-1])
+    found = [r for group in groups for r in group]
     for z in midpoints:
         k = bisect_right(grid, z)
         near = any(abs(z - r) <= window for r in found)
@@ -568,3 +574,85 @@ def test_spring_scale_guard_refuses_an_undefined_minus_branch(defaults):
         _build_terms(p).branch(-1)
     assert modeswitch._spring_scalable(p)
     assert not modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
+
+
+# ---------------------------------------------------------------------------
+# sweep_points: one kernel call, and predict_opening's decision at every sample
+
+
+def bits(value):
+    """A decision's fields, nested named tuples included, floats as hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(bits, value))
+    return value
+
+
+def per_point(p, zetas):
+    """predict_opening at each press direction in turn, or the first error's text."""
+    try:
+        return [(z.hex(), bits(predict_opening(p, z))) for z in zetas]
+    except ValueError as exc:
+        return str(exc)
+
+
+def swept_samples(p, zetas):
+    try:
+        return [(s.zeta.hex(), bits(s.decision)) for s in sweep_points(p, zetas).samples]
+    except ValueError as exc:
+        return str(exc)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(
+    scales=st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=14, max_size=14),
+    frictionless=st.integers(min_value=0, max_value=9),
+    pool=st.lists(st.floats(min_value=-math.pi, max_value=math.pi), min_size=1, max_size=20),
+    picks=st.lists(st.integers(min_value=0, max_value=99), min_size=1, max_size=38),
+    singular_at=st.none() | st.integers(min_value=0, max_value=99),
+    bad=st.none() | st.tuples(st.integers(min_value=0, max_value=99), NON_FINITE),
+)
+# The reference build opens at 0 deg on the -1 branch only, so the first
+# list needs that branch mid-list; the second puts theta3 = theta1 and
+# presses along theta1, where the balance is singular.
+@example(scales=[0.0] * 14, frictionless=1, pool=[rad(-30.0), 0.0],
+         picks=[0, 0, 1, 0, 1], singular_at=None, bad=None)
+@example(scales=[0.0] * 14, frictionless=1, pool=[rad(-30.0), 0.0, rad(60.0)],
+         picks=[0, 2, 1, 1], singular_at=2, bad=None)
+def test_sweep_points_gives_predict_opening_at_every_sample(
+    scales, frictionless, pool, picks, singular_at, bad
+):
+    base = default_parameters()
+    p = base.with_values(
+        **{name: getattr(base, name) * (1.0 + s) for name, s in zip(FIELDS, scales)}
+    )
+    if frictionless == 0:
+        p = p.with_values(mu=0.0)
+    zetas = [pool[i % len(pool)] for i in picks]
+    if singular_at is not None:
+        p = p.with_values(theta3=p.theta1)
+        zetas.insert(singular_at % (len(zetas) + 1), p.theta1)
+    if bad is not None:
+        at, value = bad
+        zetas.insert(at % (len(zetas) + 1), value)
+    # predict_opening on a copy, so it builds the press-independent terms afresh.
+    expected = per_point(p.with_values(), zetas)
+    assert swept_samples(p, zetas) == expected
+    if bad is not None:
+        assert expected == f"press direction must be finite, got {value!r}"
+
+
+def test_sweep_points_hands_every_press_direction_to_one_kernel_call(defaults):
+    zetas = [rad(-30.0), 0.0, rad(-30.0), defaults.theta1, rad(60.0), 0.0]
+    calls, batches = [], []
+    with counted_verdicts(calls, batches):
+        sweep_points(defaults, zetas)
+    assert batches == [zetas] and calls == zetas
+    calls.clear()
+    batches.clear()
+    with counted_verdicts(calls, batches):
+        curve = sweep(defaults)
+    assert batches == [list(curve.zetas)] and calls == batches[0]
