@@ -264,8 +264,14 @@ def _clip(value: float, lo: float, hi: float) -> float:
     return min(max(value, lo), hi)
 
 
-def _covers(iv: OpeningInterval, spec: DesignSpec) -> bool:
-    return iv.lo <= spec.interval_lo and iv.hi >= spec.interval_hi
+def _covering(
+    intervals: tuple[OpeningInterval, ...], spec: DesignSpec
+) -> OpeningInterval | None:
+    """The first of ``intervals`` that contains the target band, if any."""
+    for iv in intervals:
+        if iv.lo <= spec.interval_lo and iv.hi >= spec.interval_hi:
+            return iv
+    return None
 
 
 def _confirmed_cover(
@@ -276,28 +282,25 @@ def _confirmed_cover(
     Takes the first hint interval that covers the band and the grid
     points ``first..last`` inside it, and computes a fresh verdict at
     each of them and at each grid neighbour, ``first - 1`` and
-    ``last + 1``, that exists.  When all of ``first..last`` open and no
-    neighbour does, they form a maximal run of the full sweep, and their
-    edges are bisected with a verdict at every midpoint, as the full
-    sweep bisects them.  Returns that refined interval when it covers
-    the band.  None when no hint interval covers the band, a verdict
-    disagrees (always so when the covering interval holds no grid point)
-    or the refined interval falls short.  The hint only says where to
-    look; no verdict is taken from it.
+    ``last + 1``, that exists.  When :func:`~linkstat.modeswitch._runs`
+    reads the one run ``(first, last)`` from them, it is a maximal run of
+    the full sweep, and its edges are bisected with a verdict at every
+    midpoint, as the full sweep bisects them.  Returns that refined
+    interval when it covers the band.  None when no hint interval covers
+    the band, a verdict disagrees (always so when the covering interval
+    holds no grid point) or the refined interval falls short.  The hint
+    only says where to look; no verdict is taken from it.
     """
-    for iv in hint:
-        if _covers(iv, spec):
-            break
-    else:
+    iv = _covering(hint, spec)
+    if iv is None:
         return None
     first = bisect_left(_GRID, iv.lo)
     last = bisect_right(_GRID, iv.hi) - 1
-    start = max(first - 1, 0)
-    opens = [v[0] == _OPENS for v in _decide_all(p, _GRID[start : last + 2])]
-    if _runs(opens) != [(first - start, last - start)]:
+    start, stop = max(first - 1, 0), min(last + 2, len(_GRID))
+    verdicts = _decide_all(p, _GRID[start:stop])
+    if _runs(range(start, stop), [v[0] == _OPENS for v in verdicts]) != [(first, last)]:
         return None
-    (refined,) = _refine_runs(p, _GRID, [(first, last)], DEFAULT_REFINE_TOL)
-    return refined if _covers(refined, spec) else None
+    return _covering(_refine_runs(p, _GRID, [(first, last)], DEFAULT_REFINE_TOL), spec)
 
 
 def _verify(
@@ -330,12 +333,11 @@ def _verify(
     best = _confirmed_cover(spec, p, hint)
     if best is None:
         intervals = opening_interval(sweep_points(p, _GRID), DEFAULT_REFINE_TOL)
-        covering = [iv for iv in intervals if _covers(iv, spec)]
-        if not covering:
+        best = _covering(intervals, spec)
+        if best is None:
             raise RuntimeError(
                 "feasible candidate failed re-verification of envelope coverage"
             )
-        best = covering[0]
     t = switching_threshold(p, spec.press_angle)
     if not (spec.threshold_lo <= t <= spec.threshold_hi):
         raise RuntimeError(

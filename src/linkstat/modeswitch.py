@@ -10,14 +10,17 @@ grid: the verdict can only change where one of a few
 grid points around those roots need a verdict of their own, and a
 bisection midpoint needs one only when it lies next to a root or
 between two; every other midpoint takes the known verdict of the
-bracket end it shares a root-free stretch with.  Verdicts come from the
-statics' batch kernel (:func:`~linkstat.statics._decide_all`): a sweep's
-points, or those the envelope needs, go to it in one call, and each
-bisection midpoint through its one-point case.  The same roots tell the
-design search when a move that only scales the spring moments keeps
-every verdict (:func:`_spring_scale_keeps_verdicts`).  A sweep keeps
-one :class:`~linkstat.statics.OpeningDecision` per sample; where the
-roots cannot be trusted, the envelope is ``opening_interval(sweep(...))``.
+bracket end it shares a root-free stretch with.  The sweep, the envelope
+and the design search's re-verification find runs by one rule
+(:func:`_runs`), which refuses when a verdict changes across grid points
+it was not given.  Verdicts come from the statics' batch kernel
+(:func:`~linkstat.statics._decide_all`): a sweep's points, or those the
+envelope needs, go to it in one call, and each bisection midpoint
+through its one-point case.  The same roots tell the design search when
+a move that only scales the spring moments keeps every verdict
+(:func:`_spring_scale_keeps_verdicts`).  A sweep keeps one
+:class:`~linkstat.statics.OpeningDecision` per sample; where the roots
+cannot be trusted, the envelope is ``opening_interval(sweep(...))``.
 On top of that sit the operational questions: how hard must the finger
 be pressed to flip into turn-over mode, and how much grip force is safe
 to apply without flipping accidentally.
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import (
     DEFAULT_SWEEP_HI,
@@ -158,19 +161,31 @@ _CANCELLATION_FLOOR = 1e-6
 _FLOOR_REACH = 0.5 * math.sin(_ROOT_WINDOW)
 
 
-def _runs(opens: Sequence[bool]) -> list[tuple[int, int]]:
-    """First and last index of each run of opening flags, in order."""
+def _runs(
+    indices: Iterable[int], opens: Iterable[bool]
+) -> list[tuple[int, int]] | None:
+    """First and last grid index of each run of opening points, in order.
+
+    ``indices`` are ascending grid indices, read from the first to the
+    last, and ``opens`` the verdicts at them.  A grid point between two
+    given ones takes their verdict, so None when the verdict changes
+    between two given indices that are not adjacent.
+    """
     runs: list[tuple[int, int]] = []
-    start: int | None = None
-    for i, flag in enumerate(opens):
-        if flag:
-            if start is None:
+    start = previous = -1
+    was_open = False
+    for i, flag in zip(indices, opens):
+        if flag != was_open:
+            if previous >= 0 and i > previous + 1:
+                return None
+            if flag:
                 start = i
-        elif start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(opens) - 1))
+            else:
+                runs.append((start, previous))
+            was_open = flag
+        previous = i
+    if was_open:
+        runs.append((start, previous))
     return runs
 
 
@@ -272,7 +287,7 @@ def opening_interval(
     return _refine_runs(
         curve.params,
         curve.zetas,
-        _runs([s.decision.opens for s in curve.samples]),
+        _runs(range(len(curve.samples)), [s.decision.opens for s in curve.samples]),
         tolerance,
     )
 
@@ -437,41 +452,6 @@ def _spring_scale_keeps_verdicts(p: LinkageParameters, lo: float, hi: float) -> 
     )
 
 
-def _probed_runs(
-    p: LinkageParameters, grid: Sequence[float], roots: Sequence[float]
-) -> list[tuple[int, int]] | None:
-    """Runs of opening grid points from verdicts at the ends and around the roots.
-
-    Every grid point between two computed ones takes their verdict, so a
-    run can start or end only between two adjacent computed points.
-    None when two computed points around an uncomputed stretch disagree.
-    """
-    last = len(grid) - 1
-    probes = {0, last}
-    for root in roots:
-        first = max(bisect_right(grid, root - _ROOT_WINDOW) - 1, 0)
-        past = min(bisect_left(grid, root + _ROOT_WINDOW), last)
-        probes.update(range(first, past + 1))
-    order = sorted(probes)
-    runs: list[tuple[int, int]] = []
-    start = previous = -1
-    was_open = False
-    for i, verdict in zip(order, _decide_all(p, [grid[i] for i in order])):
-        opens = verdict[0] == _OPENS
-        if opens != was_open:
-            if i > previous + 1:
-                return None
-            if opens:
-                start = i
-            else:
-                runs.append((start, previous))
-            was_open = opens
-        previous = i
-    if was_open:
-        runs.append((start, last))
-    return runs
-
-
 def envelope(
     p: LinkageParameters,
     zeta_lo: float = DEFAULT_SWEEP_LO,
@@ -485,7 +465,8 @@ def envelope(
     tolerance)``.  Verdicts are computed only at the two range ends and
     at the grid points bracketing each root of the sign functions the
     verdict reads; every other grid point takes the verdict of the
-    computed points around it, since no sign changes between them.  The
+    computed points around it, since no sign changes between them, and
+    :func:`_runs` reads the runs from the computed points alone.  The
     edges are bisected as in :func:`opening_interval`, but a midpoint
     whose segment to one end of the bracket holds no root takes that
     end's verdict, so only a midpoint within the root window of a root,
@@ -501,11 +482,19 @@ def envelope(
 def _envelope(
     p: LinkageParameters, grid: Sequence[float], tolerance: float
 ) -> tuple[OpeningInterval, ...]:
-    """:func:`envelope` on a grid the caller has already built."""
+    """:func:`envelope` on a built grid, with :func:`_runs` over the probed verdicts."""
     groups = _roots_by_function(p, grid[0], grid[-1])
     if groups is not None:
         roots = sorted(r for group in groups for r in group)
-        runs = _probed_runs(p, grid, roots)
+        last = len(grid) - 1
+        probes = {0, last}
+        for root in roots:
+            first = max(bisect_right(grid, root - _ROOT_WINDOW) - 1, 0)
+            past = min(bisect_left(grid, root + _ROOT_WINDOW), last)
+            probes.update(range(first, past + 1))
+        order = sorted(probes)
+        verdicts = _decide_all(p, [grid[i] for i in order])
+        runs = _runs(order, [v[0] == _OPENS for v in verdicts])
         if runs is not None:
             return _refine_runs(p, grid, runs, tolerance, roots)
     return opening_interval(sweep_points(p, grid), tolerance)

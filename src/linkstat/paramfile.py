@@ -61,7 +61,13 @@ import math
 import re
 from typing import Callable, Iterator, NamedTuple
 
-from .model import _ANGLE_FIELDS, DEFAULT_BUDGET, DesignSpec, LinkageParameters
+from .model import (
+    _ANGLE_FIELDS,
+    _FREE_FIELDS,
+    DEFAULT_BUDGET,
+    DesignSpec,
+    LinkageParameters,
+)
 
 __all__ = [
     "Measurement",
@@ -279,13 +285,13 @@ class ParameterDocument(NamedTuple):
 
 
 def _iter_entries(
-    text: str, layout: dict[str, tuple[str, ...] | None]
+    text: str, layout: dict[str, tuple[str, ...]]
 ) -> Iterator[tuple[int, str, str, str]]:
     """Yield (line number, section, key, raw value) for every entry.
 
-    ``layout`` maps each section to its keys, or to None where any key
-    is allowed.  An unknown section or key, or a key repeated within its
-    section, is reported here, before the caller reads the value.
+    ``layout`` maps each section to its keys.  An unknown section or key,
+    or a key repeated within its section, is reported here, before the
+    caller reads the value.
     """
     section: str | None = None
     seen: set[tuple[str, str]] = set()
@@ -313,7 +319,7 @@ def _iter_entries(
         key, _, value = line.partition("=")
         key = key.strip()
         allowed = layout[section]
-        if allowed is not None and key not in allowed:
+        if key not in allowed:
             raise ParameterFileError(
                 f"unknown key {key!r} in [{section}]; expected one of "
                 f"{list(allowed)}",
@@ -395,7 +401,7 @@ def format_parameter_file(
 # ---------------------------------------------------------------------------
 # Design target files
 
-_DESIGN_SECTIONS: dict[str, tuple[str, ...] | None] = {
+_DESIGN_SECTIONS: dict[str, tuple[str, ...]] = {
     "target": (
         "interval_lo_deg",
         "interval_hi_deg",
@@ -404,8 +410,8 @@ _DESIGN_SECTIONS: dict[str, tuple[str, ...] | None] = {
         "threshold_hi_n",
     ),
     "search": ("free", "budget"),
-    # [bounds] keys are parameter names, checked by DesignSpec validation.
-    "bounds": None,
+    # [bounds] keys: any field a search may vary, listed in free or not.
+    "bounds": tuple(sorted(_FREE_FIELDS)),
 }
 
 
@@ -466,7 +472,7 @@ def parse_design_file(text: str) -> tuple[DesignSpec, int]:
                 lo, hi = math.radians(lo), math.radians(hi)
             bounds[key] = (lo, hi)
 
-    missing = [k for k in _DESIGN_SECTIONS["target"] or () if k not in target]
+    missing = [k for k in _DESIGN_SECTIONS["target"] if k not in target]
     if missing:
         raise ParameterFileError("missing [target] entries: " + ", ".join(missing))
     if not free:

@@ -423,6 +423,17 @@ def test_optimize_malformed_design(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_optimize_refuses_a_bound_on_a_field_it_cannot_vary(tmp_path, capsys):
+    design = tmp_path / "design.txt"
+    design.write_text(DESIGN_OK + "bogus = 1, 2\n")
+    assert main(["optimize", "--design", str(design)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: {design}: line 15: unknown key 'bogus' in [bounds]; expected one of "
+    )
+
+
 def test_compare_table(tmp_path, capsys):
     meas = tmp_path / "meas.csv"
     meas.write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")
@@ -731,6 +742,7 @@ _LOAD_BUDGET = {
     "optimize-missing-design": (["optimize", "--design", "{missing}"], 5, _FRONT),
     "optimize-malformed-design": (["optimize", "--design", "{malformed}"], 2, _FRONT),
     "optimize-invalid-spec": (["optimize", "--design", "{invalid_spec}"], 2, _FRONT),
+    "optimize-unknown-bound": (["optimize", "--design", "{unknown_bound}"], 2, _FRONT),
     "parse-design-file": ("import linkstat.paramfile\n"
                           f"spec, result = linkstat.paramfile.parse_design_file({DESIGN_OK!r})",
                           400, ["linkstat", "linkstat.model", "linkstat.paramfile"]),
@@ -754,12 +766,13 @@ _LOAD_BUDGET = {
 
 def _load_budget_files(tmp_path):
     files = {name: tmp_path / name
-             for name in ("meas", "design", "malformed", "invalid_spec", "broken",
-                          "out", "svg", "missing")}
+             for name in ("meas", "design", "malformed", "invalid_spec", "unknown_bound",
+                          "broken", "out", "svg", "missing")}
     files["meas"].write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")
     files["design"].write_text(DESIGN_OK)
     files["malformed"].write_text("[target]\ninterval_lo_deg = 1/0\n")
     files["invalid_spec"].write_text(DESIGN_OK.replace("theta2", "theta9"))
+    files["unknown_bound"].write_text(DESIGN_OK + "bogus = 1, 2\n")
     files["broken"].write_text("[lengths_mm]\nl0 = 1/0\n")
     files["bad"] = write_bad_params(tmp_path)
     return {name: str(path) for name, path in files.items()}

@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_right
+from itertools import groupby
 from unittest import mock
 
 import pytest
@@ -337,6 +338,68 @@ def test_envelope_falls_back_to_every_grid_point(defaults, monkeypatch):
     assert len(calls) > 241
     monkeypatch.undo()
     assert hexed(got) == hexed(swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5)))
+
+
+def test_envelope_falls_back_when_a_transition_lies_between_probes(defaults, monkeypatch):
+    # Roots moved three grid steps put no probe beside either edge of the
+    # band, so the probes around each edge disagree across grid points no
+    # verdict was computed for: the envelope must take the full sweep, not
+    # place the edge from the moved roots.
+    roots_by_function = modeswitch._roots_by_function
+    shift = 3 * rad(0.5)
+    monkeypatch.setattr(
+        modeswitch,
+        "_roots_by_function",
+        lambda p, lo, hi: [[r + shift for r in g] for g in roots_by_function(p, lo, hi)],
+    )
+    fallbacks = []
+    every_point = modeswitch.sweep_points
+    monkeypatch.setattr(
+        modeswitch, "sweep_points", lambda p, g: fallbacks.append(g) or every_point(p, g)
+    )
+    got = envelope(defaults)
+    assert len(fallbacks) == 1
+    monkeypatch.undo()
+    assert hexed(got) == hexed(swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5)))
+
+
+def dense_runs(flags, first=0):
+    """First and last index of each run of True in ``flags``, counted from ``first``."""
+    runs = []
+    for flag, group in groupby(flags):
+        count = len(list(group))
+        if flag:
+            runs.append((first, first + count - 1))
+        first += count
+    return runs
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_runs_reads_sparse_verdicts_as_the_dense_flags(data):
+    flags = data.draw(st.lists(st.booleans(), min_size=1, max_size=40), label="flags")
+    n = len(flags)
+    chosen = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="chosen")
+    if data.draw(st.booleans(), label="beside every change"):  # as the envelope probes
+        chosen |= {k for j in range(n - 1) if flags[j] != flags[j + 1] for k in (j, j + 1)}
+    indices = sorted(chosen)
+    assert modeswitch._runs(range(n), flags) == dense_runs(flags)
+    got = modeswitch._runs(indices, [flags[i] for i in indices])
+    first, last = indices[0], indices[-1]
+    probed = set(indices)
+    pairs = list(zip(indices, indices[1:]))
+    if all(j in probed and j + 1 in probed
+           for j in range(first, last) if flags[j] != flags[j + 1]):
+        assert got == dense_runs(flags[first : last + 1], first)
+    elif any(flags[a] != flags[b] for a, b in pairs if b > a + 1):
+        assert got is None
+    else:
+        # A change hidden between two agreeing verdicts cannot be seen: the
+        # stretch reads as its ends, as the roots guarantee it does.
+        filled = list(flags)
+        for a, b in pairs:
+            filled[a:b] = [flags[a]] * (b - a)
+        assert got == dense_runs(filled[first : last + 1], first)
 
 
 def test_opening_interval_is_an_immutable_named_tuple():

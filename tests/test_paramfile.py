@@ -195,12 +195,17 @@ theta2 = 10, 30
         ("budget = 40", "budget = 40\nbudget = 50", r"duplicate key 'budget' in \[search\]", 10),
         ("theta2 = 10, 30", "theta2 = 10, 30\ntheta2 = 12, 20",
          r"duplicate key 'theta2' in \[bounds\]", 12),
+        ("theta2 = 10, 30", "theta2 = 10, 30\nbogus = 1, 2",
+         r"unknown key 'bogus' in \[bounds\]; expected one of \['l0', ", 12),
+        ("theta2 = 10, 30", "theta2 = 10, 30\nepsilon = 0, 1",
+         r"unknown key 'epsilon' in \[bounds\]", 12),
         ("free = theta2", "free = , ,", "'free' lists no names", 8),
         ("budget = 40", "budget = 2.5", "budget must be a positive integer", 9),
         ("free = theta2\n", "", r"missing \[search\] free", None),
     ],
     ids=["unknown-target-key", "unknown-search-key", "repeated-target-key", "repeated-free",
-         "repeated-budget", "repeated-bound", "empty-free", "fractional-budget", "missing-free"],
+         "repeated-budget", "repeated-bound", "unknown-bound", "epsilon-bound", "empty-free",
+         "fractional-budget", "missing-free"],
 )
 def test_design_file_faults_name_their_line(needle, replacement, fragment, line):
     text = DESIGN_TEXT.replace(needle, replacement)
@@ -208,6 +213,14 @@ def test_design_file_faults_name_their_line(needle, replacement, fragment, line)
     with pytest.raises(ParameterFileError, match=fragment) as err:
         parse_design_file(text)
     assert err.value.line == line
+
+
+def test_bounds_may_name_a_field_the_search_does_not_vary():
+    text = DESIGN_TEXT.replace("theta2 = 10, 30", "theta2 = 10, 30\nl3 = 20, 25")
+    spec, _ = parse_design_file(text)
+    assert spec.free == ("theta2",)
+    assert spec.bounds["l3"] == (20.0, 25.0)
+    assert spec.validated() is spec
 
 
 def test_measurements_roundtrip():
