@@ -326,7 +326,8 @@ class DesignSpec(NamedTuple):
     [interval_lo, interval_hi] and pressing along ``press_angle`` must
     flip the finger at a force inside [threshold_lo, threshold_hi].
     ``free`` lists the parameters the search may vary and ``bounds`` maps
-    each of them to an inclusive (lo, hi) box.  The search range is fixed:
+    each of them, and any other searchable field, to an inclusive
+    (lo, hi) box.  The search range is fixed:
     ``sweep_lo``, ``sweep_hi`` and ``sweep_step`` are class constants.
     """
 
@@ -345,7 +346,9 @@ class DesignSpec(NamedTuple):
     def validated(self) -> "DesignSpec":
         if not self.free:
             raise ValueError("at least one free parameter is required")
-        unknown = [n for n in self.free if n not in _FREE_FIELDS]
+        # A bound may name a field that is not free, but not one no search varies.
+        named = dict.fromkeys((*self.free, *self.bounds))
+        unknown = [n for n in named if n not in _FREE_FIELDS]
         if unknown:
             raise ValueError(
                 f"not searchable: {unknown}; allowed fields are "
@@ -353,10 +356,10 @@ class DesignSpec(NamedTuple):
             )
         if len(set(self.free)) != len(self.free):
             raise ValueError(f"duplicate free parameters in {self.free}")
-        for name in self.free:
-            if name not in self.bounds:
-                raise ValueError(f"free parameter {name!r} has no bounds")
-            lo, hi = self.bounds[name]
+        missing = [n for n in self.free if n not in self.bounds]
+        if missing:
+            raise ValueError(f"free parameter {missing[0]!r} has no bounds")
+        for name, (lo, hi) in self.bounds.items():  # every pair, free or not
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
                 raise ValueError(
                     f"bounds for {name!r} must be a finite ordered pair, "

@@ -308,20 +308,18 @@ def _sign_functions(p: LinkageParameters) -> list[tuple[float, float, float, flo
     of xi, and with the beta numerator the branch choice).  Where beta is
     zero both branches share xi = b0/a00, so a root of the beta numerator
     alone never flips ``opens``; it is kept so that every sign the
-    decision reads is fixed between computed points.  The press-independent
-    entries are the statics' own per-build terms, which refuse a build
-    whose tip moment ratio is undefined.  The beta numerator comes last.
+    decision reads is fixed between computed points.  The (a, b) pairs of
+    a00 and a10 are the statics' own per-build terms, the closed forms the
+    kernel evaluates, and those terms refuse a build whose tip moment
+    ratio is undefined.  The beta numerator comes last.
     """
     t = _build_terms(p)
-    denom = t.denom
-    # gamma = tip_moment_ratio: (l4*cos(z) - l3*sin(theta2 + z)) / denom
-    g_a = (p.l4 - p.l3 * math.sin(p.theta2)) / denom
-    g_b = -p.l3 * math.cos(p.theta2) / denom
-    g_size = (abs(p.l4) + abs(p.l3)) / abs(denom)
     s13, s34 = t.s13, t.s34
-    # a00 = s13*gamma + sin(theta1 - z);  a10 = s34*gamma
-    a00 = (s13 * g_a + math.sin(p.theta1), s13 * g_b - t.cos1, abs(s13) * g_size + 1.0)
-    a10 = (s34 * g_a, s34 * g_b, abs(s34) * g_size)
+    # Sizes: the tip moment ratio's terms l4*cos(z) and l3*sin(theta2 + z)
+    # over its divisor, times s13 or s34; a00 adds sin(theta1 - z).
+    g_size = (abs(p.l4) + abs(p.l3)) / abs(t.denom)
+    a00 = (*t.a00, abs(s13) * g_size + 1.0)
+    a10 = (*t.a10, abs(s34) * g_size)
     functions = [(*a00, 0.0), (*a10, 0.0)]
     # det = a11*a00 - s13*a10 on each branch, and the beta numerator
     # b1*a00 - b0*a10; a01 = s13, a11 and b do not depend on zeta.  A det

@@ -29,35 +29,37 @@ numpy, and it imports numpy on its first call: the 2x2 balance, every
 verdict, sweep and search run in plain floats, so importing linkstat
 does not load numpy.
 
-The first route has one copy of its decision logic: the private scalar
-kernel :func:`_decide_all` takes a build and a list of press directions.
-For each it assembles the two press-dependent entries, solves the +1
-friction branch and, if the strut force contradicts it, the -1 branch,
-applies the singular floor and the opening rule, and returns a plain
-tuple (status code, xi, beta, branch, det, a00, a10, f_rx, f_sx).
-:func:`_decide` is its one-point case.  Callers holding many press
-directions of one build (a sweep, the envelope's probes and
-measurement comparison) hand them over in one call; the edge
-bisection, the switching threshold and design scoring ask one point at
-a time.  Only a sweep builds objects: :func:`_opening_decision`, the one
-builder of :class:`OpeningDecision`, repackages each tuple, bit for bit,
-for callers that read its fields (the CLI's sweep CSV), and
-:func:`predict_opening` is its view of one point.  :func:`solve_balance`
-repackages the :class:`BalanceSolution` alone.
+The first route has one copy of its decision logic and its one 2x2
+solve: the private scalar kernel :func:`_decide_all` takes a build and a
+list of press directions.  For each it assembles the two press-dependent
+entries, solves the +1 friction branch and, if the strut force
+contradicts it, the -1 branch (or a pinned branch alone), applies the
+singular floor and the opening rule, and returns a plain tuple (status
+code, xi, beta, branch, det, a00, a10, f_rx, f_sx).  :func:`_decide` is
+its one-point case.  Callers holding many press directions of one build
+(a sweep, the envelope's probes and measurement comparison) hand them
+over in one call; the edge bisection, the switching threshold and design
+scoring ask one point at a time.  Only a sweep builds objects:
+:func:`_opening_decision`, the one builder of :class:`OpeningDecision`,
+repackages each tuple, bit for bit, for callers that read its fields
+(the CLI's sweep CSV), and :func:`predict_opening` is its view of one
+point.  :func:`solve_balance` and :func:`solve_balance_with_sign`
+repackage the :class:`BalanceSolution` alone.
 
 Most of the 2x2 balance does not depend on the press direction: the
-strut-angle sines, the right-hand side, each friction branch's a11
-and the probe-force cosines belong to the build alone.  The
-first route computes them once per build and keeps the most recent
-build's terms, keyed on the identity of its (immutable) parameters object,
-so a sweep, a bisection or a comparison over one build leaves each
-verdict only the three press-direction trig calls.  Each term is the
-float expression a per-call evaluation would use, so caching changes no
-bit of any result.  The raw equilibrium route never reads these terms,
-which keeps it independent.  :func:`_decide_all` reads them once per
-call, in one unpack of a tuple the terms hold, and fetches the -1
-branch's a11 at most once per call, at the first point that needs it;
-the per-point work is then the arithmetic of the decision alone.
+strut-angle sines, the right-hand side, each friction branch's a11, the
+probe-force cosines and the (c, s) of a00 and a10, each c*cos(zeta) +
+s*sin(zeta), belong to the build alone.  The first route computes them
+once per build and keeps the most recent build's terms, keyed on the
+identity of its (immutable) parameters object, so a sweep, a bisection
+or a comparison over one build leaves each verdict only two
+press-direction trig calls.  Each term is one float expression, read by
+every caller, so caching changes no bit of any result.  The raw
+equilibrium route never reads these terms, which keeps it independent.
+:func:`_decide_all` reads them once per call, in one unpack of a tuple
+the terms hold, and fetches the -1 branch's a11 at most once per call,
+at the first point that needs it; the per-point work is then the
+arithmetic of the decision alone.
 """
 
 from __future__ import annotations
@@ -98,11 +100,6 @@ _DET_RELATIVE_FLOOR = 1e-12
 
 class SingularSystemError(RuntimeError):
     """The balance system has no usable solution at this press direction."""
-
-
-def _sign_of(value: float) -> int:
-    """Sign convention used throughout: zero counts as positive."""
-    return 1 if value >= 0.0 else -1
 
 
 def _coupler_arm(l2: float, theta2: float, theta3: float) -> float:
@@ -212,24 +209,28 @@ class _BuildTerms:
     naming its divisor: l1, the coupler moment arm l2*sin(theta2+theta3)
     and each friction branch's coupling denominator.
 
-    ``kernel`` holds the 13 press-independent values :func:`_decide_all`
-    reads, in its order: denom, s13, s34, plus, b0, b1, epsilon, cos1,
-    cos4, l3, l4, theta1 and theta2.  One tuple unpack per call costs
-    about half of 13 attribute and field reads, and a one-point verdict
+    ``a00`` and ``a10`` are the (c, s) pairs of the two press-dependent
+    entries, each c*cos(zeta) + s*sin(zeta), derived here for every
+    reader; :func:`tip_moment_ratio` keeps the raw form as the reference.
+
+    ``kernel`` holds the 11 press-independent values :func:`_decide_all`
+    reads, in its order: s13, plus, b0, b1, epsilon, cos1, cos4 and the
+    (c, s) pairs of a00 and a10.  One tuple unpack per call costs about
+    half of 11 attribute and field reads, and a one-point verdict
     (bisection, scoring, the switching threshold) pays that per point.
     """
 
     __slots__ = ("params", "denom", "s13", "s34", "b0", "b1",
-                 "plus", "_minus", "cos1", "cos4", "kernel")
+                 "plus", "_minus", "cos1", "cos4", "a00", "a10", "kernel")
 
     def __init__(self, p: LinkageParameters) -> None:
         # Fields are read once, by unpacking: a named-tuple field read per
         # use costs more than the arithmetic here.
         _, l1, l2, l3, l4, _, theta1, theta2, theta3, theta4, _, _, _, mu, epsilon = p
         self.params = p  # held so that the identity test in _build_terms stays sound
-        self.denom = _coupler_arm(l2, theta2, theta3)  # tip_moment_ratio's
-        self.s13 = math.sin(theta1 - theta3)
-        self.s34 = math.sin(theta3 + theta4)
+        self.denom = denom = _coupler_arm(l2, theta2, theta3)  # tip_moment_ratio's
+        self.s13 = s13 = math.sin(theta1 - theta3)
+        self.s34 = s34 = math.sin(theta3 + theta4)
         # a11 of the +1 branch, on the unpacked fields; branch() builds the -1 one
         self.plus = _coupling(mu, theta2, theta3, 1.0) * math.sin(theta4 - theta2)
         self._minus: float | None = None
@@ -241,8 +242,14 @@ class _BuildTerms:
         self.b0, self.b1 = _spring_moments(p)
         self.cos1 = math.cos(theta1)
         self.cos4 = math.cos(theta4)
-        self.kernel = (self.denom, self.s13, self.s34, self.plus, self.b0, self.b1,
-                       epsilon, self.cos1, self.cos4, l3, l4, theta1, theta2)
+        # gamma = (l4*cos(z) - l3*sin(theta2 + z)) / denom = g_a*cos(z) + g_b*sin(z)
+        g_a = (l4 - l3 * math.sin(theta2)) / denom
+        g_b = -l3 * math.cos(theta2) / denom
+        # a00 = s13*gamma + sin(theta1 - z);  a10 = s34*gamma
+        self.a00 = (s13 * g_a + math.sin(theta1), s13 * g_b - self.cos1)
+        self.a10 = (s34 * g_a, s34 * g_b)
+        self.kernel = (s13, self.plus, self.b0, self.b1, epsilon, self.cos1, self.cos4,
+                       *self.a00, *self.a10)
 
     def branch(self, sign_beta3: int) -> float:
         """a11 of one friction branch, the only branch-dependent entry.
@@ -289,11 +296,12 @@ def assemble_system(
     """
     _require_finite(zeta)
     t = _build_terms(p)
-    gamma = tip_moment_ratio(p, zeta)
+    (c00, s00), (c10, s10) = t.a00, t.a10
+    cz, sz = math.cos(zeta), math.sin(zeta)
     return BalanceSystem(
-        a00=gamma * t.s13 + math.sin(p.theta1 - zeta),
+        a00=c00 * cz + s00 * sz,
         a01=t.s13,
-        a10=gamma * t.s34,
+        a10=c10 * cz + s10 * sz,
         a11=t.branch(sign_beta3),
         b0=t.b0,
         b1=t.b1,
@@ -317,18 +325,6 @@ def _singular_error(zeta: float, det: float) -> SingularSystemError:
     )
 
 
-def _solve_2x2(
-    a00: float, a01: float, a10: float, a11: float, b0: float, b1: float, zeta: float
-) -> tuple[float, float]:
-    det = a00 * a11 - a01 * a10
-    row_scale = max(math.hypot(a00, a01), math.hypot(a10, a11))
-    if det == 0.0 or abs(det) < _DET_RELATIVE_FLOOR * row_scale * row_scale:
-        raise _singular_error(zeta, det)
-    xi = (b0 * a11 - a01 * b1) / det
-    beta = (a00 * b1 - a10 * b0) / det
-    return xi, beta
-
-
 # Status codes of a verdict, the first field of a _decide tuple.
 _OPENS, _NEGATIVE_XI, _CONTACT_MAINTAINED, _SINGULAR = range(4)
 
@@ -346,7 +342,9 @@ _DET_SAFE_FLOOR = _DET_RELATIVE_FLOOR * (1 + 1e-9)
 _Verdict = tuple[int, float, float, int, float, float, float, float, float]
 
 
-def _decide_all(p: LinkageParameters, zetas: Iterable[float]) -> list[_Verdict]:
+def _decide_all(
+    p: LinkageParameters, zetas: Iterable[float], pinned: int | None = None
+) -> list[_Verdict]:
     """The opening verdicts for many press directions, in plain floats.
 
     Returns one ``(status, xi, beta, branch, det, a00, a10, f_rx, f_sx)``
@@ -356,22 +354,25 @@ def _decide_all(p: LinkageParameters, zetas: Iterable[float]) -> list[_Verdict]:
     the two probe forces.  A _SINGULAR verdict carries the det that fell
     below the floor and nan forces.
 
-    This is the only copy of the decision: the +1 -> -1 friction retry
-    of :func:`solve_balance`, the singular floor and the opening rule of
-    :func:`predict_opening`, applied point by point.  Once per call it
-    reads the build's 13 press-independent values in one unpack of
-    ``_BuildTerms.kernel``, binds the floors and status codes as locals
-    and squares a01; the -1 branch's a11 is fetched at the first point
-    whose +1 answer contradicts its branch, so a build whose -1 coupling
-    raises still raises there.  Each point then runs one branch loop
-    that starts on the +1 branch.  Each float is the expression
-    :func:`assemble_system`, :func:`solve_balance_with_sign` and
-    :func:`perturbed_joint_forces` evaluate, so the wrappers that
-    repackage a tuple into named tuples give the same bits.  A non-finite
-    press direction raises ValueError.
+    This is the only copy of the decision and the only 2x2 solve: the
+    +1 -> -1 friction retry of :func:`solve_balance`, the singular floor
+    and the opening rule of :func:`predict_opening`, applied point by
+    point.  Once per call it reads the build's 11 press-independent
+    values in one unpack of ``_BuildTerms.kernel``, binds the floors and
+    status codes as locals and squares a01; the -1 branch's a11 is
+    fetched at the first point whose +1 answer contradicts its branch,
+    so a build whose -1 coupling raises still raises there.  Each point
+    then runs one branch loop that starts on the +1 branch, or on
+    ``pinned`` (+1 or -1, else ValueError), whose answer is kept whatever
+    the sign of its strut force.  Each float is the expression
+    :func:`assemble_system` and :func:`perturbed_joint_forces` evaluate,
+    so the wrappers that repackage a tuple into named tuples give the
+    same bits.  A non-finite press direction raises ValueError.
     """
     t = _build_terms(p)
-    denom, a01, s34, plus, b0, b1, eps, cos1, cos4, l3, l4, theta1, theta2 = t.kernel
+    a01, plus, b0, b1, eps, cos1, cos4, c00, s00, c10, s10 = t.kernel
+    first, first_a11, last = (
+        (1, plus, -1) if pinned is None else (pinned, t.branch(pinned), pinned))
     a01_sq = a01 * a01
     safe_floor, relative_floor = _DET_SAFE_FLOOR, _DET_RELATIVE_FLOOR
     opens, negative_xi, contact_maintained, singular = (
@@ -384,10 +385,10 @@ def _decide_all(p: LinkageParameters, zetas: Iterable[float]) -> list[_Verdict]:
     for zeta in zetas:
         if not isfinite(zeta):
             _require_finite(zeta)
-        gamma = (l4 * cos(zeta) - l3 * sin(theta2 + zeta)) / denom
-        a00 = gamma * a01 + sin(theta1 - zeta)
-        a10 = gamma * s34
-        branch, a11 = 1, plus
+        cz, sz = cos(zeta), sin(zeta)
+        a00 = c00 * cz + s00 * sz
+        a10 = c10 * cz + s10 * sz
+        branch, a11 = first, first_a11
         while True:
             det = a00 * a11 - a01 * a10
             sum_sq = a00 * a00 + a01_sq + a10 * a10 + a11 * a11
@@ -397,8 +398,9 @@ def _decide_all(p: LinkageParameters, zetas: Iterable[float]) -> list[_Verdict]:
                     append((singular, nan, nan, branch, det, a00, a10, nan, nan))
                     break
             beta = (a00 * b1 - a10 * b0) / det
-            # Keep a +1 answer that agrees with its branch, and a -1 answer either way.
-            if beta >= 0.0 or branch == -1:
+            # Keep a +1 answer that agrees with its branch, and the last branch's
+            # answer either way.
+            if beta >= 0.0 or branch == last:
                 xi = (b0 * a11 - a01 * b1) / det
                 f_rx = -(eps * a00) / cos1
                 f_sx = -(eps * a10) / cos4
@@ -421,24 +423,18 @@ def _decide(p: LinkageParameters, zeta: float) -> _Verdict:
     return _decide_all(p, (zeta,))[0]
 
 
-def _solved(
-    system: BalanceSystem, branch: int, xi: float, beta: float
-) -> BalanceSolution:
-    return BalanceSolution(
-        xi_b=xi,
-        beta_3b=beta,
-        sign_beta3=branch,
-        sign_consistent=_sign_of(beta) == branch,
-        system=system,
-    )
-
-
 def _solution(p: LinkageParameters, zeta: float, verdict: tuple) -> BalanceSolution:
     """The BalanceSolution of a _decide tuple; raises for a singular one."""
     status, xi, beta, branch, det = verdict[:5]
     if status == _SINGULAR:
         raise _singular_error(zeta, det)
-    return _solved(assemble_system(p, zeta, branch), branch, xi, beta)
+    return BalanceSolution(
+        xi_b=xi,
+        beta_3b=beta,
+        sign_beta3=branch,
+        sign_consistent=(beta >= 0.0) == (branch == 1),  # the kernel's rule
+        system=assemble_system(p, zeta, branch),
+    )
 
 
 def solve_balance_with_sign(
@@ -446,12 +442,12 @@ def solve_balance_with_sign(
 ) -> BalanceSolution:
     """Solve the balance with the friction branch pinned, no iteration.
 
-    ``sign_beta3`` is +1 or -1; any other value raises ValueError.
+    ``sign_beta3`` is +1 or -1; any other value raises ValueError, after
+    a non-finite ``zeta`` does.  The solve is :func:`_decide_all`'s on
+    the pinned branch; a singular one raises SingularSystemError.
     """
-    s = assemble_system(p, zeta, sign_beta3)
-    return _solved(
-        s, sign_beta3, *_solve_2x2(s.a00, s.a01, s.a10, s.a11, s.b0, s.b1, zeta)
-    )
+    _require_finite(zeta)
+    return _solution(p, zeta, _decide_all(p, (zeta,), sign_beta3)[0])
 
 
 def solve_balance(p: LinkageParameters, zeta: float) -> BalanceSolution:

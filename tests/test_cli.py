@@ -434,6 +434,19 @@ def test_optimize_refuses_a_bound_on_a_field_it_cannot_vary(tmp_path, capsys):
     )
 
 
+def test_optimize_refuses_an_unordered_bound_on_a_field_it_does_not_vary(tmp_path, capsys):
+    design = tmp_path / "design.txt"
+    design.write_text(DESIGN_OK + "l3 = 25, 20\n")
+    found = tmp_path / "found.txt"
+    assert main(["optimize", "--design", str(design), "--out", str(found)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {design}: bounds for 'l3' must be a finite ordered pair, got (25.0, 20.0)\n"
+    )
+    assert not found.exists()
+
+
 def test_compare_table(tmp_path, capsys):
     meas = tmp_path / "meas.csv"
     meas.write_text("zeta_deg,measured_force_n\n0,5.0\n-20,2.0\n")

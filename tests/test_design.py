@@ -1,4 +1,5 @@
 import math
+import re
 from bisect import bisect_left, bisect_right
 
 import pytest
@@ -109,6 +110,11 @@ def test_spec_validation():
         spec._replace(bounds={}).validated()
     with pytest.raises(ValueError, match="searchable"):
         spec._replace(free=("epsilon",)).validated()
+    # A bound on a field no search varies is refused too, free or not.
+    with pytest.raises(ValueError, match=re.escape("not searchable: ['epsilon']")):
+        spec._replace(bounds={**spec.bounds, "epsilon": (0.05, 0.2)}).validated()
+    with pytest.raises(ValueError, match=re.escape("bounds for 'l3' must be a finite")):
+        spec._replace(bounds={**spec.bounds, "l3": (25.0, math.nan)}).validated()
     with pytest.raises(ValueError, match="band"):
         spec._replace(threshold_lo=9.0).validated()
 

@@ -411,8 +411,11 @@ def test_blank_line_between_measurement_rows_is_skipped():
          "target interval must lie inside the sweep range "
          f"[{math.radians(-30.0)}, {math.radians(90.0)}], got "
          f"[{math.radians(-10.0)}, {math.radians(95.0)}]"),
+        ("theta2 = 10, 30", "theta2 = 10, 30\nl3 = 25, 20",
+         "bounds for 'l3' must be a finite ordered pair, got (25.0, 20.0)"),
     ],
-    ids=["duplicate-free", "unordered-bounds", "empty-band", "band-outside-sweep"],
+    ids=["duplicate-free", "unordered-bounds", "empty-band", "band-outside-sweep",
+         "unordered-bounds-not-free"],
 )
 def test_design_spec_refusals(needle, replacement, message):
     """Files that parse but whose spec DesignSpec.validated refuses."""

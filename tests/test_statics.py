@@ -31,6 +31,7 @@ from linkstat import (
     switching_threshold,
     tip_moment_ratio,
 )
+from linkstat.modeswitch import _sign_functions
 
 # Reference values computed by hand from the member balances before this
 # module existed; they are frozen here and must keep reproducing.
@@ -119,8 +120,14 @@ def test_branch_sign_other_than_plus_or_minus_one_is_refused(defaults, sign):
         lambda: friction_coupling(defaults, sign),
         lambda: assemble_system(defaults, 0.0, sign),
         lambda: solve_balance_with_sign(defaults, 0.0, sign),
+        lambda: statics._decide_all(defaults, [0.0], sign),
     ):
         with pytest.raises(ValueError, match=re.escape(f"+1 or -1, got {sign!r}")):
+            call()
+    # A non-finite press direction is reported before the sign.
+    for call in (lambda: assemble_system(defaults, math.inf, sign),
+                 lambda: solve_balance_with_sign(defaults, math.inf, sign)):
+        with pytest.raises(ValueError, match="press direction must be finite, got inf"):
             call()
 
 
@@ -433,6 +440,23 @@ def test_kernel_equals_the_object_path(scales, pick, zeta):
     decision = predict_opening(p, zeta)
     assert (decision.status, decision.blocked_reason) == statics._VERDICT_ENUMS[code]
 
+    # The pinned-branch solver repackages the kernel's pinned verdict,
+    # field for field, on either branch.
+    for sign in (1, -1):
+        pinned = statics._decide_all(p, (zeta,), sign)[0]
+        assert pinned[3] == sign
+        if pinned[0] == statics._SINGULAR:
+            with pytest.raises(SingularSystemError) as raised:
+                solve_balance_with_sign(p, zeta, sign)
+            assert str(raised.value) == str(statics._singular_error(zeta, pinned[4]))
+            continue
+        sol = solve_balance_with_sign(p, zeta, sign)
+        forces = perturbed_joint_forces(p, zeta, sol)
+        got = [sol.xi_b, sol.beta_3b, sol.sign_beta3, sol.system.det, sol.system.a00,
+               sol.system.a10, forces.f_rx, forces.f_sx]
+        assert [_hex(v) for v in got] == [_hex(v) for v in pinned[1:]]
+        assert sol.sign_consistent == ((sol.beta_3b >= 0.0) == (sign == 1))
+
     if code == statics._SINGULAR:
         assert decision.solution is None and decision.forces is None
         with pytest.raises(SingularSystemError) as raised:
@@ -449,8 +473,8 @@ def test_kernel_equals_the_object_path(scales, pick, zeta):
     assert [_hex(decision.forces.f_rx), _hex(decision.forces.f_sx)] == [_hex(f_rx), _hex(f_sx)]
     assert decision.required_force == (xi if code == statics._OPENS else None)
 
-    # The same verdict from the pinned-branch solver and the probe forces,
-    # which do not go through the kernel.
+    # The same verdict from the pinned-branch solver, whose +1 answer
+    # alone decides the branch, and the probe forces.
     plus = solve_balance_with_sign(p, zeta, 1)
     assert (branch == 1) == (plus.beta_3b >= 0.0)
     pinned = solve_balance_with_sign(p, zeta, branch)
@@ -466,6 +490,27 @@ def test_kernel_equals_the_object_path(scales, pick, zeta):
         assert code == statics._CONTACT_MAINTAINED
 
 
+@given(
+    st.lists(st.floats(min_value=-0.2, max_value=0.2), min_size=14, max_size=14),
+    st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
+)
+@example([0.0] * 14, rad(-15.0))
+def test_press_entries_have_one_derivation(scales, zeta):
+    """a00 and a10 of the envelope's sign functions, of the kernel and of
+    assemble_system are one closed form, so they agree bit for bit."""
+    base = default_parameters()
+    p = base.with_values(
+        **{name: getattr(base, name) * (1.0 + s) for name, s in zip(_ALL_FIELDS, scales)}
+    )
+    (c00, s00, *_), (c10, s10, *_) = _sign_functions(p)[:2]
+    closed = [c00 * math.cos(zeta) + s00 * math.sin(zeta),
+              c10 * math.cos(zeta) + s10 * math.sin(zeta)]
+    verdict = statics._decide(p, zeta)
+    system = assemble_system(p, zeta, verdict[3])
+    for entries in (verdict[5:7], (system.a00, system.a10)):
+        assert [_hex(v) for v in entries] == [_hex(v) for v in closed]
+
+
 def test_kernel_singular_case(defaults):
     # theta1 == theta3 at zeta == theta1 zeroes the whole first row.
     p = defaults.with_values(theta3=defaults.theta1)
@@ -473,37 +518,41 @@ def test_kernel_singular_case(defaults):
     assert verdict[0] == statics._SINGULAR
     assert verdict[4] == 0.0  # det
     message = "balance matrix is singular at press direction 9 deg (det = 0.000e+00)"
-    with pytest.raises(SingularSystemError) as raised:
-        solve_balance(p, defaults.theta1)
-    assert str(raised.value) == message
+    for solve in (lambda: solve_balance(p, defaults.theta1),
+                  lambda: solve_balance_with_sign(p, defaults.theta1, 1),
+                  lambda: solve_balance_with_sign(p, defaults.theta1, -1)):
+        with pytest.raises(SingularSystemError) as raised:
+            solve()
+        assert str(raised.value) == message
 
 
-# The batch kernel against the object route: each friction branch solved
-# by solve_balance_with_sign, whose singular floor is the hypot rule
-# alone, and the probe forces from perturbed_joint_forces.
+# The batch kernel against the object route: each friction branch's
+# system from assemble_system, solved here by Cramer's rule under the
+# singular floor's hypot rule alone, and the probe forces from
+# perturbed_joint_forces.
 
 def _object_verdict(p, zeta):
     """The kernel tuple rebuilt without the kernel."""
+    nan = math.nan
     for branch in (1, -1):
-        try:
-            sol = solve_balance_with_sign(p, zeta, branch)
-        except SingularSystemError:
-            system = assemble_system(p, zeta, branch)
-            nan = math.nan
-            return (statics._SINGULAR, nan, nan, branch, system.det, system.a00,
-                    system.a10, nan, nan)
-        if sol.beta_3b >= 0.0:
+        system = assemble_system(p, zeta, branch)
+        a00, a01, a10, a11, b0, b1 = system
+        det = system.det
+        row_scale = max(math.hypot(a00, a01), math.hypot(a10, a11))
+        if det == 0.0 or abs(det) < statics._DET_RELATIVE_FLOOR * row_scale * row_scale:
+            return (statics._SINGULAR, nan, nan, branch, det, a00, a10, nan, nan)
+        xi, beta = (b0 * a11 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det
+        if beta >= 0.0:
             break
-    forces = perturbed_joint_forces(p, zeta, sol)
-    if sol.xi_b < 0.0:
+    forces = perturbed_joint_forces(
+        p, zeta, statics.BalanceSolution(xi, beta, branch, beta >= 0.0, system))
+    if xi < 0.0:
         code = statics._NEGATIVE_XI
     elif forces.f_rx <= 0.0 and forces.f_sx >= 0.0:
         code = statics._OPENS
     else:
         code = statics._CONTACT_MAINTAINED
-    system = sol.system
-    return (code, sol.xi_b, sol.beta_3b, branch, system.det, system.a00, system.a10,
-            forces.f_rx, forces.f_sx)
+    return (code, xi, beta, branch, det, a00, a10, forces.f_rx, forces.f_sx)
 
 
 def _batch_matches_object_route(p, zetas):
