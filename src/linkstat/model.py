@@ -379,6 +379,8 @@ class DesignSpec(NamedTuple):
                 "switching band must satisfy 0 <= lo <= hi and be finite, "
                 f"got [{self.threshold_lo}, {self.threshold_hi}]"
             )
+        if not math.isfinite(self.press_angle):
+            raise ValueError(f"press angle must be finite, got {self.press_angle}")
         if not self.sweep_lo <= self.interval_lo or not self.interval_hi <= self.sweep_hi:
             raise ValueError(
                 "target interval must lie inside the sweep range "

@@ -97,13 +97,16 @@ class SweepCurve(NamedTuple):
         return sum(1 for s in self.samples if s.decision.opens)
 
 
-def sweep_points(p: LinkageParameters, zetas: Sequence[float]) -> SweepCurve:
+def sweep_points(p: LinkageParameters, zetas: Iterable[float]) -> SweepCurve:
     """Evaluate the opening verdict at explicitly given press directions.
 
-    Sample order follows the input order.  The verdict kernel gets every
-    press direction in one call; each decision, and the ValueError of a
-    non-finite one, is :func:`~linkstat.statics.predict_opening`'s.
+    Sample order follows the input order; ``zetas`` is read once, so a
+    generator or a numpy array serves as well as a list.  The verdict
+    kernel gets every press direction in one call; each decision, and
+    the ValueError of a non-finite one, is
+    :func:`~linkstat.statics.predict_opening`'s.
     """
+    zetas = tuple(zetas)
     if not zetas:
         raise ValueError("at least one press direction is required")
     return SweepCurve(

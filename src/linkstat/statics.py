@@ -18,16 +18,17 @@ The second route exists to cross-check the first and is deliberately not
 implemented in terms of it: it writes its own rows member by member, in
 the class that caches them, and reads none of the first route's terms;
 the two share only :func:`linkstat.model.spring_force`, which scales
-both right-hand sides.  Its two slip senses differ in one entry, so
-both systems form one (2, 9, 9) stack that one LAPACK call solves; the
-branch choice and the residual then run on plain floats.
-Only four entries of each system depend on the press direction, so the
-stack is written once per build, from a fixed table of positions, and
-kept read-only for the most recent build in a cache of the route's own;
-each call copies it and writes those four entries.  Only that route uses
-numpy, and it imports numpy on its first call: the 2x2 balance, every
-verdict, sweep and search run in plain floats, so importing linkstat
-does not load numpy.
+both right-hand sides, and the refusal of a bad branch sign,
+:func:`_branch_sign_error`.  Its two slip senses differ in one entry,
+so both systems form one (2, 9, 9) stack that one LAPACK call solves;
+the branch choice and the residual then run on plain floats.  Only
+four entries of each system depend on the press direction, so the
+stack is written once per build, each entry at its own row and column,
+and kept read-only for the most recent build in a cache of the route's
+own; each call copies it and writes those four entries.  Only that
+route uses numpy, and it imports numpy on its first call: the 2x2
+balance, every verdict, sweep and search run in plain floats, so
+importing linkstat does not load numpy.
 
 The first route has one copy of its decision logic and its one 2x2
 solve: the private scalar kernel :func:`_decide_all` takes a build and a
@@ -64,7 +65,6 @@ arithmetic of the decision alone.
 
 from __future__ import annotations
 
-import functools
 import math
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -616,41 +616,6 @@ class EquilibriumState(NamedTuple):
     residual: float
 
 
-# Where each entry _OracleTerms writes lands in the 9x9 matrix, in the
-# order it lists them.  The unknowns are (xi, beta_3, beta_6, f_r1x,
-# f_r1y, f_s4x, f_s4y, f_pinx, f_piny).  The Coulomb entry (8, 7), the
-# only one that depends on the assumed slip sense, comes last.  The
-# four entries that depend on the press direction, (0, 0), (1, 0), (3, 0)
-# and (4, 0), are not listed: full_equilibrium writes them on every call.
-_ROW_POSITIONS = (
-    (0, 3), (0, 1), (1, 4), (1, 1), (2, 4), (2, 3),  # left strut
-    (3, 5), (3, 2), (4, 6), (4, 2), (5, 6), (5, 5),  # right strut
-    (6, 7), (6, 1), (6, 2), (7, 8), (7, 1), (7, 2), (8, 8),  # slotted pin
-    (8, 7),  # Coulomb condition
-)
-# The two rows with a right-hand side: the strut moments about the base pivot.
-_RHS_ROWS = (2, 5)
-
-
-@functools.cache
-def _stacked_positions() -> np.ndarray:
-    """_ROW_POSITIONS for both slip senses, then _RHS_ROWS for both.
-
-    As flat indices into one buffer that holds the (2, 9, 9) matrices and
-    then the (2, 9, 1) right-hand sides; built on the oracle's first
-    call, which loads numpy.
-    """
-    import numpy as np
-
-    positions = np.array(
-        [81 * k + 9 * row + col for k in (0, 1) for row, col in _ROW_POSITIONS]
-        + [162 + 9 * k + row for k in (0, 1) for row in _RHS_ROWS],
-        dtype=np.intp,
-    )
-    positions.flags.writeable = False  # one array, shared by every build
-    return positions
-
-
 def _raw_singular_error(zeta: float, cause: str = "") -> SingularSystemError:
     return SingularSystemError(
         f"raw equilibrium is singular at press direction "
@@ -685,16 +650,17 @@ class _OracleTerms:
     the four entries ``press_entries`` gives, and ``rhs`` its (2, 9, 1)
     right-hand sides; both are read-only, so every call solves a copy.
     ``finite`` says whether every entry but those four is finite, and
-    ``scale`` is max(1, |b|), the floor of the residual's scale.  The rows
-    are written here alone, member by member from the free bodies of the
-    two struts and the slotted pin, sharing only :func:`spring_force` with
-    the aggregated route.  ``zeta`` is named only in the error that a zero
-    coupler moment arm raises.
+    ``scale`` is max(1, |b|), the floor of the residual's scale.  Each
+    entry is written once, at its own row and column, member by member
+    from the free bodies of the two struts and the slotted pin, sharing
+    only :func:`spring_force` with the aggregated route.  ``arm`` is the
+    coupler moment arm l2*sin(theta2+theta3); where it is zero nothing
+    else is computed, since :func:`full_equilibrium` raises on it first.
     """
 
-    __slots__ = ("params", "matrix", "rhs", "scale", "press_entries", "finite")
+    __slots__ = ("params", "arm", "matrix", "rhs", "scale", "press_entries", "finite")
 
-    def __init__(self, p: LinkageParameters, zeta: float) -> None:
+    def __init__(self, p: LinkageParameters) -> None:
         import numpy as np
 
         l0, l1, l2, l3, l4, theta0, theta1, theta2, theta3, theta4, theta5, _, _, mu, _ = p
@@ -702,11 +668,10 @@ class _OracleTerms:
         s2, c2 = math.sin(theta2), math.cos(theta2)
         s3, c3 = math.sin(theta3), math.cos(theta3)
         s4, c4 = math.sin(theta4), math.cos(theta4)
-        arm = l2 * math.sin(theta2 + theta3)
-        if arm == 0.0:
-            raise _raw_singular_error(
-                zeta, ": the coupler moment arm l2*sin(theta2+theta3) is zero"
-            )
+        self.params = p  # held so that the identity test in _oracle_terms stays sound
+        arm = self.arm = l2 * math.sin(theta2 + theta3)
+        if arm == 0.0:  # full_equilibrium raises on it, before any error the rest could raise
+            return
         cos, sin = math.cos, math.sin
 
         def press_entries(zeta: float) -> tuple[float, float, float, float]:
@@ -715,36 +680,48 @@ class _OracleTerms:
             return gamma * s3 + sin(zeta), gamma * c3 + cos(zeta), -gamma * s3, -gamma * c3
 
         self.press_entries = press_entries
-        self.params = p  # held so that the identity test in _oracle_terms stays sound
         f_k = spring_force(p)
-        # The entries at _ROW_POSITIONS but the last, the Coulomb coefficient,
-        # which is -mu for the +1 slip sense and +mu for the -1 sense.
-        entries = [
-            # Left strut: force balance (x then y), moment about the base pivot.
-            1.0, s3,
-            1.0, c3,
-            l1 * s1, -l1 * c1,
-            # Right strut: force balance, moment about the base pivot.
-            1.0, s2,
-            1.0, -c2,
-            -l1 * s4, -l1 * c4,
-            # Slotted pin: force balance, then the Coulomb row's own unknown.
-            1.0, s3, s2,
-            1.0, c3, -c2,
-            1.0,
-        ]
+        # Columns: xi, beta_3, beta_6, f_r1x, f_r1y, f_s4x, f_s4y, f_pinx, f_piny.
+        # Column 0 of rows 0, 1, 3 and 4 depends on the press direction: each call writes it.
+        a = np.zeros((2, 9, 9))
+        plus = a[0]  # the +1 slip sense
+        # Left strut: force balance (x then y), moment about the base pivot.
+        plus[0, 3] = 1.0
+        plus[0, 1] = s3
+        plus[1, 4] = 1.0
+        plus[1, 1] = c3
+        plus[2, 4] = l1 * s1
+        plus[2, 3] = -l1 * c1
+        # Right strut: force balance, moment about the base pivot.
+        plus[3, 5] = 1.0
+        plus[3, 2] = s2
+        plus[4, 6] = 1.0
+        plus[4, 2] = -c2
+        plus[5, 6] = -l1 * s4
+        plus[5, 5] = -l1 * c4
+        # Slotted pin: force balance, then the Coulomb row's own unknown.
+        plus[6, 7] = 1.0
+        plus[6, 1] = s3
+        plus[6, 2] = s2
+        plus[7, 8] = 1.0
+        plus[7, 1] = c3
+        plus[7, 2] = -c2
+        plus[8, 8] = 1.0
+        # The -1 slip sense differs only in the Coulomb coefficient.
+        a[1] = plus
+        a[0, 8, 7] = -mu
+        a[1, 8, 7] = mu
         b2 = -l0 * math.cos(theta0 + theta1) * f_k
         b5 = l0 * math.cos(theta4 + theta5) * f_k
-        values = entries + [-mu] + entries + [mu, b2, b5, b2, b5]
-        self.finite = _all_finite(values)
-        self.scale = max(1.0, abs(b2), abs(b5))
-        buffer = np.zeros(180)
-        buffer.put(_stacked_positions(), values)
-        buffer.setflags(write=False)  # the views below inherit it
-        self.matrix = buffer[:162].reshape(2, 9, 9)
         # A stack of column vectors, not (2, 9): numpy 2 reads a 2-D b as one
         # matrix of right-hand sides, numpy 1 as a stack of vectors.
-        self.rhs = buffer[162:].reshape(2, 9, 1)
+        b = np.zeros((2, 9, 1))
+        b[:, 2], b[:, 5] = b2, b5
+        self.finite = _all_finite([s2, c2, s3, c3, l1 * s1, -l1 * c1, -l1 * s4, -l1 * c4,
+                                   mu, b2, b5])
+        self.scale = max(1.0, abs(b2), abs(b5))
+        a.flags.writeable = b.flags.writeable = False
+        self.matrix, self.rhs = a, b
 
 
 # The most recent build's oracle terms, one entry as for _build_terms but
@@ -752,17 +729,17 @@ class _OracleTerms:
 _last_oracle_terms: _OracleTerms | None = None
 
 
-def _oracle_terms(p: LinkageParameters, zeta: float) -> _OracleTerms:
+def _oracle_terms(p: LinkageParameters) -> _OracleTerms:
     """The raw balance of ``p`` without its press entries, built once per build.
 
-    Read and stored whole, like :func:`_build_terms`.  A build whose rows
-    raise is never stored, so each call on it raises the same error,
-    naming its own ``zeta``.
+    Read and stored whole, like :func:`_build_terms`.  A build whose
+    coupler moment arm is zero is stored too; :func:`full_equilibrium`
+    raises on every call on it, naming that call's press direction.
     """
     global _last_oracle_terms
     terms = _last_oracle_terms
     if terms is None or terms.params is not p:
-        terms = _last_oracle_terms = _OracleTerms(p, zeta)
+        terms = _last_oracle_terms = _OracleTerms(p)
     return terms
 
 
@@ -780,21 +757,29 @@ def full_equilibrium(
     The two senses differ only in the Coulomb entry, so both are one
     stack of two 9x9 systems that one LAPACK call solves; numpy is
     imported on the first call.  All but four entries of that stack
-    belong to the build alone: they are written once per build, and
-    each call copies them and writes the four press-dependent entries of
-    each sense.  The defect a x - b is taken for both senses at once;
-    the branch choice, and ``residual``, the kept system's largest
-    defect over max(1, |b|, |x|), are computed in floats.
+    belong to the build alone: each is written once per build, at its
+    own row and column, and each call copies them and writes the four
+    press-dependent entries of each sense.  The defect a x - b is taken
+    for both senses at once; the branch choice, and ``residual``, the
+    kept system's largest defect over max(1, |b|, |x|), are computed in
+    floats.
 
-    A non-finite ``zeta`` raises ValueError.  SingularSystemError, naming
-    the press direction, is raised when the coupler moment arm
-    l2*sin(theta2+theta3) is zero, when either system is singular, and
-    when its rows or its solution are not finite, in that order.
+    A non-finite ``zeta`` raises ValueError, then a ``sign_beta3`` other
+    than None, +1 or -1 (one equal to +1 or -1 is read as that int).
+    SingularSystemError, naming the press direction, is raised when the
+    coupler moment arm l2*sin(theta2+theta3) is zero, when either system
+    is singular, and when its rows or its solution are not finite, in
+    that order.
     """
     import numpy as np
 
     _require_finite(zeta)
-    t = _oracle_terms(p, zeta)
+    if sign_beta3 is not None and sign_beta3 != 1 and sign_beta3 != -1:
+        raise _branch_sign_error(sign_beta3)
+    t = _oracle_terms(p)
+    if t.arm == 0.0:
+        cause = ": the coupler moment arm l2*sin(theta2+theta3) is zero"
+        raise _raw_singular_error(zeta, cause)
     e00, e10, e30, e40 = t.press_entries(zeta)
     a = t.matrix.copy()
     a[0, 0, 0] = a[1, 0, 0] = e00
@@ -819,13 +804,12 @@ def full_equilibrium(
     pin_plus, pin_minus = solved[7], solved[16]
     plus_ok = pin_plus >= -1e-9 * max(1.0, abs(pin_plus))
     minus_ok = -pin_minus >= -1e-9 * max(1.0, abs(pin_minus))
-    preferred = -sign_beta3 if sign_beta3 is not None else None
     if plus_ok != minus_ok:
         chosen = 1 if plus_ok else -1
-    elif preferred in (1, -1):
+    elif sign_beta3 is not None:
         # Both senses consistent, or neither (then the pair is reported
         # inconsistent): keep the branch the strut-force sign implies.
-        chosen = preferred
+        chosen = -1 if sign_beta3 == 1 else 1
     elif plus_ok:
         # Both senses consistent and no hint: keep sense -1 (the
         # aggregated route's +1 branch, as the hint mapping above shows)
@@ -833,7 +817,7 @@ def full_equilibrium(
         # both solutions, else sense +1.  The aggregated route keeps its
         # +1 branch on every tie, so the two rules differ where that
         # force is negative: an unhinted call and the fast route give
-        # different xi at 61 points of the default grid (ROADMAP item 9).
+        # different xi at 61 points of the default grid (ROADMAP item 6).
         chosen = -1 if solved[1] >= 0.0 and solved[10] >= 0.0 else 1
     else:
         chosen = 1

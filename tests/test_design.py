@@ -117,6 +117,9 @@ def test_spec_validation():
         spec._replace(bounds={**spec.bounds, "l3": (25.0, math.nan)}).validated()
     with pytest.raises(ValueError, match="band"):
         spec._replace(threshold_lo=9.0).validated()
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"press angle must be finite, got {angle}"):
+            spec._replace(press_angle=angle).validated()
 
 
 def test_spec_search_range_is_the_fixed_default():

@@ -3,6 +3,7 @@ from bisect import bisect_right
 from itertools import groupby
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,16 @@ def test_sweep_rejects_bad_ranges(defaults):
         sweep(defaults, rad(0.0), rad(1.0), 0.0)
     with pytest.raises(ValueError):
         sweep_points(defaults, [])
+
+
+def test_sweep_points_reads_its_press_directions_once(defaults):
+    zetas = [rad(-30.0), rad(-10.0), 0.0, rad(15.0), rad(25.0)]
+    expected = sweep_points(defaults, zetas)
+    assert opening_interval(expected)
+    for same in ((z for z in zetas), tuple(zetas), np.array(zetas)):
+        assert sweep_points(defaults, same) == expected
+    with pytest.raises(ValueError, match="at least one press direction is required"):
+        sweep_points(defaults, (z for z in ()))
 
 
 def test_grid_step_cap(defaults):

@@ -312,7 +312,7 @@ def test_cached_stack_is_read_only(defaults):
     from linkstat import statics
 
     full_equilibrium(defaults, 0.0)
-    terms = statics._oracle_terms(defaults, 0.0)
+    terms = statics._oracle_terms(defaults)
     for array in (terms.matrix, terms.rhs):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

@@ -121,14 +121,26 @@ def test_branch_sign_other_than_plus_or_minus_one_is_refused(defaults, sign):
         lambda: assemble_system(defaults, 0.0, sign),
         lambda: solve_balance_with_sign(defaults, 0.0, sign),
         lambda: statics._decide_all(defaults, [0.0], sign),
+        lambda: full_equilibrium(defaults, 0.0, sign),
     ):
         with pytest.raises(ValueError, match=re.escape(f"+1 or -1, got {sign!r}")):
             call()
     # A non-finite press direction is reported before the sign.
     for call in (lambda: assemble_system(defaults, math.inf, sign),
-                 lambda: solve_balance_with_sign(defaults, math.inf, sign)):
+                 lambda: solve_balance_with_sign(defaults, math.inf, sign),
+                 lambda: full_equilibrium(defaults, math.inf, sign)):
         with pytest.raises(ValueError, match="press direction must be finite, got inf"):
             call()
+
+
+@pytest.mark.parametrize("zeta", [-15.0, 0.0, 60.0, 75.0])
+def test_oracle_reads_a_hint_equal_to_plus_or_minus_one_as_that_int(defaults, zeta):
+    # At 60 and 75 deg both slip senses are consistent, so the hint picks one.
+    for sign in (1, -1):
+        as_int = full_equilibrium(defaults, rad(zeta), sign)
+        as_float = full_equilibrium(defaults, rad(zeta), float(sign))
+        assert type(as_float.friction_sign) is int
+        assert as_float == as_int
 
 
 _SYSTEM_FLOATS = ("a00", "a01", "a10", "a11", "b0", "b1")
