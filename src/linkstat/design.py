@@ -17,19 +17,13 @@ keeps the best build's envelope wherever
 :func:`~linkstat.modeswitch._spring_scale_keeps_verdicts` accepts its
 geometry, and computes one fresh verdict, at the press direction.
 
-The search is deterministic: no randomness, fixed iteration order, and a
-Feasible verdict is always re-verified before being returned, on the
-same grid (the default range, built once), with fresh verdicts and no
-inference from roots: at every grid point of the run the search's
-envelope says covers the target band, at the run's two grid neighbours,
-at every bisection midpoint of its edges and at the press direction.  A
-run that opens between two closed neighbours is a run of the full
-sweep, and its refined edges are the full sweep's, so the record is the
-one a verdict at every grid point would give; when the run is not
-confirmed, the full sweep gives every grid point a verdict, and only it
-builds verdict objects: scoring and the confirmed run read the verdict
-kernel (:func:`~linkstat.statics._decide_all`, or its one-point case
-:func:`~linkstat.statics._decide`).
+The search is deterministic: no randomness, fixed iteration order.
+Candidates are scored, and a Feasible verdict is re-verified by
+:func:`_verify`, on one grid (the default range, built once).  Scoring
+and re-verification read the verdict kernel
+(:func:`~linkstat.statics._decide_all`, or its one-point case
+:func:`~linkstat.statics._decide`); only re-verification's full-sweep
+fallback builds verdict objects.
 """
 
 from __future__ import annotations
@@ -274,35 +268,6 @@ def _covering(
     return None
 
 
-def _confirmed_cover(
-    spec: DesignSpec, p: LinkageParameters, hint: tuple[OpeningInterval, ...]
-) -> OpeningInterval | None:
-    """The full sweep's interval covering the target band, found from ``hint``.
-
-    Takes the first hint interval that covers the band and the grid
-    points ``first..last`` inside it, and computes a fresh verdict at
-    each of them and at each grid neighbour, ``first - 1`` and
-    ``last + 1``, that exists.  When :func:`~linkstat.modeswitch._runs`
-    reads the one run ``(first, last)`` from them, it is a maximal run of
-    the full sweep, and its edges are bisected with a verdict at every
-    midpoint, as the full sweep bisects them.  Returns that refined
-    interval when it covers the band.  None when no hint interval covers
-    the band, a verdict disagrees (always so when the covering interval
-    holds no grid point) or the refined interval falls short.  The hint
-    only says where to look; no verdict is taken from it.
-    """
-    iv = _covering(hint, spec)
-    if iv is None:
-        return None
-    first = bisect_left(_GRID, iv.lo)
-    last = bisect_right(_GRID, iv.hi) - 1
-    start, stop = max(first - 1, 0), min(last + 2, len(_GRID))
-    verdicts = _decide_all(p, _GRID[start:stop])
-    if _runs(range(start, stop), [v[0] == _OPENS for v in verdicts]) != [(first, last)]:
-        return None
-    return _covering(_refine_runs(p, _GRID, [(first, last)], DEFAULT_REFINE_TOL), spec)
-
-
 def _verify(
     spec: DesignSpec,
     p: LinkageParameters,
@@ -310,16 +275,23 @@ def _verify(
 ) -> VerificationRecord:
     """Re-check a feasible candidate with fresh verdicts and no root inference.
 
-    ``hint`` is the candidate's envelope as the search scored it.  The
-    covering run it points to is confirmed by :func:`_confirmed_cover`,
-    which computes a fresh verdict at the run's grid points, at its two
-    grid neighbours and at every bisection midpoint of its edges.
-    Without a hint, or when that check fails, every grid point and every
-    midpoint gets a fresh verdict from the public full sweep, which
-    builds verdict objects (:func:`~linkstat.modeswitch.sweep_points`).
-    The switching force gets one fresh verdict at the press direction.
-    Every verdict comes from the scalar kernel on the grid the envelope
-    reads; none is inferred from the sign-function roots that
+    ``hint`` is the candidate's envelope as the search scored it, and
+    only says where to look; no verdict is taken from it.  Its first
+    interval that covers the target band holds the grid points
+    ``first..last``; a fresh verdict at each of them and at each grid
+    neighbour, ``first - 1`` and ``last + 1``, that exists confirms the
+    run when :func:`~linkstat.modeswitch._runs` reads the one run
+    ``(first, last)`` from them.  A confirmed run is a maximal run of the
+    full sweep, and its edges are bisected with a verdict at every
+    midpoint, as the full sweep bisects them.  Without a covering hint
+    interval, when a verdict disagrees (always so when that interval
+    holds no grid point) or when the refined run falls short of the
+    band, every grid point and every midpoint gets a fresh verdict from
+    the public full sweep, which builds verdict objects
+    (:func:`~linkstat.modeswitch.sweep_points`).  The switching force
+    gets one fresh verdict at the press direction.  Every verdict comes
+    from the scalar kernel on the grid the envelope reads; none is
+    inferred from the sign-function roots that
     :func:`~linkstat.modeswitch.envelope` relies on, so a fault there
     cannot pass unnoticed.
 
@@ -330,7 +302,16 @@ def _verify(
     intervals are disjoint, so at most one of them covers the band.  The
     hint decides only how much work is done.
     """
-    best = _confirmed_cover(spec, p, hint)
+    best = _covering(hint, spec)
+    if best is not None:
+        first = bisect_left(_GRID, best.lo)
+        last = bisect_right(_GRID, best.hi) - 1
+        start, stop = max(first - 1, 0), min(last + 2, len(_GRID))
+        opens = [v[0] == _OPENS for v in _decide_all(p, _GRID[start:stop])]
+        if _runs(range(start, stop), opens) == [(first, last)]:
+            best = _covering(_refine_runs(p, _GRID, [(first, last)], DEFAULT_REFINE_TOL), spec)
+        else:
+            best = None
     if best is None:
         intervals = opening_interval(sweep_points(p, _GRID), DEFAULT_REFINE_TOL)
         best = _covering(intervals, spec)
@@ -371,13 +352,9 @@ def optimize_design(
     at the press direction, and counts as an evaluation.  Every other
     trial is :func:`evaluate_design`.
 
-    A feasible answer is re-verified by :func:`_verify`, given the
-    envelope the answer was scored with: fresh verdicts at the grid
-    points of its run covering the target band, at the run's two grid
-    neighbours, at every bisection midpoint and at the press direction,
-    or at every grid point and midpoint when that run is not confirmed.
-    The verification record, or the RuntimeError when re-verification
-    fails, is the one a verdict at every grid point gives.
+    A feasible answer is re-verified by :func:`_verify` from the
+    envelope it was scored with; the record, or the RuntimeError, is the
+    one a verdict at every grid point gives.
     """
     spec = spec.validated()
     if budget < 1:
@@ -390,34 +367,11 @@ def optimize_design(
     steps = {name: _initial_step(name) for name in spec.free}
     floor = {name: step / _STEP_SHRINK_LIMIT for name, step in steps.items()}
 
-    evaluations = 0
-    # Whether a spring-scale move from best_p keeps its envelope: computed
-    # on the first such move, and reset whenever a candidate that built
+    best_p, best, evaluations = start, evaluate_design(spec, start), 1
+    # Whether a spring-scale move from best_p keeps its envelope: asked on
+    # the first such move, and forgotten whenever a candidate that built
     # an envelope of its own is accepted.
     keeps_envelope: bool | None = None
-
-    def scored(
-        candidate: LinkageParameters, name: str | None = None
-    ) -> tuple[DesignEvaluation, bool]:
-        """The candidate's score, and whether it took best's envelope."""
-        nonlocal evaluations, keeps_envelope
-        evaluations += 1
-        if (
-            name in _SPRING_SCALE_FIELDS
-            and best is not _INVALID
-            and validate_parameters(candidate).ok
-            and _spring_scalable(candidate)
-        ):
-            if keeps_envelope is None:
-                keeps_envelope = _spring_scale_keeps_verdicts(
-                    best_p, _GRID[0], _GRID[-1]
-                )
-            if keeps_envelope:
-                return _scored(spec, candidate, best.intervals), True
-        return evaluate_design(spec, candidate), False
-
-    best_p = start
-    best, _ = scored(best_p)
 
     while best.penalty > 0.0 and evaluations < budget:
         improved = False
@@ -432,7 +386,18 @@ def optimize_design(
                 if moved == getattr(best_p, name):
                     continue
                 candidate = best_p.with_values(**{name: moved})
-                trial, reused = scored(candidate, name)
+                evaluations += 1
+                eligible = (
+                    name in _SPRING_SCALE_FIELDS
+                    and best is not _INVALID
+                    and validate_parameters(candidate).ok
+                    and _spring_scalable(candidate)
+                )
+                if eligible and keeps_envelope is None:
+                    keeps_envelope = _spring_scale_keeps_verdicts(best_p, _GRID[0], _GRID[-1])
+                reused = eligible and keeps_envelope
+                trial = (_scored(spec, candidate, best.intervals) if reused
+                         else evaluate_design(spec, candidate))
                 if trial.penalty < best.penalty:
                     if not reused:
                         keeps_envelope = None
@@ -444,21 +409,12 @@ def optimize_design(
             if all(steps[name] < floor[name] for name in spec.free):
                 break
 
-    if best.penalty == 0.0:
-        record = _verify(spec, best_p, best.intervals)
-        return DesignResult(
-            status=DesignStatus.FEASIBLE,
-            parameters=best_p,
-            evaluations=evaluations,
-            penalty=0.0,
-            violations=(),
-            verification=record,
-        )
+    feasible = best.penalty == 0.0  # then _scored added no violation
     return DesignResult(
-        status=DesignStatus.INFEASIBLE,
+        status=DesignStatus.FEASIBLE if feasible else DesignStatus.INFEASIBLE,
         parameters=best_p,
         evaluations=evaluations,
         penalty=best.penalty,
         violations=best.violations,
-        verification=None,
+        verification=_verify(spec, best_p, best.intervals) if feasible else None,
     )

@@ -365,6 +365,11 @@ class DesignSpec(NamedTuple):
                     f"bounds for {name!r} must be a finite ordered pair, "
                     f"got ({lo}, {hi})"
                 )
+        if not (math.isfinite(self.interval_lo) and math.isfinite(self.interval_hi)):
+            raise ValueError(
+                "target interval must have finite ends, got "
+                f"[{self.interval_lo}, {self.interval_hi}]"
+            )
         if not self.interval_lo < self.interval_hi:
             raise ValueError(
                 "target interval is empty: "

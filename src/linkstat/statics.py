@@ -207,7 +207,9 @@ class _BuildTerms:
     coupling may divide by zero where the +1 branch does not.  Each
     division the balance makes is checked once here, with a ValueError
     naming its divisor: l1, the coupler moment arm l2*sin(theta2+theta3)
-    and each friction branch's coupling denominator.
+    and each friction branch's coupling denominator.  Before any of
+    that, a non-finite field is refused with a ValueError naming it, so
+    that no verdict is read off nan or inf.
 
     ``a00`` and ``a10`` are the (c, s) pairs of the two press-dependent
     entries, each c*cos(zeta) + s*sin(zeta), derived here for every
@@ -224,6 +226,11 @@ class _BuildTerms:
                  "plus", "_minus", "cos1", "cos4", "a00", "a10", "kernel")
 
     def __init__(self, p: LinkageParameters) -> None:
+        # A sum of finite fields can overflow, so the sum only screens.
+        if not math.isfinite(sum(p)):
+            for name, value in zip(p._fields, p):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} = {value!r}: every field of the build must be finite")
         # Fields are read once, by unpacking: a named-tuple field read per
         # use costs more than the arithmetic here.
         _, l1, l2, l3, l4, _, theta1, theta2, theta3, theta4, _, _, _, mu, epsilon = p

@@ -120,6 +120,11 @@ def test_spec_validation():
     for angle in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"press angle must be finite, got {angle}"):
             spec._replace(press_angle=angle).validated()
+        for end in ("interval_lo", "interval_hi"):
+            bad = spec._replace(**{end: angle})
+            ends = re.escape(f"[{bad.interval_lo}, {bad.interval_hi}]")
+            with pytest.raises(ValueError, match=f"target interval must have finite ends, got {ends}"):
+                bad.validated()
 
 
 def test_spec_search_range_is_the_fixed_default():

@@ -50,6 +50,40 @@ zeta_hi_deg = 100
 step_deg = 0.25
 """
 
+# Two searches from the built-in build.  The feasible one takes 7
+# evaluations, with spring-scale moves that keep the envelope and
+# geometry moves that do not; the infeasible one exits 4 after 28.
+DESIGN_FEASIBLE = """\
+[target]
+interval_lo_deg = -8
+interval_hi_deg = 12
+press_angle_deg = 0
+threshold_lo_n = 6
+threshold_hi_n = 8
+
+[search]
+free = spring_k, theta2
+
+[bounds]
+spring_k = 0.3, 1.5
+theta2 = 10, 30
+"""
+
+DESIGN_INFEASIBLE = """\
+[target]
+interval_lo_deg = -8
+interval_hi_deg = 12
+press_angle_deg = 0
+threshold_lo_n = 20
+threshold_hi_n = 30
+
+[search]
+free = natural_length
+
+[bounds]
+natural_length = 5, 14.5
+"""
+
 # Every 7.5 deg over the default sweep range, plus two off-grid angles.
 MEASUREMENTS = "zeta_deg,measured_force_n\n" + "".join(
     f"{z},{4.0 + 0.05 * i}\n"
@@ -69,6 +103,9 @@ GOLDEN = {
     "compare": "4c546762c5aa5655d6002457de21ef19593dd58dbaeaed8627b93656f3685425",
     "params_builtin": "1bcd1ccbcf7fccdbc948fb23651f08d39864da4fea9b575878647010c8f1fda4",
     "params_builtin_sweep": "deead3570d419ed3e41226c6567dfb72b825d99f30ba20999850e411de45809d",
+    "optimize_feasible": "df5787af44216fc6e80f6d6e3769add878818424cd57d281a9aa7b56bfe7e8db",
+    "optimize_feasible.out": "7818570aac3cb7b406ddf1fe1b278940a1e10674416fdb794345dd72a5fef346",
+    "optimize_infeasible": "a2c59a49c7f3544d07314fd5771d8e90d3bec60a13e27c57161e9003175c682b",
 }
 
 
@@ -125,6 +162,29 @@ def test_compare_bytes(tmp_path, capsys):
     out = command_stdout(["compare", "--measurements", str(table)], capsys)
     assert "not opening" in out.decode()
     assert _sha(out) == GOLDEN["compare"]
+
+
+@pytest.mark.parametrize(
+    "target,design,code,evaluations",
+    [
+        ("feasible", DESIGN_FEASIBLE, 0, 7),
+        ("infeasible", DESIGN_INFEASIBLE, 4, 28),
+    ],
+)
+def test_optimize_bytes(target, design, code, evaluations, tmp_path, monkeypatch, capsys):
+    # Relative paths, because stdout names the --out file.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "design.txt").write_text(design)
+    capsys.readouterr()
+    assert main(["optimize", "--design", "design.txt", "--out", "found.txt"]) == code
+    out = capsys.readouterr().out
+    assert out.startswith(f"evaluations: {evaluations}\n")
+    assert _sha(out.encode()) == GOLDEN[f"optimize_{target}"]
+    found = tmp_path / "found.txt"
+    if code == 0:
+        assert _sha(found.read_bytes()) == GOLDEN[f"optimize_{target}.out"]
+    else:
+        assert not found.exists()
 
 
 @pytest.mark.parametrize("with_sweep", [False, True], ids=["plain", "sweep"])

@@ -740,6 +740,28 @@ def test_zero_divisor_of_the_build_is_named(defaults, changes, divisor):
             call()
 
 
+# A non-finite field is refused, by name, before the build's terms read
+# it: no fast-route call returns a verdict for such a build.
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", statics.LinkageParameters._fields)
+def test_non_finite_field_of_the_build_is_named(defaults, name, value):
+    p = defaults.with_values(**{name: value})
+    message = re.escape(f"{name} = {value!r}: every field of the build must be finite")
+    for call in (lambda: predict_opening(p, 0.0), lambda: statics._decide_all(p, [0.0, 0.1]),
+                 lambda: envelope(p), lambda: switching_threshold(p, 0.0)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
+def test_finite_fields_whose_sum_overflows_still_build_terms(defaults):
+    # The sum over the fields only screens; the fields are then read one by one.
+    p = defaults.with_values(l0=1e308, spring_k=1e308)
+    assert sum(p) == math.inf
+    terms = statics._BuildTerms(p)
+    assert (terms.b0, terms.b1) == (math.inf, -math.inf)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_zero_friction_denominator_is_named_on_first_use(defaults, sign):
     # At mu = cot(theta2) the +1 branch's denominator is zero; with theta2
