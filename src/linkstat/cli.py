@@ -32,7 +32,6 @@ from .model import (
     DEFAULT_SWEEP_HI_DEG,
     DEFAULT_SWEEP_LO_DEG,
     DEFAULT_SWEEP_STEP_DEG,
-    LinkageParameters,
     default_parameters,
     spring_force,
     sweep_grid,
@@ -110,19 +109,21 @@ def _load_params(path: str | None) -> tuple[ParameterDocument, str]:
         raise _Fail(2, f"{path}: {exc}") from exc
 
 
-def _require_valid(p: LinkageParameters, label: str) -> None:
-    report = validate_parameters(p)
+def _load_valid(path: str | None) -> tuple[ParameterDocument, str]:
+    """:func:`_load_params`, refusing a build that breaks a parameter rule."""
+    doc, label = _load_params(path)
+    report = validate_parameters(doc.parameters)
     if not report.ok:
         raise _Fail(2, f"{label}: invalid parameters\n{report.describe()}")
+    return doc, label
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    doc, label = _load_params(args.params)
+    doc, label = _load_valid(args.params)
     p = doc.parameters
-    _require_valid(p, label)
     from .modeswitch import DEFAULT_GRIP_MARGIN, parallel_grip_budget
     from .statics import (
         OpeningStatus,
@@ -273,9 +274,8 @@ def _render_svg(zetas_deg: list[float], forces: list[float]) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    doc, label = _load_params(args.params)
+    doc, label = _load_valid(args.params)
     p = doc.parameters
-    _require_valid(p, label)
 
     # A flag overrides the file's [sweep], which overrides the default.
     file_sweep = doc.sweep or SweepSettings(
@@ -325,8 +325,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     if args.budget is not None and args.budget < 1:
         raise _Fail(2, f"--budget must be >= 1, got {args.budget}")
-    doc, label = _load_params(args.params)
-    _require_valid(doc.parameters, label)
+    doc, label = _load_valid(args.params)
     text = _read_text(args.design)
     from .paramfile import format_parameter_file, parse_design_file
 
@@ -386,8 +385,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # compare
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    doc, label = _load_params(args.params)
-    _require_valid(doc.parameters, label)
+    doc, label = _load_valid(args.params)
     from .paramfile import MeasurementFileError, read_measurements
 
     text = _read_text(args.measurements)
@@ -434,23 +432,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    params = argparse.ArgumentParser(add_help=False)  # every subcommand's --params
+    params.add_argument("--params", metavar="FILE", default=None,
+                        help="parameter file (default: built-in reference build)")
 
-    def add_params(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument(
-            "--params",
-            metavar="FILE",
-            default=None,
-            help="parameter file (default: built-in reference build)",
-        )
-
-    sp = sub.add_parser("analyze", help="inspect one press direction")
-    add_params(sp)
+    sp = sub.add_parser("analyze", parents=[params], help="inspect one press direction")
     sp.add_argument("--zeta-deg", type=_finite_float, required=True,
                     help="press direction in degrees")
     sp.set_defaults(func=_cmd_analyze)
 
-    sp = sub.add_parser("sweep", help="sweep press directions, write CSV")
-    add_params(sp)
+    sp = sub.add_parser("sweep", parents=[params], help="sweep press directions, write CSV")
     sp.add_argument("--lo-deg", type=_finite_float, default=None,
                     help=f"sweep start (default {DEFAULT_SWEEP_LO_DEG:g})")
     sp.add_argument("--hi-deg", type=_finite_float, default=None,
@@ -465,8 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="optional SVG plot of the envelope")
     sp.set_defaults(func=_cmd_sweep)
 
-    sp = sub.add_parser("optimize", help="search designs against a target file")
-    add_params(sp)
+    sp = sub.add_parser("optimize", parents=[params],
+                        help="search designs against a target file")
     sp.add_argument("--design", metavar="FILE", required=True,
                     help="design target file")
     sp.add_argument("--budget", type=int, default=None,
@@ -475,12 +466,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="write the feasible parameter set here")
     sp.set_defaults(func=_cmd_optimize)
 
-    sp = sub.add_parser("validate", help="report parameter rule violations")
-    add_params(sp)
+    sp = sub.add_parser("validate", parents=[params],
+                        help="report parameter rule violations")
     sp.set_defaults(func=_cmd_validate)
 
-    sp = sub.add_parser("compare", help="compare predictions with bench data")
-    add_params(sp)
+    sp = sub.add_parser("compare", parents=[params],
+                        help="compare predictions with bench data")
     sp.add_argument("--measurements", metavar="FILE", required=True,
                     help="CSV with header zeta_deg,measured_force_n")
     sp.add_argument("--out", metavar="FILE", default=None,

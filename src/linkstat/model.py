@@ -215,8 +215,9 @@ def validate_parameters(p: LinkageParameters) -> ValidationReport:
     l0, l1, l2, l3, l4, _, _, theta2, theta3, _, _, _, _, mu, _ = p
 
     # theta2 = -theta3 collapses the coupler moment arm: the pair is
-    # degenerate even though each angle passes its own range check.
-    if math.isfinite(theta2) and math.isfinite(theta3) and math.sin(theta2 + theta3) == 0.0:
+    # degenerate even though each angle passes its own range check.  The
+    # sum of two finite angles can overflow, and sin(inf) raises.
+    if math.isfinite(theta2 + theta3) and math.sin(theta2 + theta3) == 0.0:
         found.append(
             ParameterViolation(
                 "theta2",

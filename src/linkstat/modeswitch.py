@@ -19,8 +19,8 @@ envelope needs, go to it in one call, and each bisection midpoint
 through its one-point case.  The same roots tell the design search when
 a move that only scales the spring moments keeps every verdict
 (:func:`_spring_scale_keeps_verdicts`).  A sweep keeps one
-:class:`~linkstat.statics.OpeningDecision` per sample; where the roots
-cannot be trusted, the envelope is ``opening_interval(sweep(...))``.
+:class:`~linkstat.statics.OpeningDecision` per sample, and the envelope
+sweeps wherever :func:`_roots_by_function` does not trust the roots.
 On top of that sit the operational questions: how hard must the finger
 be pressed to flip into turn-over mode, and how much grip force is safe
 to apply without flipping accidentally.
@@ -333,10 +333,7 @@ def _sign_functions(p: LinkageParameters) -> list[tuple[float, float, float, flo
         (t.branch(-1), s13, True),
         (t.b1, t.b0, False),
     ):
-        try:
-            row_scale_sq = max(a00[2] ** 2 + s13 * s13, a10[2] ** 2 + u * u)
-        except OverflowError:  # a size past ~1e154, as from a vanishing denom
-            row_scale_sq = math.inf  # so the envelope falls back to the sweep
+        row_scale_sq = max(a00[2] ** 2 + s13 * s13, a10[2] ** 2 + u * u)
         functions.append(
             (
                 u * a00[0] - v * a10[0],
@@ -354,11 +351,18 @@ def _roots_by_function(
     """Zeros of each sign function within [lo, hi], widened by the root window.
 
     One list per function of :func:`_sign_functions`, in its order, each
-    ascending.  None when a sign function is too cancelled to trust, or
-    when its floor could reach past the root window.
+    ascending.  The one rule for trusting the roots: None when the sign
+    functions cannot be formed (the build's terms or its -1 branch raise
+    ValueError, or a size squared overflows), an amplitude, size or floor
+    is not finite, a sign function is too cancelled to trust, or a det's
+    floor could reach past the root window; the envelope then sweeps.
     """
+    try:
+        functions = _sign_functions(p)
+    except (ValueError, OverflowError):
+        return None
     groups: list[list[float]] = []
-    for a, b, size, floor in _sign_functions(p):
+    for a, b, size, floor in functions:
         amplitude = math.hypot(a, b)
         if not (math.isfinite(amplitude) and math.isfinite(size) and math.isfinite(floor)):
             return None
@@ -422,30 +426,25 @@ def _spring_scale_keeps_verdicts(p: LinkageParameters, lo: float, hi: float) -> 
       only if another sign function (a00, a10 or a det, which includes
       its singular band) changed sign there too.  So no root of the beta
       numerator in [lo, hi] may lie within twice the root window of a
-      root of any other sign function, and every sign function must pass
-      the cancellation and floor tests of :func:`_roots_by_function`.
+      root of any other sign function, and :func:`_roots_by_function`
+      must trust the roots.
 
     Equal statuses at every press direction give equal grid verdicts and
     equal bisections, so :func:`envelope`, which equals
     ``opening_interval(sweep(...))`` bit for bit, returns the same
     intervals for both builds.  False also when ``p`` is not
-    :func:`_spring_scalable` or its -1 friction branch cannot be formed;
-    any other build that does not validate may raise ValueError.
+    :func:`_spring_scalable`.
     """
     if not _spring_scalable(p):
         return False
-    t = _build_terms(p)
-    try:
-        minus = t.branch(-1)
-    except ValueError:
-        return False
-    b0, b1, s13 = t.b0, t.b1, t.s13
-    for a11 in (t.plus, minus):
-        if not abs(b0 * a11 - s13 * b1) > _SCALE_MARGIN * (abs(b0 * a11) + abs(s13 * b1)):
-            return False
     groups = _roots_by_function(p, lo, hi)
     if groups is None:
         return False
+    t = _build_terms(p)  # both branches formed, and cached, by the sign functions
+    b0, b1, s13 = t.b0, t.b1, t.s13
+    for a11 in (t.plus, t.branch(-1)):
+        if not abs(b0 * a11 - s13 * b1) > _SCALE_MARGIN * (abs(b0 * a11) + abs(s13 * b1)):
+            return False
     *others, beta_roots = groups  # the beta numerator is the last sign function
     reach = 2.0 * _ROOT_WINDOW
     return not any(
@@ -472,10 +471,10 @@ def envelope(
     whose segment to one end of the bracket holds no root takes that
     end's verdict, so only a midpoint within the root window of a root,
     or between two roots, gets a verdict of its own.  If two computed
-    grid points around an uncomputed stretch disagree, or a sign function
-    is too cancelled to trust, or a det's singular band could reach past
-    the root window, every grid point and every midpoint gets its own
-    verdict instead.
+    grid points around an uncomputed stretch disagree, or
+    :func:`_roots_by_function` does not trust the roots, the full sweep
+    runs instead: every grid point and every midpoint gets its own
+    verdict, and a build the sweep refuses raises the sweep's error.
     """
     return _envelope(p, sweep_grid(zeta_lo, zeta_hi, step), tolerance)
 

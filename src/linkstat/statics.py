@@ -209,7 +209,8 @@ class _BuildTerms:
     naming its divisor: l1, the coupler moment arm l2*sin(theta2+theta3)
     and each friction branch's coupling denominator.  Before any of
     that, a non-finite field is refused with a ValueError naming it, so
-    that no verdict is read off nan or inf.
+    that no verdict is read off nan or inf.  After them, a build whose
+    spring moments or (c, s) pairs overflow is refused, naming them.
 
     ``a00`` and ``a10`` are the (c, s) pairs of the two press-dependent
     entries, each c*cos(zeta) + s*sin(zeta), derived here for every
@@ -246,7 +247,7 @@ class _BuildTerms:
                 f"l1 = {l1!r}: the strut length divides the spring moment "
                 "and must be nonzero"
             )
-        self.b0, self.b1 = _spring_moments(p)
+        self.b0, self.b1 = b0, b1 = _spring_moments(p)
         self.cos1 = math.cos(theta1)
         self.cos4 = math.cos(theta4)
         # gamma = (l4*cos(z) - l3*sin(theta2 + z)) / denom = g_a*cos(z) + g_b*sin(z)
@@ -255,7 +256,19 @@ class _BuildTerms:
         # a00 = s13*gamma + sin(theta1 - z);  a10 = s34*gamma
         self.a00 = (s13 * g_a + math.sin(theta1), s13 * g_b - self.cos1)
         self.a10 = (s34 * g_a, s34 * g_b)
-        self.kernel = (s13, self.plus, self.b0, self.b1, epsilon, self.cos1, self.cos4,
+        # Finite fields can still overflow b0, b1 (l1 = 1e-320) or g_a, g_b
+        # (l2 = 5e-324), and |s13|, |s34| <= 1 keep a00 and a10 finite where
+        # g_a and g_b are.  validate_parameters refuses the same builds.
+        if not math.isfinite(b0 + b1 + g_a + g_b):
+            named = {"(b0, b1)": (b0, b1), "a00": self.a00, "a10": self.a10}
+            overflowed = [f"{name} = {terms!r}" for name, terms in named.items()
+                          if not all(map(math.isfinite, terms))]
+            if overflowed:
+                raise ValueError(
+                    f"{', '.join(overflowed)}: the build's terms overflow, "
+                    "so no verdict can be read off them"
+                )
+        self.kernel = (s13, self.plus, b0, b1, epsilon, self.cos1, self.cos4,
                        *self.a00, *self.a10)
 
     def branch(self, sign_beta3: int) -> float:

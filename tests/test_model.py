@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from linkstat import default_parameters, friction_coupling, validate_parameters
+from linkstat.model import _spring_moments
 from linkstat.statics import _BuildTerms, tip_moment_ratio
 
 
@@ -59,8 +60,11 @@ def test_any_nonpositive_length_is_named(name, value):
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))
+@example(1e308)  # theta2 + theta3 overflows
 def test_validation_never_raises(value):
-    p = default_parameters().with_values(l1=value, theta2=value, spring_k=value, mu=value)
+    p = default_parameters().with_values(
+        l1=value, theta2=value, theta3=value, spring_k=value, mu=value
+    )
     validate_parameters(p)  # must not raise, whatever the input
 
 
@@ -111,14 +115,21 @@ _MAGNITUDES = st.floats(min_value=5e-324, max_value=1e308)
 @example(10.93, 1e-320, 0.862, 9.7)
 @example(1e300, 24.0, 1e10, 9.7)
 def test_spring_moment_rule_matches_the_statics(l0, l1, spring_k, natural_length):
-    """validate_parameters refuses exactly the builds whose b0, b1 overflow."""
+    """validate_parameters refuses exactly the builds whose b0, b1 overflow,
+    and so do the statics' terms."""
     p = default_parameters().with_values(
         l0=l0, l1=l1, spring_k=spring_k, natural_length=natural_length
     )
-    terms = _BuildTerms(p)
-    b0, b1 = terms.b0, terms.b1
+    b0, b1 = _spring_moments(p)
     refused = any(v.field == "l1" for v in validate_parameters(p).violations)
     assert refused == (not (math.isfinite(b0) and math.isfinite(b1)))
+    try:
+        _BuildTerms(p)
+    except ValueError as exc:
+        assert str(exc).startswith(f"(b0, b1) = {(b0, b1)!r}")
+        assert refused
+    else:
+        assert not refused
 
 
 @given(_MAGNITUDES, _MAGNITUDES, _MAGNITUDES)
@@ -127,16 +138,19 @@ def test_spring_moment_rule_matches_the_statics(l0, l1, spring_k, natural_length
 @example(1e-300, 1e10, 2.41)
 def test_tip_moment_rule_matches_the_statics(l2, l3, l4):
     """validate_parameters refuses exactly the builds whose tip moment ratio
-    bound (|l3| + |l4|) over the statics' coupler arm overflows."""
+    bound (|l3| + |l4|) over the statics' coupler arm overflows, and every
+    build the statics' terms refuse."""
     p = default_parameters().with_values(l2=l2, l3=l3, l4=l4)
     refused = any(v.field == "l2" for v in validate_parameters(p).violations)
+    arm = l2 * math.sin(p.theta2 + p.theta3)  # as statics._coupler_arm forms it
+    assert refused == (arm == 0.0 or not math.isfinite((l3 + l4) / arm))
     try:
-        arm = _BuildTerms(p).denom
-    except ValueError as exc:  # the arm underflowed to zero
-        assert "coupler moment arm" in str(exc)
+        _BuildTerms(p)
+    except ValueError as exc:  # a zero arm, or a00 and a10 overflow
+        assert ("coupler moment arm" if arm == 0.0 else "terms overflow") in str(exc)
         assert refused
         return
-    assert refused == (not math.isfinite((l3 + l4) / arm))
+    assert arm != 0.0
     if not refused:
         assert math.isfinite(tip_moment_ratio(p, 0.0))
 

@@ -274,6 +274,53 @@ def test_envelope_equals_swept_envelope(
         assert near or (below and above)
 
 
+def envelope_or_error(call):
+    """The intervals as exact bits, or the type and text of the error raised."""
+    try:
+        return hexed(call())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    scales=st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=14, max_size=14),
+    lock=st.sampled_from([None, None, 1, -1]),
+    lo_deg=st.floats(min_value=-89.0, max_value=80.0),
+    span_deg=st.floats(min_value=0.0, max_value=120.0),
+    step_deg=st.sampled_from([0.25, 0.5, 1.0]),
+)
+@example(scales=[0.0] * 14, lock=-1, lo_deg=-20.0, span_deg=10.0, step_deg=0.5)
+@settings(max_examples=200, deadline=None)
+def test_envelope_returns_or_raises_what_the_sweep_does(
+    scales, lock, lo_deg, span_deg, step_deg
+):
+    # Builds that need not validate: with ``lock`` set, mu sits on that
+    # friction branch's self-lock boundary mu = cot|theta2|, where its
+    # coupling denominator vanishes.  A range the sweep covers on the +1
+    # branch alone never forms the -1 branch.
+    base = default_parameters()
+    p = base.with_values(
+        **{name: getattr(base, name) * (1.0 + s) for name, s in zip(FIELDS, scales)}
+    )
+    if lock is not None:
+        t2 = lock * abs(p.theta2)
+        p = p.with_values(theta2=t2, mu=math.cos(t2) / (lock * math.sin(t2)))
+    args = (rad(lo_deg), rad(lo_deg + span_deg), rad(step_deg))
+    assert envelope_or_error(lambda: envelope(p, *args)) == envelope_or_error(
+        lambda: swept_envelope(p, *args)
+    )
+
+
+def test_envelope_sweeps_where_a_sign_function_size_is_not_finite(defaults):
+    # |l3| + |l4| overflows, so every sign function's size is inf while
+    # the build's terms stay finite: the roots are not trusted.
+    p = defaults.with_values(l3=1e308, l4=1e308)
+    assert modeswitch._roots_by_function(p, rad(-30.0), rad(90.0)) is None
+    assert envelope_or_error(lambda: envelope(p)) == envelope_or_error(
+        lambda: swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5))
+    )
+
+
 def test_bisection_computes_every_midpoint_without_a_root_in_the_bracket(defaults):
     # Roots that explain no edge must not stand in for verdicts.
     iv = envelope(defaults)[0]
@@ -647,6 +694,7 @@ def test_spring_scale_guard_refuses_an_undefined_minus_branch(defaults):
     with pytest.raises(ValueError, match="-1 friction branch"):
         _build_terms(p).branch(-1)
     assert modeswitch._spring_scalable(p)
+    assert modeswitch._roots_by_function(p, *DEFAULT_RANGE) is None
     assert not modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
 
 

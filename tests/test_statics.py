@@ -30,6 +30,7 @@ from linkstat import (
     sweep,
     switching_threshold,
     tip_moment_ratio,
+    validate_parameters,
 )
 from linkstat.modeswitch import _sign_functions
 
@@ -754,12 +755,34 @@ def test_non_finite_field_of_the_build_is_named(defaults, name, value):
             call()
 
 
+# Finite fields whose terms overflow are refused, naming the terms:
+# validate_parameters refuses each of these builds too.
+
+@pytest.mark.parametrize(
+    "changes,terms",
+    [
+        ({"l1": 1e-320}, "(b0, b1) = (inf, -inf)"),
+        ({"l2": 5e-324}, "a00 = (inf, inf), a10 = (-inf, -inf)"),
+        ({"l0": 1e308, "spring_k": 1e308}, "(b0, b1) = (inf, -inf)"),
+    ],
+    ids=["l1", "l2", "l0-spring_k"],
+)
+def test_build_whose_terms_overflow_is_refused(defaults, changes, terms):
+    p = defaults.with_values(**changes)
+    assert not validate_parameters(p).ok
+    message = re.escape(f"{terms}: the build's terms overflow, so no verdict can be read off them")
+    for call in (lambda: predict_opening(p, 0.0), lambda: statics._decide_all(p, [0.0, 0.1]),
+                 lambda: envelope(p), lambda: switching_threshold(p, 0.0)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_finite_fields_whose_sum_overflows_still_build_terms(defaults):
     # The sum over the fields only screens; the fields are then read one by one.
-    p = defaults.with_values(l0=1e308, spring_k=1e308)
+    p = defaults.with_values(l3=1e308, l4=1e308)
     assert sum(p) == math.inf
     terms = statics._BuildTerms(p)
-    assert (terms.b0, terms.b1) == (math.inf, -math.inf)
+    assert all(math.isfinite(v) for v in terms.kernel)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
