@@ -88,6 +88,10 @@ _TIP_RATIO_FIELDS = ("l2", "l3", "l4", "theta2", "theta3")
 _SPRING_MOMENT_FIELDS = ("l0", "l1", "theta0", "theta1", "theta4", "theta5",
                          "spring_k", "natural_length")
 
+# The fields each friction branch's a11, the coupling times
+# sin(theta4 - theta2), reads.
+_A11_FIELDS = ("mu", "theta2", "theta3", "theta4")
+
 
 class LinkageParameters(NamedTuple):
     """One complete description of the finger linkage.
@@ -169,20 +173,17 @@ def spring_force(p: LinkageParameters) -> float:
     return p.spring_k * (stretched - p.natural_length)
 
 
-def _spring_moments(p: LinkageParameters) -> tuple[float, float]:
-    """(b0, b1), the 2x2 balance's spring moments; l1 must be nonzero."""
-    f_k = spring_force(p)
-    lever = p.l0 / p.l1
-    return (lever * math.cos(p.theta0 + p.theta1) * f_k,
-            -lever * math.cos(p.theta4 + p.theta5) * f_k)
+def _branch_sign_error(sign_beta3: object) -> ValueError:
+    return ValueError(f"friction branch sign must be +1 or -1, got {sign_beta3!r}")
 
 
-def validate_parameters(p: LinkageParameters) -> ValidationReport:
-    """Check every parameter rule and report all violations at once.
+# The report of a build that breaks no rule.
+_VALID = ValidationReport(())
 
-    Never raises: a report is returned even for wildly broken input, so a
-    caller can show the user the complete list in one pass.
-    """
+
+def _field_violations(p: LinkageParameters) -> list[ParameterViolation]:
+    """The per-field rules: finite positive lengths, angles inside
+    (-pi/2, pi/2) and non-negative spring_k, mu and epsilon."""
     found: list[ParameterViolation] = []
 
     for name in _LENGTH_FIELDS:
@@ -210,77 +211,184 @@ def validate_parameters(p: LinkageParameters) -> ValidationReport:
             found.append(ParameterViolation(name, f"must be finite, got {value!r}"))
         elif value < floor:
             found.append(ParameterViolation(name, f"must be >= {floor}, got {value}"))
+    return found
 
-    # The rules below read many fields, so they read each once.
-    l0, l1, l2, l3, l4, _, _, theta2, theta3, _, _, _, _, mu, _ = p
 
-    # theta2 = -theta3 collapses the coupler moment arm: the pair is
-    # degenerate even though each angle passes its own range check.  The
-    # sum of two finite angles can overflow, and sin(inf) raises.
-    if math.isfinite(theta2 + theta3) and math.sin(theta2 + theta3) == 0.0:
-        found.append(
-            ParameterViolation(
-                "theta2",
-                f"theta2 + theta3 = {theta2 + theta3} makes sin(theta2+theta3) vanish; "
-                "the coupler transmits no moment (degenerate pair theta2, theta3)",
-            )
-        )
+def _self_lock(mu: float, theta2: float, s: float) -> ParameterViolation:
+    return ParameterViolation(
+        "mu", f"mu = {mu} with theta2 = {theta2} self-locks the slotted pin on the "
+        f"{s:+.0f} branch (mu >= cot|theta2|, so -s*mu*sin(theta2) + cos(theta2) <= 0)")
 
-    # The tip moment ratio (l4*cos(zeta) - l3*sin(theta2+zeta)) over the
-    # coupler moment arm l2*sin(theta2+theta3) overflows when l2 is tiny
-    # (l2 = 5e-324 passes every rule above), and every verdict would then
-    # read nan.  Its numerator is at most |l3| + |l4| in size; that bound
-    # over the arm, evaluated here as statics._BuildTerms forms the arm,
-    # is checked only when none of the fields it reads broke a rule above.
-    if not found or {v.field for v in found}.isdisjoint(_TIP_RATIO_FIELDS):
-        arm = l2 * math.sin(theta2 + theta3)
-        bound = abs(l3) + abs(l4)
-        if arm == 0.0 or not math.isfinite(bound / arm):
-            found.append(
-                ParameterViolation(
-                    "l2",
-                    f"l2*sin(theta2+theta3) = {arm!r} with l2 = {l2!r}: "
-                    f"|l3| + |l4| = {bound!r} over it overflows the tip "
-                    "moment ratio",
-                )
-            )
 
-    # The slotted pin self-locks once the friction angle reaches the
-    # slot's complement, mu >= cot|theta2|: the coupling denominator
-    # -s*mu*sin(theta2) + cos(theta2) of branch s, evaluated here exactly
-    # as statics.friction_coupling does, is then <= 0, and the sliding
-    # balance no longer holds.
-    if math.isfinite(theta2) and math.isfinite(mu):
-        sin2, cos2 = math.sin(theta2), math.cos(theta2)
-        for s in (1.0, -1.0):
-            if -s * mu * sin2 + cos2 <= 0.0:
-                found.append(
-                    ParameterViolation(
-                        "mu",
-                        f"mu = {mu} with theta2 = {theta2} self-locks the slotted "
-                        f"pin on the {s:+.0f} branch (mu >= cot|theta2|, so "
-                        "-s*mu*sin(theta2) + cos(theta2) <= 0)",
-                    )
-                )
+def _a11_overflow(mu: float, theta2: float, s: float, a11: float) -> ParameterViolation:
+    return ParameterViolation(
+        "mu", f"mu = {mu!r} with theta2 = {theta2!r} overflows the {s:+.0f} friction "
+        f"branch's a11 = {a11!r}, its coupling (s*mu*sin(theta3) + cos(theta3)) "
+        "/ (-s*mu*sin(theta2) + cos(theta2)) times sin(theta4 - theta2)")
 
-    # The 2x2 balance's right-hand side, the spring moment about each
-    # base pivot over the strut length, overflows when l1 is tiny next to
-    # l0 and the spring force (l1 = 1e-320 passes every rule above), and
-    # every verdict would then read an infinite force.  b0 and b1 are the
-    # solver's own, checked only when none of the fields they read broke a
-    # rule above, so those are finite and l1 is positive.
-    if not found or {v.field for v in found}.isdisjoint(_SPRING_MOMENT_FIELDS):
-        b0, b1 = _spring_moments(p)
-        if not (math.isfinite(b0) and math.isfinite(b1)):
-            found.append(
-                ParameterViolation(
-                    "l1",
-                    f"l0/l1 = {l0!r}/{l1!r} times the spring force "
-                    f"overflows the spring moments (b0 = {b0!r}, b1 = {b1!r})",
-                )
-            )
 
-    return ValidationReport(tuple(found))
+class _Derivation:
+    """One build's validation report and the press-independent terms of its
+    2x2 balance, derived in one pass.
+
+    Most of the 2x2 balance does not depend on the press direction: the
+    strut-angle sines ``s13``, ``s34``, the right-hand side ``b0``,
+    ``b1``, each friction branch's a11 (``plus``, ``minus``), the
+    probe-force cosines ``cos1``, ``cos4`` and the (c, s) pairs ``a00``,
+    ``a10`` of the two press-dependent entries, each c*cos(zeta) +
+    s*sin(zeta).  Each is one float expression, derived once per build
+    and read by every caller of the statics' 2x2 route, so caching
+    changes no bit of any result; its raw-equilibrium route never reads
+    them.  ``kernel`` holds the 12 values the statics' kernel reads, in
+    its order (s13, plus, minus, b0, b1, epsilon, cos1, cos4 and the
+    pairs of a00 and a10): one tuple unpack costs about half of 12
+    attribute reads, and a one-point verdict pays it per point.
+
+    ``report`` is the build's :class:`ValidationReport`.  Each rule that
+    reads a term (the tip moment bound over the coupler moment arm
+    ``arm``, the self-lock of each branch's coupling denominator, the
+    spring moments and each branch's a11) reads it here, and runs only
+    when none of the fields it reads broke a rule before it, so that no
+    term is formed off a non-finite field or a zero divisor.  The terms
+    are complete, and ``kernel`` is not None, only when the report is
+    empty.
+    """
+
+    __slots__ = ("params", "report", "arm", "s13", "s34", "b0", "b1",
+                 "plus", "minus", "cos1", "cos4", "a00", "a10", "kernel")
+
+    def __init__(self, p: LinkageParameters) -> None:
+        self.params = p  # held so that the identity test in _derive stays sound
+        self.kernel = None
+        # Fields are read once, by unpacking: a named-tuple field read per
+        # use costs more than the arithmetic here.
+        (l0, l1, l2, l3, l4, theta0, theta1, theta2, theta3, theta4, theta5,
+         spring_k, natural_length, mu, epsilon) = p
+        inf, half_pi, isfinite, sin, cos = math.inf, _HALF_PI, math.isfinite, math.sin, math.cos
+        # A build inside every range breaks no per-field rule, and most
+        # builds are: only the others pay for the rules' loops.
+        if (0.0 < l0 < inf and 0.0 < l1 < inf and 0.0 < l2 < inf and 0.0 < l3 < inf
+                and 0.0 < l4 < inf and 0.0 < natural_length < inf
+                and -half_pi < theta0 < half_pi and -half_pi < theta1 < half_pi
+                and -half_pi < theta2 < half_pi and -half_pi < theta3 < half_pi
+                and -half_pi < theta4 < half_pi and -half_pi < theta5 < half_pi
+                and 0.0 <= spring_k < inf and 0.0 <= mu < inf and 0.0 <= epsilon < inf):
+            found: list[ParameterViolation] = []
+        else:
+            found = _field_violations(p)
+
+        # theta2 = -theta3 collapses the coupler moment arm, though each
+        # angle passes its own range check.  The sum of two finite angles
+        # can overflow, and sin(inf) raises.
+        if isfinite(theta2 + theta3):
+            s23 = sin(theta2 + theta3)
+            if s23 == 0.0:
+                found.append(ParameterViolation(
+                    "theta2", f"theta2 + theta3 = {theta2 + theta3} makes sin(theta2+theta3) "
+                    "vanish; the coupler transmits no moment (degenerate pair theta2, theta3)"))
+
+        # The tip moment ratio (l4*cos(zeta) - l3*sin(theta2+zeta)) over the
+        # coupler moment arm overflows when l2 is tiny (l2 = 5e-324 passes
+        # every rule above).  Its numerator is at most |l3| + |l4| in size.
+        if not found or {v.field for v in found}.isdisjoint(_TIP_RATIO_FIELDS):
+            self.arm = arm = l2 * s23
+            bound = abs(l3) + abs(l4)
+            if arm == 0.0 or not isfinite(bound / arm):
+                found.append(ParameterViolation(
+                    "l2", f"l2*sin(theta2+theta3) = {arm!r} with l2 = {l2!r}: "
+                    f"|l3| + |l4| = {bound!r} over it overflows the tip moment ratio"))
+
+        # The slotted pin self-locks once the friction angle reaches the
+        # slot's complement, mu >= cot|theta2|: the coupling denominator
+        # -s*mu*sin(theta2) + cos(theta2) of branch s is then <= 0, and the
+        # sliding balance no longer holds.
+        if isfinite(theta2) and isfinite(mu):
+            sin2, cos2 = sin(theta2), cos(theta2)
+            denom_plus, denom_minus = -mu * sin2 + cos2, mu * sin2 + cos2
+            if denom_plus <= 0.0:
+                found.append(_self_lock(mu, theta2, 1.0))
+            if denom_minus <= 0.0:
+                found.append(_self_lock(mu, theta2, -1.0))
+
+        # The spring moment about each base pivot over the strut length
+        # overflows when l1 is tiny next to l0 and the spring force
+        # (l1 = 1e-320 passes every rule above).
+        if not found or {v.field for v in found}.isdisjoint(_SPRING_MOMENT_FIELDS):
+            f_k = spring_force(p)
+            lever = l0 / l1
+            self.b0 = b0 = lever * cos(theta0 + theta1) * f_k
+            self.b1 = b1 = -lever * cos(theta4 + theta5) * f_k
+            if not (isfinite(b0) and isfinite(b1)):
+                found.append(ParameterViolation(
+                    "l1", f"l0/l1 = {l0!r}/{l1!r} times the spring force "
+                    f"overflows the spring moments (b0 = {b0!r}, b1 = {b1!r})"))
+
+        # A coupling denominator that clears zero by a rounding error or two
+        # overflows its branch's a11 (theta2 = 1e-300 with mu near 1e300).
+        if not found or {v.field for v in found}.isdisjoint(_A11_FIELDS):
+            sin3, cos3 = sin(theta3), cos(theta3)
+            s42 = sin(theta4 - theta2)
+            self.plus = plus = (mu * sin3 + cos3) / denom_plus * s42
+            self.minus = minus = (-mu * sin3 + cos3) / denom_minus * s42
+            if not isfinite(plus):
+                found.append(_a11_overflow(mu, theta2, 1.0, plus))
+            if not isfinite(minus):
+                found.append(_a11_overflow(mu, theta2, -1.0, minus))
+
+        if found:
+            self.report = ValidationReport(tuple(found))
+            return
+        self.report = _VALID
+        self.s13 = s13 = sin(theta1 - theta3)
+        self.s34 = s34 = sin(theta3 + theta4)
+        self.cos1 = cos1 = cos(theta1)
+        self.cos4 = cos4 = cos(theta4)
+        # gamma = (l4*cos(z) - l3*sin(theta2 + z)) / arm = g_a*cos(z) + g_b*sin(z),
+        # finite by the tip moment rule, as are a00 and a10 with |s13|, |s34| <= 1.
+        g_a = (l4 - l3 * sin2) / arm
+        g_b = -l3 * cos2 / arm
+        # a00 = s13*gamma + sin(theta1 - z);  a10 = s34*gamma
+        self.a00 = (s13 * g_a + sin(theta1), s13 * g_b - cos1)
+        self.a10 = (s34 * g_a, s34 * g_b)
+        self.kernel = (s13, plus, minus, b0, b1, epsilon, cos1, cos4, *self.a00, *self.a10)
+
+    def branch(self, sign_beta3: int) -> float:
+        """a11 of one friction branch; ValueError for a sign other than +1 or -1."""
+        if sign_beta3 == 1:
+            return self.plus
+        if sign_beta3 == -1:
+            return self.minus
+        raise _branch_sign_error(sign_beta3)
+
+
+# The most recent build's derivation.  One entry suffices: validation,
+# sweeps, bisections, envelopes and comparisons ask about one build many
+# times in a row.
+_last_derivation: _Derivation | None = None
+
+
+def _derive(p: LinkageParameters) -> _Derivation:
+    """The derivation of ``p``, computed once per build.
+
+    The entry is one object holding its own parameters, read and stored
+    whole, so that callers that interleave (threads, or a verdict computed
+    while another build is derived) each get their own build's.
+    """
+    global _last_derivation
+    derived = _last_derivation
+    if derived is None or derived.params is not p:
+        derived = _last_derivation = _Derivation(p)
+    return derived
+
+
+def validate_parameters(p: LinkageParameters) -> ValidationReport:
+    """Check every parameter rule and report all violations at once.
+
+    Never raises: a report is returned even for wildly broken input, so a
+    caller can show the user the complete list in one pass.  The 2x2
+    balance refuses a build by this same report.
+    """
+    return _derive(p).report
 
 
 def default_parameters() -> LinkageParameters:

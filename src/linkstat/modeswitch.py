@@ -38,7 +38,6 @@ from .model import (
     DEFAULT_SWEEP_LO,
     DEFAULT_SWEEP_STEP,
     LinkageParameters,
-    _spring_moments,
     spring_force,
     sweep_grid,
 )
@@ -313,14 +312,14 @@ def _sign_functions(p: LinkageParameters) -> list[tuple[float, float, float, flo
     alone never flips ``opens``; it is kept so that every sign the
     decision reads is fixed between computed points.  The (a, b) pairs of
     a00 and a10 are the statics' own per-build terms, the closed forms the
-    kernel evaluates, and those terms refuse a build whose tip moment
-    ratio is undefined.  The beta numerator comes last.
+    kernel evaluates, and those terms refuse every build that validation
+    refuses.  The beta numerator comes last.
     """
     t = _build_terms(p)
     s13, s34 = t.s13, t.s34
     # Sizes: the tip moment ratio's terms l4*cos(z) and l3*sin(theta2 + z)
     # over its divisor, times s13 or s34; a00 adds sin(theta1 - z).
-    g_size = (abs(p.l4) + abs(p.l3)) / abs(t.denom)
+    g_size = (abs(p.l4) + abs(p.l3)) / abs(t.arm)
     a00 = (*t.a00, abs(s13) * g_size + 1.0)
     a10 = (*t.a10, abs(s34) * g_size)
     functions = [(*a00, 0.0), (*a10, 0.0)]
@@ -329,8 +328,8 @@ def _sign_functions(p: LinkageParameters) -> list[tuple[float, float, float, flo
     # reads singular below _DET_RELATIVE_FLOOR times the squared row
     # scale, max(hypot(a00, a01), hypot(a10, a11)), which the sizes bound.
     for u, v, is_det in (
-        (t.branch(1), s13, True),
-        (t.branch(-1), s13, True),
+        (t.plus, s13, True),
+        (t.minus, s13, True),
         (t.b1, t.b0, False),
     ):
         row_scale_sq = max(a00[2] ** 2 + s13 * s13, a10[2] ** 2 + u * u)
@@ -352,10 +351,11 @@ def _roots_by_function(
 
     One list per function of :func:`_sign_functions`, in its order, each
     ascending.  The one rule for trusting the roots: None when the sign
-    functions cannot be formed (the build's terms or its -1 branch raise
-    ValueError, or a size squared overflows), an amplitude, size or floor
-    is not finite, a sign function is too cancelled to trust, or a det's
-    floor could reach past the root window; the envelope then sweeps.
+    functions cannot be formed (the build's terms raise ValueError for a
+    build that validation refuses, or a size squared overflows), an
+    amplitude, size or floor is not finite, a sign function is too
+    cancelled to trust, or a det's floor could reach past the root
+    window; the envelope then sweeps.
     """
     try:
         functions = _sign_functions(p)
@@ -395,11 +395,12 @@ def _spring_scalable(p: LinkageParameters) -> bool:
     True when the spring force is positive and both spring moments b0,
     b1 lie within [2**-256, 2**256] in magnitude.  Two such builds of one
     geometry have spring moments that differ by one positive factor, up
-    to a few roundings in each.  ``p`` must validate.
+    to a few roundings in each.  ``p`` must validate, else ValueError.
     """
     if not spring_force(p) > 0.0:
         return False
-    return all(_MOMENT_MIN <= abs(b) <= _MOMENT_MAX for b in _spring_moments(p))
+    t = _build_terms(p)
+    return all(_MOMENT_MIN <= abs(b) <= _MOMENT_MAX for b in (t.b0, t.b1))
 
 
 def _spring_scale_keeps_verdicts(p: LinkageParameters, lo: float, hi: float) -> bool:
@@ -440,9 +441,9 @@ def _spring_scale_keeps_verdicts(p: LinkageParameters, lo: float, hi: float) -> 
     groups = _roots_by_function(p, lo, hi)
     if groups is None:
         return False
-    t = _build_terms(p)  # both branches formed, and cached, by the sign functions
+    t = _build_terms(p)
     b0, b1, s13 = t.b0, t.b1, t.s13
-    for a11 in (t.plus, t.branch(-1)):
+    for a11 in (t.plus, t.minus):
         if not abs(b0 * a11 - s13 * b1) > _SCALE_MARGIN * (abs(b0 * a11) + abs(s13 * b1)):
             return False
     *others, beta_roots = groups  # the beta numerator is the last sign function

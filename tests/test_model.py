@@ -1,13 +1,14 @@
 import math
 import re
+from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import linkstat.model as model
 from linkstat import default_parameters, friction_coupling, validate_parameters
-from linkstat.model import _spring_moments
-from linkstat.statics import _BuildTerms, tip_moment_ratio
+from linkstat.statics import _build_terms, tip_moment_ratio
 
 
 def test_defaults_validate(defaults):
@@ -59,12 +60,22 @@ def test_any_nonpositive_length_is_named(name, value):
     assert any(v.field == name for v in report.violations)
 
 
-@given(st.floats(allow_nan=True, allow_infinity=True))
-@example(1e308)  # theta2 + theta3 overflows
-def test_validation_never_raises(value):
-    p = default_parameters().with_values(
-        l1=value, theta2=value, theta3=value, spring_k=value, mu=value
+# theta2 = +-1e-300 with mu just below 1e300 passes every rule but the
+# a11 one: the coupling denominator of branch sign(theta2) clears zero by
+# about 1e-16, and the coupling overflows.
+_A11_MU = 1e300 * (1 - 2**-52)
+
+
+@given(
+    st.floats(allow_nan=True, allow_infinity=True).map(
+        lambda v: dict(l1=v, theta2=v, theta3=v, spring_k=v, mu=v)
     )
+)
+# theta2 + theta3 overflows:
+@example(dict(l1=1e308, theta2=1e308, theta3=1e308, spring_k=1e308, mu=1e308))
+@example({"theta2": 1e-300, "mu": _A11_MU})  # a11 overflows
+def test_validation_never_raises(changes):
+    p = default_parameters().with_values(**changes)
     validate_parameters(p)  # must not raise, whatever the input
 
 
@@ -116,20 +127,24 @@ _MAGNITUDES = st.floats(min_value=5e-324, max_value=1e308)
 @example(1e300, 24.0, 1e10, 9.7)
 def test_spring_moment_rule_matches_the_statics(l0, l1, spring_k, natural_length):
     """validate_parameters refuses exactly the builds whose b0, b1 overflow,
-    and so do the statics' terms."""
+    and the statics' terms refuse them by that rule's text."""
     p = default_parameters().with_values(
         l0=l0, l1=l1, spring_k=spring_k, natural_length=natural_length
     )
-    b0, b1 = _spring_moments(p)
+    f_k = model.spring_force(p)
+    b0 = l0 / l1 * math.cos(p.theta0 + p.theta1) * f_k
+    b1 = -(l0 / l1) * math.cos(p.theta4 + p.theta5) * f_k
     refused = any(v.field == "l1" for v in validate_parameters(p).violations)
     assert refused == (not (math.isfinite(b0) and math.isfinite(b1)))
     try:
-        _BuildTerms(p)
+        terms = _build_terms(p)
     except ValueError as exc:
-        assert str(exc).startswith(f"(b0, b1) = {(b0, b1)!r}")
+        assert str(exc).startswith(f"l1: l0/l1 = {l0!r}/{l1!r}")
+        assert str(exc).endswith(f"(b0 = {b0!r}, b1 = {b1!r})")
         assert refused
     else:
         assert not refused
+        assert (terms.b0, terms.b1) == (b0, b1)
 
 
 @given(_MAGNITUDES, _MAGNITUDES, _MAGNITUDES)
@@ -138,21 +153,111 @@ def test_spring_moment_rule_matches_the_statics(l0, l1, spring_k, natural_length
 @example(1e-300, 1e10, 2.41)
 def test_tip_moment_rule_matches_the_statics(l2, l3, l4):
     """validate_parameters refuses exactly the builds whose tip moment ratio
-    bound (|l3| + |l4|) over the statics' coupler arm overflows, and every
-    build the statics' terms refuse."""
+    bound (|l3| + |l4|) over the coupler arm overflows, and the statics'
+    terms refuse them by that rule's text."""
     p = default_parameters().with_values(l2=l2, l3=l3, l4=l4)
     refused = any(v.field == "l2" for v in validate_parameters(p).violations)
-    arm = l2 * math.sin(p.theta2 + p.theta3)  # as statics._coupler_arm forms it
+    arm = l2 * math.sin(p.theta2 + p.theta3)
     assert refused == (arm == 0.0 or not math.isfinite((l3 + l4) / arm))
     try:
-        _BuildTerms(p)
-    except ValueError as exc:  # a zero arm, or a00 and a10 overflow
-        assert ("coupler moment arm" if arm == 0.0 else "terms overflow") in str(exc)
+        _build_terms(p)
+    except ValueError as exc:
+        assert str(exc).startswith(f"l2: l2*sin(theta2+theta3) = {arm!r} with l2 = {l2!r}")
         assert refused
         return
-    assert arm != 0.0
-    if not refused:
-        assert math.isfinite(tip_moment_ratio(p, 0.0))
+    assert not refused
+    assert math.isfinite(tip_moment_ratio(p, 0.0))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_friction_branch_whose_a11_overflows_is_refused(defaults, sign):
+    p = defaults.with_values(theta2=sign * 1e-300, mu=_A11_MU)
+    report = validate_parameters(p)
+    assert report.describe() == (
+        f"mu: mu = 9.999999999999999e+299 with theta2 = {sign * 1e-300!r} overflows "
+        f"the {sign:+d} friction branch's a11 = {sign * math.inf!r}, its coupling "
+        "(s*mu*sin(theta3) + cos(theta3)) / (-s*mu*sin(theta2) + cos(theta2)) "
+        "times sin(theta4 - theta2)"
+    )
+    # The other branch's coupling is finite, and so is the build's every field.
+    assert math.isfinite(friction_coupling(p, -sign))
+    assert not math.isfinite(friction_coupling(p, sign))
+
+
+# Builds for the one-gate properties: each field left at its default or
+# drawn from magnitudes 5e-324 to 1e308 of either sign, angles near
+# +-pi/2, zeros and non-finite values; then, one time in three, a tiny
+# theta2, and one time in three, mu put on a self-lock boundary of theta2,
+# give or take a few ulps (which with a tiny theta2 reaches the a11
+# overflow).
+_HALF_PI = math.pi / 2
+_FIELD_VALUES = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e308),
+    st.floats(min_value=-1e308, max_value=-5e-324),
+    st.floats(min_value=_HALF_PI - 1e-6, max_value=_HALF_PI + 1e-6),
+    st.floats(min_value=-_HALF_PI - 1e-6, max_value=-_HALF_PI + 1e-6),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, _HALF_PI, -_HALF_PI]),
+)
+
+
+@st.composite
+def _builds(draw):
+    base = default_parameters()
+    p = base.with_values(**draw(st.dictionaries(
+        st.sampled_from(base._fields), _FIELD_VALUES, max_size=4)))
+    if draw(st.integers(0, 2)) == 0:
+        tiny = st.floats(min_value=1e-306, max_value=1e-293)
+        p = p.with_values(theta2=draw(st.one_of(st.just(p.theta2), tiny, tiny.map(lambda t: -t))))
+    if draw(st.integers(0, 2)) == 0 and math.isfinite(p.theta2) and math.sin(p.theta2) != 0.0:
+        mu = abs(math.cos(p.theta2) / math.sin(p.theta2))
+        toward = math.inf if draw(st.booleans()) else 0.0
+        for _ in range(draw(st.integers(0, 4))):
+            mu = math.nextafter(mu, toward)
+        p = p.with_values(mu=mu)
+    return p
+
+
+@settings(max_examples=400)
+@given(_builds())
+@example(default_parameters())
+@example(default_parameters().with_values(l1=1e-320))  # b0, b1 overflow
+@example(default_parameters().with_values(l0=1e300, spring_k=1e10))
+@example(default_parameters().with_values(l2=5e-324))  # the tip moment ratio overflows
+@example(default_parameters().with_values(l2=1e-310))
+@example(default_parameters().with_values(l2=1e-300, l3=1e10))
+@example(default_parameters().with_values(theta2=-default_parameters().theta3))  # zero arm
+@example(default_parameters().with_values(theta2=1e-300, mu=_A11_MU))  # a11 overflows, +1
+@example(default_parameters().with_values(theta2=-1e-300, mu=_A11_MU))  # and -1
+@example(default_parameters().with_values(l3=math.nan, theta1=math.inf))
+def test_the_fast_route_refuses_exactly_what_validation_refuses(p):
+    """One gate: the 2x2 balance's terms are refused exactly when the
+    report has a violation, with its first line as the text, and every
+    build that validates derives finite terms on both friction branches
+    and a finite tip moment ratio."""
+    report = validate_parameters(p)
+    try:
+        terms = _build_terms(p)
+    except ValueError as exc:
+        assert not report.ok
+        assert str(exc) == report.describe().split("\n")[0]
+        return
+    assert report.ok
+    assert all(math.isfinite(v) for v in terms.kernel)
+    assert math.isfinite(terms.plus) and math.isfinite(terms.minus)
+    assert math.isfinite(tip_moment_ratio(p, 0.0))
+
+
+@settings(max_examples=400)
+@given(_builds())
+@example(default_parameters())
+@example(default_parameters().with_values(theta1=math.nextafter(_HALF_PI, 0.0), mu=0.0))
+def test_a_build_inside_every_range_breaks_no_field_rule(p):
+    """The derivation's range pre-test, which skips the per-field rules,
+    accepts only builds those rules accept."""
+    with mock.patch.object(model, "_field_violations", wraps=model._field_violations) as rules:
+        model._Derivation(p)
+    if not rules.called:
+        assert model._field_violations(p) == []
 
 
 def test_tip_moment_ratio_names_a_zero_arm(defaults):

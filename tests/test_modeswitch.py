@@ -321,6 +321,18 @@ def test_envelope_sweeps_where_a_sign_function_size_is_not_finite(defaults):
     )
 
 
+def test_envelope_sweeps_a_valid_build_whose_det_size_overflows(defaults):
+    # A tiny theta2 with mu = 1e299 validates, with a +1 branch a11 near
+    # 4e297, but a11 squared in the det's singular floor overflows: the
+    # roots are not trusted, and the envelope sweeps.
+    p = defaults.with_values(theta2=1e-300, mu=1e299)
+    assert validate_parameters(p).ok
+    assert modeswitch._roots_by_function(p, rad(-30.0), rad(90.0)) is None
+    assert envelope_or_error(lambda: envelope(p)) == envelope_or_error(
+        lambda: swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5))
+    )
+
+
 def test_bisection_computes_every_midpoint_without_a_root_in_the_bracket(defaults):
     # Roots that explain no edge must not stand in for verdicts.
     iv = envelope(defaults)[0]
@@ -689,13 +701,19 @@ def test_spring_scale_guard_refuses_a_distrusted_sign_function(defaults):
 
 def test_spring_scale_guard_refuses_an_undefined_minus_branch(defaults):
     # mu = cot(80 deg) with theta2 = -80 deg zeroes the -1 branch's coupling
-    # denominator mu*sin(theta2) + cos(theta2); validation refuses it.
+    # denominator mu*sin(theta2) + cos(theta2); validation refuses it, so
+    # the build's terms, which the root finder and the guard read, do too.
     p = defaults.with_values(theta2=rad(-80.0), mu=-math.cos(rad(-80.0)) / math.sin(rad(-80.0)))
-    with pytest.raises(ValueError, match="-1 friction branch"):
-        _build_terms(p).branch(-1)
-    assert modeswitch._spring_scalable(p)
+    text = ("mu: mu = 0.17632698070846506 with theta2 = -1.3962634015954636 self-locks "
+            "the slotted pin on the -1 branch (mu >= cot|theta2|, so "
+            "-s*mu*sin(theta2) + cos(theta2) <= 0)")
+    assert validate_parameters(p).describe() == text
     assert modeswitch._roots_by_function(p, *DEFAULT_RANGE) is None
-    assert not modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
+    for call in (lambda: _build_terms(p), lambda: modeswitch._spring_scalable(p),
+                 lambda: modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == text
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,25 @@ def test_non_finite_rows_are_singular(defaults):
         full_equilibrium(defaults.with_values(l2=5e-324), 0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("name", default_parameters()._fields)
+def test_infinite_field_is_refused_as_a_nan_one_is(defaults, name, value):
+    # An infinite angle used to raise math.sin's bare "math domain error";
+    # now every field refuses (or, for epsilon, which the oracle does not
+    # read, answers) with an infinity exactly as with a nan.
+    def outcome(field_value):
+        try:
+            return repr(full_equilibrium(defaults.with_values(**{name: field_value}), 0.3))
+        except SingularSystemError as exc:
+            return str(exc)
+
+    expected = outcome(math.nan)
+    assert outcome(value) == expected
+    if name != "epsilon":
+        assert expected == ("raw equilibrium is singular at press direction 17.1887 deg: "
+                            "the balance rows are not finite")
+
+
 def test_equilibrium_state_is_an_immutable_named_tuple(defaults):
     state = full_equilibrium(defaults, 0.0)
     assert state._fields == STATE_FIELDS

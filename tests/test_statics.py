@@ -383,22 +383,21 @@ def test_spring_force_computed_once_per_sweep(monkeypatch):
     assert len(calls) == 1
 
 
-def test_minus_branch_terms_are_computed_on_first_retry(monkeypatch):
-    """A build whose verdicts stay on the +1 branch never asks for the -1 terms."""
-    zetas = [rad(-15.0), rad(-12.5)]  # both on the +1 branch
+def test_minus_branch_terms_are_derived_with_the_build(monkeypatch):
+    """Both branches' a11 are derived with the build's other terms, so a
+    -1 retry reads them and calls no coupling function."""
+    zetas = [rad(-15.0), rad(-12.5), 0.0]  # +1, +1, then a -1 retry
     expected = [_decision_bits(predict_opening(default_parameters(), z)) for z in zetas]
 
-    def plus_only(p, sign_beta3):
-        if sign_beta3 == -1:
-            raise RuntimeError("-1 branch requested")
-        return friction_coupling(p, sign_beta3)
+    def refuse(p, sign_beta3):
+        raise AssertionError("coupling requested")
 
-    monkeypatch.setattr(statics, "friction_coupling", plus_only)
+    monkeypatch.setattr(statics, "friction_coupling", refuse)
     p = default_parameters().with_values()
+    terms = statics._build_terms(p)
+    assert (terms.plus, terms.minus) == (terms.branch(1), terms.branch(-1))
     assert [_decision_bits(predict_opening(p, z)) for z in zetas] == expected
-    with pytest.raises(RuntimeError, match="-1 branch"):
-        predict_opening(p, 0.0)  # the -1 retry
-
+    assert predict_opening(p, 0.0).sign_beta3 == -1
 
 
 def test_cache_entry_stays_whole_when_another_build_cuts_in(monkeypatch):
@@ -721,94 +720,84 @@ def test_batch_reads_each_build_once_per_call(scales, pick, zetas):
             [_hex(v) for v in by_point[z]] for z in regrouped]
 
 
-# Every division of the 2x2 balance is checked once per build, with a
-# ValueError naming its divisor.
+# The 2x2 balance refuses a build by the validate line of its first
+# violation, so no division it makes is by zero and no verdict is read
+# off a non-finite term.
+
+def _refused_by(p, text):
+    """Assert that every fast-route entry point refuses ``p`` with ``text``,
+    the first line of its validation report."""
+    assert validate_parameters(p).describe().split("\n")[0] == text
+    for call in (lambda: predict_opening(p, 0.0), lambda: solve_balance(p, 0.0),
+                 lambda: statics._decide_all(p, [0.0, 0.1]), lambda: sweep(p),
+                 lambda: envelope(p), lambda: switching_threshold(p, 0.0)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == text
+
 
 @pytest.mark.parametrize(
-    "changes,divisor",
+    "changes,text",
     [
-        ({"l1": 0.0}, "l1 = 0.0"),
-        ({"l2": 0.0}, r"l2\*sin\(theta2\+theta3\) = 0.0"),
-        ({"theta2": -rad(15.0)}, r"l2\*sin\(theta2\+theta3\) = 0.0"),
+        ({"l1": 0.0}, "l1: must be positive, got 0.0"),
+        ({"l2": 0.0}, "l2: must be positive, got 0.0"),
+        ({"theta2": -rad(15.0)},
+         "theta2: theta2 + theta3 = 0.0 makes sin(theta2+theta3) vanish; the coupler "
+         "transmits no moment (degenerate pair theta2, theta3)"),
     ],
     ids=["l1", "l2", "theta2=-theta3"],
 )
-def test_zero_divisor_of_the_build_is_named(defaults, changes, divisor):
-    p = defaults.with_values(**changes)
-    for call in (lambda: predict_opening(p, 0.0), lambda: solve_balance(p, 0.0),
-                 lambda: statics._decide_all(p, [0.0, 0.1]), lambda: sweep(p)):
-        with pytest.raises(ValueError, match=divisor):
-            call()
+def test_zero_divisor_of_the_build_is_named(defaults, changes, text):
+    _refused_by(defaults.with_values(**changes), text)
 
-
-# A non-finite field is refused, by name, before the build's terms read
-# it: no fast-route call returns a verdict for such a build.
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", statics.LinkageParameters._fields)
 def test_non_finite_field_of_the_build_is_named(defaults, name, value):
-    p = defaults.with_values(**{name: value})
-    message = re.escape(f"{name} = {value!r}: every field of the build must be finite")
-    for call in (lambda: predict_opening(p, 0.0), lambda: statics._decide_all(p, [0.0, 0.1]),
-                 lambda: envelope(p), lambda: switching_threshold(p, 0.0)):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            call()
+    _refused_by(defaults.with_values(**{name: value}), f"{name}: must be finite, got {value!r}")
 
-
-# Finite fields whose terms overflow are refused, naming the terms:
-# validate_parameters refuses each of these builds too.
 
 @pytest.mark.parametrize(
-    "changes,terms",
+    "changes,text",
     [
-        ({"l1": 1e-320}, "(b0, b1) = (inf, -inf)"),
-        ({"l2": 5e-324}, "a00 = (inf, inf), a10 = (-inf, -inf)"),
-        ({"l0": 1e308, "spring_k": 1e308}, "(b0, b1) = (inf, -inf)"),
+        ({"l1": 1e-320}, "l1: l0/l1 = 10.93/1e-320 times the spring force overflows "
+                         "the spring moments (b0 = inf, b1 = -inf)"),
+        ({"l2": 5e-324}, "l2: l2*sin(theta2+theta3) = 5e-324 with l2 = 5e-324: "
+                         "|l3| + |l4| = 25.039814565722672 over it overflows the tip "
+                         "moment ratio"),
+        ({"l0": 1e308, "spring_k": 1e308}, "l1: l0/l1 = 1e+308/24.0 times the spring "
+                                           "force overflows the spring moments "
+                                           "(b0 = inf, b1 = -inf)"),
     ],
     ids=["l1", "l2", "l0-spring_k"],
 )
-def test_build_whose_terms_overflow_is_refused(defaults, changes, terms):
-    p = defaults.with_values(**changes)
-    assert not validate_parameters(p).ok
-    message = re.escape(f"{terms}: the build's terms overflow, so no verdict can be read off them")
-    for call in (lambda: predict_opening(p, 0.0), lambda: statics._decide_all(p, [0.0, 0.1]),
-                 lambda: envelope(p), lambda: switching_threshold(p, 0.0)):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            call()
+def test_build_whose_terms_overflow_is_refused(defaults, changes, text):
+    _refused_by(defaults.with_values(**changes), text)
 
 
 def test_finite_fields_whose_sum_overflows_still_build_terms(defaults):
-    # The sum over the fields only screens; the fields are then read one by one.
-    p = defaults.with_values(l3=1e308, l4=1e308)
-    assert sum(p) == math.inf
-    terms = statics._BuildTerms(p)
-    assert all(math.isfinite(v) for v in terms.kernel)
+    # No rule reads a sum over the fields: a valid build whose fields sum
+    # to inf derives finite terms, and l3 = l4 = 1e308 is refused by the
+    # tip moment rule, whose |l3| + |l4| overflows.
+    p = defaults.with_values(theta2=1e-310, mu=1e308, epsilon=1e308)
+    assert sum(p) == math.inf and validate_parameters(p).ok
+    assert all(math.isfinite(v) for v in statics._build_terms(p).kernel)
+    huge = defaults.with_values(l3=1e308, l4=1e308)
+    assert sum(huge) == math.inf
+    _refused_by(huge, "l2: l2*sin(theta2+theta3) = 6.623243823744698 with l2 = 12.0: "
+                      "|l3| + |l4| = inf over it overflows the tip moment ratio")
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_zero_friction_denominator_is_named_on_first_use(defaults, sign):
     # At mu = cot(theta2) the +1 branch's denominator is zero; with theta2
-    # negated, the -1 branch's is, and it is only computed on a retry.
+    # negated, the -1 branch's is.  Either branch is derived with the
+    # build, so the first use of the build names its self-lock.
     t2 = sign * defaults.theta2
     p = defaults.with_values(theta2=t2, mu=sign * math.cos(t2) / math.sin(t2))
-    message = re.escape(f"{sign:+d} friction branch's denominator")
-    if sign == 1:
-        with pytest.raises(ValueError, match=message):
-            statics._build_terms(p)
-        return
-    statics._build_terms(p)  # the +1 branch alone is fine
-    verdicts = statics._decide_all(p, [rad(-15.0)])
-    assert verdicts[0][3] == 1  # kept on the +1 branch, no retry
-    with pytest.raises(ValueError, match=message):
-        statics._decide_all(p, [rad(z) for z in range(-30, 91, 5)])
-    # -15 and 30 deg stay on the +1 branch and 20 deg needs the -1 branch,
-    # whose terms are fetched there: a nan before 20 deg is reached first,
-    # and one after it never is.
-    assert {v[3] for v in statics._decide_all(p, [rad(-15.0), rad(30.0)] * 2)} == {1}
-    with pytest.raises(ValueError, match="finite"):
-        statics._decide_all(p, [rad(-15.0), rad(30.0), math.nan, rad(20.0)])
-    with pytest.raises(ValueError, match=message):
-        statics._decide_all(p, [rad(-15.0), rad(30.0), rad(20.0), math.nan])
+    _refused_by(p, f"mu: mu = 2.988684962742893 with theta2 = {t2!r} self-locks the "
+                   f"slotted pin on the {sign:+d} branch (mu >= cot|theta2|, so "
+                   "-s*mu*sin(theta2) + cos(theta2) <= 0)")
 
 
 _FIELD_NAMES = statics.LinkageParameters._fields
