@@ -24,22 +24,24 @@ _HOMES: dict[str, str] = {
             "default_parameters", "spring_force", "validate_parameters",
         ),
         "statics": (
-            "BalanceSolution", "BalanceSystem", "BlockedReason", "EquilibriumState",
-            "JointForcePair", "OpeningDecision", "OpeningStatus", "SingularSystemError",
-            "assemble_system", "friction_coupling", "full_equilibrium",
-            "perturbed_joint_forces", "predict_opening", "solve_balance",
-            "solve_balance_with_sign", "tip_moment_ratio",
+            "BalanceSolution", "BalanceSystem", "BlockedReason", "JointForcePair",
+            "OpeningDecision", "OpeningStatus", "SingularSystemError", "assemble_system",
+            "friction_coupling", "perturbed_joint_forces", "predict_opening",
+            "solve_balance", "solve_balance_with_sign", "tip_moment_ratio",
         ),
+        "oracle": ("EquilibriumState", "full_equilibrium"),
         "modeswitch": (
             "GraspMode", "NotOpeningError", "OpeningInterval", "SweepCurve",
-            "SweepSample", "envelope", "opening_interval", "parallel_grip_budget",
+            "SweepSample", "opening_interval", "parallel_grip_budget",
             "select_mode", "sweep", "sweep_points", "switching_threshold",
         ),
+        "roots": ("envelope",),
         "paramfile": (
-            "Measurement", "MeasurementFileError", "ParameterDocument", "ParameterFileError",
-            "SweepSettings", "format_parameter_file", "parse_design_file",
-            "parse_parameter_document", "parse_parameter_file", "read_measurements",
+            "MeasurementFileError", "ParameterDocument", "ParameterFileError",
+            "SweepSettings", "format_parameter_file", "parse_parameter_document",
+            "parse_parameter_file",
         ),
+        "readers": ("Measurement", "parse_design_file", "read_measurements"),
         "compare": (
             "ComparisonResult", "ComparisonRow", "compare_measurements", "format_comparison_csv",
         ),
@@ -61,7 +63,10 @@ if TYPE_CHECKING:
     from .design import *
     from .model import *
     from .modeswitch import *
+    from .oracle import *
     from .paramfile import *
+    from .readers import *
+    from .roots import *
     from .statics import *
 
 

@@ -1,6 +1,6 @@
 """Model against bench: predicted switching forces lined up with readings.
 
-Reading a measurement table stays in :mod:`linkstat.paramfile`, which
+Reading a measurement table stays in :mod:`linkstat.readers`, which
 loads no solver.  This module imports the verdict kernel at its top, so
 a comparison carries no import of its own: it hands a table's press
 directions to :func:`linkstat.statics._decide_all` in one call.
@@ -15,7 +15,7 @@ from .statics import _OPENS, _decide_all
 
 if TYPE_CHECKING:
     from .model import LinkageParameters
-    from .paramfile import Measurement
+    from .readers import Measurement
 
 __all__ = [
     "ComparisonResult",

@@ -5,7 +5,7 @@ opening envelope covers a target band of press directions and whose
 switching force at a chosen press direction lands inside a target range.
 A derivative-free coordinate pattern search handles it; the objective is
 a penalty built from the opening envelope, so there is no gradient to
-trust.  Each candidate is scored with :func:`~linkstat.modeswitch.envelope`,
+trust.  Each candidate is scored with :func:`~linkstat.roots.envelope`,
 which returns the envelope of the full grid sweep bit for bit but computes
 verdicts only around the few press directions where one can change
 (10 instead of 253 on the reference build: no bisection midpoint there
@@ -14,7 +14,7 @@ lies next to a root, so every one takes a known verdict).  A move of
 spring moments (b0, b1) on the balance's right-hand side, which changes
 no verdict's status while the spring force stays positive; such a move
 keeps the best build's envelope wherever
-:func:`~linkstat.modeswitch._spring_scale_keeps_verdicts` accepts its
+:func:`~linkstat.roots._spring_scale_keeps_verdicts` accepts its
 geometry, and computes one fresh verdict, at the press direction.
 
 The search is deterministic: no randomness, fixed iteration order.
@@ -45,15 +45,13 @@ from .model import (
 from .modeswitch import (
     DEFAULT_REFINE_TOL,
     OpeningInterval,
-    _envelope,
     _refine_runs,
     _runs,
-    _spring_scalable,
-    _spring_scale_keeps_verdicts,
     opening_interval,
     sweep_points,
     switching_threshold,
 )
+from .roots import _envelope, _spring_scalable, _spring_scale_keeps_verdicts
 from .statics import _OPENS, _decide, _decide_all
 
 __all__ = [
@@ -292,7 +290,7 @@ def _verify(
     gets one fresh verdict at the press direction.  Every verdict comes
     from the scalar kernel on the grid the envelope reads; none is
     inferred from the sign-function roots that
-    :func:`~linkstat.modeswitch.envelope` relies on, so a fault there
+    :func:`~linkstat.roots.envelope` relies on, so a fault there
     cannot pass unnoticed.
 
     The record, and the RuntimeError raised when a check fails, are
@@ -344,7 +342,7 @@ def optimize_design(
     from a validated best build is scored with the best build's envelope
     when both builds have a positive spring force of ordinary size and
     the best build's geometry passes
-    :func:`~linkstat.modeswitch._spring_scale_keeps_verdicts`, asked once
+    :func:`~linkstat.roots._spring_scale_keeps_verdicts`, asked once
     per geometry.  Such a move scales (b0, b1) by one positive factor and
     leaves every verdict's status as it was, so the envelope is the one
     :func:`evaluate_design` would compute, bit for bit; the trial still

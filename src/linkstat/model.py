@@ -15,6 +15,7 @@ always with an explicit ``_deg`` suffix.
 from __future__ import annotations
 
 import math
+from importlib import import_module
 from typing import Mapping, NamedTuple
 
 __all__ = [
@@ -175,6 +176,27 @@ def spring_force(p: LinkageParameters) -> float:
 
 def _branch_sign_error(sign_beta3: object) -> ValueError:
     return ValueError(f"friction branch sign must be +1 or -1, got {sign_beta3!r}")
+
+
+def _forward(namespace: dict, homes: dict[str, str]):
+    """A module ``__getattr__`` under which names moved out of the module
+    whose globals are ``namespace`` still resolve.
+
+    ``homes`` maps each such name to the submodule that defines it; that
+    submodule loads on first access, and the name is then bound in
+    ``namespace``, where wrappers such as the benchmark's tracer find it.
+    Only public names are forwarded: the moved code reads its private
+    names at home, where a patch of them has to go.
+    """
+
+    def __getattr__(name: str):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module("." + home, __package__), name)
+        return value
+
+    return __getattr__
 
 
 # The report of a build that breaks no rule.

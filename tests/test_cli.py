@@ -748,8 +748,10 @@ print(json.dumps([result, loaded]))
 """
 
 # What every command loads to parse its command line and read and
-# validate a parameter file, and what one that solves loads on top.
+# validate a parameter file, what a design or measurement file's reader
+# loads, and what a command that solves loads on top.
 _FRONT = ["linkstat", "linkstat.cli", "linkstat.model", "linkstat.paramfile"]
+_READERS = sorted([*_FRONT, "linkstat.readers"])
 _SOLVER = sorted([*_FRONT, "linkstat.modeswitch", "linkstat.statics"])
 
 # step id -> (statement or command line, result, modules loaded).  In a
@@ -767,28 +769,37 @@ _LOAD_BUDGET = {
     "analyze-nan": (["analyze", "--zeta-deg", "nan"], 2, _FRONT),
     "sweep-grid-refused": (["sweep", "--step-deg", "0.00001"], 2, _FRONT),
     "optimize-missing-design": (["optimize", "--design", "{missing}"], 5, _FRONT),
-    "optimize-malformed-design": (["optimize", "--design", "{malformed}"], 2, _FRONT),
-    "optimize-invalid-spec": (["optimize", "--design", "{invalid_spec}"], 2, _FRONT),
-    "optimize-unknown-bound": (["optimize", "--design", "{unknown_bound}"], 2, _FRONT),
+    "optimize-malformed-design": (["optimize", "--design", "{malformed}"], 2, _READERS),
+    "optimize-invalid-spec": (["optimize", "--design", "{invalid_spec}"], 2, _READERS),
+    "optimize-unknown-bound": (["optimize", "--design", "{unknown_bound}"], 2, _READERS),
     "parse-design-file": ("import linkstat.paramfile\n"
                           f"spec, result = linkstat.paramfile.parse_design_file({DESIGN_OK!r})",
-                          400, ["linkstat", "linkstat.model", "linkstat.paramfile"]),
+                          400, ["linkstat", "linkstat.model", "linkstat.paramfile",
+                                "linkstat.readers"]),
     "analyze": (["analyze", "--zeta-deg", "0"], 0, _SOLVER),
     "sweep": (["sweep", "--out", "{out}", "--svg", "{svg}"], 0, _SOLVER),
+    "envelope": ("import linkstat\n"
+                 "result = len(linkstat.envelope(linkstat.default_parameters()))",
+                 1, ["linkstat", "linkstat.model", "linkstat.modeswitch", "linkstat.roots",
+                     "linkstat.statics"]),
     "read-measurements": ("import linkstat.paramfile\n"
                           "result = len(linkstat.paramfile.read_measurements('zeta_deg,"
                           "measured_force_n\\n0,5.0\\n'))",
-                          1, ["csv", "linkstat", "linkstat.model", "linkstat.paramfile"]),
+                          1, ["csv", "linkstat", "linkstat.model", "linkstat.paramfile",
+                              "linkstat.readers"]),
     "compare-table-failure": (["compare", "--measurements", "{broken}"], 2,
-                              sorted(["csv", *_FRONT])),
+                              sorted(["csv", *_READERS])),
     "compare": (["compare", "--measurements", "{meas}"], 0,
-                sorted(["csv", *_FRONT, "linkstat.compare", "linkstat.statics"])),
+                sorted(["csv", *_READERS, "linkstat.compare", "linkstat.statics"])),
     "optimize": (["optimize", "--design", "{design}"], 0,
-                 sorted([*_SOLVER, "linkstat.design"])),
+                 sorted({*_SOLVER, *_READERS, "linkstat.design", "linkstat.roots"})),
     "spring-force": ("import linkstat\n"
                      "result = linkstat.spring_force(linkstat.default_parameters())",
                      3.69172157852751, ["linkstat", "linkstat.model"]),
 }
+
+# A fresh sweep compiles every line of each module it loads.
+_SWEEP_LINE_BUDGET = 2350
 
 
 def _load_budget_files(tmp_path):
@@ -817,6 +828,18 @@ def test_load_budget(step, tmp_path, run_child):
     assert run_child(_LOADS_CHILD, action) == [result, loaded]
 
 
+def test_sweep_loads_few_lines():
+    """The modules a sweep loads (test_load_budget pins which) hold at
+    most _SWEEP_LINE_BUDGET lines: the oracle, the root-inferred envelope
+    and the design and measurement readers live in modules a sweep does
+    not load."""
+    package = Path(linkstat.__file__).resolve().parent
+    files = [package / (f"{name[len('linkstat.'):]}.py" if "." in name else "__init__.py")
+             for name in _LOAD_BUDGET["sweep"][2]]
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
+    assert lines <= _SWEEP_LINE_BUDGET
+
+
 def test_only_the_oracle_loads_numpy(run_child):
     result, loaded = run_child(
         _LOADS_CHILD,
@@ -825,7 +848,7 @@ def test_only_the_oracle_loads_numpy(run_child):
     )
     assert result == 5.171175
     assert [m for m in loaded if m.startswith("linkstat")] == [
-        "linkstat", "linkstat.model", "linkstat.statics"]
+        "linkstat", "linkstat.model", "linkstat.oracle", "linkstat.statics"]
     assert "numpy" in loaded
 
 

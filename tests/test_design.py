@@ -238,6 +238,7 @@ def kernel_calls(monkeypatch):
     callers look it up by."""
     import linkstat.design
     import linkstat.modeswitch
+    import linkstat.roots
 
     calls = []
     kernel, batch = linkstat.statics._decide, linkstat.statics._decide_all
@@ -254,6 +255,7 @@ def kernel_calls(monkeypatch):
     for module in (linkstat.modeswitch, linkstat.design):
         monkeypatch.setattr(module, "_decide", counted)
         monkeypatch.setattr(module, "_decide_all", counted_batch)
+    monkeypatch.setattr(linkstat.roots, "_decide_all", counted_batch)  # the envelope's probes
     return calls
 
 

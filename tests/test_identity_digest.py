@@ -15,7 +15,7 @@ def _tool():
 
 def test_identity_digest_repeats_itself():
     tool = _tool()
-    sections = ["kernel", "envelope", "validation", "cli"]
+    sections = ["kernel", "envelope", "validation", "cli", "oracle"]
     lines = tool.run(sections, scale=0.01)
     assert lines == tool.run(sections, scale=0.01)
     assert [line.split(":")[0] for line in lines] == sections

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from bisect import bisect_right
 from itertools import groupby
@@ -24,6 +25,7 @@ from linkstat import (
     validate_parameters,
 )
 from linkstat import modeswitch
+from linkstat import roots as root_envelope
 from linkstat.model import MAX_GRID_STEPS, LinkageParameters, spring_force, sweep_grid
 from linkstat.statics import _OPENS, _build_terms, _decide_all
 
@@ -38,10 +40,12 @@ def rad(x: float) -> float:
     return math.radians(x)
 
 
+@contextlib.contextmanager
 def counted_verdicts(calls, batches=None):
-    """Patch modeswitch's one-point and batch kernels to append every
-    press direction they are asked about to ``calls``, and each batch
-    call's list of them to ``batches``."""
+    """Patch the one-point and batch kernels, at the names the sweep
+    (modeswitch) and the root-inferred envelope (roots) look them up by,
+    to append every press direction they are asked about to ``calls``,
+    and each batch call's list of them to ``batches``."""
     one, batch = modeswitch._decide, modeswitch._decide_all
 
     def counted_batch(p, zetas):
@@ -51,11 +55,12 @@ def counted_verdicts(calls, batches=None):
             batches.append(zetas)
         return batch(p, zetas)
 
-    return mock.patch.multiple(
+    with mock.patch.multiple(
         modeswitch,
         _decide=lambda p, z: calls.append(z) or one(p, z),
         _decide_all=counted_batch,
-    )
+    ), mock.patch.object(root_envelope, "_decide_all", counted_batch):
+        yield
 
 
 def test_default_sweep_shape(defaults):
@@ -240,7 +245,7 @@ def test_envelope_equals_swept_envelope(
     fallbacks = []
     every_point = modeswitch.sweep_points
     with counted_verdicts(calls), mock.patch.object(
-        modeswitch,
+        root_envelope,
         "sweep_points",
         lambda p, g: fallbacks.append(g) or every_point(p, g),
     ):
@@ -264,7 +269,7 @@ def test_envelope_equals_swept_envelope(
     # A bisection midpoint gets a verdict of its own only within the root
     # window of a root, or with roots on both sides of it in its grid cell.
     window = modeswitch._ROOT_WINDOW
-    groups = modeswitch._roots_by_function(p, grid[0], grid[-1])
+    groups = root_envelope._roots_by_function(p, grid[0], grid[-1])
     found = [r for group in groups for r in group]
     for z in midpoints:
         k = bisect_right(grid, z)
@@ -312,10 +317,11 @@ def test_envelope_returns_or_raises_what_the_sweep_does(
 
 
 def test_envelope_sweeps_where_a_sign_function_size_is_not_finite(defaults):
-    # |l3| + |l4| overflows, so every sign function's size is inf while
-    # the build's terms stay finite: the roots are not trusted.
+    # |l3| + |l4| overflows, which validation refuses (the tip moment
+    # ratio overflows), so the build's terms raise ValueError: the roots
+    # are not trusted, and the envelope raises the sweep's ValueError.
     p = defaults.with_values(l3=1e308, l4=1e308)
-    assert modeswitch._roots_by_function(p, rad(-30.0), rad(90.0)) is None
+    assert root_envelope._roots_by_function(p, rad(-30.0), rad(90.0)) is None
     assert envelope_or_error(lambda: envelope(p)) == envelope_or_error(
         lambda: swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5))
     )
@@ -327,7 +333,7 @@ def test_envelope_sweeps_a_valid_build_whose_det_size_overflows(defaults):
     # roots are not trusted, and the envelope sweeps.
     p = defaults.with_values(theta2=1e-300, mu=1e299)
     assert validate_parameters(p).ok
-    assert modeswitch._roots_by_function(p, rad(-30.0), rad(90.0)) is None
+    assert root_envelope._roots_by_function(p, rad(-30.0), rad(90.0)) is None
     assert envelope_or_error(lambda: envelope(p)) == envelope_or_error(
         lambda: swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5))
     )
@@ -393,7 +399,7 @@ def test_envelope_with_a_nearly_cancelled_det(defaults, monkeypatch, frictionles
         want = hexed(swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5), tolerance))
         assert hexed(envelope(p, tolerance=tolerance)) == want
     # Trusting the det roots anyway infers midpoints in the band wrongly.
-    monkeypatch.setattr(modeswitch, "_FLOOR_REACH", math.inf)
+    monkeypatch.setattr(root_envelope, "_FLOOR_REACH", math.inf)
     assert hexed(envelope(p, tolerance=0.0)) != hexed(
         swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5), 0.0)
     )
@@ -401,7 +407,7 @@ def test_envelope_with_a_nearly_cancelled_det(defaults, monkeypatch, frictionles
 
 def test_envelope_falls_back_to_every_grid_point(defaults, monkeypatch):
     # With every root distrusted the envelope samples the whole grid.
-    monkeypatch.setattr(modeswitch, "_CANCELLATION_FLOOR", math.inf)
+    monkeypatch.setattr(root_envelope, "_CANCELLATION_FLOOR", math.inf)
     calls = []
     with counted_verdicts(calls):
         got = envelope(defaults)
@@ -415,17 +421,17 @@ def test_envelope_falls_back_when_a_transition_lies_between_probes(defaults, mon
     # band, so the probes around each edge disagree across grid points no
     # verdict was computed for: the envelope must take the full sweep, not
     # place the edge from the moved roots.
-    roots_by_function = modeswitch._roots_by_function
+    roots_by_function = root_envelope._roots_by_function
     shift = 3 * rad(0.5)
     monkeypatch.setattr(
-        modeswitch,
+        root_envelope,
         "_roots_by_function",
         lambda p, lo, hi: [[r + shift for r in g] for g in roots_by_function(p, lo, hi)],
     )
     fallbacks = []
     every_point = modeswitch.sweep_points
     monkeypatch.setattr(
-        modeswitch, "sweep_points", lambda p, g: fallbacks.append(g) or every_point(p, g)
+        root_envelope, "sweep_points", lambda p, g: fallbacks.append(g) or every_point(p, g)
     )
     got = envelope(defaults)
     assert len(fallbacks) == 1
@@ -574,8 +580,8 @@ def test_spring_scale_move_keeps_every_verdict(scales, field, factor):
     )
     q = p.with_values(**{field: getattr(p, field) * factor})
     assume(validate_parameters(p).ok and validate_parameters(q).ok)
-    assume(modeswitch._spring_scalable(q))
-    assume(modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE))
+    assume(root_envelope._spring_scalable(q))
+    assume(root_envelope._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE))
     assert hexed(envelope(q)) == hexed(envelope(p))
     grid = sweep_grid(*DEFAULT_RANGE, rad(0.5))
     ratio = spring_moment_scale(q) / spring_moment_scale(p)
@@ -608,8 +614,8 @@ def cancelled_xi_numerator(defaults, offset=0.0):
 
 
 def test_spring_scale_guard_accepts_the_reference_build(defaults):
-    assert modeswitch._spring_scalable(defaults)
-    assert modeswitch._spring_scale_keeps_verdicts(defaults, *DEFAULT_RANGE)
+    assert root_envelope._spring_scalable(defaults)
+    assert root_envelope._spring_scale_keeps_verdicts(defaults, *DEFAULT_RANGE)
 
 
 @pytest.mark.parametrize(
@@ -625,8 +631,8 @@ def test_spring_scale_guard_accepts_the_reference_build(defaults):
 def test_spring_scale_guard_refuses_unscalable_springs(defaults, changes):
     p = defaults.with_values(**changes)
     assert validate_parameters(p).ok
-    assert not modeswitch._spring_scalable(p)
-    assert not modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
+    assert not root_envelope._spring_scalable(p)
+    assert not root_envelope._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
 
 
 def test_spring_moments_that_underflow_change_verdicts():
@@ -643,8 +649,8 @@ def test_spring_moments_that_underflow_change_verdicts():
     )
     q = p.with_values(spring_k=5e-323)
     assert validate_parameters(q).ok and spring_force(q) > 0.0
-    assert modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
-    assert not modeswitch._spring_scalable(q)
+    assert root_envelope._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
+    assert not root_envelope._spring_scalable(q)
     grid = sweep_grid(*DEFAULT_RANGE, rad(0.5))
     assert [v[0] for v in _decide_all(p, grid)] != [v[0] for v in _decide_all(q, grid)]
 
@@ -652,18 +658,18 @@ def test_spring_moments_that_underflow_change_verdicts():
 def test_spring_scale_guard_refuses_a_cancelled_xi_numerator(defaults):
     p = cancelled_xi_numerator(defaults)
     assert validate_parameters(p).ok
-    assert min(xi_numerator_margins(p)) < modeswitch._SCALE_MARGIN
-    assert modeswitch._roots_by_function(p, *DEFAULT_RANGE) is not None
-    assert not modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
+    assert min(xi_numerator_margins(p)) < root_envelope._SCALE_MARGIN
+    assert root_envelope._roots_by_function(p, *DEFAULT_RANGE) is not None
+    assert not root_envelope._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
     # A millirad further, the numerator clears the margin and reuse is safe.
     q = cancelled_xi_numerator(defaults, 1e-3)
-    assert min(xi_numerator_margins(q)) > modeswitch._SCALE_MARGIN
-    assert modeswitch._spring_scale_keeps_verdicts(q, *DEFAULT_RANGE)
+    assert min(xi_numerator_margins(q)) > root_envelope._SCALE_MARGIN
+    assert root_envelope._spring_scale_keeps_verdicts(q, *DEFAULT_RANGE)
 
 
 def beta_root_gaps(p):
     """Distance from each beta-numerator root to the nearest other root."""
-    *others, betas = modeswitch._roots_by_function(p, *DEFAULT_RANGE)
+    *others, betas = root_envelope._roots_by_function(p, *DEFAULT_RANGE)
     return [min(abs(r - q) for group in others for q in group) for r in betas]
 
 
@@ -673,7 +679,7 @@ def test_spring_scale_guard_refuses_a_beta_root_beside_another_root(defaults, wh
         # A numerator cancelled to ~2e-7 clears the margin, but it puts the
         # beta-numerator root ~4e-8 rad from the +1 det's.
         p = cancelled_xi_numerator(defaults, 1e-7)
-        assert min(xi_numerator_margins(p)) > modeswitch._SCALE_MARGIN
+        assert min(xi_numerator_margins(p)) > root_envelope._SCALE_MARGIN
     else:
         # theta1 on the gamma = 0 line zeroes a00 and a10 together, and
         # with them the beta numerator.
@@ -684,9 +690,9 @@ def test_spring_scale_guard_refuses_a_beta_root_beside_another_root(defaults, wh
             )
         )
     assert validate_parameters(p).ok
-    assert modeswitch._spring_scalable(p)
+    assert root_envelope._spring_scalable(p)
     assert min(beta_root_gaps(p)) <= 2.0 * modeswitch._ROOT_WINDOW
-    assert not modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
+    assert not root_envelope._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
     assert min(beta_root_gaps(defaults)) > 2.0 * modeswitch._ROOT_WINDOW
 
 
@@ -694,9 +700,9 @@ def test_spring_scale_guard_refuses_a_distrusted_sign_function(defaults):
     # The nearly cancelled det of test_envelope_with_a_nearly_cancelled_det.
     p = defaults.with_values(theta3=defaults.theta1 + 3e-7, theta4=defaults.theta2 + 9e-7)
     assert validate_parameters(p).ok
-    assert min(xi_numerator_margins(p)) > modeswitch._SCALE_MARGIN
-    assert modeswitch._roots_by_function(p, *DEFAULT_RANGE) is None
-    assert not modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
+    assert min(xi_numerator_margins(p)) > root_envelope._SCALE_MARGIN
+    assert root_envelope._roots_by_function(p, *DEFAULT_RANGE) is None
+    assert not root_envelope._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)
 
 
 def test_spring_scale_guard_refuses_an_undefined_minus_branch(defaults):
@@ -708,9 +714,9 @@ def test_spring_scale_guard_refuses_an_undefined_minus_branch(defaults):
             "the slotted pin on the -1 branch (mu >= cot|theta2|, so "
             "-s*mu*sin(theta2) + cos(theta2) <= 0)")
     assert validate_parameters(p).describe() == text
-    assert modeswitch._roots_by_function(p, *DEFAULT_RANGE) is None
-    for call in (lambda: _build_terms(p), lambda: modeswitch._spring_scalable(p),
-                 lambda: modeswitch._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)):
+    assert root_envelope._roots_by_function(p, *DEFAULT_RANGE) is None
+    for call in (lambda: _build_terms(p), lambda: root_envelope._spring_scalable(p),
+                 lambda: root_envelope._spring_scale_keeps_verdicts(p, *DEFAULT_RANGE)):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == text

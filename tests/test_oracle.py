@@ -328,10 +328,10 @@ def test_alternating_builds_each_get_their_own_stack(scales_a, scales_b, zetas):
 
 
 def test_cached_stack_is_read_only(defaults):
-    from linkstat import statics
+    from linkstat import oracle
 
     full_equilibrium(defaults, 0.0)
-    terms = statics._oracle_terms(defaults)
+    terms = oracle._oracle_terms(defaults)
     for array in (terms.matrix, terms.rhs):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

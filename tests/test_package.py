@@ -10,7 +10,8 @@ import pytest
 
 import linkstat
 
-SUBMODULES = ("model", "statics", "modeswitch", "paramfile", "compare", "design")
+SUBMODULES = ("model", "statics", "oracle", "modeswitch", "roots", "paramfile", "readers",
+              "compare", "design")
 
 
 def test_name_table_is_the_union_of_the_submodules_all():
@@ -90,6 +91,47 @@ def test_comparison_names_still_resolve_on_paramfile():
     assert compare_measurements is linkstat.compare.compare_measurements
     with pytest.raises(AttributeError, match="'no_such_name'"):
         linkstat.paramfile.no_such_name
+
+
+# Public names that moved out of a module, by that module: their new
+# home and the names, each of which still resolves on the module it left.
+MOVED = {
+    "statics": ("oracle", ("EquilibriumState", "full_equilibrium")),
+    "modeswitch": ("roots", ("envelope",)),
+    "paramfile": ("readers", ("Measurement", "parse_design_file", "read_measurements")),
+}
+
+
+@pytest.mark.parametrize("old", MOVED)
+def test_moved_names_resolve_on_the_module_they_left(old, run_child):
+    """Each moved name is, on its old module and on the package, the new
+    home's object; the old module loads the new home only
+    on the first such lookup, in a fresh interpreter."""
+    home, names = MOVED[old]
+    code = (
+        "import json, sys\n"
+        f"import linkstat.{old} as old\n"
+        f"before = 'linkstat.{home}' in sys.modules\n"
+        f"value = getattr(old, {names[0]!r})\n"
+        f"print(json.dumps([before, value is getattr(sys.modules['linkstat.{home}'], "
+        f"{names[0]!r})]))\n"
+    )
+    assert run_child(code) == [False, True]
+    old_module = importlib.import_module(f"linkstat.{old}")
+    new_module = importlib.import_module(f"linkstat.{home}")
+    for name in names:
+        assert getattr(old_module, name) is getattr(new_module, name), name
+        assert getattr(linkstat, name) is getattr(new_module, name), name
+        assert linkstat._HOMES[name] == home
+    with pytest.raises(AttributeError, match=f"'linkstat.{old}' has no attribute 'nothing'"):
+        old_module.nothing
+
+
+def test_spring_force_still_resolves_on_statics():
+    import linkstat.model
+    import linkstat.statics
+
+    assert linkstat.statics.spring_force is linkstat.model.spring_force
 
 
 def test_comparison_runs_no_import_per_call():

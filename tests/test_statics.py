@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import linkstat.model as model
+import linkstat.oracle as oracle
 import linkstat.statics as statics
 from linkstat import (
     BlockedReason,
@@ -32,7 +34,7 @@ from linkstat import (
     tip_moment_ratio,
     validate_parameters,
 )
-from linkstat.modeswitch import _sign_functions
+from linkstat.roots import _sign_functions
 
 # Reference values computed by hand from the member balances before this
 # module existed; they are frozen here and must keep reproducing.
@@ -68,6 +70,33 @@ def test_tip_moment_ratio_reference(defaults):
 def test_friction_coupling_reference(defaults):
     assert math.isclose(friction_coupling(defaults, 1), LAMBDA_PLUS_REF, rel_tol=1e-6)
     assert math.isclose(friction_coupling(defaults, -1), LAMBDA_MINUS_REF, rel_tol=1e-6)
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("name", ["l2", "l3", "l4", "theta2", "theta3"])
+def test_tip_moment_ratio_names_a_non_finite_field(defaults, name, value):
+    with pytest.raises(ValueError) as err:
+        tip_moment_ratio(defaults.with_values(**{name: value}), 0.0)
+    assert str(err.value) == f"{name}: must be finite, got {value!r}"
+
+
+@pytest.mark.parametrize("zeta", _NON_FINITE)
+def test_tip_moment_ratio_names_a_non_finite_press_direction(defaults, zeta):
+    with pytest.raises(ValueError) as err:
+        tip_moment_ratio(defaults, zeta)
+    assert str(err.value) == f"press direction must be finite, got {zeta!r}"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("name", ["mu", "theta2", "theta3"])
+def test_friction_coupling_names_a_non_finite_field(defaults, name, value, sign):
+    with pytest.raises(ValueError) as err:
+        friction_coupling(defaults.with_values(**{name: value}), sign)
+    assert str(err.value) == f"{name}: must be finite, got {value!r}"
 
 
 @given(st.floats(min_value=-0.5, max_value=1.5))
@@ -355,13 +384,20 @@ def test_oracle_does_not_read_the_build_terms(defaults, monkeypatch):
     calls = [(p, rad(z)) for z in (-15.0, 0.0, 60.0) for p in (defaults, other)]
     expected = []
     for p, z in calls:
-        monkeypatch.setattr(statics, "_last_oracle_terms", None)
+        monkeypatch.setattr(oracle, "_last_oracle_terms", None)
         expected.append(full_equilibrium(p, z))
+
+    # The oracle's own module holds none of the fast route's derivation,
+    # under its own name or another.
+    derivation = (statics._build_terms, model._derive, model._Derivation)
+    assert not [name for name, value in vars(oracle).items()
+                if any(value is d for d in derivation)]
 
     def refuse(p):
         raise AssertionError("per-build terms requested")
 
     monkeypatch.setattr(statics, "_build_terms", refuse)
+    monkeypatch.setattr(model, "_derive", refuse)
     with pytest.raises(AssertionError, match="per-build terms"):
         predict_opening(defaults, 0.0)
     for (p, z), state in zip(calls, expected):

@@ -21,6 +21,11 @@ as ``repr``:
   directory's path replaced by ``<tmp>``.  An exception escaping ``main`` is
   recorded by type and text.
 * ``search``: the lines of ``tools/search_digest.py`` (its default seeds).
+* ``oracle``: ``full_equilibrium`` over builds scattered +-20 % and +-50 %
+  (valid or not) x random press directions x the hints None, +1 and -1,
+  then over the builds it refuses (a zero coupler moment arm, l1 = 0,
+  l1 = 1e-320, l2 = 5e-324 and each field at +-inf): every field of
+  every state, or the type and text of its error.
 
 ``validation`` and ``cli`` digest apart, as ``a11_digest``, the
 ``a11_builds`` whose angles and mu pass their range rules, whose coupling
@@ -49,11 +54,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SECTIONS = ("kernel", "envelope", "validation", "cli", "search")
+SECTIONS = ("kernel", "envelope", "validation", "cli", "search", "oracle")
 
 # Fixed seeds, one per section, and the corpus sizes of a full run.
-SEEDS = {"kernel": 31001, "validation": 31002, "cli": 31003}
-SIZES = {"kernel": 4000, "validation": 40000, "cli": 300}
+SEEDS = {"kernel": 31001, "validation": 31002, "cli": 31003, "oracle": 32001}
+SIZES = {"kernel": 4000, "validation": 40000, "cli": 300, "oracle": 1000}
 
 _PHYSICAL = ("l0", "l1", "l2", "l3", "l4", "theta0", "theta1", "theta2", "theta3",
              "theta4", "theta5", "spring_k", "natural_length", "mu")
@@ -291,6 +296,38 @@ def cli(linkstat, size: int) -> str:
             f"a11_digest={a11_digest.hexdigest()}")
 
 
+def _oracle_builds(linkstat, size: int) -> list:
+    """Scattered builds, then the builds the oracle refuses."""
+    base = linkstat.default_parameters()
+    rng = random.Random(SEEDS["oracle"])
+    builds = [base] + [_scattered(rng, base, 0.2 if i % 3 else 0.5) for i in range(1, size)]
+    builds += [base.with_values(**change) for change in
+               ({"l2": 0.0}, {"l1": 0.0}, {"l1": 1e-320}, {"l2": 5e-324})]
+    builds += [base.with_values(**{name: value})
+               for name in base._fields for value in (math.inf, -math.inf)]
+    return builds
+
+
+def oracle(linkstat, size: int) -> str:
+    rng = random.Random(SEEDS["oracle"] + 1)
+    digest, states, errors = _Digest(), 0, 0
+    builds = _oracle_builds(linkstat, size)
+    for p in builds:
+        for zeta in [0.3, *(rng.uniform(-1.2, 1.8) for _ in range(3))]:
+            for hint in (None, 1, -1):
+                try:
+                    state = linkstat.full_equilibrium(p, zeta, hint)
+                except (linkstat.SingularSystemError, ValueError) as exc:
+                    digest.add(type(exc).__name__, str(exc))
+                    errors += 1
+                else:
+                    digest.add(*(v for item in state
+                                 for v in (item if isinstance(item, tuple) else (item,))))
+                    states += 1
+    return (f"oracle: builds={len(builds)} states={states} errors={errors} "
+            f"digest={digest.hexdigest()}")
+
+
 def search(tree: Path) -> str:
     lines = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "search_digest.py"), "--tree", str(tree)],
@@ -312,6 +349,7 @@ def run(sections, tree: Path = ROOT, scale: float = 1.0) -> list[str]:
         "validation": lambda: validation(linkstat, sized["validation"]),
         "cli": lambda: cli(linkstat, sized["cli"]),
         "search": lambda: search(tree),
+        "oracle": lambda: oracle(linkstat, sized["oracle"]),
     }
     return [makers[name]() for name in sections]
 

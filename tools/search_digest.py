@@ -9,8 +9,9 @@ prints
 * the number of targets,
 * the ``_envelope`` calls the search made,
 * the verdicts the kernel computed, counted at the ``_decide_all`` and
-  ``_decide`` names that ``linkstat.design`` and ``linkstat.modeswitch``
-  read,
+  ``_decide`` names that the kernel's callers among the loaded modules
+  read (``linkstat.design``, ``linkstat.modeswitch`` and, where it
+  exists, ``linkstat.roots``),
 * a SHA-256 over every result: status, parameters, evaluations,
   penalty, violations and verification record, floats as ``float.hex``,
   or the type and text of the exception a search raised.
@@ -27,6 +28,7 @@ are only imported.  Run it from anywhere::
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib
 import sys
@@ -65,7 +67,7 @@ class _Counter:
         self._saved.append((module, name, getattr(module, name)))
         setattr(module, name, wrapper)
 
-    def install(self, design, modeswitch) -> None:
+    def install(self, design) -> None:
         envelope = design._envelope
 
         def counted_envelope(*args, **kwargs):
@@ -73,20 +75,25 @@ class _Counter:
             return envelope(*args, **kwargs)
 
         self._replace(design, "_envelope", counted_envelope)
-        for module in (design, modeswitch):
-            decide, decide_all = module._decide, module._decide_all
 
-            def counted_decide(*args, _decide=decide, **kwargs):
-                self.verdicts += 1
-                return _decide(*args, **kwargs)
+        def counted_decide(*args, _decide, **kwargs):
+            self.verdicts += 1
+            return _decide(*args, **kwargs)
 
-            def counted_decide_all(*args, _decide_all=decide_all, **kwargs):
-                verdicts = _decide_all(*args, **kwargs)
-                self.verdicts += len(verdicts)
-                return verdicts
+        def counted_decide_all(*args, _decide_all, **kwargs):
+            verdicts = _decide_all(*args, **kwargs)
+            self.verdicts += len(verdicts)
+            return verdicts
 
-            self._replace(module, "_decide", counted_decide)
-            self._replace(module, "_decide_all", counted_decide_all)
+        # Every loaded linkstat module that imported a kernel name, but not
+        # the kernel's home, whose own calls between the two would count twice.
+        modules = [m for name, m in list(sys.modules.items()) if name.startswith("linkstat.")]
+        for module in modules:
+            for name, counted in (("_decide", counted_decide),
+                                  ("_decide_all", counted_decide_all)):
+                kernel = vars(module).get(name)
+                if kernel is not None and kernel.__module__ != module.__name__:
+                    self._replace(module, name, functools.partial(counted, **{name: kernel}))
 
     def restore(self) -> None:
         for module, name, value in reversed(self._saved):
@@ -107,12 +114,11 @@ def main(argv: list[str] | None = None) -> int:
     gen = importlib.import_module("gen")
     inputs = importlib.import_module("inputs")
     design = importlib.import_module("linkstat.design")
-    modeswitch = importlib.import_module("linkstat.modeswitch")
 
     digest = hashlib.sha256()
     targets = 0
     counter = _Counter()
-    counter.install(design, modeswitch)
+    counter.install(design)
     try:
         for seed in args.seeds:
             with tempfile.TemporaryDirectory() as work:
