@@ -167,10 +167,18 @@ def spring_force(p: LinkageParameters) -> float:
     The stretched length is modelled as the lateral projection of the two
     anchor offsets, l0*(sin(theta0+theta1) + sin(theta4+theta5)); the
     spring rate times the stretch past natural length gives the force.
+    An infinite angle, or two finite ones whose sum overflows, raises
+    ValueError naming it; a nan gives nan.
     """
-    stretched = p.l0 * (
-        math.sin(p.theta0 + p.theta1) + math.sin(p.theta4 + p.theta5)
-    )
+    try:
+        stretched = p.l0 * (
+            math.sin(p.theta0 + p.theta1) + math.sin(p.theta4 + p.theta5)
+        )
+    except ValueError:  # the sine of an infinite sum: name its infinite angle, else the sum
+        a, b = ("theta0", "theta1") if math.isinf(p.theta0 + p.theta1) else ("theta4", "theta5")
+        x, y = getattr(p, a), getattr(p, b)
+        name, value = (a, x) if math.isinf(x) else (b, y) if math.isinf(y) else (f"{a} + {b}", x + y)
+        raise ValueError(f"{name}: must be finite, got {value!r}") from None
     return p.spring_k * (stretched - p.natural_length)
 
 
@@ -178,11 +186,11 @@ def _branch_sign_error(sign_beta3: object) -> ValueError:
     return ValueError(f"friction branch sign must be +1 or -1, got {sign_beta3!r}")
 
 
-def _forward(namespace: dict, homes: dict[str, str]):
-    """A module ``__getattr__`` under which names moved out of the module
-    whose globals are ``namespace`` still resolve.
+def _forward(namespace: dict, names: tuple[str, ...]):
+    """A module ``__getattr__`` under which ``names``, moved out of the
+    module whose globals are ``namespace``, still resolve.
 
-    ``homes`` maps each such name to the submodule that defines it; that
+    Each name's home is the submodule ``linkstat._HOMES`` gives it; that
     submodule loads on first access, and the name is then bound in
     ``namespace``, where wrappers such as the benchmark's tracer find it.
     Only public names are forwarded: the moved code reads its private
@@ -190,10 +198,11 @@ def _forward(namespace: dict, homes: dict[str, str]):
     """
 
     def __getattr__(name: str):
-        home = homes.get(name)
-        if home is None:
+        if name not in names:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        value = namespace[name] = getattr(import_module("." + home, __package__), name)
+        from . import _HOMES
+
+        value = namespace[name] = getattr(import_module("." + _HOMES[name], __package__), name)
         return value
 
     return __getattr__

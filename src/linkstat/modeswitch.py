@@ -323,5 +323,5 @@ def parallel_grip_budget(threshold: float) -> float:
     return DEFAULT_GRIP_MARGIN * threshold
 
 
-# The root-inferred envelope, which resolves here from linkstat.roots.
-__getattr__ = _forward(globals(), {"envelope": "roots"})
+# The root-inferred envelope, which resolves here from its home in linkstat._HOMES.
+__getattr__ = _forward(globals(), ("envelope",))

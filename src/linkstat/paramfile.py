@@ -392,9 +392,8 @@ def format_parameter_file(
 
 
 # The names of the design-file and measurement readers and of the
-# comparison, which resolve here from linkstat.readers and linkstat.compare.
-__getattr__ = _forward(globals(), {
-    **dict.fromkeys(("Measurement", "parse_design_file", "read_measurements"), "readers"),
-    **dict.fromkeys(("ComparisonResult", "ComparisonRow", "compare_measurements",
-                     "format_comparison_csv"), "compare"),
-})
+# comparison, which resolve here from their homes in linkstat._HOMES.
+__getattr__ = _forward(globals(), (
+    "Measurement", "parse_design_file", "read_measurements",
+    "ComparisonResult", "ComparisonRow", "compare_measurements", "format_comparison_csv",
+))

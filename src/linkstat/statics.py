@@ -493,9 +493,6 @@ def _opening_decision(
     )
 
 
-# The raw-equilibrium oracle's public names resolve here from linkstat.oracle,
-# and spring_force, which only the oracle read here, from linkstat.model.
-__getattr__ = _forward(globals(), {
-    **dict.fromkeys(("EquilibriumState", "full_equilibrium"), "oracle"),
-    "spring_force": "model",
-})
+# The raw-equilibrium oracle's public names, and spring_force, which only the
+# oracle read here, resolve here from their homes in linkstat._HOMES.
+__getattr__ = _forward(globals(), ("EquilibriumState", "full_equilibrium", "spring_force"))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -73,3 +74,17 @@ def run_child(child_env):
         return json.loads(proc.stdout.splitlines()[-1])
 
     return run
+
+
+@pytest.fixture
+def load_tool():
+    """Import ``tools/<name>.py`` of this checkout as a fresh module."""
+
+    def load(name):
+        path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load

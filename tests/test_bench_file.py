@@ -1,19 +1,8 @@
 """``tools/bench_file.py`` reads a run's two lines into the file's schema."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_file.py"
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("bench_file", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _stdout(seed, work_per_s, correct=True):
@@ -24,8 +13,8 @@ def _stdout(seed, work_per_s, correct=True):
     return f"generating inputs\n{json.dumps(record)}\n{json.dumps(result)}\n"
 
 
-def test_canned_runs_fill_the_schema():
-    tool = _tool()
+def test_canned_runs_fill_the_schema(load_tool):
+    tool = load_tool("bench_file")
     runs = []
     for seed, parent, change in ((1, 10.0, 10.5), (2, 10.2, 10.1), (3, 9.9, 10.4)):
         for tree, value in (("parent", parent), ("change", change)):
@@ -40,6 +29,6 @@ def test_canned_runs_fill_the_schema():
                                       "op_ms": {"won": 0, "pairs": 3}}
 
 
-def test_a_run_without_its_two_lines_is_refused():
+def test_a_run_without_its_two_lines_is_refused(load_tool):
     with pytest.raises(ValueError, match="two JSON lines"):
-        _tool().parse_run('{"record": {}}\n')
+        load_tool("bench_file").parse_run('{"record": {}}\n')

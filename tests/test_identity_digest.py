@@ -1,21 +1,12 @@
 """Smoke test of ``tools/identity_digest.py`` on small corpora."""
 
-import importlib.util
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "identity_digest.py"
 
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("identity_digest", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_identity_digest_repeats_itself():
-    tool = _tool()
-    sections = ["kernel", "envelope", "validation", "cli", "oracle"]
+def test_identity_digest_repeats_itself(load_tool):
+    tool = load_tool("identity_digest")
+    sections = list(tool.SECTIONS)
     lines = tool.run(sections, scale=0.01)
     assert lines == tool.run(sections, scale=0.01)
     assert [line.split(":")[0] for line in lines] == sections
@@ -23,3 +14,5 @@ def test_identity_digest_repeats_itself():
                   if not item.startswith(("digest", "a11_digest")))
     assert fields["mismatches"] == "0"
     assert fields["a11_refused"] == fields["a11_builds"] != "0"
+    assert "0" not in (fields["targets"], fields["envelope_calls"], fields["kernel_verdicts"])
+    assert "bench" not in {Path(path).name for path in sys.path}  # loaded by path only

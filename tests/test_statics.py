@@ -61,6 +61,16 @@ def test_spring_force_zero_rate(defaults):
     assert spring_force(defaults.with_values(spring_k=0.0)) == 0.0
 
 
+@pytest.mark.parametrize("change, named", [
+    *(({name: value}, f"{name}: must be finite, got {value!r}")
+      for name in ("theta0", "theta1", "theta4", "theta5") for value in (math.inf, -math.inf)),
+    ({"theta0": 1e308, "theta1": 1e308}, "theta0 + theta1: must be finite, got inf"),
+])
+def test_spring_force_names_an_infinite_angle(defaults, change, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        spring_force(defaults.with_values(**change))
+
+
 def test_tip_moment_ratio_reference(defaults):
     assert math.isclose(tip_moment_ratio(defaults, 0.0), GAMMA_AT_0_REF, rel_tol=1e-6)
     # The ratio crosses zero between -15 and 0 degrees of press direction.

@@ -20,7 +20,12 @@ as ``repr``:
   stderr and the bytes each command wrote, each with the scratch
   directory's path replaced by ``<tmp>``.  An exception escaping ``main`` is
   recorded by type and text.
-* ``search``: the lines of ``tools/search_digest.py`` (its default seeds).
+* ``search``: ``optimize_design`` from the reference build over the
+  targets of ``bench/gen.py``'s ``design_search`` inputs for seeds 1-10,
+  loaded by ``bench/inputs.py``, each with its budget: the number of
+  targets, the ``design._envelope`` calls, the kernel verdicts (counted
+  where the kernel's callers read ``_decide`` and ``_decide_all``) and a
+  full SHA-256 over every result, or the type and text of its error.
 * ``oracle``: ``full_equilibrium`` over builds scattered +-20 % and +-50 %
   (valid or not) x random press directions x the hints None, +1 and -1,
   then over the builds it refuses (a zero coupler moment arm, l1 = 0,
@@ -36,19 +41,20 @@ print the same lines.  Run it from anywhere::
 
     python tools/identity_digest.py                        # every section
     python tools/identity_digest.py --sections kernel,cli  # the named ones
-    python tools/identity_digest.py --tree OTHER           # another checkout's src
+    python tools/identity_digest.py --tree OTHER           # another checkout's src and bench
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib
+import importlib.util
 import io
 import math
 import random
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -56,9 +62,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SECTIONS = ("kernel", "envelope", "validation", "cli", "search", "oracle")
 
-# Fixed seeds, one per section, and the corpus sizes of a full run.
+# Fixed seeds, one per section (``search`` runs the benchmark's seeds from 1),
+# and the corpus sizes of a full run.
 SEEDS = {"kernel": 31001, "validation": 31002, "cli": 31003, "oracle": 32001}
-SIZES = {"kernel": 4000, "validation": 40000, "cli": 300, "oracle": 1000}
+SIZES = {"kernel": 4000, "validation": 40000, "cli": 300, "search": 10, "oracle": 1000}
 
 _PHYSICAL = ("l0", "l1", "l2", "l3", "l4", "theta0", "theta1", "theta2", "theta3",
              "theta4", "theta5", "spring_k", "natural_length", "mu")
@@ -328,17 +335,92 @@ def oracle(linkstat, size: int) -> str:
             f"digest={digest.hexdigest()}")
 
 
-def search(tree: Path) -> str:
-    lines = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "search_digest.py"), "--tree", str(tree)],
-        capture_output=True, text=True, check=True).stdout.splitlines()
-    fields = (line.split(": ", 1) for line in lines)
-    return "search: " + " ".join(f"{name.replace(' ', '_')}={value}" for name, value in fields)
+def _bench(tree: Path, name: str):
+    """``<tree>/bench/<name>.py`` as a fresh module, without putting ``bench/`` on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", tree / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@contextlib.contextmanager
+def _counted(design):
+    """Counts ``design._envelope`` calls and kernel verdicts while the block runs.
+
+    Verdicts are counted at the ``_decide`` and ``_decide_all`` names of
+    every loaded ``linkstat`` module that imported them, but not at the
+    kernel's home, whose own calls between the two would count twice.
+    """
+    counts = {"envelope_calls": 0, "kernel_verdicts": 0}
+    saved = []
+
+    def envelope(*args, _envelope, **kwargs):
+        counts["envelope_calls"] += 1
+        return _envelope(*args, **kwargs)
+
+    def decide(*args, _decide, **kwargs):
+        counts["kernel_verdicts"] += 1
+        return _decide(*args, **kwargs)
+
+    def decide_all(*args, _decide_all, **kwargs):
+        verdicts = _decide_all(*args, **kwargs)
+        counts["kernel_verdicts"] += len(verdicts)
+        return verdicts
+
+    wrappers = [(design, "_envelope", envelope)]
+    for module in [m for key, m in list(sys.modules.items()) if key.startswith("linkstat.")]:
+        for name, counted in (("_decide", decide), ("_decide_all", decide_all)):
+            kernel = vars(module).get(name)
+            if kernel is not None and kernel.__module__ != module.__name__:
+                wrappers.append((module, name, counted))
+    for module, name, counted in wrappers:
+        original = getattr(module, name)
+        saved.append((module, name, original))
+        setattr(module, name, functools.partial(counted, **{name: original}))
+    try:
+        yield counts
+    finally:
+        for module, name, value in reversed(saved):
+            setattr(module, name, value)
+
+
+def _design_fields(result) -> list[str]:
+    """One string per field of a DesignResult, floats as float.hex."""
+    record = result.verification
+    return [
+        result.status.value,
+        *map(_hex, result.parameters),
+        repr(result.evaluations),
+        _hex(result.penalty),
+        *result.violations,
+        "None" if record is None else ",".join(map(_hex, record)),
+    ]
+
+
+def search(tree: Path, size: int) -> str:
+    gen, inputs = _bench(tree, "gen"), _bench(tree, "inputs")
+    design = importlib.import_module("linkstat.design")
+    sha, targets = hashlib.sha256(), 0
+    with _counted(design) as counts:
+        for seed in range(1, size + 1):
+            with tempfile.TemporaryDirectory() as work:
+                manifest = gen.generate("design_search", seed, Path(work))
+                loaded = inputs.load_inputs("design_search", Path(work), manifest)
+            for spec, budget in loaded["targets"]:
+                targets += 1
+                try:
+                    fields = _design_fields(
+                        design.optimize_design(spec, loaded["reference"], budget))
+                except (ValueError, RuntimeError) as exc:  # the errors a search documents
+                    fields = [type(exc).__name__, str(exc)]
+                sha.update(("\x1f".join(fields) + "\x1e").encode())
+    return (f"search: targets={targets} envelope_calls={counts['envelope_calls']} "
+            f"kernel_verdicts={counts['kernel_verdicts']} digest={sha.hexdigest()}")
 
 
 def run(sections, tree: Path = ROOT, scale: float = 1.0) -> list[str]:
-    """The lines of ``sections`` for the ``linkstat`` already imported,
-    with every corpus size multiplied by ``scale``."""
+    """The lines of ``sections`` for the ``linkstat`` already imported and
+    ``tree``'s ``bench/``, with every corpus size multiplied by ``scale``."""
     linkstat = importlib.import_module("linkstat")
     for module in ("model", "statics", "cli"):
         importlib.import_module(f"linkstat.{module}")
@@ -348,7 +430,7 @@ def run(sections, tree: Path = ROOT, scale: float = 1.0) -> list[str]:
         "envelope": lambda: envelope(linkstat, sized["kernel"]),
         "validation": lambda: validation(linkstat, sized["validation"]),
         "cli": lambda: cli(linkstat, sized["cli"]),
-        "search": lambda: search(tree),
+        "search": lambda: search(tree, sized["search"]),
         "oracle": lambda: oracle(linkstat, sized["oracle"]),
     }
     return [makers[name]() for name in sections]
@@ -357,7 +439,7 @@ def run(sections, tree: Path = ROOT, scale: float = 1.0) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=ROOT,
-                        help="checkout whose src/ to digest (default this one)")
+                        help="checkout whose src/ and bench/ to digest (default this one)")
     parser.add_argument("--sections", default=",".join(SECTIONS),
                         help=f"comma-separated sections (default {','.join(SECTIONS)})")
     args = parser.parse_args(argv)
