@@ -55,6 +55,14 @@ _HOMES: dict[str, str] = {
 
 __all__ = sorted([*_HOMES, "__version__"])
 
+# Public names that still resolve on the module they moved out of, by that
+# module: bench/'s tracer (bench/tracing.py TRACED) and workloads look each
+# up, and wrap it, there.  Pointing bench/ at each name's home retires them.
+_FORWARDS: dict[str, tuple[str, ...]] = {
+    "statics": ("full_equilibrium",),
+    "paramfile": ("parse_design_file", "read_measurements", "compare_measurements"),
+}
+
 # typing.TYPE_CHECKING without importing typing: type checkers read the
 # names below, the interpreter never runs these imports.
 TYPE_CHECKING = False
@@ -78,6 +86,21 @@ def __getattr__(name: str):
     if name in _HOMES.values():  # a submodule not yet imported
         return _import_module("." + name, __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _forward(namespace: dict):
+    """The ``__getattr__`` of the submodule whose globals are ``namespace``: each
+    name ``_FORWARDS`` gives it loads its home on first access and is bound there."""
+    module = namespace["__name__"]
+    names = _FORWARDS[module.rpartition(".")[2]]
+
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(_import_module("." + _HOMES[name], __name__), name)
+        return value
+
+    return __getattr__
 
 
 def __dir__() -> list[str]:

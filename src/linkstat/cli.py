@@ -294,7 +294,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # p is valid and every grid point finite, so no verdict raises here.
     curve = sweep_points(p, [math.radians(z) for z in zetas_deg])
-    intervals = opening_interval(curve)
+    try:
+        intervals = opening_interval(curve)
+    except ValueError as exc:  # two grid points one float apart in degrees, equal in radians
+        raise _Fail(2, f"sweep {exc}") from exc
 
     press = predict_opening(p, math.radians(args.press_angle_deg))
     threshold = press.required_force if press.opens else None
@@ -393,9 +396,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         measurements = read_measurements(text)
     except MeasurementFileError as exc:
         raise _Fail(2, f"{args.measurements}: {exc}") from exc
-    # Through paramfile, which loads linkstat.compare here: wrappers of the
-    # public functions, such as the benchmark's tracer, replace them there.
-    from .paramfile import compare_measurements, format_comparison_csv
+    # compare_measurements through paramfile, where the benchmark's tracer wraps it.
+    from .compare import format_comparison_csv
+    from .paramfile import compare_measurements
 
     result = compare_measurements(doc.parameters, measurements)
     if args.out is not None:

@@ -15,7 +15,7 @@ always with an explicit ``_deg`` suffix.
 from __future__ import annotations
 
 import math
-from importlib import import_module
+import operator
 from typing import Mapping, NamedTuple
 
 __all__ = [
@@ -57,8 +57,8 @@ def sweep_grid(lo: float, hi: float, step: float) -> list[float]:
     """Closed grid from ``lo`` to ``hi`` by ``step``, both ends included.
 
     Works in any angle unit.  Raises ValueError for a non-finite, reversed
-    or zero-step range, and for one spanning more than MAX_GRID_STEPS
-    steps, which is checked before anything is allocated.
+    or zero-step range, for one spanning more than MAX_GRID_STEPS steps
+    (checked before anything is allocated) and for a step that repeats a point.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValueError(f"range must be finite: [{lo}, {hi}] by {step}")
@@ -79,6 +79,8 @@ def sweep_grid(lo: float, hi: float, step: float) -> list[float]:
         points.append(hi)
     else:
         points[-1] = min(points[-1], hi)
+    if not all(map(operator.lt, points, points[1:])):
+        raise ValueError(f"step repeats a grid point: [{lo}, {hi}] by {step}")
     return points
 
 
@@ -184,28 +186,6 @@ def spring_force(p: LinkageParameters) -> float:
 
 def _branch_sign_error(sign_beta3: object) -> ValueError:
     return ValueError(f"friction branch sign must be +1 or -1, got {sign_beta3!r}")
-
-
-def _forward(namespace: dict, names: tuple[str, ...]):
-    """A module ``__getattr__`` under which ``names``, moved out of the
-    module whose globals are ``namespace``, still resolve.
-
-    Each name's home is the submodule ``linkstat._HOMES`` gives it; that
-    submodule loads on first access, and the name is then bound in
-    ``namespace``, where wrappers such as the benchmark's tracer find it.
-    Only public names are forwarded: the moved code reads its private
-    names at home, where a patch of them has to go.
-    """
-
-    def __getattr__(name: str):
-        if name not in names:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        from . import _HOMES
-
-        value = namespace[name] = getattr(import_module("." + _HOMES[name], __package__), name)
-        return value
-
-    return __getattr__
 
 
 # The report of a build that breaks no rule.

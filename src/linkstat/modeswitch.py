@@ -15,11 +15,9 @@ go to it in one call, and each bisection midpoint through its one-point
 case.  A sweep keeps one :class:`~linkstat.statics.OpeningDecision` per
 sample.
 
-Only the design search needs the root-inferred envelope, which
-``linkstat.modeswitch.envelope`` loads on first lookup.  On top of the
-sweep sit the operational questions: how hard must the finger be pressed
-to flip into turn-over mode, and how much grip force is safe to apply
-without flipping accidentally.
+On top of the sweep sit the operational questions: how hard must the
+finger be pressed to flip into turn-over mode, and how much grip force
+is safe to apply without flipping accidentally.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from .model import (
     DEFAULT_SWEEP_LO,
     DEFAULT_SWEEP_STEP,
     LinkageParameters,
-    _forward,
     sweep_grid,
 )
 from .statics import (
@@ -266,13 +263,20 @@ def opening_interval(
 ) -> tuple[OpeningInterval, ...]:
     """Extract the opening envelope from a sweep, widest interval first.
 
-    Ties on width break toward the lower interval.  Returns an empty
-    tuple when no sample opens.  Every bisection midpoint gets a verdict
-    of its own.
+    The samples are read as a grid, so their press directions must be
+    strictly ascending, as :func:`sweep` gives them; ValueError names
+    the first pair that is not.  Ties on width break toward the lower
+    interval.  Returns an empty tuple when no sample opens.  Every
+    bisection midpoint gets a verdict of its own.
     """
+    zetas = curve.zetas
+    for k in range(1, len(zetas)):
+        if not zetas[k - 1] < zetas[k]:
+            raise ValueError(f"press directions must be strictly ascending: sample {k} "
+                             f"({zetas[k]!r} rad) follows sample {k - 1} ({zetas[k - 1]!r} rad)")
     return _refine_runs(
         curve.params,
-        curve.zetas,
+        zetas,
         _runs(range(len(curve.samples)), [s.decision.opens for s in curve.samples]),
         tolerance,
     )
@@ -322,6 +326,3 @@ def parallel_grip_budget(threshold: float) -> float:
         raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     return DEFAULT_GRIP_MARGIN * threshold
 
-
-# The root-inferred envelope, which resolves here from its home in linkstat._HOMES.
-__getattr__ = _forward(globals(), ("envelope",))

@@ -20,8 +20,8 @@ each entry at its own row and column, and kept read-only for the most
 recent build in a cache of the oracle's own; each call copies it and
 writes those four entries.  This is the only code in linkstat that uses
 numpy, and it imports numpy on its first call.  No command line or
-search runs it: its names still resolve on :mod:`linkstat.statics`,
-loading this module on first access there.
+search runs it: ``full_equilibrium`` still resolves on
+:mod:`linkstat.statics`, loading this module on first access there.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def full_equilibrium(
         # both solutions, else sense +1.  The aggregated route keeps its
         # +1 branch on every tie, so the two rules differ where that
         # force is negative: an unhinted call and the fast route give
-        # different xi at 61 points of the default grid (ROADMAP item 6).
+        # different xi at 61 points of the default grid (solve_balance's docstring).
         chosen = -1 if solved[1] >= 0.0 and solved[10] >= 0.0 else 1
     else:
         chosen = 1

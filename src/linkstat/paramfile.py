@@ -12,10 +12,9 @@ recursive-descent evaluator; nothing is ever passed to eval().
 Every command reads a parameter file, so this module holds only what
 that needs.  Reading a design target file or a bench measurement table
 is :mod:`linkstat.readers`' job, and lining a table up against the
-model is :mod:`linkstat.compare`'s, since it needs the solver.  Their
-names still resolve here (``linkstat.paramfile.parse_design_file``,
-``linkstat.paramfile.compare_measurements`` and so on), loading their
-module on first access.
+model is :mod:`linkstat.compare`'s, since it needs the solver.
+``parse_design_file``, ``read_measurements`` and ``compare_measurements``
+still resolve here, loading their module on first access.
 
 The canonical file layout::
 
@@ -63,7 +62,8 @@ import math
 import re
 from typing import Callable, Iterator, NamedTuple
 
-from .model import _ANGLE_FIELDS, LinkageParameters, _forward
+from . import _forward
+from .model import _ANGLE_FIELDS, LinkageParameters
 
 __all__ = [
     "MeasurementFileError",
@@ -391,9 +391,4 @@ def format_parameter_file(
     return "\n\n".join(blocks) + "\n"
 
 
-# The names of the design-file and measurement readers and of the
-# comparison, which resolve here from their homes in linkstat._HOMES.
-__getattr__ = _forward(globals(), (
-    "Measurement", "parse_design_file", "read_measurements",
-    "ComparisonResult", "ComparisonRow", "compare_measurements", "format_comparison_csv",
-))
+__getattr__ = _forward(globals())  # two readers and the comparison: linkstat._FORWARDS

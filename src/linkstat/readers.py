@@ -3,9 +3,9 @@
 Only ``optimize`` and ``compare`` read these files, so a sweep never
 loads this module.  A design file is sectioned key = value text, read by
 the reader and expression evaluator of :mod:`linkstat.paramfile`; a
-measurement table is CSV.  Every name here still resolves on
-:mod:`linkstat.paramfile` (``linkstat.paramfile.parse_design_file`` and
-so on), loading this module on first access there.
+measurement table is CSV.  ``parse_design_file`` and
+``read_measurements`` still resolve on :mod:`linkstat.paramfile`,
+loading this module on first access there.
 """
 
 from __future__ import annotations

@@ -16,9 +16,7 @@ scales the spring moments keeps every verdict
 (:func:`_spring_scale_keeps_verdicts`).
 
 Only the design search runs this code, so a sweep from the command line
-never loads it.  Its names still resolve on :mod:`linkstat.modeswitch`
-(``linkstat.modeswitch.envelope`` and the rest), loading this module on
-first access there.
+never loads it.
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ Two independent routes compute the same state:
   force and moment balances as a 9-unknown linear system and solves that
   directly.
 
-The second route, the oracle, cross-checks the first from its own
-module, which this one loads only when ``full_equilibrium`` or
-``EquilibriumState`` is first looked up here.  The first route, every
-sweep and search run in plain floats; only the oracle loads numpy.
+The second route, the oracle, cross-checks the first from
+:mod:`linkstat.oracle`, which ``linkstat.statics.full_equilibrium``
+loads on first lookup.  The first route, every sweep and search run in
+plain floats; only the oracle loads numpy.
 
 The first route has one copy of its decision logic and its one 2x2
 solve: the private scalar kernel :func:`_decide_all` takes a build and a
@@ -52,7 +52,8 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .model import LinkageParameters, _branch_sign_error, _Derivation, _derive, _forward
+from . import _forward
+from .model import LinkageParameters, _branch_sign_error, _Derivation, _derive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -493,6 +494,4 @@ def _opening_decision(
     )
 
 
-# The raw-equilibrium oracle's public names, and spring_force, which only the
-# oracle read here, resolve here from their homes in linkstat._HOMES.
-__getattr__ = _forward(globals(), ("EquilibriumState", "full_equilibrium", "spring_force"))
+__getattr__ = _forward(globals())  # full_equilibrium, from linkstat.oracle

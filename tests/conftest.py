@@ -1,9 +1,11 @@
+import contextlib
 import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -88,3 +90,53 @@ def load_tool():
         return module
 
     return load
+
+
+@contextlib.contextmanager
+def _counting_verdicts(calls, batches=None):
+    """Patch the one-point and batch kernels to append every press direction
+    they are asked about to ``calls``, and each batch call's list of them to
+    ``batches``.
+
+    The kernels are patched at the ``_decide`` and ``_decide_all`` names of
+    every loaded ``linkstat`` module that imported them, but not at their
+    home, ``linkstat.statics``, whose own calls between the two would count
+    twice.
+    """
+    import linkstat.statics
+
+    one, batch = linkstat.statics._decide, linkstat.statics._decide_all
+
+    def counted(p, zeta):
+        calls.append(zeta)
+        return one(p, zeta)
+
+    def counted_batch(p, zetas):
+        zetas = list(zetas)
+        calls.extend(zetas)
+        if batches is not None:
+            batches.append(zetas)
+        return batch(p, zetas)
+
+    with contextlib.ExitStack() as stack:
+        for key, module in list(sys.modules.items()):
+            if key.startswith("linkstat.") and module is not linkstat.statics:
+                for name, kernel in (("_decide", counted), ("_decide_all", counted_batch)):
+                    if name in vars(module):
+                        stack.enter_context(mock.patch.object(module, name, kernel))
+        yield
+
+
+@pytest.fixture(scope="session")
+def counted_verdicts():
+    """``_counting_verdicts``, for tests that count the verdicts of a block
+    (session-scoped, so that property tests may take it too)."""
+    return _counting_verdicts
+
+
+@pytest.fixture
+def kernel_calls():
+    """Press directions of every kernel verdict computed during the test."""
+    calls = []
+    with _counting_verdicts(calls):
+        yield calls

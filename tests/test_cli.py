@@ -457,27 +457,19 @@ def test_compare_table(tmp_path, capsys):
 
 
 def test_compare_finds_the_comparison_on_paramfile(tmp_path, monkeypatch):
-    """A wrapper set on linkstat.paramfile sees the command's calls."""
+    """A wrapper of compare_measurements set on linkstat.paramfile, as the
+    benchmark's tracer sets one, sees the command's call."""
     import linkstat.paramfile as paramfile
 
     calls = []
-
-    def wrapped(name):
-        original = getattr(paramfile, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(paramfile, name, wrapper)
-
-    for name in ("compare_measurements", "format_comparison_csv"):
-        wrapped(name)
+    original = paramfile.compare_measurements
+    monkeypatch.setattr(paramfile, "compare_measurements",
+                        lambda *args: calls.append(args) or original(*args))
     meas = tmp_path / "meas.csv"
     meas.write_text("zeta_deg,measured_force_n\n0,5.0\n")
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--measurements", str(meas), "--out", str(out)]) == 0
-    assert calls == ["compare_measurements", "format_comparison_csv"]
+    assert len(calls) == 1
 
 
 def test_compare_rejects_bad_header(tmp_path, capsys):
@@ -493,6 +485,23 @@ def test_analyze_rejects_a_non_numeric_angle(capsys):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.err.endswith("error: argument --zeta-deg: not a number: 'abc'\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("lo, hi, step, message", [
+    # The grid in degrees would repeat 1.0.
+    ("1", "1.0000000000000002", "1e-16",
+     "sweep step repeats a grid point: [1.0, 1.0000000000000002] by 1e-16 deg"),
+    # Two adjacent floats in degrees are one float in radians.
+    ("1.9999999999999996", "1.9999999999999998", "2.220446049250313e-16",
+     "sweep press directions must be strictly ascending: sample 1 "
+     f"({math.radians(1.9999999999999998)!r} rad) follows sample 0 "
+     f"({math.radians(1.9999999999999996)!r} rad)"),
+], ids=["degrees", "radians"])
+def test_sweep_with_a_step_below_float_spacing_exits_2(lo, hi, step, message, capsys):
+    assert main(["sweep", "--lo-deg", lo, "--hi-deg", hi, "--step-deg", step]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import linkstat.statics
-
 from linkstat import (
     DesignSpec,
     DesignStatus,
@@ -230,33 +228,6 @@ def test_optimizer_clips_start_into_bounds(defaults):
 def test_optimizer_rejects_bad_budget(defaults):
     with pytest.raises(ValueError, match="budget"):
         optimize_design(reachable_spec(), defaults, budget=0)
-
-
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Press directions of every kernel verdict, counted at the names its
-    callers look it up by."""
-    import linkstat.design
-    import linkstat.modeswitch
-    import linkstat.roots
-
-    calls = []
-    kernel, batch = linkstat.statics._decide, linkstat.statics._decide_all
-
-    def counted(p, zeta):
-        calls.append(zeta)
-        return kernel(p, zeta)
-
-    def counted_batch(p, zetas):
-        zetas = list(zetas)
-        calls.extend(zetas)
-        return batch(p, zetas)
-
-    for module in (linkstat.modeswitch, linkstat.design):
-        monkeypatch.setattr(module, "_decide", counted)
-        monkeypatch.setattr(module, "_decide_all", counted_batch)
-    monkeypatch.setattr(linkstat.roots, "_decide_all", counted_batch)  # the envelope's probes
-    return calls
 
 
 def test_evaluate_design_needs_few_verdicts(defaults, kernel_calls):

@@ -1,5 +1,5 @@
-import contextlib
 import math
+import random
 from bisect import bisect_right
 from itertools import groupby
 from unittest import mock
@@ -40,29 +40,6 @@ def rad(x: float) -> float:
     return math.radians(x)
 
 
-@contextlib.contextmanager
-def counted_verdicts(calls, batches=None):
-    """Patch the one-point and batch kernels, at the names the sweep
-    (modeswitch) and the root-inferred envelope (roots) look them up by,
-    to append every press direction they are asked about to ``calls``,
-    and each batch call's list of them to ``batches``."""
-    one, batch = modeswitch._decide, modeswitch._decide_all
-
-    def counted_batch(p, zetas):
-        zetas = list(zetas)
-        calls.extend(zetas)
-        if batches is not None:
-            batches.append(zetas)
-        return batch(p, zetas)
-
-    with mock.patch.multiple(
-        modeswitch,
-        _decide=lambda p, z: calls.append(z) or one(p, z),
-        _decide_all=counted_batch,
-    ), mock.patch.object(root_envelope, "_decide_all", counted_batch):
-        yield
-
-
 def test_default_sweep_shape(defaults):
     curve = sweep(defaults)
     assert len(curve.samples) == 241
@@ -89,6 +66,11 @@ def test_sweep_rejects_bad_ranges(defaults):
         sweep(defaults, rad(0.0), rad(1.0), 0.0)
     with pytest.raises(ValueError):
         sweep_points(defaults, [])
+    # A step below the float spacing of the range would repeat a point.
+    two_floats_up = math.nextafter(math.nextafter(0.5, 1.0), 1.0)
+    for swept in (sweep, envelope):
+        with pytest.raises(ValueError, match=r"^step repeats a grid point: \[0.5, "):
+            swept(defaults, 0.5, two_floats_up, 1e-17)
 
 
 def test_sweep_points_reads_its_press_directions_once(defaults):
@@ -99,6 +81,22 @@ def test_sweep_points_reads_its_press_directions_once(defaults):
         assert sweep_points(defaults, same) == expected
     with pytest.raises(ValueError, match="at least one press direction is required"):
         sweep_points(defaults, (z for z in ()))
+
+
+def test_opening_interval_refuses_samples_out_of_grid_order(defaults):
+    # Read as a grid, a descending sweep would give a band of negative
+    # width and a shuffled one 27 overlapping slivers.
+    grid = [rad(float(d)) for d in range(-30, 91)]
+    assert len(opening_interval(sweep_points(defaults, grid))) == 1
+    shuffled = list(grid)
+    random.Random(1).shuffle(shuffled)
+    repeated = grid[:40] + grid[39:]
+    for zetas, k in ((grid[::-1], 1), (shuffled, 1), (repeated, 40)):
+        with pytest.raises(ValueError, match=(
+            rf"^press directions must be strictly ascending: sample {k} "
+            rf"\({zetas[k]!r} rad\) follows sample {k - 1} \({zetas[k - 1]!r} rad\)$"
+        )):
+            opening_interval(sweep_points(defaults, zetas))
 
 
 def test_grid_step_cap(defaults):
@@ -231,7 +229,7 @@ def hexed(intervals):
 )
 @settings(max_examples=100)
 def test_envelope_equals_swept_envelope(
-    scales, frictionless, lo_deg, span_deg, step_deg, tolerance_deg
+    counted_verdicts, scales, frictionless, lo_deg, span_deg, step_deg, tolerance_deg
 ):
     base = default_parameters()
     p = base.with_values(
@@ -339,7 +337,9 @@ def test_envelope_sweeps_a_valid_build_whose_det_size_overflows(defaults):
     )
 
 
-def test_bisection_computes_every_midpoint_without_a_root_in_the_bracket(defaults):
+def test_bisection_computes_every_midpoint_without_a_root_in_the_bracket(
+    defaults, counted_verdicts
+):
     # Roots that explain no edge must not stand in for verdicts.
     iv = envelope(defaults)[0]
     grid = modeswitch.sweep_grid(rad(-30.0), rad(90.0), rad(0.5))
@@ -405,7 +405,7 @@ def test_envelope_with_a_nearly_cancelled_det(defaults, monkeypatch, frictionles
     )
 
 
-def test_envelope_falls_back_to_every_grid_point(defaults, monkeypatch):
+def test_envelope_falls_back_to_every_grid_point(defaults, monkeypatch, counted_verdicts):
     # With every root distrusted the envelope samples the whole grid.
     monkeypatch.setattr(root_envelope, "_CANCELLATION_FLOOR", math.inf)
     calls = []
@@ -791,7 +791,9 @@ def test_sweep_points_gives_predict_opening_at_every_sample(
         assert expected == f"press direction must be finite, got {value!r}"
 
 
-def test_sweep_points_hands_every_press_direction_to_one_kernel_call(defaults):
+def test_sweep_points_hands_every_press_direction_to_one_kernel_call(
+    defaults, counted_verdicts
+):
     zetas = [rad(-30.0), 0.0, rad(-30.0), defaults.theta1, rad(60.0), 0.0]
     calls, batches = [], []
     with counted_verdicts(calls, batches):

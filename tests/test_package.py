@@ -79,59 +79,74 @@ def test_sources_parse_at_the_python_floor():
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=version)
 
 
-def test_comparison_names_still_resolve_on_paramfile():
-    """The comparison moved to linkstat.compare; linkstat.paramfile.X still works."""
-    import linkstat.compare
-    import linkstat.paramfile
-
-    for name in linkstat.compare.__all__:
-        assert getattr(linkstat.paramfile, name) is getattr(linkstat.compare, name), name
-    from linkstat.paramfile import compare_measurements
-
-    assert compare_measurements is linkstat.compare.compare_measurements
-    with pytest.raises(AttributeError, match="'no_such_name'"):
-        linkstat.paramfile.no_such_name
+def traced_lookups():
+    """The (module, name) pairs that bench/tracing.py's TRACED wraps, read
+    from its source: the lookups the benchmark makes on linkstat's modules."""
+    path = Path(linkstat.__file__).resolve().parents[2] / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (traced,) = [node.value for node in tree.body if isinstance(node, ast.AnnAssign)
+                 and node.target.id == "TRACED"]
+    return {(module.value.removeprefix("linkstat."), name.value)
+            for module, name, _ in (entry.elts for entry in traced.values)}
 
 
-# Public names that moved out of a module, by that module: their new
-# home and the names, each of which still resolves on the module it left.
-MOVED = {
-    "statics": ("oracle", ("EquilibriumState", "full_equilibrium")),
-    "modeswitch": ("roots", ("envelope",)),
-    "paramfile": ("readers", ("Measurement", "parse_design_file", "read_measurements")),
-}
+def test_forwards_are_the_benchmarks_lookups_off_home():
+    forwards = {(module, name) for module, names in linkstat._FORWARDS.items()
+                for name in names}
+    assert forwards == {(module, name) for module, name in traced_lookups()
+                        if linkstat._HOMES.get(name, module) != module}
 
 
-@pytest.mark.parametrize("old", MOVED)
+@pytest.mark.parametrize("old", linkstat._FORWARDS)
 def test_moved_names_resolve_on_the_module_they_left(old, run_child):
-    """Each moved name is, on its old module and on the package, the new
-    home's object; the old module loads the new home only
-    on the first such lookup, in a fresh interpreter."""
-    home, names = MOVED[old]
-    code = (
-        "import json, sys\n"
-        f"import linkstat.{old} as old\n"
-        f"before = 'linkstat.{home}' in sys.modules\n"
-        f"value = getattr(old, {names[0]!r})\n"
-        f"print(json.dumps([before, value is getattr(sys.modules['linkstat.{home}'], "
-        f"{names[0]!r})]))\n"
-    )
-    assert run_child(code) == [False, True]
+    """Each forwarded name is, on its old module and on the package, its
+    home's object; the old module loads the home only on the first such
+    lookup, in a fresh interpreter."""
     old_module = importlib.import_module(f"linkstat.{old}")
-    new_module = importlib.import_module(f"linkstat.{home}")
-    for name in names:
+    for name in linkstat._FORWARDS[old]:
+        home = linkstat._HOMES[name]
+        code = (
+            "import json, sys\n"
+            f"import linkstat.{old} as old\n"
+            f"before = 'linkstat.{home}' in sys.modules\n"
+            f"value = getattr(old, {name!r})\n"
+            f"print(json.dumps([before, value is getattr(sys.modules['linkstat.{home}'], "
+            f"{name!r})]))\n"
+        )
+        assert run_child(code) == [False, True], name
+        new_module = importlib.import_module(f"linkstat.{home}")
         assert getattr(old_module, name) is getattr(new_module, name), name
         assert getattr(linkstat, name) is getattr(new_module, name), name
-        assert linkstat._HOMES[name] == home
     with pytest.raises(AttributeError, match=f"'linkstat.{old}' has no attribute 'nothing'"):
         old_module.nothing
 
 
-def test_spring_force_still_resolves_on_statics():
-    import linkstat.model
-    import linkstat.statics
+# Public names that resolve only on their home and on the package, not on
+# the module they moved out of: no benchmark lookup needs them there.
+UNFORWARDED = {
+    "statics": ("EquilibriumState", "spring_force"),
+    "modeswitch": ("envelope",),
+    "paramfile": ("Measurement", "ComparisonResult", "ComparisonRow", "format_comparison_csv"),
+}
 
-    assert linkstat.statics.spring_force is linkstat.model.spring_force
+
+@pytest.mark.parametrize("old", UNFORWARDED)
+def test_unforwarded_names_resolve_on_their_home_alone(old):
+    old_module = importlib.import_module(f"linkstat.{old}")
+    for name in UNFORWARDED[old]:
+        with pytest.raises(AttributeError, match=f"'linkstat.{old}' has no attribute '{name}'"):
+            getattr(old_module, name)
+        home = importlib.import_module(f"linkstat.{linkstat._HOMES[name]}")
+        assert getattr(linkstat, name) is getattr(home, name), name
+
+
+def test_a_submodule_resolves_on_the_package_before_it_is_bound(monkeypatch):
+    """bench/inputs.py reads linkstat.paramfile after a bare ``import linkstat``."""
+    import linkstat.paramfile
+
+    module = linkstat.paramfile
+    monkeypatch.delattr(linkstat, "paramfile")
+    assert linkstat.paramfile is module
 
 
 def test_comparison_runs_no_import_per_call():
