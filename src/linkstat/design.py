@@ -214,15 +214,14 @@ def _scored(
         )
         threshold = None
 
-    penalty = _INTERVAL_WEIGHT * shortfall + _THRESHOLD_WEIGHT * violation_n
     return DesignEvaluation(
-        penalty=penalty,
-        interval_shortfall_deg=shortfall,
-        threshold_violation_n=violation_n,
-        press_opens=press_opens,
-        threshold=threshold,
-        intervals=intervals,
-        violations=tuple(violations),
+        _INTERVAL_WEIGHT * shortfall + _THRESHOLD_WEIGHT * violation_n,
+        shortfall,
+        violation_n,
+        press_opens,
+        threshold,
+        intervals,
+        tuple(violations),
     )
 
 

@@ -9,10 +9,10 @@ design search's re-verification find runs by one rule (:func:`_runs`),
 which refuses when a verdict changes across grid points it was not
 given, and sharpen them by one bisection (:func:`_bisect_transition`),
 which takes a known verdict for a midpoint only when it is handed the
-roots of the verdict's sign functions.  Verdicts come from the statics'
+roots of the verdict's sign functions and tests each midpoint against
+the roots near its bracket in line.  Verdicts come from the statics'
 batch kernel (:func:`~linkstat.statics._decide_all`): a sweep's points
-go to it in one call, and each bisection midpoint through its one-point
-case.  A sweep keeps one :class:`~linkstat.statics.OpeningDecision` per
+go to it in one call, and each other midpoint through its one-point case.  A sweep keeps one :class:`~linkstat.statics.OpeningDecision` per
 sample.
 
 On top of the sweep sit the operational questions: how hard must the
@@ -172,17 +172,6 @@ def _runs(
     return runs
 
 
-def _root_free(roots: Sequence[float], a: float, b: float) -> bool:
-    """Whether no root lies between ``a`` and ``b`` or within the root window of them."""
-    lo, hi = (a, b) if a < b else (b, a)
-    lo -= _ROOT_WINDOW
-    hi += _ROOT_WINDOW
-    for r in roots:
-        if lo <= r <= hi:
-            return False
-    return True
-
-
 def _bisect_transition(
     p: LinkageParameters,
     closed_side: float,
@@ -195,26 +184,39 @@ def _bisect_transition(
     Returns the opening-side end of the final bracket, so reported
     interval endpoints always carry an opening verdict themselves.
     Given the sorted ``roots`` of the sign functions, a midpoint whose
-    segment to one end of the bracket holds no root, within the root
-    window, takes that end's verdict, and only the other midpoints get a
-    verdict of their own.  Without roots, or when none lies in the
-    bracket, every midpoint is computed.
+    segment [lo, hi] to the closed end, else to the open end, holds no
+    root with ``lo - _ROOT_WINDOW <= root <= hi + _ROOT_WINDOW`` takes
+    that end's verdict; only the other midpoints get a verdict of their
+    own.  Without roots, or when none lies near the bracket, every
+    midpoint is computed.
     """
+    window = _ROOT_WINDOW
     near: Sequence[float] = ()
     if roots:
-        lo, hi = sorted((closed_side, open_side))
-        near = roots[
-            bisect_left(roots, lo - _ROOT_WINDOW) : bisect_right(roots, hi + _ROOT_WINDOW)
-        ]
+        lo, hi = (open_side, closed_side) if open_side < closed_side else (closed_side, open_side)
+        near = roots[bisect_left(roots, lo - window) : bisect_right(roots, hi + window)]
     while abs(open_side - closed_side) > tolerance:
         mid = 0.5 * (closed_side + open_side)
         if mid == closed_side or mid == open_side:
             break
-        if near and _root_free(near, closed_side, mid):
-            closed_side = mid
-        elif near and _root_free(near, mid, open_side):
-            open_side = mid
-        elif _decide(p, mid)[0] == _OPENS:
+        if near:
+            lo, hi = ((closed_side - window, mid + window) if closed_side < mid
+                      else (mid - window, closed_side + window))
+            for r in near:
+                if lo <= r <= hi:
+                    break
+            else:
+                closed_side = mid
+                continue
+            lo, hi = ((mid - window, open_side + window) if mid < open_side
+                      else (open_side - window, mid + window))
+            for r in near:
+                if lo <= r <= hi:
+                    break
+            else:
+                open_side = mid
+                continue
+        if _decide(p, mid)[0] == _OPENS:
             open_side = mid
         else:
             closed_side = mid
@@ -250,11 +252,9 @@ def _refine_runs(
         else:
             hi = _bisect_transition(p, zetas[last + 1], zetas[last], tolerance, roots)
             hi_refined = True
-        intervals.append(
-            OpeningInterval(lo=lo, hi=hi, lo_refined=lo_refined, hi_refined=hi_refined)
-        )
-
-    intervals.sort(key=lambda iv: (-iv.width, iv.lo))
+        intervals.append(OpeningInterval(lo, hi, lo_refined, hi_refined))
+    if len(intervals) > 1:
+        intervals.sort(key=lambda iv: (-iv.width, iv.lo))
     return tuple(intervals)
 
 

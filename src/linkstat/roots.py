@@ -80,30 +80,31 @@ def _sign_functions(p: LinkageParameters) -> list[tuple[float, float, float, flo
     """
     t = _build_terms(p)
     s13, s34 = t.s13, t.s34
+    (c00, s00), (c10, s10) = t.a00, t.a10
     # Sizes: the tip moment ratio's terms l4*cos(z) and l3*sin(theta2 + z)
     # over its divisor, times s13 or s34; a00 adds sin(theta1 - z).
     g_size = (abs(p.l4) + abs(p.l3)) / abs(t.arm)
-    a00 = (*t.a00, abs(s13) * g_size + 1.0)
-    a10 = (*t.a10, abs(s34) * g_size)
-    functions = [(*a00, 0.0), (*a10, 0.0)]
+    size00 = abs(s13) * g_size + 1.0
+    size10 = abs(s34) * g_size
     # det = a11*a00 - s13*a10 on each branch, and the beta numerator
     # b1*a00 - b0*a10; a01 = s13, a11 and b do not depend on zeta.  A det
     # reads singular below _DET_RELATIVE_FLOOR times the squared row
     # scale, max(hypot(a00, a01), hypot(a10, a11)), which the sizes bound.
-    for u, v, is_det in (
-        (t.plus, s13, True),
-        (t.minus, s13, True),
-        (t.b1, t.b0, False),
-    ):
-        row_scale_sq = max(a00[2] ** 2 + s13 * s13, a10[2] ** 2 + u * u)
-        functions.append(
-            (
-                u * a00[0] - v * a10[0],
-                u * a00[1] - v * a10[1],
-                abs(u) * a00[2] + abs(v) * a10[2],
-                _DET_RELATIVE_FLOOR * row_scale_sq if is_det else 0.0,
-            )
-        )
+    # A size whose square overflows raises OverflowError here.
+    row00_sq = size00 ** 2 + s13 * s13
+    size10_sq = size10 ** 2
+    functions = [(c00, s00, size00, 0.0), (c10, s10, size10, 0.0)]
+    for u in (t.plus, t.minus):
+        functions.append((
+            u * c00 - s13 * c10,
+            u * s00 - s13 * s10,
+            abs(u) * size00 + abs(s13) * size10,
+            _DET_RELATIVE_FLOOR * max(row00_sq, size10_sq + u * u),
+        ))
+    b0, b1 = t.b0, t.b1
+    functions.append(
+        (b1 * c00 - b0 * c10, b1 * s00 - b0 * s10, abs(b1) * size00 + abs(b0) * size10, 0.0)
+    )
     return functions
 
 
@@ -124,21 +125,30 @@ def _roots_by_function(
         functions = _sign_functions(p)
     except (ValueError, OverflowError):
         return None
+    hypot, isfinite, atan2, ceil, floor, pi = (
+        math.hypot, math.isfinite, math.atan2, math.ceil, math.floor, math.pi)
+    half_pi = 0.5 * pi
+    reach_lo, reach_hi = lo - _ROOT_WINDOW, hi + _ROOT_WINDOW
+    cancellation_floor, floor_reach = _CANCELLATION_FLOOR, _FLOOR_REACH
     groups: list[list[float]] = []
-    for a, b, size, floor in functions:
-        amplitude = math.hypot(a, b)
-        if not (math.isfinite(amplitude) and math.isfinite(size) and math.isfinite(floor)):
+    for a, b, size, det_floor in functions:
+        amplitude = hypot(a, b)
+        if not (isfinite(amplitude) and isfinite(size) and isfinite(det_floor)):
             return None
         if amplitude == 0.0 and size == 0.0:
             groups.append([])  # identically zero, so its sign never changes
             continue
-        if amplitude < _CANCELLATION_FLOOR * size or floor >= _FLOOR_REACH * amplitude:
+        if amplitude < cancellation_floor * size or det_floor >= floor_reach * amplitude:
             return None
         # a*cos(z) + b*sin(z) = R*cos(z - atan2(b, a)) vanishes pi/2 past the phase.
-        first = math.atan2(b, a) + 0.5 * math.pi
-        k_lo = math.ceil((lo - _ROOT_WINDOW - first) / math.pi)
-        k_hi = math.floor((hi + _ROOT_WINDOW - first) / math.pi)
-        groups.append([first + k * math.pi for k in range(k_lo, k_hi + 1)])
+        first = atan2(b, a) + half_pi
+        k = ceil((reach_lo - first) / pi)
+        k_hi = floor((reach_hi - first) / pi)
+        group = []
+        while k <= k_hi:
+            group.append(first + k * pi)
+            k += 1
+        groups.append(group)
     return groups
 
 
@@ -243,20 +253,42 @@ def envelope(
     return _envelope(p, sweep_grid(zeta_lo, zeta_hi, step), tolerance)
 
 
+def _probe_indices(grid: Sequence[float], roots: Sequence[float]) -> list[int]:
+    """The ascending grid indices that get a verdict of their own.
+
+    Those are both range ends and, for each of the ascending ``roots``,
+    the grid points from the last one at or below ``root - _ROOT_WINDOW``
+    to the first one at or above ``root + _ROOT_WINDOW``, clipped to the
+    grid.  The stretches of ascending roots ascend too, so each adds only
+    the indices past the highest one already taken.
+    """
+    last = len(grid) - 1
+    order = [0]
+    top = 0  # the highest index in order
+    for root in roots:
+        first = bisect_right(grid, root - _ROOT_WINDOW) - 1
+        past = bisect_left(grid, root + _ROOT_WINDOW)
+        if past > last:
+            past = last
+        if past > top:
+            order.extend(range(top + 1 if first <= top else first, past + 1))
+            top = past
+    if top < last:
+        order.append(last)
+    return order
+
+
 def _envelope(
     p: LinkageParameters, grid: Sequence[float], tolerance: float
 ) -> tuple[OpeningInterval, ...]:
     """:func:`envelope` on a built grid, with :func:`_runs` over the probed verdicts."""
     groups = _roots_by_function(p, grid[0], grid[-1])
     if groups is not None:
-        roots = sorted(r for group in groups for r in group)
-        last = len(grid) - 1
-        probes = {0, last}
-        for root in roots:
-            first = max(bisect_right(grid, root - _ROOT_WINDOW) - 1, 0)
-            past = min(bisect_left(grid, root + _ROOT_WINDOW), last)
-            probes.update(range(first, past + 1))
-        order = sorted(probes)
+        roots: list[float] = []
+        for group in groups:
+            roots += group
+        roots.sort()
+        order = _probe_indices(grid, roots)
         verdicts = _decide_all(p, [grid[i] for i in order])
         runs = _runs(order, [v[0] == _OPENS for v in verdicts])
         if runs is not None:

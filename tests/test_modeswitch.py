@@ -1,6 +1,6 @@
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import groupby
 from unittest import mock
 
@@ -335,6 +335,137 @@ def test_envelope_sweeps_a_valid_build_whose_det_size_overflows(defaults):
     assert envelope_or_error(lambda: envelope(p)) == envelope_or_error(
         lambda: swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5))
     )
+
+
+def _bisect_by_root_free(decide, closed_side, open_side, tolerance, roots):
+    """The reference rule: the bisection with each midpoint's segments tested by a
+    ``_root_free`` helper, as ``_bisect_transition`` tested them before it did so in line."""
+    window = modeswitch._ROOT_WINDOW
+
+    def root_free(near, a, b):
+        lo, hi = (a, b) if a < b else (b, a)
+        lo -= window
+        hi += window
+        return not any(lo <= r <= hi for r in near)
+
+    near = ()
+    if roots:
+        lo, hi = sorted((closed_side, open_side))
+        near = roots[bisect_left(roots, lo - window) : bisect_right(roots, hi + window)]
+    while abs(open_side - closed_side) > tolerance:
+        mid = 0.5 * (closed_side + open_side)
+        if mid == closed_side or mid == open_side:
+            break
+        if near and root_free(near, closed_side, mid):
+            closed_side = mid
+        elif near and root_free(near, mid, open_side):
+            open_side = mid
+        elif decide(mid):
+            open_side = mid
+        else:
+            closed_side = mid
+    return open_side
+
+
+# Where a drawn root sits: anywhere near the bracket, on one of its ends,
+# or exactly one root window below or above the k-th midpoint of the
+# bisection without roots.
+_ROOT_PLACES = st.one_of(
+    st.tuples(st.just("free"), st.floats(min_value=-0.25, max_value=1.25)),
+    st.tuples(st.sampled_from(["closed", "open"]), st.just(0.0)),
+    st.tuples(st.sampled_from(["below_mid", "above_mid"]), st.integers(0, 20)),
+)
+
+
+@given(
+    closed_side=st.floats(min_value=-2.0, max_value=2.0),
+    width=st.sampled_from([1e-6, rad(0.01), rad(0.5), 1.0]).flatmap(
+        lambda w: st.floats(min_value=-w, max_value=w).filter(lambda x: x != 0.0)),
+    edge=st.floats(min_value=0.0, max_value=1.0),
+    tolerance=st.sampled_from([0.0, 1e-9, rad(0.01)]),
+    places=st.lists(_ROOT_PLACES, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_bisection_matches_the_root_free_rule(closed_side, width, edge, tolerance, places):
+    # A stand-in verdict opens on the open side of a drawn edge, so both
+    # copies of the bisection see the same verdict at each midpoint they ask.
+    open_side = closed_side + width
+    assume(open_side != closed_side)
+    cut = closed_side + edge * (open_side - closed_side)
+    rising = open_side > closed_side
+
+    def opens(z):
+        return z >= cut if rising else z <= cut
+
+    plain = []
+    _bisect_by_root_free(lambda z: plain.append(z) or opens(z),
+                         closed_side, open_side, tolerance, None)
+    window = modeswitch._ROOT_WINDOW
+    roots = []
+    for kind, value in places:
+        if kind == "free":
+            roots.append(closed_side + value * (open_side - closed_side))
+        elif kind in ("closed", "open"):
+            roots.append(closed_side if kind == "closed" else open_side)
+        elif plain:
+            mid = plain[min(value, len(plain) - 1)]
+            roots.append(mid - window if kind == "below_mid" else mid + window)
+    roots.sort()
+
+    want_calls = []
+    want = _bisect_by_root_free(lambda z: want_calls.append(z) or opens(z),
+                                closed_side, open_side, tolerance, roots)
+    got_calls = []
+
+    def decide(p, z):
+        got_calls.append(z)
+        return (_OPENS if opens(z) else _OPENS + 1,)
+
+    with mock.patch.object(modeswitch, "_decide", decide):
+        got = modeswitch._bisect_transition(None, closed_side, open_side, tolerance, roots)
+    assert got.hex() == want.hex()
+    assert [z.hex() for z in got_calls] == [z.hex() for z in want_calls]
+
+
+# Where a drawn root sits on the grid: a fraction of the way from grid
+# point k to the next (several may share a cell), within about a root
+# window of a grid point, or before or past the range.
+_GRID_ROOT_PLACES = st.one_of(
+    st.tuples(st.just("cell"), st.integers(-3, 12), st.floats(min_value=0.0, max_value=1.0)),
+    st.tuples(st.just("window"), st.integers(0, 12),
+              st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, -1.000001, 1.000001])),
+    st.tuples(st.just("outside"), st.sampled_from([-1, 1]), st.floats(min_value=0.0, max_value=5.0)),
+)
+
+
+@given(
+    points=st.integers(1, 10),
+    step=st.sampled_from([rad(0.5), 1e-7, 3e-7]),
+    places=st.lists(_GRID_ROOT_PLACES, max_size=8),
+)
+@example(points=1, step=rad(0.5), places=[("window", 0, 0.0)])
+@example(points=3, step=rad(0.5), places=[])
+@settings(max_examples=300, deadline=None)
+def test_probe_indices_match_the_sorted_set(points, step, places):
+    lo = rad(-30.0)
+    grid = sweep_grid(lo, lo + (points - 1) * step, step)
+    window = modeswitch._ROOT_WINDOW
+    roots = []
+    for kind, k, x in places:
+        if kind == "cell":
+            roots.append(lo + (k + x) * step)
+        elif kind == "window":
+            roots.append(grid[min(k, len(grid) - 1)] + x * window)
+        else:
+            roots.append(grid[0] - x if k < 0 else grid[-1] + x)
+    roots.sort()
+    last = len(grid) - 1
+    want = {0, last}
+    for root in roots:
+        first = max(bisect_right(grid, root - window) - 1, 0)
+        past = min(bisect_left(grid, root + window), last)
+        want.update(range(first, past + 1))
+    assert root_envelope._probe_indices(grid, roots) == sorted(want)
 
 
 def test_bisection_computes_every_midpoint_without_a_root_in_the_bracket(
