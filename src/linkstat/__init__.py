@@ -14,44 +14,43 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# Every public name, keyed to the submodule that defines it; each
-# submodule's __all__ lists the same names.
-_HOMES: dict[str, str] = {
-    name: module
-    for module, names in {
-        "model": (
-            "DesignSpec", "LinkageParameters", "ParameterViolation", "ValidationReport",
-            "default_parameters", "spring_force", "validate_parameters",
-        ),
-        "statics": (
-            "BalanceSolution", "BalanceSystem", "BlockedReason", "JointForcePair",
-            "OpeningDecision", "OpeningStatus", "SingularSystemError", "assemble_system",
-            "friction_coupling", "perturbed_joint_forces", "predict_opening",
-            "solve_balance", "solve_balance_with_sign", "tip_moment_ratio",
-        ),
-        "oracle": ("EquilibriumState", "full_equilibrium"),
-        "modeswitch": (
-            "GraspMode", "NotOpeningError", "OpeningInterval", "SweepCurve",
-            "SweepSample", "opening_interval", "parallel_grip_budget",
-            "select_mode", "sweep", "sweep_points", "switching_threshold",
-        ),
-        "roots": ("envelope",),
-        "paramfile": (
-            "MeasurementFileError", "ParameterDocument", "ParameterFileError",
-            "SweepSettings", "format_parameter_file", "parse_parameter_document",
-            "parse_parameter_file",
-        ),
-        "readers": ("Measurement", "parse_design_file", "read_measurements"),
-        "compare": (
-            "ComparisonResult", "ComparisonRow", "compare_measurements", "format_comparison_csv",
-        ),
-        "design": (
-            "DesignEvaluation", "DesignResult", "DesignStatus",
-            "VerificationRecord", "evaluate_design", "optimize_design", "sensitivity",
-        ),
-    }.items()
-    for name in names
+# The one list of public names, by the submodule that defines them: each
+# submodule's __all__ is its entry here.
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "model": (
+        "LinkageParameters", "ParameterViolation", "ValidationReport",
+        "default_parameters", "spring_force", "validate_parameters",
+    ),
+    "statics": (
+        "BalanceSolution", "BalanceSystem", "BlockedReason", "JointForcePair",
+        "OpeningDecision", "OpeningStatus", "SingularSystemError", "assemble_system",
+        "friction_coupling", "perturbed_joint_forces", "predict_opening",
+        "solve_balance", "solve_balance_with_sign", "tip_moment_ratio",
+    ),
+    "oracle": ("EquilibriumState", "full_equilibrium"),
+    "modeswitch": (
+        "GraspMode", "NotOpeningError", "OpeningInterval", "SweepCurve",
+        "SweepSample", "opening_interval", "parallel_grip_budget",
+        "select_mode", "sweep", "sweep_points", "switching_threshold",
+    ),
+    "roots": ("envelope",),
+    "paramfile": (
+        "MeasurementFileError", "ParameterDocument", "ParameterFileError",
+        "SweepSettings", "format_parameter_file", "parse_parameter_document",
+        "parse_parameter_file",
+    ),
+    "readers": ("DesignSpec", "Measurement", "parse_design_file", "read_measurements"),
+    "compare": (
+        "ComparisonResult", "ComparisonRow", "compare_measurements", "format_comparison_csv",
+    ),
+    "design": (
+        "DesignEvaluation", "DesignResult", "DesignStatus",
+        "VerificationRecord", "evaluate_design", "optimize_design", "sensitivity",
+    ),
 }
+
+# Each public name's home, read off _EXPORTS.
+_HOMES: dict[str, str] = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted([*_HOMES, "__version__"])
 
@@ -83,7 +82,7 @@ def __getattr__(name: str):
     if home is not None:
         value = globals()[name] = getattr(_import_module("." + home, __name__), name)
         return value
-    if name in _HOMES.values():  # a submodule not yet imported
+    if name in _EXPORTS:  # a submodule not yet imported
         return _import_module("." + name, __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

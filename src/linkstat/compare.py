@@ -11,18 +11,14 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from . import _EXPORTS
 from .statics import _OPENS, _decide_all
 
 if TYPE_CHECKING:
     from .model import LinkageParameters
     from .readers import Measurement
 
-__all__ = [
-    "ComparisonResult",
-    "ComparisonRow",
-    "compare_measurements",
-    "format_comparison_csv",
-]
+__all__ = _EXPORTS["compare"]
 
 
 class ComparisonRow(NamedTuple):

@@ -3,11 +3,13 @@
 The design question is always the same shape: find parameters whose
 opening envelope covers a target band of press directions and whose
 switching force at a chosen press direction lands inside a target range.
-A derivative-free coordinate pattern search handles it; the objective is
-a penalty built from the opening envelope, so there is no gradient to
-trust.  Each candidate is scored with :func:`~linkstat.roots.envelope`,
-which returns the envelope of the full grid sweep bit for bit but computes
-verdicts only around the few press directions where one can change
+That target, a :class:`~linkstat.readers.DesignSpec`, is defined beside
+the design-file reader in :mod:`linkstat.readers`.  A derivative-free
+coordinate pattern search handles it; the objective is a penalty built
+from the opening envelope, so there is no gradient to trust.  Each
+candidate is scored with :func:`~linkstat.roots.envelope`, which returns
+the envelope of the full grid sweep bit for bit but computes verdicts
+only around the few press directions where one can change
 (10 instead of 253 on the reference build: no bisection midpoint there
 lies next to a root, so every one takes a known verdict).  A move of
 ``spring_k``, ``natural_length``, ``l0`` or ``l1`` only scales the
@@ -33,15 +35,8 @@ from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import NamedTuple
 
-from .model import (
-    _ANGLE_FIELDS,
-    _FREE_FIELDS,
-    DEFAULT_BUDGET,
-    DesignSpec,
-    LinkageParameters,
-    sweep_grid,
-    validate_parameters,
-)
+from . import _EXPORTS
+from .model import _ANGLE_FIELDS, LinkageParameters, sweep_grid, validate_parameters
 from .modeswitch import (
     DEFAULT_REFINE_TOL,
     OpeningInterval,
@@ -51,18 +46,11 @@ from .modeswitch import (
     sweep_points,
     switching_threshold,
 )
+from .readers import _FREE_FIELDS, DEFAULT_BUDGET, DesignSpec
 from .roots import _envelope, _spring_scalable, _spring_scale_keeps_verdicts
 from .statics import _OPENS, _decide, _decide_all
 
-__all__ = [
-    "DesignEvaluation",
-    "DesignResult",
-    "DesignStatus",
-    "VerificationRecord",
-    "evaluate_design",
-    "optimize_design",
-    "sensitivity",
-]
+__all__ = _EXPORTS["design"]
 
 # Initial pattern steps, halved whenever a full pass fails to improve.
 _INITIAL_STEP_ANGLE = math.radians(1.0)

@@ -1,5 +1,5 @@
-"""Parameters, the spring force, their validation, the sweep range and the
-design target for the parallel-link finger.
+"""Parameters, the spring force, their validation and the sweep range for
+the parallel-link finger.
 
 The finger is a planar six-bar linkage driven by a tension spring.  Two
 equal-length side struts, O-R and O-S, hang from a common base pivot O,
@@ -16,17 +16,11 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
-__all__ = [
-    "DesignSpec",
-    "LinkageParameters",
-    "ParameterViolation",
-    "ValidationReport",
-    "default_parameters",
-    "spring_force",
-    "validate_parameters",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["model"]
 
 # Fields that measure a physical length and therefore must be positive.
 _LENGTH_FIELDS = ("l0", "l1", "l2", "l3", "l4", "natural_length")
@@ -179,7 +173,8 @@ def spring_force(p: LinkageParameters) -> float:
     except ValueError:  # the sine of an infinite sum: name its infinite angle, else the sum
         a, b = ("theta0", "theta1") if math.isinf(p.theta0 + p.theta1) else ("theta4", "theta5")
         x, y = getattr(p, a), getattr(p, b)
-        name, value = (a, x) if math.isinf(x) else (b, y) if math.isinf(y) else (f"{a} + {b}", x + y)
+        name, value = ((a, x) if math.isinf(x) else (b, y) if math.isinf(y)
+                       else (f"{a} + {b}", x + y))
         raise ValueError(f"{name}: must be finite, got {value!r}") from None
     return p.spring_k * (stretched - p.natural_length)
 
@@ -429,87 +424,3 @@ def default_parameters() -> LinkageParameters:
         mu=0.6,
         epsilon=0.1,
     )
-
-
-# Parameters the search may vary.  The probe step epsilon only scales
-# reported probe forces, never the verdict, so it is not a design knob.
-_FREE_FIELDS = frozenset(LinkageParameters._fields) - {"epsilon"}
-
-# Evaluations a search may spend when neither caller nor design file says.
-DEFAULT_BUDGET = 400
-
-
-class DesignSpec(NamedTuple):
-    """Target and search space for a design run.
-
-    Angles radians, forces N.  The opening envelope must contain
-    [interval_lo, interval_hi] and pressing along ``press_angle`` must
-    flip the finger at a force inside [threshold_lo, threshold_hi].
-    ``free`` lists the parameters the search may vary and ``bounds`` maps
-    each of them, and any other searchable field, to an inclusive
-    (lo, hi) box.  The search range is fixed:
-    ``sweep_lo``, ``sweep_hi`` and ``sweep_step`` are class constants.
-    """
-
-    interval_lo: float
-    interval_hi: float
-    press_angle: float
-    threshold_lo: float
-    threshold_hi: float
-    free: tuple[str, ...]
-    bounds: Mapping[str, tuple[float, float]]
-
-    sweep_lo = DEFAULT_SWEEP_LO
-    sweep_hi = DEFAULT_SWEEP_HI
-    sweep_step = DEFAULT_SWEEP_STEP
-
-    def validated(self) -> "DesignSpec":
-        if not self.free:
-            raise ValueError("at least one free parameter is required")
-        # A bound may name a field that is not free, but not one no search varies.
-        named = dict.fromkeys((*self.free, *self.bounds))
-        unknown = [n for n in named if n not in _FREE_FIELDS]
-        if unknown:
-            raise ValueError(
-                f"not searchable: {unknown}; allowed fields are "
-                f"{sorted(_FREE_FIELDS)}"
-            )
-        if len(set(self.free)) != len(self.free):
-            raise ValueError(f"duplicate free parameters in {self.free}")
-        missing = [n for n in self.free if n not in self.bounds]
-        if missing:
-            raise ValueError(f"free parameter {missing[0]!r} has no bounds")
-        for name, (lo, hi) in self.bounds.items():  # every pair, free or not
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-                raise ValueError(
-                    f"bounds for {name!r} must be a finite ordered pair, "
-                    f"got ({lo}, {hi})"
-                )
-        if not (math.isfinite(self.interval_lo) and math.isfinite(self.interval_hi)):
-            raise ValueError(
-                "target interval must have finite ends, got "
-                f"[{self.interval_lo}, {self.interval_hi}]"
-            )
-        if not self.interval_lo < self.interval_hi:
-            raise ValueError(
-                "target interval is empty: "
-                f"[{self.interval_lo}, {self.interval_hi}]"
-            )
-        if not (
-            math.isfinite(self.threshold_lo)
-            and math.isfinite(self.threshold_hi)
-            and 0.0 <= self.threshold_lo <= self.threshold_hi
-        ):
-            raise ValueError(
-                "switching band must satisfy 0 <= lo <= hi and be finite, "
-                f"got [{self.threshold_lo}, {self.threshold_hi}]"
-            )
-        if not math.isfinite(self.press_angle):
-            raise ValueError(f"press angle must be finite, got {self.press_angle}")
-        if not self.sweep_lo <= self.interval_lo or not self.interval_hi <= self.sweep_hi:
-            raise ValueError(
-                "target interval must lie inside the sweep range "
-                f"[{self.sweep_lo}, {self.sweep_hi}], got "
-                f"[{self.interval_lo}, {self.interval_hi}]"
-            )
-        return self

@@ -12,7 +12,8 @@ which takes a known verdict for a midpoint only when it is handed the
 roots of the verdict's sign functions and tests each midpoint against
 the roots near its bracket in line.  Verdicts come from the statics'
 batch kernel (:func:`~linkstat.statics._decide_all`): a sweep's points
-go to it in one call, and each other midpoint through its one-point case.  A sweep keeps one :class:`~linkstat.statics.OpeningDecision` per
+go to it in one call, and each other midpoint through its one-point
+case.  A sweep keeps one :class:`~linkstat.statics.OpeningDecision` per
 sample.
 
 On top of the sweep sit the operational questions: how hard must the
@@ -27,6 +28,7 @@ from bisect import bisect_left, bisect_right
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
+from . import _EXPORTS
 from .model import (
     DEFAULT_SWEEP_HI,
     DEFAULT_SWEEP_LO,
@@ -43,19 +45,7 @@ from .statics import (
     _opening_decision,
 )
 
-__all__ = [
-    "GraspMode",
-    "NotOpeningError",
-    "OpeningInterval",
-    "SweepCurve",
-    "SweepSample",
-    "opening_interval",
-    "parallel_grip_budget",
-    "select_mode",
-    "sweep",
-    "sweep_points",
-    "switching_threshold",
-]
+__all__ = _EXPORTS["modeswitch"]
 
 DEFAULT_REFINE_TOL = math.radians(0.01)
 # Fraction of the switching threshold that a planned parallel grip may use.

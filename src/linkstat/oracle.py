@@ -29,10 +29,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .model import LinkageParameters, _branch_sign_error, spring_force
 from .statics import SingularSystemError, _require_finite
 
-__all__ = ["EquilibriumState", "full_equilibrium"]
+__all__ = _EXPORTS["oracle"]
 
 
 class EquilibriumState(NamedTuple):

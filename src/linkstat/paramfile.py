@@ -62,18 +62,10 @@ import math
 import re
 from typing import Callable, Iterator, NamedTuple
 
-from . import _forward
+from . import _EXPORTS, _forward
 from .model import _ANGLE_FIELDS, LinkageParameters
 
-__all__ = [
-    "MeasurementFileError",
-    "ParameterFileError",
-    "SweepSettings",
-    "ParameterDocument",
-    "format_parameter_file",
-    "parse_parameter_document",
-    "parse_parameter_file",
-]
+__all__ = _EXPORTS["paramfile"]
 
 
 class _LineError(ValueError):

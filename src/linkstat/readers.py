@@ -1,7 +1,11 @@
-"""Readers of design target files and bench measurement tables.
+"""The design target, and readers of design target files and bench
+measurement tables.
 
-Only ``optimize`` and ``compare`` read these files, so a sweep never
-loads this module.  A design file is sectioned key = value text, read by
+:class:`DesignSpec`, the fields a search may vary and its default
+evaluation budget live here, beside the reader that builds a spec from
+a design file; :mod:`linkstat.design` imports them from here.  Only
+``optimize`` and ``compare`` read these files, so a sweep never loads
+this module.  A design file is sectioned key = value text, read by
 the reader and expression evaluator of :mod:`linkstat.paramfile`; a
 measurement table is CSV.  ``parse_design_file`` and
 ``read_measurements`` still resolve on :mod:`linkstat.paramfile`,
@@ -11,9 +15,16 @@ loading this module on first access there.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
-from .model import _ANGLE_FIELDS, _FREE_FIELDS, DEFAULT_BUDGET, DesignSpec
+from . import _EXPORTS
+from .model import (
+    _ANGLE_FIELDS,
+    DEFAULT_SWEEP_HI,
+    DEFAULT_SWEEP_LO,
+    DEFAULT_SWEEP_STEP,
+    LinkageParameters,
+)
 from .paramfile import (
     MeasurementFileError,
     ParameterFileError,
@@ -21,7 +32,91 @@ from .paramfile import (
     _iter_entries,
 )
 
-__all__ = ["Measurement", "parse_design_file", "read_measurements"]
+__all__ = _EXPORTS["readers"]
+
+
+# Parameters the search may vary.  The probe step epsilon only scales
+# reported probe forces, never the verdict, so it is not a design knob.
+_FREE_FIELDS = frozenset(LinkageParameters._fields) - {"epsilon"}
+
+# Evaluations a search may spend when neither caller nor design file says.
+DEFAULT_BUDGET = 400
+
+
+class DesignSpec(NamedTuple):
+    """Target and search space for a design run.
+
+    Angles radians, forces N.  The opening envelope must contain
+    [interval_lo, interval_hi] and pressing along ``press_angle`` must
+    flip the finger at a force inside [threshold_lo, threshold_hi].
+    ``free`` lists the parameters the search may vary and ``bounds`` maps
+    each of them, and any other searchable field, to an inclusive
+    (lo, hi) box.  The search range is fixed:
+    ``sweep_lo``, ``sweep_hi`` and ``sweep_step`` are class constants.
+    """
+
+    interval_lo: float
+    interval_hi: float
+    press_angle: float
+    threshold_lo: float
+    threshold_hi: float
+    free: tuple[str, ...]
+    bounds: Mapping[str, tuple[float, float]]
+
+    sweep_lo = DEFAULT_SWEEP_LO
+    sweep_hi = DEFAULT_SWEEP_HI
+    sweep_step = DEFAULT_SWEEP_STEP
+
+    def validated(self) -> "DesignSpec":
+        if not self.free:
+            raise ValueError("at least one free parameter is required")
+        # A bound may name a field that is not free, but not one no search varies.
+        named = dict.fromkeys((*self.free, *self.bounds))
+        unknown = [n for n in named if n not in _FREE_FIELDS]
+        if unknown:
+            raise ValueError(
+                f"not searchable: {unknown}; allowed fields are "
+                f"{sorted(_FREE_FIELDS)}"
+            )
+        if len(set(self.free)) != len(self.free):
+            raise ValueError(f"duplicate free parameters in {self.free}")
+        missing = [n for n in self.free if n not in self.bounds]
+        if missing:
+            raise ValueError(f"free parameter {missing[0]!r} has no bounds")
+        for name, (lo, hi) in self.bounds.items():  # every pair, free or not
+            if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+                raise ValueError(
+                    f"bounds for {name!r} must be a finite ordered pair, "
+                    f"got ({lo}, {hi})"
+                )
+        if not (math.isfinite(self.interval_lo) and math.isfinite(self.interval_hi)):
+            raise ValueError(
+                "target interval must have finite ends, got "
+                f"[{self.interval_lo}, {self.interval_hi}]"
+            )
+        if not self.interval_lo < self.interval_hi:
+            raise ValueError(
+                "target interval is empty: "
+                f"[{self.interval_lo}, {self.interval_hi}]"
+            )
+        if not (
+            math.isfinite(self.threshold_lo)
+            and math.isfinite(self.threshold_hi)
+            and 0.0 <= self.threshold_lo <= self.threshold_hi
+        ):
+            raise ValueError(
+                "switching band must satisfy 0 <= lo <= hi and be finite, "
+                f"got [{self.threshold_lo}, {self.threshold_hi}]"
+            )
+        if not math.isfinite(self.press_angle):
+            raise ValueError(f"press angle must be finite, got {self.press_angle}")
+        if not self.sweep_lo <= self.interval_lo or not self.interval_hi <= self.sweep_hi:
+            raise ValueError(
+                "target interval must lie inside the sweep range "
+                f"[{self.sweep_lo}, {self.sweep_hi}], got "
+                f"[{self.interval_lo}, {self.interval_hi}]"
+            )
+        return self
 
 
 _DESIGN_SECTIONS: dict[str, tuple[str, ...]] = {

@@ -25,6 +25,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
+from . import _EXPORTS
 from .model import (
     DEFAULT_SWEEP_HI,
     DEFAULT_SWEEP_LO,
@@ -44,7 +45,7 @@ from .modeswitch import (
 )
 from .statics import _DET_RELATIVE_FLOOR, _OPENS, _build_terms, _decide_all
 
-__all__ = ["envelope"]
+__all__ = _EXPORTS["roots"]
 
 # A sign function whose amplitude is below this fraction of the size of
 # the terms summed into it is too cancelled to trust its roots; the

@@ -52,28 +52,13 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from . import _forward
+from . import _EXPORTS, _forward
 from .model import LinkageParameters, _branch_sign_error, _Derivation, _derive
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "BalanceSolution",
-    "BalanceSystem",
-    "BlockedReason",
-    "JointForcePair",
-    "OpeningDecision",
-    "OpeningStatus",
-    "SingularSystemError",
-    "assemble_system",
-    "friction_coupling",
-    "perturbed_joint_forces",
-    "predict_opening",
-    "solve_balance",
-    "solve_balance_with_sign",
-    "tip_moment_ratio",
-]
+__all__ = _EXPORTS["statics"]
 
 # A 2x2 determinant below this fraction of the squared row scale is
 # treated as singular rather than solved into garbage.
@@ -264,12 +249,13 @@ def _decide_all(
     and the opening rule of :func:`predict_opening`, applied point by
     point.  Once per call it reads the build's 12 press-independent
     values in one unpack of the terms' ``kernel``, binds the floors and
-    status codes as locals and squares a01.  Each point then runs one branch loop that starts on the +1 branch, or on
-    ``pinned`` (+1 or -1, else ValueError), whose answer is kept whatever
-    the sign of its strut force.  Each float is the expression
-    :func:`assemble_system` and :func:`perturbed_joint_forces` evaluate,
-    so the wrappers that repackage a tuple into named tuples give the
-    same bits.  A non-finite press direction raises ValueError.
+    status codes as locals and squares a01.  Each point then runs one
+    branch loop that starts on the +1 branch, or on ``pinned`` (+1 or -1,
+    else ValueError), whose answer is kept whatever the sign of its strut
+    force.  Each float is the expression :func:`assemble_system` and
+    :func:`perturbed_joint_forces` evaluate, so the wrappers that
+    repackage a tuple into named tuples give the same bits.  A non-finite
+    press direction raises ValueError.
     """
     t = _build_terms(p)
     a01, plus, minus, b0, b1, eps, cos1, cos4, c00, s00, c10, s10 = t.kernel

@@ -802,6 +802,8 @@ _LOAD_BUDGET = {
                 sorted(["csv", *_READERS, "linkstat.compare", "linkstat.statics"])),
     "optimize": (["optimize", "--design", "{design}"], 0,
                  sorted({*_SOLVER, *_READERS, "linkstat.design", "linkstat.roots"})),
+    "design-spec": ("import linkstat\nresult = linkstat.DesignSpec.__module__", "linkstat.readers",
+                    ["linkstat", "linkstat.model", "linkstat.paramfile", "linkstat.readers"]),
     "spring-force": ("import linkstat\n"
                      "result = linkstat.spring_force(linkstat.default_parameters())",
                      3.69172157852751, ["linkstat", "linkstat.model"]),

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -14,14 +15,28 @@ SUBMODULES = ("model", "statics", "oracle", "modeswitch", "roots", "paramfile", 
               "compare", "design")
 
 
-def test_name_table_is_the_union_of_the_submodules_all():
-    homes = {}
-    for module in SUBMODULES:
-        names = importlib.import_module(f"linkstat.{module}").__all__
-        assert homes.keys().isdisjoint(names), module  # one home per name
-        homes.update(dict.fromkeys(names, module))
-    assert linkstat._HOMES == homes
-    assert linkstat.__all__ == sorted([*homes, "__version__"])
+# Public functions and classes a submodule defines but does not export:
+# the grid builder that cli, modeswitch, roots and design share.
+UNEXPORTED = {("model", "sweep_grid")}
+
+
+def test_export_table_is_each_submodules_all_and_its_public_definitions():
+    """Each submodule's __all__ is its _EXPORTS entry; each name there is a
+    function or class defined in that module, not imported into it; and each
+    public function or class the module defines is listed, UNEXPORTED aside."""
+    assert tuple(linkstat._EXPORTS) == SUBMODULES
+    assert len(linkstat._HOMES) == sum(map(len, linkstat._EXPORTS.values()))  # one home per name
+    for module, names in linkstat._EXPORTS.items():
+        home = importlib.import_module(f"linkstat.{module}")
+        assert home.__all__ is names, module
+        defined = {name for name, value in vars(home).items()
+                   if (inspect.isclass(value) or inspect.isfunction(value))
+                   and value.__module__ == home.__name__}
+        assert set(names) <= defined, module
+        public = {name for name in defined if not name.startswith("_")}
+        assert public - set(names) == {name for home_module, name in UNEXPORTED
+                                       if home_module == module}, module
+    assert linkstat.__all__ == sorted([*linkstat._HOMES, "__version__"])
 
 
 def test_every_public_name_is_its_home_modules_object():
@@ -63,7 +78,7 @@ def test_type_checkers_see_every_home_module():
     starred = {node.module for node in block.body
                if isinstance(node, ast.ImportFrom) and node.level == 1
                and [alias.name for alias in node.names] == ["*"]}
-    assert starred == set(linkstat._HOMES.values())
+    assert starred == set(linkstat._EXPORTS)
 
 
 def test_sources_parse_at_the_python_floor():
@@ -138,6 +153,15 @@ def test_unforwarded_names_resolve_on_their_home_alone(old):
             getattr(old_module, name)
         home = importlib.import_module(f"linkstat.{linkstat._HOMES[name]}")
         assert getattr(linkstat, name) is getattr(home, name), name
+
+
+def test_model_holds_no_design_target():
+    """The design target lives beside its reader in readers, not in model,
+    which every command loads."""
+    import linkstat.model
+
+    for name in ("DesignSpec", "_FREE_FIELDS", "DEFAULT_BUDGET"):
+        assert not hasattr(linkstat.model, name), name
 
 
 def test_a_submodule_resolves_on_the_package_before_it_is_bound(monkeypatch):
