@@ -35,11 +35,13 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "roots": ("envelope",),
     "paramfile": (
-        "MeasurementFileError", "ParameterDocument", "ParameterFileError",
-        "SweepSettings", "format_parameter_file", "parse_parameter_document",
-        "parse_parameter_file",
+        "ParameterDocument", "ParameterFileError", "SweepSettings",
+        "format_parameter_file", "parse_parameter_document", "parse_parameter_file",
     ),
-    "readers": ("DesignSpec", "Measurement", "parse_design_file", "read_measurements"),
+    "readers": (
+        "DesignSpec", "Measurement", "MeasurementFileError", "parse_design_file",
+        "read_measurements",
+    ),
     "compare": (
         "ComparisonResult", "ComparisonRow", "compare_measurements", "format_comparison_csv",
     ),

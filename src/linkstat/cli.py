@@ -389,14 +389,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     doc, label = _load_valid(args.params)
-    from .paramfile import MeasurementFileError, read_measurements
+    # read_ and compare_measurements via paramfile, where the benchmark's tracer wraps them.
+    from .paramfile import read_measurements
+    from .readers import MeasurementFileError
 
     text = _read_text(args.measurements)
     try:
         measurements = read_measurements(text)
     except MeasurementFileError as exc:
         raise _Fail(2, f"{args.measurements}: {exc}") from exc
-    # compare_measurements through paramfile, where the benchmark's tracer wraps it.
     from .compare import format_comparison_csv
     from .paramfile import compare_measurements
 

@@ -12,10 +12,11 @@ the envelope of the full grid sweep bit for bit but computes verdicts
 only around the few press directions where one can change
 (10 instead of 253 on the reference build: no bisection midpoint there
 lies next to a root, so every one takes a known verdict).  A move of
-``spring_k``, ``natural_length``, ``l0`` or ``l1`` only scales the
-spring moments (b0, b1) on the balance's right-hand side, which changes
-no verdict's status while the spring force stays positive; such a move
-keeps the best build's envelope wherever
+``spring_k``, ``natural_length``, ``l0`` or ``l1``
+(``roots._SPRING_SCALE_FIELDS``) only scales the spring moments
+(b0, b1) on the balance's right-hand side, which changes no verdict's
+status while the spring force stays positive; such a move keeps the
+best build's envelope wherever
 :func:`~linkstat.roots._spring_scale_keeps_verdicts` accepts its
 geometry, and computes one fresh verdict, at the press direction.
 
@@ -47,7 +48,7 @@ from .modeswitch import (
     switching_threshold,
 )
 from .readers import _FREE_FIELDS, DEFAULT_BUDGET, DesignSpec
-from .roots import _envelope, _spring_scalable, _spring_scale_keeps_verdicts
+from .roots import _SPRING_SCALE_FIELDS, _envelope, _spring_scalable, _spring_scale_keeps_verdicts
 from .statics import _OPENS, _decide, _decide_all
 
 __all__ = _EXPORTS["design"]
@@ -69,10 +70,6 @@ _BLOCKED_SHAPING_PER_DEG = 0.01
 
 # Central-difference step of sensitivity(), relative to the field's size.
 _SENSITIVITY_REL_STEP = 1e-6
-
-# The fields a spring-scale move changes: they enter the 2x2 balance only
-# through its spring moments (b0, b1), which they scale by one factor.
-_SPRING_SCALE_FIELDS = frozenset({"spring_k", "natural_length", "l0", "l1"})
 
 # The one grid candidates are scored and re-verified on: the default range.
 _GRID = tuple(sweep_grid(DesignSpec.sweep_lo, DesignSpec.sweep_hi, DesignSpec.sweep_step))

@@ -240,12 +240,12 @@ class _Derivation:
     Most of the 2x2 balance does not depend on the press direction: the
     strut-angle sines ``s13``, ``s34``, the right-hand side ``b0``,
     ``b1``, each friction branch's a11 (``plus``, ``minus``), the
-    probe-force cosines ``cos1``, ``cos4`` and the (c, s) pairs ``a00``,
-    ``a10`` of the two press-dependent entries, each c*cos(zeta) +
-    s*sin(zeta).  Each is one float expression, derived once per build
-    and read by every caller of the statics' 2x2 route, so caching
-    changes no bit of any result; its raw-equilibrium route never reads
-    them.  ``kernel`` holds the 12 values the statics' kernel reads, in
+    probe-force cosines cos1, cos4 (held in ``kernel`` alone) and the
+    (c, s) pairs ``a00``, ``a10`` of the two press-dependent entries, each
+    c*cos(zeta) + s*sin(zeta).  Each is one float expression, derived
+    once per build and read by every caller of the statics' 2x2 route,
+    so caching changes no bit of any result; its raw-equilibrium route
+    never reads them.  ``kernel`` holds the 12 values the statics' kernel reads, in
     its order (s13, plus, minus, b0, b1, epsilon, cos1, cos4 and the
     pairs of a00 and a10): one tuple unpack costs about half of 12
     attribute reads, and a one-point verdict pays it per point.
@@ -261,7 +261,7 @@ class _Derivation:
     """
 
     __slots__ = ("params", "report", "arm", "s13", "s34", "b0", "b1",
-                 "plus", "minus", "cos1", "cos4", "a00", "a10", "kernel")
+                 "plus", "minus", "a00", "a10", "kernel")
 
     def __init__(self, p: LinkageParameters) -> None:
         self.params = p  # held so that the identity test in _derive stays sound
@@ -347,8 +347,8 @@ class _Derivation:
         self.report = _VALID
         self.s13 = s13 = sin(theta1 - theta3)
         self.s34 = s34 = sin(theta3 + theta4)
-        self.cos1 = cos1 = cos(theta1)
-        self.cos4 = cos4 = cos(theta4)
+        cos1 = cos(theta1)
+        cos4 = cos(theta4)
         # gamma = (l4*cos(z) - l3*sin(theta2 + z)) / arm = g_a*cos(z) + g_b*sin(z),
         # finite by the tip moment rule, as are a00 and a10 with |s13|, |s34| <= 1.
         g_a = (l4 - l3 * sin2) / arm

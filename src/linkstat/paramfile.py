@@ -10,9 +10,10 @@ drawing, e.g. ``l4 = 2.5*cos(15)``.  Expressions are parsed with a tiny
 recursive-descent evaluator; nothing is ever passed to eval().
 
 Every command reads a parameter file, so this module holds only what
-that needs.  Reading a design target file or a bench measurement table
-is :mod:`linkstat.readers`' job, and lining a table up against the
-model is :mod:`linkstat.compare`'s, since it needs the solver.
+that needs.  Reading a design target file or a bench measurement table,
+and the ``MeasurementFileError`` a malformed table raises, are
+:mod:`linkstat.readers`', and lining a table up against the model is
+:mod:`linkstat.compare`'s, since it needs the solver.
 ``parse_design_file``, ``read_measurements`` and ``compare_measurements``
 still resolve here, loading their module on first access.
 
@@ -80,10 +81,6 @@ class _LineError(ValueError):
 
 class ParameterFileError(_LineError):
     """Malformed parameter or design file."""
-
-
-class MeasurementFileError(_LineError):
-    """Malformed measurement table."""
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ a design file; :mod:`linkstat.design` imports them from here.  Only
 ``optimize`` and ``compare`` read these files, so a sweep never loads
 this module.  A design file is sectioned key = value text, read by
 the reader and expression evaluator of :mod:`linkstat.paramfile`; a
-measurement table is CSV.  ``parse_design_file`` and
+measurement table is CSV, and its reader's one error,
+:class:`MeasurementFileError`, is defined here.  ``parse_design_file`` and
 ``read_measurements`` still resolve on :mod:`linkstat.paramfile`,
 loading this module on first access there.
 """
@@ -25,14 +26,13 @@ from .model import (
     DEFAULT_SWEEP_STEP,
     LinkageParameters,
 )
-from .paramfile import (
-    MeasurementFileError,
-    ParameterFileError,
-    _eval_expression,
-    _iter_entries,
-)
+from .paramfile import ParameterFileError, _eval_expression, _iter_entries, _LineError
 
 __all__ = _EXPORTS["readers"]
+
+
+class MeasurementFileError(_LineError):
+    """Malformed measurement table."""
 
 
 # Parameters the search may vary.  The probe step epsilon only scales

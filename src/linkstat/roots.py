@@ -153,6 +153,10 @@ def _roots_by_function(
     return groups
 
 
+# The fields a spring-scale move changes: they enter the 2x2 balance only
+# through its spring moments (b0, b1), which they scale by one factor.
+_SPRING_SCALE_FIELDS = frozenset({"spring_k", "natural_length", "l0", "l1"})
+
 # A spring-scale move leaves xi's numerator b0*a11 - s13*b1 (the same at
 # every press direction) its computed sign when the numerator clears this
 # fraction of the size of its two terms.

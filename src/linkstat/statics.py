@@ -50,13 +50,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import _EXPORTS, _forward
 from .model import LinkageParameters, _branch_sign_error, _Derivation, _derive
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = _EXPORTS["statics"]
 
@@ -129,8 +126,7 @@ class BalanceSystem(NamedTuple):
     [[a00, a01], [a10, a11]] * (xi_b, beta_3b) = (b0, b1), with xi_b the
     contact force magnitude and beta_3b the coupler strut force, both in
     N.  Only a00 and a10 depend on the press direction, and only a11 on
-    the friction branch.  ``matrix`` and ``rhs`` build the same entries
-    as numpy arrays on demand.
+    the friction branch.
     """
 
     a00: float
@@ -143,18 +139,6 @@ class BalanceSystem(NamedTuple):
     @property
     def det(self) -> float:
         return self.a00 * self.a11 - self.a01 * self.a10
-
-    @property
-    def matrix(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([[self.a00, self.a01], [self.a10, self.a11]], dtype=float)
-
-    @property
-    def rhs(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.b0, self.b1], dtype=float)
 
 
 def _require_finite(zeta: float) -> None:
@@ -252,10 +236,10 @@ def _decide_all(
     status codes as locals and squares a01.  Each point then runs one
     branch loop that starts on the +1 branch, or on ``pinned`` (+1 or -1,
     else ValueError), whose answer is kept whatever the sign of its strut
-    force.  Each float is the expression :func:`assemble_system` and
-    :func:`perturbed_joint_forces` evaluate, so the wrappers that
-    repackage a tuple into named tuples give the same bits.  A non-finite
-    press direction raises ValueError.
+    force.  a00, a10 and det are the expressions :func:`assemble_system`
+    and ``BalanceSystem.det`` evaluate, so the wrappers that repackage a
+    tuple into named tuples give the same bits, and the probe forces are
+    computed here alone.  A non-finite press direction raises ValueError.
     """
     t = _build_terms(p)
     a01, plus, minus, b0, b1, eps, cos1, cos4, c00, s00, c10, s10 = t.kernel
@@ -367,24 +351,19 @@ class JointForcePair(NamedTuple):
     f_sx: float
 
 
-def perturbed_joint_forces(
-    p: LinkageParameters,
-    zeta: float,
-    solution: BalanceSolution | None = None,
-) -> JointForcePair:
+def perturbed_joint_forces(p: LinkageParameters, zeta: float) -> JointForcePair:
     """Joint driving forces for a probe step past the balance point.
 
     The full matrix route reduces exactly to a single matrix column
-    scaled by the probe step, so that reduced form is computed here; the
-    equivalence with the matrix route is part of the test suite.
+    scaled by the probe step; these are the forces :func:`_decide_all`
+    computes in that reduced form, and the equivalence with the matrix
+    route is part of the test suite.  A singular balance raises
+    SingularSystemError, a non-finite ``zeta`` ValueError.
     """
-    if solution is None:
-        solution = solve_balance(p, zeta)
-    system = solution.system
-    t = _build_terms(p)
-    f_rx = -(p.epsilon * system.a00) / t.cos1
-    f_sx = -(p.epsilon * system.a10) / t.cos4
-    return JointForcePair(f_rx=f_rx, f_sx=f_sx)
+    verdict = _decide(p, zeta)
+    if verdict[0] == _SINGULAR:
+        raise _singular_error(zeta, verdict[4])
+    return JointForcePair(verdict[7], verdict[8])
 
 
 class OpeningStatus(Enum):

@@ -165,8 +165,9 @@ def test_criterion_3_forces(defaults):
             sol = solve_balance(p, zeta)
         except SingularSystemError:
             continue
-        forces = perturbed_joint_forces(p, zeta, sol)
-        a, b = sol.system.matrix, sol.system.rhs
+        forces = perturbed_joint_forces(p, zeta)
+        s = sol.system
+        a, b = np.array([[s.a00, s.a01], [s.a10, s.a11]]), np.array([s.b0, s.b1])
         residual = a @ np.array([sol.xi_b + p.epsilon, sol.beta_3b]) - b
         f_rx = -float(residual[0]) / math.cos(p.theta1)
         f_sx = -float(residual[1]) / math.cos(p.theta4)

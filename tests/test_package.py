@@ -94,6 +94,24 @@ def test_sources_parse_at_the_python_floor():
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=version)
 
 
+def test_only_the_oracle_imports_numpy():
+    """No module but the oracle imports numpy: not at its top, not in a
+    function and not in a TYPE_CHECKING block."""
+    package = Path(linkstat.__file__).resolve().parent
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.partition(".")[0] == "numpy" for module in modules):
+                importers.add(path.name)
+    assert importers == {"oracle.py"}
+
+
 def traced_lookups():
     """The (module, name) pairs that bench/tracing.py's TRACED wraps, read
     from its source: the lookups the benchmark makes on linkstat's modules."""
@@ -141,7 +159,8 @@ def test_moved_names_resolve_on_the_module_they_left(old, run_child):
 UNFORWARDED = {
     "statics": ("EquilibriumState", "spring_force"),
     "modeswitch": ("envelope",),
-    "paramfile": ("Measurement", "ComparisonResult", "ComparisonRow", "format_comparison_csv"),
+    "paramfile": ("Measurement", "MeasurementFileError", "ComparisonResult", "ComparisonRow",
+                  "format_comparison_csv"),
 }
 
 

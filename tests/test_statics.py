@@ -209,10 +209,6 @@ def test_branch_switch_equals_pinned_minus_branch(zeta, l_scale, mu_scale):
     for name in _SYSTEM_FLOATS:
         assert getattr(system, name).hex() == getattr(fresh, name).hex(), name
     assert system.det.hex() == fresh.det.hex()
-    assert np.array_equal(
-        system.matrix, np.array([[system.a00, system.a01], [system.a10, system.a11]])
-    )
-    assert np.array_equal(system.rhs, np.array([system.b0, system.b1]))
 
 
 def test_friction_tie_keeps_the_plus_branch(defaults):
@@ -268,8 +264,9 @@ def test_probe_forces_match_matrix_route(zeta, k_scale, l_scale):
         sol = solve_balance(p, zeta)
     except SingularSystemError:
         return
-    forces = perturbed_joint_forces(p, zeta, sol)
-    a, b = sol.system.matrix, sol.system.rhs
+    forces = perturbed_joint_forces(p, zeta)
+    s = sol.system
+    a, b = np.array([[s.a00, s.a01], [s.a10, s.a11]]), np.array([s.b0, s.b1])
     residual = a @ np.array([sol.xi_b + p.epsilon, sol.beta_3b]) - b
     f_rx = -float(residual[0]) / math.cos(p.theta1)
     f_sx = -float(residual[1]) / math.cos(p.theta4)
@@ -302,14 +299,6 @@ def test_opening_decision_singular(defaults):
     assert decision.solution is None
     assert decision.sign_beta3 == 0
     assert not decision.sign_consistent
-
-
-def test_assemble_system_shape(defaults):
-    system = assemble_system(defaults, 0.0, 1)
-    assert system.matrix.shape == (2, 2)
-    assert system.rhs.shape == (2,)
-    assert system.matrix.tolist() == [[system.a00, system.a01], [system.a10, system.a11]]
-    assert system.rhs.tolist() == [system.b0, system.b1]
 
 
 @given(st.floats(min_value=-0.5, max_value=1.5), st.sampled_from([0.5, 2.0, 4.0]))
@@ -480,6 +469,12 @@ def _hex(value):
     return value.hex() if isinstance(value, float) else value
 
 
+def _probe_forces(p, system):
+    """The probe forces (f_rx, f_sx) of a balance system, written out here."""
+    return (-(p.epsilon * system.a00) / math.cos(p.theta1),
+            -(p.epsilon * system.a10) / math.cos(p.theta4))
+
+
 @given(
     st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=14, max_size=14),
     st.integers(min_value=0, max_value=9),
@@ -509,9 +504,8 @@ def test_kernel_equals_the_object_path(scales, pick, zeta):
             assert str(raised.value) == str(statics._singular_error(zeta, pinned[4]))
             continue
         sol = solve_balance_with_sign(p, zeta, sign)
-        forces = perturbed_joint_forces(p, zeta, sol)
         got = [sol.xi_b, sol.beta_3b, sol.sign_beta3, sol.system.det, sol.system.a00,
-               sol.system.a10, forces.f_rx, forces.f_sx]
+               sol.system.a10, *_probe_forces(p, sol.system)]
         assert [_hex(v) for v in got] == [_hex(v) for v in pinned[1:]]
         assert sol.sign_consistent == ((sol.beta_3b >= 0.0) == (sign == 1))
 
@@ -536,9 +530,8 @@ def test_kernel_equals_the_object_path(scales, pick, zeta):
     plus = solve_balance_with_sign(p, zeta, 1)
     assert (branch == 1) == (plus.beta_3b >= 0.0)
     pinned = solve_balance_with_sign(p, zeta, branch)
-    forces = perturbed_joint_forces(p, zeta, pinned)
     rebuilt = [pinned.xi_b, pinned.beta_3b, pinned.system.det, pinned.system.a00,
-               pinned.system.a10, forces.f_rx, forces.f_sx]
+               pinned.system.a10, *_probe_forces(p, pinned.system)]
     assert [_hex(v) for v in rebuilt] == [_hex(v) for v in (xi, beta, det, a00, a10, f_rx, f_sx)]
     if xi < 0.0:
         assert code == statics._NEGATIVE_XI
@@ -584,10 +577,28 @@ def test_kernel_singular_case(defaults):
         assert str(raised.value) == message
 
 
+def test_probe_forces_are_the_kernels(defaults):
+    """perturbed_joint_forces repackages the kernel's verdict: its singular
+    error, its finiteness check and its probe forces, bit for bit."""
+    p = defaults.with_values(theta3=defaults.theta1)
+    with pytest.raises(SingularSystemError) as raised:
+        perturbed_joint_forces(p, defaults.theta1)
+    assert str(raised.value) == str(statics._singular_error(defaults.theta1, 0.0))
+    for zeta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="press direction must be finite"):
+            perturbed_joint_forces(defaults, zeta)
+    grid = model.sweep_grid(model.DEFAULT_SWEEP_LO, model.DEFAULT_SWEEP_HI,
+                            model.DEFAULT_SWEEP_STEP)
+    for zeta in grid:
+        forces = perturbed_joint_forces(defaults, zeta)
+        expected = predict_opening(defaults, zeta).forces
+        assert [_hex(v) for v in forces] == [_hex(v) for v in expected], zeta
+
+
 # The batch kernel against the object route: each friction branch's
 # system from assemble_system, solved here by Cramer's rule under the
 # singular floor's hypot rule alone, and the probe forces from
-# perturbed_joint_forces.
+# _probe_forces.
 
 def _object_verdict(p, zeta):
     """The kernel tuple rebuilt without the kernel."""
@@ -602,15 +613,14 @@ def _object_verdict(p, zeta):
         xi, beta = (b0 * a11 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det
         if beta >= 0.0:
             break
-    forces = perturbed_joint_forces(
-        p, zeta, statics.BalanceSolution(xi, beta, branch, beta >= 0.0, system))
+    f_rx, f_sx = _probe_forces(p, system)
     if xi < 0.0:
         code = statics._NEGATIVE_XI
-    elif forces.f_rx <= 0.0 and forces.f_sx >= 0.0:
+    elif f_rx <= 0.0 and f_sx >= 0.0:
         code = statics._OPENS
     else:
         code = statics._CONTACT_MAINTAINED
-    return (code, xi, beta, branch, det, a00, a10, forces.f_rx, forces.f_sx)
+    return (code, xi, beta, branch, det, a00, a10, f_rx, f_sx)
 
 
 def _batch_matches_object_route(p, zetas):
