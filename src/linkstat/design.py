@@ -22,11 +22,11 @@ geometry, and computes one fresh verdict, at the press direction.
 
 The search is deterministic: no randomness, fixed iteration order.
 Candidates are scored, and a Feasible verdict is re-verified by
-:func:`_verify`, on one grid (the default range, built once).  Scoring
-and re-verification read the verdict kernel
-(:func:`~linkstat.statics._decide_all`, or its one-point case
-:func:`~linkstat.statics._decide`); only re-verification's full-sweep
-fallback builds verdict objects.
+:func:`_verify`, on one grid (the default range, built once) and to one
+refine tolerance (``modeswitch.DEFAULT_REFINE_TOL``).  Both read the
+verdict kernel (:func:`~linkstat.statics._decide_all`, or its one-point
+case :func:`~linkstat.statics._decide`); only re-verification's
+full-sweep fallback builds verdict objects.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import NamedTuple
 from . import _EXPORTS
 from .model import _ANGLE_FIELDS, LinkageParameters, sweep_grid, validate_parameters
 from .modeswitch import (
-    DEFAULT_REFINE_TOL,
     OpeningInterval,
     _refine_runs,
     _runs,
@@ -161,7 +160,7 @@ def evaluate_design(spec: DesignSpec, p: LinkageParameters) -> DesignEvaluation:
     """Score a candidate against the target.  Zero penalty means feasible."""
     if not validate_parameters(p).ok:
         return _INVALID
-    return _scored(spec, p, _envelope(p, _GRID, DEFAULT_REFINE_TOL))
+    return _scored(spec, p, _envelope(p, _GRID))
 
 
 def _scored(
@@ -253,36 +252,35 @@ def _covering(
 def _verify(
     spec: DesignSpec,
     p: LinkageParameters,
-    hint: tuple[OpeningInterval, ...] = (),
+    hint: tuple[OpeningInterval, ...],
 ) -> VerificationRecord:
     """Re-check a feasible candidate with fresh verdicts and no root inference.
 
-    ``hint`` is the candidate's envelope as the search scored it, and
-    only says where to look; no verdict is taken from it.  Its first
-    interval that covers the target band holds the grid points
-    ``first..last``; a fresh verdict at each of them and at each grid
-    neighbour, ``first - 1`` and ``last + 1``, that exists confirms the
-    run when :func:`~linkstat.modeswitch._runs` reads the one run
-    ``(first, last)`` from them.  A confirmed run is a maximal run of the
-    full sweep, and its edges are bisected with a verdict at every
-    midpoint, as the full sweep bisects them.  Without a covering hint
-    interval, when a verdict disagrees (always so when that interval
-    holds no grid point) or when the refined run falls short of the
-    band, every grid point and every midpoint gets a fresh verdict from
-    the public full sweep, which builds verdict objects
-    (:func:`~linkstat.modeswitch.sweep_points`).  The switching force
-    gets one fresh verdict at the press direction.  Every verdict comes
-    from the scalar kernel on the grid the envelope reads; none is
+    ``hint`` is the candidate's envelope as the search scored it, and only
+    says where to look; no verdict is taken from it.  Its first interval
+    that covers the target band holds the grid points ``first..last``; a
+    fresh verdict at each of them and at each grid neighbour,
+    ``first - 1`` and ``last + 1``, that exists confirms the run when
+    :func:`~linkstat.modeswitch._runs` reads the one run ``(first, last)``
+    from them.  A confirmed run is a maximal run of the full sweep, and
+    its edges are bisected to ``DEFAULT_REFINE_TOL`` with a verdict at
+    every midpoint, as the full sweep bisects them.  Without a covering
+    hint interval, or when a verdict disagrees (always so when that
+    interval holds no grid point), every grid point and every midpoint
+    gets a fresh verdict from the public full sweep, which builds verdict
+    objects (:func:`~linkstat.modeswitch.sweep_points`).  The switching
+    force gets one fresh verdict at the press direction.  Every verdict
+    comes from the scalar kernel on the grid the envelope reads; none is
     inferred from the sign-function roots that
-    :func:`~linkstat.roots.envelope` relies on, so a fault there
-    cannot pass unnoticed.
+    :func:`~linkstat.roots.envelope` relies on, so a fault there cannot
+    pass unnoticed.
 
     The record, and the RuntimeError raised when a check fails, are
     those of the full sweep for every hint, given a validated ``spec``:
-    a confirmed run is a maximal run of the full sweep, its refined edges
-    depend only on its own brackets, and the full sweep's refined
-    intervals are disjoint, so at most one of them covers the band.  The
-    hint decides only how much work is done.
+    a confirmed run is a maximal run of the full sweep, its refined
+    edges depend only on its own brackets, and the full sweep's refined
+    intervals are disjoint, so only the confirmed run's can cover the
+    band.  The hint decides only how much work is done.
     """
     best = _covering(hint, spec)
     if best is not None:
@@ -290,17 +288,15 @@ def _verify(
         last = bisect_right(_GRID, best.hi) - 1
         start, stop = max(first - 1, 0), min(last + 2, len(_GRID))
         opens = [v[0] == _OPENS for v in _decide_all(p, _GRID[start:stop])]
-        if _runs(range(start, stop), opens) == [(first, last)]:
-            best = _covering(_refine_runs(p, _GRID, [(first, last)], DEFAULT_REFINE_TOL), spec)
-        else:
+        if _runs(range(start, stop), opens) != [(first, last)]:
             best = None
+    intervals = (opening_interval(sweep_points(p, _GRID)) if best is None
+                 else _refine_runs(p, _GRID, [(first, last)]))
+    best = _covering(intervals, spec)
     if best is None:
-        intervals = opening_interval(sweep_points(p, _GRID), DEFAULT_REFINE_TOL)
-        best = _covering(intervals, spec)
-        if best is None:
-            raise RuntimeError(
-                "feasible candidate failed re-verification of envelope coverage"
-            )
+        raise RuntimeError(
+            "feasible candidate failed re-verification of envelope coverage"
+        )
     t = switching_threshold(p, spec.press_angle)
     if not (spec.threshold_lo <= t <= spec.threshold_hi):
         raise RuntimeError(

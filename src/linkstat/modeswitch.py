@@ -166,13 +166,12 @@ def _bisect_transition(
     p: LinkageParameters,
     closed_side: float,
     open_side: float,
-    tolerance: float,
     roots: Sequence[float] | None = None,
 ) -> float:
     """Shrink a bracket with one opening and one non-opening end.
 
-    Returns the opening-side end of the final bracket, so reported
-    interval endpoints always carry an opening verdict themselves.
+    Returns the opening-side end of the final bracket, at most
+    :data:`DEFAULT_REFINE_TOL` wide, so endpoints carry an opening verdict.
     Given the sorted ``roots`` of the sign functions, a midpoint whose
     segment [lo, hi] to the closed end, else to the open end, holds no
     root with ``lo - _ROOT_WINDOW <= root <= hi + _ROOT_WINDOW`` takes
@@ -180,7 +179,7 @@ def _bisect_transition(
     own.  Without roots, or when none lies near the bracket, every
     midpoint is computed.
     """
-    window = _ROOT_WINDOW
+    window, tolerance = _ROOT_WINDOW, DEFAULT_REFINE_TOL
     near: Sequence[float] = ()
     if roots:
         lo, hi = (open_side, closed_side) if open_side < closed_side else (closed_side, open_side)
@@ -217,30 +216,24 @@ def _refine_runs(
     p: LinkageParameters,
     zetas: Sequence[float],
     runs: Sequence[tuple[int, int]],
-    tolerance: float,
     roots: Sequence[float] | None = None,
 ) -> tuple[OpeningInterval, ...]:
     """Turn runs of opening grid points into refined intervals, widest first.
 
-    ``roots`` is passed on to :func:`_bisect_transition`.  Raises
-    ValueError for a non-finite or negative ``tolerance``; zero bisects
-    each edge to float resolution.
+    Each edge inside the grid is bisected by :func:`_bisect_transition`
+    to :data:`DEFAULT_REFINE_TOL`; ``roots`` is passed on to it.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(
-            f"refine tolerance must be finite and >= 0, got {tolerance!r}"
-        )
     intervals: list[OpeningInterval] = []
     for first, last in runs:
         if first == 0:
             lo, lo_refined = zetas[0], False
         else:
-            lo = _bisect_transition(p, zetas[first - 1], zetas[first], tolerance, roots)
+            lo = _bisect_transition(p, zetas[first - 1], zetas[first], roots)
             lo_refined = True
         if last == len(zetas) - 1:
             hi, hi_refined = zetas[-1], False
         else:
-            hi = _bisect_transition(p, zetas[last + 1], zetas[last], tolerance, roots)
+            hi = _bisect_transition(p, zetas[last + 1], zetas[last], roots)
             hi_refined = True
         intervals.append(OpeningInterval(lo, hi, lo_refined, hi_refined))
     if len(intervals) > 1:
@@ -248,16 +241,14 @@ def _refine_runs(
     return tuple(intervals)
 
 
-def opening_interval(
-    curve: SweepCurve, tolerance: float = DEFAULT_REFINE_TOL
-) -> tuple[OpeningInterval, ...]:
+def opening_interval(curve: SweepCurve) -> tuple[OpeningInterval, ...]:
     """Extract the opening envelope from a sweep, widest interval first.
 
     The samples are read as a grid, so their press directions must be
     strictly ascending, as :func:`sweep` gives them; ValueError names
     the first pair that is not.  Ties on width break toward the lower
-    interval.  Returns an empty tuple when no sample opens.  Every
-    bisection midpoint gets a verdict of its own.
+    interval.  Returns an empty tuple when no sample opens.  Edges are
+    bisected to :data:`DEFAULT_REFINE_TOL` with a verdict at every midpoint.
     """
     zetas = curve.zetas
     for k in range(1, len(zetas)):
@@ -268,7 +259,6 @@ def opening_interval(
         curve.params,
         zetas,
         _runs(range(len(curve.samples)), [s.decision.opens for s in curve.samples]),
-        tolerance,
     )
 
 

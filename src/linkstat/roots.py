@@ -2,18 +2,18 @@
 
 Every sign the opening verdict reads is an ``a*cos(zeta) + b*sin(zeta)``
 function of the press direction, one of :func:`_sign_functions`, so the
-verdict can only change where one of them crosses zero.
-:func:`envelope` returns the envelope of the full grid sweep,
-``opening_interval(sweep(...))``, bit for bit, but only the grid points
-around those roots need a verdict of their own, and a bisection
-midpoint needs one only when it lies next to a root or between two;
-every other midpoint takes the known verdict of the bracket end it
-shares a root-free stretch with.  Wherever :func:`_roots_by_function`
-does not trust the roots, or the computed points leave a verdict change
-unexplained (:func:`~linkstat.modeswitch._runs`), the full sweep runs
-instead.  The same roots tell the design search when a move that only
-scales the spring moments keeps every verdict
-(:func:`_spring_scale_keeps_verdicts`).
+verdict can only change where one of them crosses zero.  :func:`envelope`
+returns the envelope of the full grid sweep,
+``opening_interval(sweep(...))``, bit for bit, its edges bisected to the
+same ``modeswitch.DEFAULT_REFINE_TOL``, but only the grid points around
+those roots need a verdict of their own, and a bisection midpoint needs
+one only when it lies next to a root or between two; every other midpoint
+takes the known verdict of the bracket end it shares a root-free stretch
+with.  Wherever :func:`_roots_by_function` does not trust the roots, or
+the computed points leave a verdict change unexplained
+(:func:`~linkstat.modeswitch._runs`), the full sweep runs instead.  The
+same roots tell the design search when a move that only scales the spring
+moments keeps every verdict (:func:`_spring_scale_keeps_verdicts`).
 
 Only the design search runs this code, so a sweep from the command line
 never loads it.
@@ -36,7 +36,6 @@ from .model import (
 )
 from .modeswitch import (
     _ROOT_WINDOW,
-    DEFAULT_REFINE_TOL,
     OpeningInterval,
     _refine_runs,
     _runs,
@@ -236,26 +235,25 @@ def envelope(
     zeta_lo: float = DEFAULT_SWEEP_LO,
     zeta_hi: float = DEFAULT_SWEEP_HI,
     step: float = DEFAULT_SWEEP_STEP,
-    tolerance: float = DEFAULT_REFINE_TOL,
 ) -> tuple[OpeningInterval, ...]:
     """The opening envelope of the grid sweep, without sampling every point.
 
-    Returns exactly ``opening_interval(sweep(p, zeta_lo, zeta_hi, step),
-    tolerance)``.  Verdicts are computed only at the two range ends and
-    at the grid points bracketing each root of the sign functions the
-    verdict reads; every other grid point takes the verdict of the
-    computed points around it, since no sign changes between them, and
-    :func:`_runs` reads the runs from the computed points alone.  The
-    edges are bisected as in :func:`opening_interval`, but a midpoint
-    whose segment to one end of the bracket holds no root takes that
-    end's verdict, so only a midpoint within the root window of a root,
-    or between two roots, gets a verdict of its own.  If two computed
-    grid points around an uncomputed stretch disagree, or
+    Returns exactly ``opening_interval(sweep(p, zeta_lo, zeta_hi, step))``.
+    Verdicts are computed only at the two range ends and at the grid
+    points bracketing each root of the sign functions the verdict reads;
+    every other grid point takes the verdict of the computed points around
+    it, since no sign changes between them, and :func:`_runs` reads the
+    runs from the computed points alone.  The edges are bisected to
+    ``modeswitch.DEFAULT_REFINE_TOL`` as in :func:`opening_interval`, but
+    a midpoint whose segment to one end of the bracket holds no root takes
+    that end's verdict, so only a midpoint within the root window of a
+    root, or between two roots, gets a verdict of its own.  If two
+    computed grid points around an uncomputed stretch disagree, or
     :func:`_roots_by_function` does not trust the roots, the full sweep
     runs instead: every grid point and every midpoint gets its own
     verdict, and a build the sweep refuses raises the sweep's error.
     """
-    return _envelope(p, sweep_grid(zeta_lo, zeta_hi, step), tolerance)
+    return _envelope(p, sweep_grid(zeta_lo, zeta_hi, step))
 
 
 def _probe_indices(grid: Sequence[float], roots: Sequence[float]) -> list[int]:
@@ -283,9 +281,7 @@ def _probe_indices(grid: Sequence[float], roots: Sequence[float]) -> list[int]:
     return order
 
 
-def _envelope(
-    p: LinkageParameters, grid: Sequence[float], tolerance: float
-) -> tuple[OpeningInterval, ...]:
+def _envelope(p: LinkageParameters, grid: Sequence[float]) -> tuple[OpeningInterval, ...]:
     """:func:`envelope` on a built grid, with :func:`_runs` over the probed verdicts."""
     groups = _roots_by_function(p, grid[0], grid[-1])
     if groups is not None:
@@ -297,5 +293,5 @@ def _envelope(
         verdicts = _decide_all(p, [grid[i] for i in order])
         runs = _runs(order, [v[0] == _OPENS for v in verdicts])
         if runs is not None:
-            return _refine_runs(p, grid, runs, tolerance, roots)
-    return opening_interval(sweep_points(p, grid), tolerance)
+            return _refine_runs(p, grid, runs, roots)
+    return opening_interval(sweep_points(p, grid))

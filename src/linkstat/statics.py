@@ -53,7 +53,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS, _forward
-from .model import LinkageParameters, _branch_sign_error, _Derivation, _derive
+from .model import _TIP_RATIO_FIELDS, LinkageParameters, _branch_sign_error, _Derivation, _derive
 
 __all__ = _EXPORTS["statics"]
 
@@ -87,7 +87,7 @@ def tip_moment_ratio(p: LinkageParameters, zeta: float) -> float:
     moment arm l2*sin(theta2+theta3) is zero.
     """
     _require_finite(zeta)
-    _require_finite_fields(p, ("l2", "l3", "l4", "theta2", "theta3"))
+    _require_finite_fields(p, _TIP_RATIO_FIELDS)
     arm = p.l2 * math.sin(p.theta2 + p.theta3)
     if arm == 0.0:
         raise ValueError(

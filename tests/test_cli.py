@@ -384,7 +384,7 @@ def test_optimize_failed_reverification_exits_3(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(
         linkstat.design, "_envelope",
-        lambda p, grid, tol: (linkstat.OpeningInterval(grid[0], grid[-1], False, False),),
+        lambda p, grid: (linkstat.OpeningInterval(grid[0], grid[-1], False, False),),
     )
     swept = []
     every_point = linkstat.design.sweep_points

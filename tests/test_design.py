@@ -277,7 +277,7 @@ def test_verify_computes_a_verdict_at_every_grid_point(defaults, kernel_calls):
         interval_lo=rad(-5.0), interval_hi=rad(5.0), press_angle=0.0,
         threshold_lo=0.0, threshold_hi=100.0, free=("l3",), bounds={"l3": (1.0, 50.0)},
     )
-    record = linkstat.design._verify(spec, defaults)
+    record = linkstat.design._verify(spec, defaults, ())
     verified = list(kernel_calls)
     curve = sweep(defaults)
     intervals = opening_interval(curve)
@@ -376,7 +376,7 @@ def test_every_score_reads_the_candidates_own_envelope(defaults, monkeypatch):
 
     def checked_score(spec, p, intervals):
         checked.append(p)
-        own = design._envelope(p, design._GRID, rad(0.01))
+        own = design._envelope(p, design._GRID)
         assert list(map(bits, intervals)) == list(map(bits, own))
         return scored(spec, p, intervals)
 
@@ -431,7 +431,7 @@ def verified(spec, p, hint=()):
 def own_envelope(p):
     import linkstat.design
 
-    return linkstat.design._envelope(p, linkstat.design._GRID, rad(0.01))
+    return linkstat.design._envelope(p, linkstat.design._GRID)
 
 
 # The reference build with theta2 doubled opens from the lower end of the
@@ -478,7 +478,7 @@ def test_search_verifies_on_the_covering_run(defaults, kernel_calls, monkeypatch
     every_point = linkstat.design.sweep_points
     verify = linkstat.design._verify
 
-    def spied_verify(spec, p, hint=()):
+    def spied_verify(spec, p, hint):
         kernel_calls.clear()
         swept.append(hint)
         return verify(spec, p, hint)
@@ -511,9 +511,6 @@ def shifted(iv, lo=0.0, hi=0.0):
         # A grid neighbour of the hint's points opens.
         ((-5.0, 5.0), lambda env: (shifted(env[0], lo=GRID_STEP),)),
         ((-5.0, 5.0), lambda env: (shifted(env[0], hi=-GRID_STEP),)),
-        # The run is confirmed, but its refined edge falls short of the
-        # band, which reaches past the true edge at -12.516 deg.
-        ((-12.6, 5.0), lambda env: (shifted(env[0], lo=rad(-0.2)),)),
     ],
 )
 def test_a_refused_hint_falls_back_to_the_full_sweep(defaults, monkeypatch, band, hint):
@@ -528,6 +525,22 @@ def test_a_refused_hint_falls_back_to_the_full_sweep(defaults, monkeypatch, band
                         lambda *args: swept.append(args) or every_point(*args))
     assert verified(spec, defaults, hint) == expected
     assert len(swept) == 1
+
+
+def test_a_confirmed_run_that_falls_short_raises_without_a_full_sweep(defaults, monkeypatch):
+    # The run is confirmed, but its refined edge falls short of the band,
+    # which reaches past the true edge at -12.516 deg.  No other interval
+    # of the full sweep can reach into the band, so the coverage error is
+    # the full sweep's and needs no full sweep.
+    import linkstat.design
+
+    spec = verify_spec(-12.6, 5.0)
+    hint = (shifted(own_envelope(defaults)[0], lo=rad(-0.2)),)
+    expected = verified(spec, defaults)
+    assert expected == (
+        RuntimeError, "feasible candidate failed re-verification of envelope coverage")
+    monkeypatch.setattr(linkstat.design, "sweep_points", None)
+    assert verified(spec, defaults, hint) == expected
 
 
 def test_an_accepted_hint_takes_no_full_sweep(defaults, monkeypatch):

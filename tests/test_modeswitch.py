@@ -129,8 +129,10 @@ def test_envelope_endpoints_carry_opening_verdicts(defaults):
 
 
 def test_envelope_refinement_tolerance(defaults):
-    coarse = opening_interval(sweep(defaults), tolerance=rad(0.2))[0]
-    fine = opening_interval(sweep(defaults), tolerance=rad(0.01))[0]
+    with mock.patch.object(modeswitch, "DEFAULT_REFINE_TOL", rad(0.2)):
+        coarse = opening_interval(sweep(defaults))[0]
+    assert modeswitch.DEFAULT_REFINE_TOL == rad(0.01)
+    fine = opening_interval(sweep(defaults))[0]
     # Tightening the tolerance can only move the reported edge toward
     # the true transition, never across it.
     assert fine.lo <= coarse.lo
@@ -210,8 +212,8 @@ FIELDS = ("l0", "l1", "l2", "l3", "l4", "theta0", "theta1", "theta2",
           "theta3", "theta4", "theta5", "spring_k", "natural_length", "mu")
 
 
-def swept_envelope(p, lo, hi, step, tolerance=rad(0.01)):
-    return opening_interval(sweep(p, lo, hi, step), tolerance)
+def swept_envelope(p, lo, hi, step):
+    return opening_interval(sweep(p, lo, hi, step))
 
 
 def hexed(intervals):
@@ -238,19 +240,20 @@ def test_envelope_equals_swept_envelope(
     if frictionless:
         p = p.with_values(mu=0.0)
     assume(validate_parameters(p).ok)
-    args = (rad(lo_deg), rad(lo_deg + span_deg), rad(step_deg), rad(tolerance_deg))
+    args = (rad(lo_deg), rad(lo_deg + span_deg), rad(step_deg))
     calls = []
     fallbacks = []
     every_point = modeswitch.sweep_points
-    with counted_verdicts(calls), mock.patch.object(
-        root_envelope,
-        "sweep_points",
-        lambda p, g: fallbacks.append(g) or every_point(p, g),
-    ):
-        got = envelope(p, *args)
-    assert hexed(got) == hexed(swept_envelope(p, *args))
+    with mock.patch.object(modeswitch, "DEFAULT_REFINE_TOL", rad(tolerance_deg)):
+        with counted_verdicts(calls), mock.patch.object(
+            root_envelope,
+            "sweep_points",
+            lambda p, g: fallbacks.append(g) or every_point(p, g),
+        ):
+            got = envelope(p, *args)
+        assert hexed(got) == hexed(swept_envelope(p, *args))
     assert len(calls) > 0
-    grid = modeswitch.sweep_grid(*args[:3])
+    grid = modeswitch.sweep_grid(*args)
     on_grid = set(grid)
     probes = [z for z in calls if z in on_grid]
     midpoints = [z for z in calls if z not in on_grid]
@@ -421,8 +424,10 @@ def test_bisection_matches_the_root_free_rule(closed_side, width, edge, toleranc
         got_calls.append(z)
         return (_OPENS if opens(z) else _OPENS + 1,)
 
-    with mock.patch.object(modeswitch, "_decide", decide):
-        got = modeswitch._bisect_transition(None, closed_side, open_side, tolerance, roots)
+    with mock.patch.object(modeswitch, "_decide", decide), mock.patch.object(
+        modeswitch, "DEFAULT_REFINE_TOL", tolerance
+    ):
+        got = modeswitch._bisect_transition(None, closed_side, open_side, roots)
     assert got.hex() == want.hex()
     assert [z.hex() for z in got_calls] == [z.hex() for z in want_calls]
 
@@ -480,9 +485,7 @@ def test_bisection_computes_every_midpoint_without_a_root_in_the_bracket(
     for roots in (None, [], [rad(-60.0), rad(120.0)]):
         calls = []
         with counted_verdicts(calls):
-            edge = modeswitch._bisect_transition(
-                defaults, closed, opened, rad(0.01), roots
-            )
+            edge = modeswitch._bisect_transition(defaults, closed, opened, roots)
         assert edge.hex() == iv.hi.hex()
         counts.append(len(calls))
     assert counts[0] > 0 and len(set(counts)) == 1
@@ -526,14 +529,14 @@ def test_envelope_with_a_nearly_cancelled_det(defaults, monkeypatch, frictionles
         **({"mu": 0.0} if frictionless else {}),
     )
     assert validate_parameters(p).ok
-    for tolerance in (0.0, rad(0.01)):
-        want = hexed(swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5), tolerance))
-        assert hexed(envelope(p, tolerance=tolerance)) == want
-    # Trusting the det roots anyway infers midpoints in the band wrongly.
+    for tolerance in (rad(0.01), 0.0):
+        monkeypatch.setattr(modeswitch, "DEFAULT_REFINE_TOL", tolerance)
+        want = hexed(swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5)))
+        assert hexed(envelope(p)) == want
+    # Trusting the det roots anyway infers midpoints in the band wrongly,
+    # seen here with the zero tolerance still set.
     monkeypatch.setattr(root_envelope, "_FLOOR_REACH", math.inf)
-    assert hexed(envelope(p, tolerance=0.0)) != hexed(
-        swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5), 0.0)
-    )
+    assert hexed(envelope(p)) != hexed(swept_envelope(p, rad(-30.0), rad(90.0), rad(0.5)))
 
 
 def test_envelope_falls_back_to_every_grid_point(defaults, monkeypatch, counted_verdicts):
@@ -619,23 +622,12 @@ def test_opening_interval_is_an_immutable_named_tuple():
         iv.lo = 0.0
 
 
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
-def test_refine_tolerance_must_be_finite_and_non_negative(defaults, tolerance):
-    # nan or inf used to stop the bisection at once and report a grid
-    # point as a refined edge.
-    with pytest.raises(ValueError, match="tolerance"):
-        envelope(defaults, tolerance=tolerance)
-    with pytest.raises(ValueError, match="tolerance"):
-        opening_interval(sweep(defaults), tolerance=tolerance)
-
-
-def test_zero_tolerance_bisects_to_float_resolution(defaults):
+def test_zero_tolerance_bisects_to_float_resolution(defaults, monkeypatch):
     from linkstat import predict_opening
 
-    (iv,) = envelope(defaults, tolerance=0.0)
-    assert hexed([iv]) == hexed(
-        swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5), 0.0)
-    )
+    monkeypatch.setattr(modeswitch, "DEFAULT_REFINE_TOL", 0.0)
+    (iv,) = envelope(defaults)
+    assert hexed([iv]) == hexed(swept_envelope(defaults, rad(-30.0), rad(90.0), rad(0.5)))
     assert predict_opening(defaults, iv.hi).opens
     assert not predict_opening(defaults, math.nextafter(iv.hi, math.inf)).opens
     assert predict_opening(defaults, iv.lo).opens

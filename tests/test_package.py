@@ -112,6 +112,41 @@ def test_only_the_oracle_imports_numpy():
     assert importers == {"oracle.py"}
 
 
+def named_nodes(node, name, function=None):
+    """(enclosing function or None, node) for each name, attribute or import
+    alias under ``node`` that spells ``name``; a signature counts as inside
+    its function."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        if (isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Attribute) and child.attr == name
+                or isinstance(child, ast.alias) and name in (child.name, child.asname)):
+            yield function, child
+        yield from named_nodes(child, name, inner)
+
+
+def test_one_refine_tolerance():
+    """No function takes a ``tolerance``, and DEFAULT_REFINE_TOL is bound once,
+    in modeswitch, and read (or imported) only inside _bisect_transition, so
+    every refined edge uses the one tolerance a test can patch in place."""
+    package = Path(linkstat.__file__).resolve().parent
+    takers, bound, read = [], [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                if "tolerance" in [a.arg for a in params if a is not None]:
+                    takers.append((path.name, getattr(node, "name", "<lambda>")))
+        for function, node in named_nodes(tree, "DEFAULT_REFINE_TOL"):
+            stored = isinstance(getattr(node, "ctx", None), ast.Store)
+            (bound if stored else read).append((path.name, function))
+    assert takers == []
+    assert bound == [("modeswitch.py", None)]
+    assert read == [("modeswitch.py", "_bisect_transition")]
+
+
 def traced_lookups():
     """The (module, name) pairs that bench/tracing.py's TRACED wraps, read
     from its source: the lookups the benchmark makes on linkstat's modules."""

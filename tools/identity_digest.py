@@ -11,6 +11,9 @@ as ``repr``:
   the same builds, over the default range and over one random range
   each.  ``mismatches`` counts the calls whose results (or error texts)
   differ, and must be 0.
+* ``fallback``: the ``envelope`` section with ``roots._CANCELLATION_FLOOR``
+  set to infinity while it runs, so that no root is trusted and every
+  call takes the envelope's full-sweep route; ``mismatches`` must be 0.
 * ``validation``: ``validate_parameters(p).describe()`` over valid builds,
   invalid builds and builds pushed to extremes (magnitudes from 1e-320 to
   1e308, angles near +-pi/2, non-finite values, mu on a self-lock
@@ -60,7 +63,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SECTIONS = ("kernel", "envelope", "validation", "cli", "search", "oracle")
+SECTIONS = ("kernel", "envelope", "fallback", "validation", "cli", "search", "oracle")
 
 # Fixed seeds, one per section (``search`` runs the benchmark's seeds from 1),
 # and the corpus sizes of a full run.
@@ -187,7 +190,7 @@ def kernel(linkstat, size: int) -> str:
     return f"kernel: builds={size} verdicts={verdicts} digest={digest.hexdigest()}"
 
 
-def envelope(linkstat, size: int) -> str:
+def envelope(linkstat, size: int, section: str = "envelope") -> str:
     rng = random.Random(SEEDS["kernel"] + 1)
     digest, calls, mismatches = _Digest(), 0, 0
     errors = (ValueError, linkstat.SingularSystemError)
@@ -199,7 +202,17 @@ def envelope(linkstat, size: int) -> str:
             digest.add(*fast)
             calls += 1
             mismatches += fast != full
-    return f"envelope: calls={calls} mismatches={mismatches} digest={digest.hexdigest()}"
+    return f"{section}: calls={calls} mismatches={mismatches} digest={digest.hexdigest()}"
+
+
+def fallback(linkstat, size: int) -> str:
+    roots = importlib.import_module("linkstat.roots")
+    floor = roots._CANCELLATION_FLOOR
+    roots._CANCELLATION_FLOOR = math.inf
+    try:
+        return envelope(linkstat, size, "fallback")
+    finally:
+        roots._CANCELLATION_FLOOR = floor
 
 
 def _validation_builds(linkstat, size: int) -> list:
@@ -428,6 +441,7 @@ def run(sections, tree: Path = ROOT, scale: float = 1.0) -> list[str]:
     makers = {
         "kernel": lambda: kernel(linkstat, sized["kernel"]),
         "envelope": lambda: envelope(linkstat, sized["kernel"]),
+        "fallback": lambda: fallback(linkstat, sized["kernel"]),
         "validation": lambda: validation(linkstat, sized["validation"]),
         "cli": lambda: cli(linkstat, sized["cli"]),
         "search": lambda: search(tree, sized["search"]),
