@@ -88,9 +88,12 @@ def sensitivity(p: LinkageParameters, name: str, zeta: float) -> float:
     """Central-difference sensitivity of the balance force to one field.
 
     The step is 1e-6 of the field magnitude (floored at 1 so near-zero
-    fields still move).  All three evaluation points must open;
-    otherwise the derivative of the switching force is undefined there
-    and :class:`~linkstat.modeswitch.NotOpeningError` propagates.
+    fields still move).  Where a step crosses a rule of validation (mu
+    or a length near zero, an angle near +-pi/2), the difference is
+    one-sided, from ``p`` to the step on the side that validates.  Every
+    evaluation point must open; otherwise the derivative of the
+    switching force is undefined there and
+    :class:`~linkstat.modeswitch.NotOpeningError` propagates.
     """
     if name not in _FREE_FIELDS:
         raise ValueError(
@@ -99,10 +102,13 @@ def sensitivity(p: LinkageParameters, name: str, zeta: float) -> float:
         )
     value = getattr(p, name)
     h = _SENSITIVITY_REL_STEP * max(abs(value), 1.0)
-    switching_threshold(p, zeta)
-    up = switching_threshold(p.with_values(**{name: value + h}), zeta)
-    down = switching_threshold(p.with_values(**{name: value - h}), zeta)
-    return (up - down) / (2.0 * h)
+    base = switching_threshold(p, zeta)
+    up, down = p.with_values(**{name: value + h}), p.with_values(**{name: value - h})
+    if not validate_parameters(down).ok:
+        return (switching_threshold(up, zeta) - base) / h
+    if not validate_parameters(up).ok:
+        return (base - switching_threshold(down, zeta)) / h
+    return (switching_threshold(up, zeta) - switching_threshold(down, zeta)) / (2.0 * h)
 
 
 def _containment_shortfall_deg(

@@ -179,10 +179,6 @@ def spring_force(p: LinkageParameters) -> float:
     return p.spring_k * (stretched - p.natural_length)
 
 
-def _branch_sign_error(sign_beta3: object) -> ValueError:
-    return ValueError(f"friction branch sign must be +1 or -1, got {sign_beta3!r}")
-
-
 # The report of a build that breaks no rule.
 _VALID = ValidationReport(())
 
@@ -239,11 +235,14 @@ class _Derivation:
 
     Most of the 2x2 balance does not depend on the press direction: the
     strut-angle sines ``s13``, ``s34``, the right-hand side ``b0``,
-    ``b1``, each friction branch's a11 (``plus``, ``minus``), the
-    probe-force cosines cos1, cos4 (held in ``kernel`` alone) and the
-    (c, s) pairs ``a00``, ``a10`` of the two press-dependent entries, each
-    c*cos(zeta) + s*sin(zeta).  Each is one float expression, derived
-    once per build and read by every caller of the statics' 2x2 route,
+    ``b1``, each friction branch's slotted-pin coupling (``couplings``,
+    +1 then -1) and its a11, the coupling times sin(theta4 - theta2)
+    (``plus``, ``minus``), the probe-force cosines cos1, cos4 (held in
+    ``kernel`` alone) and the (c, s) pairs ``a00``, ``a10`` of the two
+    press-dependent entries, each c*cos(zeta) + s*sin(zeta).  Each is one
+    float expression, derived once per build and read by every caller of
+    the statics' 2x2 route, public helpers included (``arm`` divides
+    ``tip_moment_ratio``, and ``friction_coupling`` is :meth:`coupling`),
     so caching changes no bit of any result; its raw-equilibrium route
     never reads them.  ``kernel`` holds the 12 values the statics' kernel reads, in
     its order (s13, plus, minus, b0, b1, epsilon, cos1, cos4 and the
@@ -261,7 +260,7 @@ class _Derivation:
     """
 
     __slots__ = ("params", "report", "arm", "s13", "s34", "b0", "b1",
-                 "plus", "minus", "a00", "a10", "kernel")
+                 "couplings", "plus", "minus", "a00", "a10", "kernel")
 
     def __init__(self, p: LinkageParameters) -> None:
         self.params = p  # held so that the identity test in _derive stays sound
@@ -334,8 +333,11 @@ class _Derivation:
         if not found or {v.field for v in found}.isdisjoint(_A11_FIELDS):
             sin3, cos3 = sin(theta3), cos(theta3)
             s42 = sin(theta4 - theta2)
-            self.plus = plus = (mu * sin3 + cos3) / denom_plus * s42
-            self.minus = minus = (-mu * sin3 + cos3) / denom_minus * s42
+            plus_coupling = (mu * sin3 + cos3) / denom_plus
+            minus_coupling = (-mu * sin3 + cos3) / denom_minus
+            self.couplings = (plus_coupling, minus_coupling)
+            self.plus = plus = plus_coupling * s42
+            self.minus = minus = minus_coupling * s42
             if not isfinite(plus):
                 found.append(_a11_overflow(mu, theta2, 1.0, plus))
             if not isfinite(minus):
@@ -360,11 +362,22 @@ class _Derivation:
 
     def branch(self, sign_beta3: int) -> float:
         """a11 of one friction branch; ValueError for a sign other than +1 or -1."""
-        if sign_beta3 == 1:
-            return self.plus
-        if sign_beta3 == -1:
-            return self.minus
-        raise _branch_sign_error(sign_beta3)
+        return _by_branch(sign_beta3, self.plus, self.minus)
+
+    def coupling(self, sign_beta3: int) -> float:
+        """The slotted pin's coupling on one friction branch; ValueError for a
+        sign other than +1 or -1."""
+        return _by_branch(sign_beta3, *self.couplings)
+
+
+def _by_branch(sign_beta3: object, plus: float, minus: float) -> float:
+    """``plus`` on the +1 friction branch, ``minus`` on the -1 branch;
+    ValueError for any other sign."""
+    if sign_beta3 == 1:
+        return plus
+    if sign_beta3 == -1:
+        return minus
+    raise ValueError(f"friction branch sign must be +1 or -1, got {sign_beta3!r}")
 
 
 # The most recent build's derivation.  One entry suffices: validation,

@@ -8,7 +8,7 @@ implemented in terms of it: it writes its own rows member by member, in
 the class that caches them, and reads none of that route's terms (no
 :class:`linkstat.model._Derivation`).  The two share only
 :func:`linkstat.model.spring_force`, which scales both right-hand sides,
-the refusal of a bad branch sign, :func:`linkstat.model._branch_sign_error`,
+the refusal of a bad branch sign, :func:`linkstat.model._by_branch`,
 and of a non-finite press direction, and the
 :class:`~linkstat.statics.SingularSystemError` both raise.
 
@@ -30,7 +30,7 @@ import math
 from typing import NamedTuple
 
 from . import _EXPORTS
-from .model import LinkageParameters, _branch_sign_error, spring_force
+from .model import LinkageParameters, _by_branch, spring_force
 from .statics import SingularSystemError, _require_finite
 
 __all__ = _EXPORTS["oracle"]
@@ -219,8 +219,8 @@ def full_equilibrium(
     import numpy as np
 
     _require_finite(zeta)
-    if sign_beta3 is not None and sign_beta3 != 1 and sign_beta3 != -1:
-        raise _branch_sign_error(sign_beta3)
+    if sign_beta3 is not None:
+        _by_branch(sign_beta3, 1, -1)  # refuses a sign other than +1 or -1
     t = _oracle_terms(p)
     if t.arm == 0.0:
         cause = ": the coupler moment arm l2*sin(theta2+theta3) is zero"

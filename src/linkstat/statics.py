@@ -41,9 +41,12 @@ The press-independent terms of the 2x2 balance are derived once per
 build by :class:`linkstat.model._Derivation`, on the same pass that
 validates the build; :func:`_build_terms` hands them to this route and
 refuses, with the first ``validate`` line, every build that validation
-refuses.  :func:`_decide_all` reads them once per call, in one unpack
-of a tuple the terms hold; the per-point work is then the arithmetic of
-the decision alone.
+refuses.  Every public function here goes through it, the helpers
+:func:`tip_moment_ratio` (over the terms' coupler moment arm) and
+:func:`friction_coupling` (the terms' coupling) included, so that line
+is the only refusal of a build this route gives.  :func:`_decide_all`
+reads the terms once per call, in one unpack of a tuple they hold; the
+per-point work is then the arithmetic of the decision alone.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from . import _EXPORTS, _forward
-from .model import _TIP_RATIO_FIELDS, LinkageParameters, _branch_sign_error, _Derivation, _derive
+from .model import LinkageParameters, _Derivation, _derive
 
 __all__ = _EXPORTS["statics"]
 
@@ -66,58 +69,35 @@ class SingularSystemError(RuntimeError):
     """The balance system has no usable solution at this press direction."""
 
 
-def _require_finite_fields(p: LinkageParameters, names: tuple[str, ...]) -> None:
-    """Raise ValueError, in the words of the ``validate`` report, for the
-    first of ``names`` whose value in ``p`` is not finite."""
-    for name in names:
-        value = getattr(p, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name}: must be finite, got {value!r}")
-
-
 def tip_moment_ratio(p: LinkageParameters, zeta: float) -> float:
     """Ratio coupling the tip contact force into the coupler strut load.
 
     ``zeta`` is the press direction in radians, measured at the tip pad;
     zero presses straight along the pad normal.  The ratio changes sign
     where the contact force line crosses the slotted strut axis, which is
-    what ultimately bounds the opening envelope from below.  Raises
-    ValueError for a non-finite press direction, then for a non-finite
-    l2, l3, l4, theta2 or theta3 (naming it), and where the coupler
-    moment arm l2*sin(theta2+theta3) is zero.
+    what ultimately bounds the opening envelope from below.  The raw trig
+    numerator is divided by the build's coupler moment arm
+    l2*sin(theta2+theta3), its derivation's ``arm``.  Raises ValueError
+    for a non-finite press direction, then, with the first ``validate``
+    line, for a build that validation refuses.
     """
     _require_finite(zeta)
-    _require_finite_fields(p, _TIP_RATIO_FIELDS)
-    arm = p.l2 * math.sin(p.theta2 + p.theta3)
-    if arm == 0.0:
-        raise ValueError(
-            f"l2*sin(theta2+theta3) = 0.0 with l2 = {p.l2!r}, theta2 = "
-            f"{p.theta2!r}, theta3 = {p.theta3!r}: the coupler moment arm "
-            "divides the tip moment ratio and must be nonzero"
-        )
+    arm = _build_terms(p).arm
     return (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / arm
 
 
 def friction_coupling(p: LinkageParameters, sign_beta3: int) -> float:
-    """Transmission factor through the slotted pin for a friction branch.
+    """Transmission factor through the slotted pin for a friction branch,
+    (s*mu*sin(theta3) + cos(theta3)) / (-s*mu*sin(theta2) + cos(theta2)).
 
-    ``sign_beta3`` picks the assumed slip sense, +1 or -1; any other
-    value raises ValueError.  With mu = 0 both branches collapse to the
-    same frictionless value.  Raises ValueError for a non-finite mu,
-    theta2 or theta3 (naming it), and where the branch's denominator
-    -s*mu*sin(theta2) + cos(theta2) is zero.
+    ``sign_beta3`` picks the assumed slip sense s, +1 or -1.  With mu = 0
+    both branches collapse to the same frictionless value.  The coupling
+    is the one the build's derivation holds; times sin(theta4 - theta2)
+    it is the branch's a11.  Raises ValueError, with the first ``validate``
+    line, for a build that validation refuses, then for a sign other than
+    +1 or -1.
     """
-    if sign_beta3 != 1 and sign_beta3 != -1:
-        raise _branch_sign_error(sign_beta3)
-    _require_finite_fields(p, ("mu", "theta2", "theta3"))
-    mu, theta2, theta3, s = p.mu, p.theta2, p.theta3, float(sign_beta3)
-    denom = -s * mu * math.sin(theta2) + math.cos(theta2)
-    if denom == 0.0:
-        raise ValueError(
-            f"mu = {mu!r} with theta2 = {theta2!r} makes the {s:+.0f} "
-            "friction branch's denominator -s*mu*sin(theta2) + cos(theta2) zero"
-        )
-    return (s * mu * math.sin(theta3) + math.cos(theta3)) / denom
+    return _build_terms(p).coupling(sign_beta3)
 
 
 class BalanceSystem(NamedTuple):

@@ -69,6 +69,25 @@ def test_sensitivity_sign_for_geometry(defaults):
     assert got != 0.0
 
 
+@pytest.mark.parametrize("name, value, side", [
+    ("mu", 0.0, 1),  # mu - h < 0 breaks mu's rule
+    ("theta3", math.pi / 2 - 1e-7, -1),  # theta3 + h reaches pi/2
+])
+def test_sensitivity_is_one_sided_at_a_range_edge(defaults, name, value, side):
+    """A step that leaves the field's range is not taken: the difference
+    runs from the build to the step on the side that validates, and
+    agrees with the central difference a few steps inside the range."""
+    p = defaults.with_values(**{name: value})
+    h = 1e-6 * max(abs(value), 1.0)
+    assert validate_parameters(p).ok
+    assert not validate_parameters(p.with_values(**{name: value - side * h})).ok
+    stepped = switching_threshold(p.with_values(**{name: value + side * h}), 0.0)
+    got = sensitivity(p, name, 0.0)
+    assert got == side * (stepped - switching_threshold(p, 0.0)) / h
+    inside = sensitivity(p.with_values(**{name: value + side * 3 * h}), name, 0.0)
+    assert math.isclose(got, inside, rel_tol=1e-5)
+
+
 def test_sensitivity_requires_opening(defaults):
     with pytest.raises(NotOpeningError):
         sensitivity(defaults, "spring_k", rad(-15.0))

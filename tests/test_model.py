@@ -1,5 +1,4 @@
 import math
-import re
 from unittest import mock
 
 import pytest
@@ -7,8 +6,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linkstat.model as model
-from linkstat import default_parameters, friction_coupling, validate_parameters
-from linkstat.statics import _build_terms, tip_moment_ratio
+from linkstat import (
+    Measurement,
+    NotOpeningError,
+    SingularSystemError,
+    assemble_system,
+    compare_measurements,
+    default_parameters,
+    envelope,
+    friction_coupling,
+    perturbed_joint_forces,
+    predict_opening,
+    solve_balance,
+    solve_balance_with_sign,
+    sweep_points,
+    switching_threshold,
+    tip_moment_ratio,
+    validate_parameters,
+)
+from linkstat.statics import _build_terms
 
 
 def test_defaults_validate(defaults):
@@ -85,7 +101,8 @@ def test_validation_never_raises(changes):
     ids=["18.5-1", "-18.5--1", "18.5-1-mu3.5", "-18.5--1-mu3.5"],
 )
 def test_zero_friction_coupling_denominator_reported(defaults, theta2_deg, sign, mu):
-    """mu >= cot|theta2| self-locks the slot on branch s = sign(theta2) only.
+    """mu >= cot|theta2| self-locks the slot on branch s = sign(theta2) only,
+    and friction_coupling refuses the build on either branch with that line.
 
     ``mu`` None is the boundary mu = cot|theta2|, where the coupling
     denominator of branch s is exactly zero.
@@ -93,16 +110,15 @@ def test_zero_friction_coupling_denominator_reported(defaults, theta2_deg, sign,
     t2 = math.radians(theta2_deg)
     boundary = sign * math.cos(t2) / math.sin(t2)
     p = defaults.with_values(theta2=t2, mu=boundary if mu is None else mu)
-    assert math.isfinite(friction_coupling(p, -sign))
     report = validate_parameters(p)
     assert [v.field for v in report.violations] == ["mu"]
     assert f"{sign:+d} branch" in report.violations[0].message
+    for branch in (sign, -sign):
+        with pytest.raises(ValueError) as err:
+            friction_coupling(p, branch)
+        assert str(err.value) == report.describe()
     if mu is not None:
-        assert friction_coupling(p, sign) < 0.0
         return
-    message = re.escape(f"the {sign:+d} friction branch's denominator")
-    with pytest.raises(ValueError, match=message):
-        friction_coupling(p, sign)
     # The boundary is refused with everything above it; one ulp below passes.
     below = p.with_values(mu=math.nextafter(p.mu, 0.0))
     above = p.with_values(mu=math.nextafter(p.mu, math.inf))
@@ -179,9 +195,11 @@ def test_a_friction_branch_whose_a11_overflows_is_refused(defaults, sign):
         "(s*mu*sin(theta3) + cos(theta3)) / (-s*mu*sin(theta2) + cos(theta2)) "
         "times sin(theta4 - theta2)"
     )
-    # The other branch's coupling is finite, and so is the build's every field.
-    assert math.isfinite(friction_coupling(p, -sign))
-    assert not math.isfinite(friction_coupling(p, sign))
+    # Every field is finite, yet neither branch's coupling is given.
+    for branch in (sign, -sign):
+        with pytest.raises(ValueError) as err:
+            friction_coupling(p, branch)
+        assert str(err.value) == report.describe()
 
 
 # Builds for the one-gate properties: each field left at its default or
@@ -217,18 +235,31 @@ def _builds(draw):
     return p
 
 
+_EXAMPLE_BUILDS = [
+    default_parameters(),
+    default_parameters().with_values(l1=1e-320),  # b0, b1 overflow
+    default_parameters().with_values(l0=1e300, spring_k=1e10),
+    default_parameters().with_values(l2=5e-324),  # the tip moment ratio overflows
+    default_parameters().with_values(l2=1e-310),
+    default_parameters().with_values(l2=1e-300, l3=1e10),
+    default_parameters().with_values(theta2=-default_parameters().theta3),  # zero arm
+    default_parameters().with_values(theta2=1.2, mu=3.5),  # self-locks the +1 branch
+    default_parameters().with_values(theta2=1e-300, mu=_A11_MU),  # a11 overflows, +1
+    default_parameters().with_values(theta2=-1e-300, mu=_A11_MU),  # and -1
+    default_parameters().with_values(l3=math.nan, theta1=math.inf),
+]
+
+
+def _with_example_builds(test):
+    """``test`` with each of _EXAMPLE_BUILDS as an explicit example."""
+    for p in reversed(_EXAMPLE_BUILDS):
+        test = example(p)(test)
+    return test
+
+
 @settings(max_examples=400)
 @given(_builds())
-@example(default_parameters())
-@example(default_parameters().with_values(l1=1e-320))  # b0, b1 overflow
-@example(default_parameters().with_values(l0=1e300, spring_k=1e10))
-@example(default_parameters().with_values(l2=5e-324))  # the tip moment ratio overflows
-@example(default_parameters().with_values(l2=1e-310))
-@example(default_parameters().with_values(l2=1e-300, l3=1e10))
-@example(default_parameters().with_values(theta2=-default_parameters().theta3))  # zero arm
-@example(default_parameters().with_values(theta2=1e-300, mu=_A11_MU))  # a11 overflows, +1
-@example(default_parameters().with_values(theta2=-1e-300, mu=_A11_MU))  # and -1
-@example(default_parameters().with_values(l3=math.nan, theta1=math.inf))
+@_with_example_builds
 def test_the_fast_route_refuses_exactly_what_validation_refuses(p):
     """One gate: the 2x2 balance's terms are refused exactly when the
     report has a violation, with its first line as the text, and every
@@ -247,6 +278,45 @@ def test_the_fast_route_refuses_exactly_what_validation_refuses(p):
     assert math.isfinite(tip_moment_ratio(p, 0.0))
 
 
+_ZETA = 0.3  # a press direction that opens the reference build
+_MEASUREMENTS = (Measurement(0.0, 5.0), Measurement(_ZETA, 4.0))
+
+
+@settings(max_examples=400)
+@given(_builds())
+@_with_example_builds
+def test_every_public_function_of_the_2x2_route_refuses_by_the_one_gate(p):
+    """Each public function of the 2x2 route, the two helpers among them,
+    raises ValueError with the report's first line exactly when the report
+    is not ok; a build that validates gets an answer or the route's
+    RuntimeError (a singular balance, a press direction that does not open)."""
+    report = validate_parameters(p)
+    calls = {
+        "tip_moment_ratio": lambda: tip_moment_ratio(p, _ZETA),
+        "friction_coupling(+1)": lambda: friction_coupling(p, 1),
+        "friction_coupling(-1)": lambda: friction_coupling(p, -1),
+        "assemble_system": lambda: assemble_system(p, _ZETA, 1),
+        "solve_balance": lambda: solve_balance(p, _ZETA),
+        "solve_balance_with_sign": lambda: solve_balance_with_sign(p, _ZETA, -1),
+        "perturbed_joint_forces": lambda: perturbed_joint_forces(p, _ZETA),
+        "predict_opening": lambda: predict_opening(p, _ZETA),
+        "switching_threshold": lambda: switching_threshold(p, _ZETA),
+        "sweep_points": lambda: sweep_points(p, [-0.2, 0.0, _ZETA]),
+        "envelope": lambda: envelope(p),
+        "compare_measurements": lambda: compare_measurements(p, _MEASUREMENTS),
+    }
+    for name, call in calls.items():
+        try:
+            call()
+        except ValueError as exc:
+            assert not report.ok, name
+            assert str(exc) == report.describe().split("\n")[0], name
+        except (SingularSystemError, NotOpeningError):
+            assert report.ok, name
+        else:
+            assert report.ok, name
+
+
 @settings(max_examples=400)
 @given(_builds())
 @example(default_parameters())
@@ -261,8 +331,13 @@ def test_a_build_inside_every_range_breaks_no_field_rule(p):
 
 
 def test_tip_moment_ratio_names_a_zero_arm(defaults):
-    with pytest.raises(ValueError, match=r"l2\*sin\(theta2\+theta3\) = 0\.0"):
-        tip_moment_ratio(defaults.with_values(l2=0.0), 0.0)
+    """A zero coupler moment arm, by l2 or by theta2 = -theta3, is refused
+    with the report's first line."""
+    for p in (defaults.with_values(l2=0.0), defaults.with_values(theta2=-defaults.theta3)):
+        first = validate_parameters(p).describe().split("\n")[0]
+        with pytest.raises(ValueError) as err:
+            tip_moment_ratio(p, 0.0)
+        assert str(err.value) == first
 
 
 def test_with_values_names_an_unknown_field(defaults):

@@ -18,7 +18,6 @@ from linkstat import (
     full_equilibrium,
     solve_balance,
     spring_force,
-    tip_moment_ratio,
 )
 
 PERTURBED_FIELDS = (
@@ -207,7 +206,9 @@ def _reference_rows(p, zeta, slip_sign):
     s2, c2 = math.sin(p.theta2), math.cos(p.theta2)
     s3, c3 = math.sin(p.theta3), math.cos(p.theta3)
     s4, c4 = math.sin(p.theta4), math.cos(p.theta4)
-    gamma = tip_moment_ratio(p, zeta)
+    # The tip moment ratio, written out here as tip_moment_ratio's raw form.
+    gamma = (p.l4 * math.cos(zeta) - p.l3 * math.sin(p.theta2 + zeta)) / (
+        p.l2 * math.sin(p.theta2 + p.theta3))
     f_k = spring_force(p)
     a = np.zeros((9, 9), dtype=float)
     b = np.zeros(9, dtype=float)

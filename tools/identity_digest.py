@@ -37,8 +37,8 @@ as ``repr``:
 
 ``validation`` and ``cli`` digest apart, as ``a11_digest``, the
 ``a11_builds`` whose angles and mu pass their range rules, whose coupling
-denominators are positive, and whose a11, ``friction_coupling`` times
-sin(theta4 - theta2), is not finite on some branch; ``a11_refused``
+denominators are positive, and whose a11, the slotted pin's coupling
+times sin(theta4 - theta2), is not finite on some branch; ``a11_refused``
 counts the reports among them that name an a11.  Two trees that agree
 print the same lines.  Run it from anywhere::
 
@@ -163,9 +163,10 @@ def _valid_builds(linkstat, count: int) -> list:
     return builds
 
 
-def _a11_build(p, friction_coupling) -> bool:
+def _a11_build(p) -> bool:
     """Whether ``p`` has angles and mu in range, positive coupling
-    denominators and a non-finite a11 on some branch."""
+    denominators and a non-finite a11 on some branch, written out here,
+    since linkstat's ``friction_coupling`` refuses such a build."""
     angles = (p.theta2, p.theta3, p.theta4)
     if not (all(-_HALF_PI < t < _HALF_PI for t in angles) and 0.0 <= p.mu < math.inf):
         return False
@@ -174,8 +175,9 @@ def _a11_build(p, friction_coupling) -> bool:
         return False
     if math.sin(p.theta2 + p.theta3) == 0.0:
         return False
-    s42 = math.sin(p.theta4 - p.theta2)
-    return not all(math.isfinite(friction_coupling(p, s) * s42) for s in (1, -1))
+    sin3, cos3, s42 = math.sin(p.theta3), math.cos(p.theta3), math.sin(p.theta4 - p.theta2)
+    return not all(math.isfinite((s * p.mu * sin3 + cos3) / (-s * p.mu * sin2 + cos2) * s42)
+                   for s in (1, -1))
 
 
 def kernel(linkstat, size: int) -> str:
@@ -233,7 +235,7 @@ def validation(linkstat, size: int) -> str:
     for p in _validation_builds(linkstat, size):
         text = linkstat.validate_parameters(p).describe()
         ok += text == "parameters ok"
-        if _a11_build(p, linkstat.friction_coupling):
+        if _a11_build(p):
             a11_builds += 1
             a11_refused += "friction branch's a11" in text
             a11_digest.add(*p, text)
@@ -300,7 +302,7 @@ def cli(linkstat, size: int) -> str:
         out = str(work / "out.csv")
         for i, p in enumerate(builds):
             params.write_text(linkstat.format_parameter_file(p))
-            a11 = _a11_build(p, linkstat.friction_coupling)
+            a11 = _a11_build(p)
             zeta = f"{rng.uniform(-30.0, 90.0):.2f}"
             commands = [["validate"], ["analyze", "--zeta-deg", zeta],
                         ["analyze", "--zeta-deg", "17.19"], ["sweep", "--out", out],
